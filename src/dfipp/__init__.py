@@ -12,7 +12,7 @@ from .tensors import (BudgetExceeded, INF, PvalInstance, ball_membership, dist,
                       pval_min_distance)
 from .distributions import (GranularitySet, Pmf, ProductDistribution, SamplingCircuit,
                             circuit_pmf, dispersion_rho, extend, g_cat, granularise,
-                            make_uniform_oracle, marginal_first, sample, tv_distance)
+                            make_uniform_oracle, marginal_first, tv_distance)
 from .session import (CostLedger, Message, OracleHandles, ProverStrategy, Section,
                       Verdict, amplify, run_session)
 from .protocols import (ClaimGenerator, CorrectorHandle, FoldState, HonestFoldProver,

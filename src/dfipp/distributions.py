@@ -15,19 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .field import InputTensor, PrimeField
+from .field import InputTensor, PrimeField, cell_coords, cell_index
 from .tensors import BudgetExceeded
 
 _TABLE_BITS = 64
 _TABLE_ONE = 1 << _TABLE_BITS
-
-
-def _parse_rational(s) -> Fraction:
-    if isinstance(s, Fraction):
-        return s
-    if isinstance(s, int):
-        return Fraction(s)
-    return Fraction(s)
 
 
 class Pmf:
@@ -36,7 +28,8 @@ class Pmf:
     __slots__ = ("masses", "shape", "_cum")
 
     def __init__(self, masses: Sequence, shape: Optional[tuple[int, int]] = None):
-        ms = tuple(_parse_rational(v) for v in masses)
+        # Fraction(v) would copy every Fraction; keep those as they are
+        ms = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in masses)
         if any(v < 0 for v in ms):
             raise ValueError("negative mass")
         if sum(ms) != 1:
@@ -55,23 +48,8 @@ class Pmf:
 
     def mass(self, i) -> Fraction:
         if isinstance(i, tuple):
-            i = self.flat(i)
+            i = cell_index(i, self.shape[0])
         return self.masses[i]
-
-    def flat(self, coords: Sequence[int]) -> int:
-        k, m = self.shape
-        idx = 0
-        for c in coords:
-            idx = idx * k + c
-        return idx
-
-    def coords(self, flat: int) -> tuple[int, ...]:
-        k, m = self.shape
-        out = []
-        for _ in range(m):
-            flat, c = divmod(flat, k)
-            out.append(c)
-        return tuple(reversed(out))
 
     @staticmethod
     def uniform(n: int, shape=None) -> "Pmf":
@@ -122,18 +100,11 @@ class ProductDistribution:
         return self.k ** self.m
 
     def mass(self, i) -> Fraction:
-        coords = i if isinstance(i, tuple) else self.joint_coords(i)
+        coords = i if isinstance(i, tuple) else cell_coords(i, self.k, self.m)
         out = Fraction(1)
         for f, c in zip(self.factors, coords):
             out *= f.mass(c)
         return out
-
-    def joint_coords(self, flat: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.m):
-            flat, c = divmod(flat, self.k)
-            out.append(c)
-        return tuple(reversed(out))
 
     def joint_pmf(self) -> Pmf:
         masses = [Fraction(1)]
@@ -142,10 +113,7 @@ class ProductDistribution:
         return Pmf(masses, shape=(self.k, self.m))
 
     def sample(self, rng) -> int:
-        idx = 0
-        for f in self.factors:
-            idx = idx * self.k + f.sample(rng)
-        return idx
+        return cell_index([f.sample(rng) for f in self.factors], self.k)
 
 
 @dataclass(frozen=True)
@@ -247,11 +215,6 @@ def circuit_pmf(C: SamplingCircuit, budget: int = 20) -> Pmf:
     return Pmf([Fraction(c, total) for c in counts])
 
 
-def sample(D, rng) -> int:
-    """Draw a flat index from a Pmf, ProductDistribution, or SamplingCircuit."""
-    return D.sample(rng)
-
-
 @dataclass(frozen=True)
 class DispersionReport:
     rho: Fraction
@@ -269,7 +232,7 @@ def dispersion_rho(D: Pmf) -> DispersionReport:
         raise ValueError("dispersion needs a shaped PMF")
     k, m = D.shape
     best = Fraction(1)
-    witness = (0, D.coords(0))
+    witness = (0, cell_coords(0, k, m))
     for dim in range(m):
         lo = k ** (m - 1 - dim)  # stride of the varied coordinate
         seen = set()
@@ -286,7 +249,7 @@ def dispersion_rho(D: Pmf) -> DispersionReport:
             ratio = Fraction(k) * D.masses[top] / total
             if ratio > best:
                 best = ratio
-                witness = (dim, D.coords(top))
+                witness = (dim, cell_coords(top, k, m))
     return DispersionReport(best, witness[0], witness[1])
 
 

@@ -21,9 +21,9 @@ from .tensors import INF, PvalInstance, dist, pval_min_distance
 from .distributions import (Pmf, SamplingCircuit, distribution_from_json, dispersion_rho,
                             granularise, marginal_first, tv_distance)
 from .session import (ACCEPT, OracleHandles, ProverStrategy, ReplayProver, Verdict,
-                      amplify, dump_transcript, load_transcript, run_session)
+                      amplify, dump_transcript, load_transcript)
 from .protocols import (BadSumHamProver, ClaimGenerator, HonestFoldProver, HonestHamProver,
-                        NullProver, RandomLieFoldProver, RowTamperFoldProver, RunResult,
+                        NullProver, RandomLieFoldProver, RowTamperFoldProver, RunResult, _run,
                         blr_linearity_ipp, check_appendix_claims, check_distance_preservation,
                         check_subspace_lemma, fold_kappa, hadamard_codeword,
                         hadamard_corrector, project_points, run_df_ipp_nc,
@@ -53,23 +53,6 @@ def _setup_rng(seed: int) -> random.Random:
 
 _COMMON_KEYS = {"prover", "repetitions", "rule"}
 
-_PROTOCOL_KEYS = {
-    "echo": {"bits"},
-    "ham": {"n", "w", "eps", "x", "distribution", "c"},
-    "symmetric": {"n", "eps", "x", "distribution", "c", "predicate"},
-    "poly_fold": {"field_modulus", "k", "m", "kappa", "x", "points", "values", "t"},
-    "fin_ipp": {"field_modulus", "k", "m", "r", "eps", "kappa_override", "x",
-                "points", "values", "t", "distribution", "dist_mode"},
-    "df_ipp_nc": {"field_modulus", "k", "m", "r", "eps", "kappa_override", "x",
-                  "distribution", "claims"},
-    "dispersed_ipp_nc": {"field_modulus", "k", "m", "r", "eps", "kappa_override",
-                         "x", "distribution", "claims"},
-    "whitebox_product": {"field_modulus", "k", "m", "r", "eps", "kappa_override",
-                         "profile", "x", "points", "values", "tau", "bucket_bits"},
-    "rlcc": {"bits", "eps", "message", "corruptions", "distribution", "repetitions"},
-    "set_lower_bound": {"ell", "claims", "tau", "delta", "bucket_bits", "inflate"},
-}
-
 
 def validate_config(config: dict) -> None:
     required = {"protocol", "trials", "seed"}
@@ -78,9 +61,9 @@ def validate_config(config: dict) -> None:
     if missing:
         raise ValueError(f"config missing keys: {sorted(missing)}")
     protocol = config["protocol"]
-    if protocol not in _PROTOCOL_KEYS:
+    if protocol not in _PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
-    allowed |= _PROTOCOL_KEYS[protocol] | _COMMON_KEYS
+    allowed |= _PROTOCOLS[protocol][0] | _COMMON_KEYS
     unknown = config.keys() - allowed
     if unknown:
         raise ValueError(f"config has unknown keys: {sorted(unknown)}")
@@ -135,6 +118,183 @@ def _fold_prover(config: dict, X: InputTensor, rng: random.Random):
     raise ValueError(f"unknown prover mode {mode!r}")
 
 
+def _fold_meta(X: InputTensor, inst: PvalInstance, **fields) -> dict:
+    return {"n": X.n, "k": inst.k, "m": inst.m, "field": inst.field.modulus, **fields}
+
+
+def _rho(D) -> Fraction:
+    return dispersion_rho(D).rho if isinstance(D, Pmf) else Fraction(1)
+
+
+def _run_echo(config: dict, rng: random.Random, seed: int, prover):
+    bits = config.get("bits", 16)
+
+    def verifier(session):
+        x = tuple(session.rng.getrandbits(1) for _ in range(bits))
+        session.tell("echo/x", [(x, 1)])
+        msg = session.ask("echo/reply", None, expect=[(bits, 1)])
+        return ACCEPT if msg.values() == x else Verdict(False, "echo-mismatch")
+
+    return _run(verifier, prover or EchoProver(), OracleHandles(()), seed), {"n": bits}
+
+
+def _ham_setup(config: dict, rng: random.Random, prover):
+    """Input bits, distribution, eps and prover shared by ham and symmetric."""
+    n = config["n"]
+    eps = _frac(config["eps"])
+    x = tuple(config["x"]) if "x" in config else \
+        tuple(rng.getrandbits(1) for _ in range(n))
+    D = _distribution(config, n)
+    if prover is None:
+        spec = config.get("prover", {"mode": "honest"})
+        mode = spec.get("mode", "honest")
+        if mode == "honest":
+            prover = HonestHamProver(x)
+        elif mode == "committed":
+            prover = HonestHamProver(tuple(spec["alt"]))
+        elif mode == "bad-sum":
+            prover = BadSumHamProver(x)
+        else:
+            raise ValueError(f"unknown prover mode {mode!r}")
+    return x, D, eps, prover, {"n": n, "eps": str(eps)}
+
+
+def _run_ham(config: dict, rng: random.Random, seed: int, prover):
+    x, D, eps, prover, meta = _ham_setup(config, rng, prover)
+    w = config.get("w", sum(x))
+    return run_ham_ipp(x, D, w, eps, prover, seed, c=config.get("c", 2)), meta
+
+
+def _run_symmetric(config: dict, rng: random.Random, seed: int, prover):
+    x, D, eps, prover, meta = _ham_setup(config, rng, prover)
+    pred_mod = config.get("predicate", 2)
+    return run_symmetric_ipp(x, D, lambda v: v % pred_mod == 0, eps, prover, seed,
+                             c=config.get("c", 2)), meta
+
+
+def _run_poly_fold(config: dict, rng: random.Random, seed: int, prover):
+    X, inst = _tensor_and_instance(config, rng)
+    kappa = config.get("kappa", fold_kappa(1, inst.k))
+    prover = prover or _fold_prover(config, X, rng)
+    result, _outputs = run_poly_fold(X, inst, kappa, prover, seed)
+    return result, _fold_meta(X, inst)
+
+
+def _run_fin_ipp(config: dict, rng: random.Random, seed: int, prover):
+    X, inst = _tensor_and_instance(config, rng)
+    eps = _frac(config["eps"])
+    D = _distribution(config, X.n, shape=(inst.k, inst.m))
+    rho = _rho(D)
+    prover = prover or _fold_prover(config, X, rng)
+    result = run_fin_ipp(X, inst, D, eps, rho, config["r"], prover, seed,
+                         dist_mode=config.get("dist_mode", "oracle"),
+                         kappa_override=config.get("kappa_override"))
+    return result, _fold_meta(X, inst, r=config["r"], eps=str(eps), rho=str(rho))
+
+
+def _nc_setup(config: dict, rng: random.Random, prover):
+    """Tensor, distribution, claim generator and prover shared by the NC df-IPPs."""
+    X, inst = _tensor_and_instance(config, rng)
+    eps = _frac(config["eps"])
+    D = _distribution(config, X.n, shape=(inst.k, inst.m))
+    claims_spec = config.get("claims", {"mode": "honest"})
+    if claims_spec.get("mode", "honest") == "honest":
+        gen = ClaimGenerator("honest", t=claims_spec.get("t"))
+    else:
+        adv = PvalInstance(inst.field, inst.k, inst.m,
+                           tuple(tuple(pt) for pt in claims_spec["points"]),
+                           tuple(claims_spec["values"]))
+        gen = ClaimGenerator("adversarial", instance=adv)
+    prover = prover or _fold_prover(config, X, rng)
+    rho = _rho(D)
+    meta = _fold_meta(X, inst, r=config.get("r", 1), eps=str(eps), rho=str(rho))
+    return X, D, eps, gen, prover, rho, meta
+
+
+def _run_df_ipp_nc(config: dict, rng: random.Random, seed: int, prover):
+    X, D, eps, gen, prover, _, meta = _nc_setup(config, rng, prover)
+    return run_df_ipp_nc(X, D, eps, gen, prover, seed, r=config.get("r", 1),
+                         kappa_override=config.get("kappa_override")), meta
+
+
+def _run_dispersed_ipp_nc(config: dict, rng: random.Random, seed: int, prover):
+    X, D, eps, gen, prover, rho, meta = _nc_setup(config, rng, prover)
+    return run_dispersed_ipp_nc(X, D, eps, gen, rho, config.get("r", 1), prover, seed,
+                                kappa_override=config.get("kappa_override")), meta
+
+
+def _run_whitebox_product(config: dict, rng: random.Random, seed: int, prover):
+    D, circuit = gen_product_fixture(config["k"], config["m"],
+                                     config.get("profile", "uniform"), rng=rng)
+    X, inst = _tensor_and_instance(config, rng)
+    eps = _frac(config["eps"])
+    spec = config.get("prover", {"mode": "honest"})
+    committed = X if spec.get("mode", "honest") == "honest" else \
+        InputTensor(X.field, X.k, X.m, tuple(spec["alt"]))
+    prover = prover or WhiteboxFoldProver(committed, D.factors, circuit)
+    result = run_whitebox_product_ipp(
+        X, inst, eps, circuit, config["r"], prover, seed,
+        tau=_frac(config.get("tau", "1/1000")),
+        kappa_override=config.get("kappa_override"),
+        bucket_bits=config.get("bucket_bits"))
+    return result, _fold_meta(X, inst, r=config["r"], eps=str(eps),
+                              rho=str(_rho(D.joint_pmf())))
+
+
+def _run_rlcc(config: dict, rng: random.Random, seed: int, prover):
+    bits = config["bits"]
+    n = 1 << bits
+    eps = _frac(config["eps"])
+    x = list(hadamard_codeword(config.get("message", 5 % n), bits))
+    for i in config.get("corruptions", []):
+        x[i] ^= 1
+    D = _distribution(config, n)
+    result = run_rlcc_transform(tuple(x), D, blr_linearity_ipp(eps, bits),
+                                hadamard_corrector(bits), eps, prover or NullProver(),
+                                seed, repetitions=config.get("repetitions", 4))
+    return result, {"n": n, "eps": str(eps)}
+
+
+def _run_set_lower_bound(config: dict, rng: random.Random, seed: int, prover):
+    ell = config["ell"]
+    circuit = SamplingCircuit.identity(ell)
+    n_sym = 1 << ell
+    probs = [Fraction(c) for c in config.get("claims", [str(Fraction(1, n_sym))] * n_sym)]
+    if config.get("inflate"):
+        probs[0] = min(Fraction(1), probs[0] * 2)
+    claim = MarginalClaim(tuple(probs), _frac(config.get("tau", "1/1000")),
+                          _frac(config.get("delta", "1/20")))
+    prover = prover or HonestSlbProver(circuit, lambda y: y)
+    result = run_set_lower_bound(circuit, claim, prover, seed,
+                                 bucket_bits=config.get("bucket_bits"))
+    return result, {"n": n_sym}
+
+
+# protocol name -> (the config keys it accepts, its builder); a builder takes
+# (config, setup rng, trial seed, prover or None) and returns
+# (RunResult, report row fields)
+_PROTOCOLS = {
+    "echo": ({"bits"}, _run_echo),
+    "ham": ({"n", "w", "eps", "x", "distribution", "c"}, _run_ham),
+    "symmetric": ({"n", "eps", "x", "distribution", "c", "predicate"}, _run_symmetric),
+    "poly_fold": ({"field_modulus", "k", "m", "kappa", "x", "points", "values", "t"},
+                  _run_poly_fold),
+    "fin_ipp": ({"field_modulus", "k", "m", "r", "eps", "kappa_override", "x",
+                 "points", "values", "t", "distribution", "dist_mode"}, _run_fin_ipp),
+    "df_ipp_nc": ({"field_modulus", "k", "m", "r", "eps", "kappa_override", "x",
+                   "distribution", "claims"}, _run_df_ipp_nc),
+    "dispersed_ipp_nc": ({"field_modulus", "k", "m", "r", "eps", "kappa_override",
+                          "x", "distribution", "claims"}, _run_dispersed_ipp_nc),
+    "whitebox_product": ({"field_modulus", "k", "m", "r", "eps", "kappa_override",
+                          "profile", "x", "points", "values", "tau", "bucket_bits"},
+                         _run_whitebox_product),
+    "rlcc": ({"bits", "eps", "message", "corruptions", "distribution", "repetitions"},
+             _run_rlcc),
+    "set_lower_bound": ({"ell", "claims", "tau", "delta", "bucket_bits", "inflate"},
+                        _run_set_lower_bound),
+}
+
+
 def run_protocol(config: dict, seed: int, prover_override=None):
     """Execute one trial; returns (RunResult, meta row fields).
 
@@ -156,161 +316,14 @@ def run_protocol(config: dict, seed: int, prover_override=None):
         return RunResult(verdict, ledger, [], [f"amplified x{reps}"]), meta_holder["meta"]
 
     protocol = config["protocol"]
-    rng = _setup_rng(config["seed"])
+    if protocol not in _PROTOCOLS:
+        raise ValueError(f"unknown protocol {protocol!r}")
     meta = {"protocol": protocol, "n": "", "k": "", "m": "", "r": "", "eps": "",
             "rho": "", "field": ""}
-
-    if protocol == "echo":
-        bits = config.get("bits", 16)
-        meta["n"] = bits
-
-        def verifier(session):
-            x = tuple(session.rng.getrandbits(1) for _ in range(bits))
-            session.tell("echo/x", [(x, 1)])
-            msg = session.ask("echo/reply", None, expect=[(bits, 1)])
-            return ACCEPT if msg.values() == x else Verdict(False, "echo-mismatch")
-
-        prover = prover_override or EchoProver()
-        result = RunResult(*run_session(verifier, prover, OracleHandles(()), seed))
-        return result, meta
-
-    if protocol in ("ham", "symmetric"):
-        n = config["n"]
-        eps = _frac(config["eps"])
-        x = tuple(config["x"]) if "x" in config else \
-            tuple(rng.getrandbits(1) for _ in range(n))
-        D = _distribution(config, n)
-        spec = config.get("prover", {"mode": "honest"})
-        if prover_override is not None:
-            prover = prover_override
-        elif spec.get("mode", "honest") == "honest":
-            prover = HonestHamProver(x)
-        elif spec["mode"] == "committed":
-            prover = HonestHamProver(tuple(spec["alt"]))
-        elif spec["mode"] == "bad-sum":
-            prover = BadSumHamProver(x)
-        else:
-            raise ValueError(f"unknown prover mode {spec['mode']!r}")
-        meta.update(n=n, eps=str(eps))
-        c = config.get("c", 2)
-        if protocol == "ham":
-            w = config.get("w", sum(x))
-            result = run_ham_ipp(x, D, w, eps, prover, seed, c=c)
-        else:
-            pred_mod = config.get("predicate", 2)
-            result = run_symmetric_ipp(x, D, lambda v: v % pred_mod == 0, eps,
-                                       prover, seed, c=c)
-        return result, meta
-
-    if protocol == "poly_fold":
-        X, inst = _tensor_and_instance(config, rng)
-        kappa = config.get("kappa", fold_kappa(1, inst.k))
-        prover = prover_override or _fold_prover(config, X, rng)
-        result, _outputs = run_poly_fold(X, inst, kappa, prover, seed)
-        meta.update(n=X.n, k=inst.k, m=inst.m, field=inst.field.modulus)
-        return result, meta
-
-    if protocol == "fin_ipp":
-        X, inst = _tensor_and_instance(config, rng)
-        eps = _frac(config["eps"])
-        D = _distribution(config, X.n, shape=(inst.k, inst.m))
-        dist_mode = config.get("dist_mode", "oracle")
-        rho = dispersion_rho(D).rho if isinstance(D, Pmf) else Fraction(1)
-        prover = prover_override or _fold_prover(config, X, rng)
-        result = run_fin_ipp(X, inst, D, eps, rho, config["r"], prover, seed,
-                             dist_mode=dist_mode,
-                             kappa_override=config.get("kappa_override"))
-        meta.update(n=X.n, k=inst.k, m=inst.m, r=config["r"], eps=str(eps),
-                    rho=str(rho), field=inst.field.modulus)
-        return result, meta
-
-    if protocol in ("df_ipp_nc", "dispersed_ipp_nc"):
-        X, inst = _tensor_and_instance(config, rng)
-        eps = _frac(config["eps"])
-        D = _distribution(config, X.n, shape=(inst.k, inst.m))
-        claims_spec = config.get("claims", {"mode": "honest"})
-        if claims_spec.get("mode", "honest") == "honest":
-            gen = ClaimGenerator("honest", t=claims_spec.get("t"))
-        else:
-            adv = PvalInstance(inst.field, inst.k, inst.m,
-                               tuple(tuple(pt) for pt in claims_spec["points"]),
-                               tuple(claims_spec["values"]))
-            gen = ClaimGenerator("adversarial", instance=adv)
-        prover = prover_override or _fold_prover(config, X, rng)
-        rho = dispersion_rho(D).rho if isinstance(D, Pmf) else Fraction(1)
-        if protocol == "df_ipp_nc":
-            result = run_df_ipp_nc(X, D, eps, gen, prover, seed, r=config.get("r", 1),
-                                   kappa_override=config.get("kappa_override"))
-        else:
-            result = run_dispersed_ipp_nc(X, D, eps, gen, rho, config.get("r", 1),
-                                          prover, seed,
-                                          kappa_override=config.get("kappa_override"))
-        meta.update(n=X.n, k=inst.k, m=inst.m, r=config.get("r", 1), eps=str(eps),
-                    rho=str(rho), field=inst.field.modulus)
-        return result, meta
-
-    if protocol == "whitebox_product":
-        field = PrimeField(config["field_modulus"])
-        k, m = config["k"], config["m"]
-        D, circuit = gen_product_fixture(k, m, config.get("profile", "uniform"),
-                                         rng=rng)
-        if "x" in config:
-            X = InputTensor(field, k, m, tuple(config["x"]))
-        else:
-            X = InputTensor.random(field, k, m, rng)
-        if "points" in config:
-            inst = PvalInstance(field, k, m, tuple(tuple(p) for p in config["points"]),
-                                tuple(config["values"]))
-        else:
-            points = tuple(field.rand_point(m, rng) for _ in range(2))
-            inst = PvalInstance(field, k, m, points,
-                                tuple(lde_eval(X, pt) for pt in points))
-        eps = _frac(config["eps"])
-        spec = config.get("prover", {"mode": "honest"})
-        committed = X if spec.get("mode", "honest") == "honest" else \
-            InputTensor(field, k, m, tuple(spec["alt"]))
-        prover = prover_override or WhiteboxFoldProver(committed, D.factors, circuit)
-        result = run_whitebox_product_ipp(
-            X, inst, eps, circuit, config["r"], prover, seed,
-            tau=_frac(config.get("tau", "1/1000")),
-            kappa_override=config.get("kappa_override"),
-            bucket_bits=config.get("bucket_bits"))
-        meta.update(n=X.n, k=k, m=m, r=config["r"], eps=str(eps),
-                    rho=str(dispersion_rho(D.joint_pmf()).rho), field=field.modulus)
-        return result, meta
-
-    if protocol == "rlcc":
-        bits = config["bits"]
-        n = 1 << bits
-        eps = _frac(config["eps"])
-        message = config.get("message", 5 % n)
-        x = list(hadamard_codeword(message, bits))
-        for i in config.get("corruptions", []):
-            x[i] ^= 1
-        D = _distribution(config, n)
-        corrector = hadamard_corrector(bits)
-        result = run_rlcc_transform(tuple(x), D, blr_linearity_ipp(eps, bits),
-                                    corrector, eps, prover_override or NullProver(),
-                                    seed, repetitions=config.get("repetitions", 4))
-        meta.update(n=n, eps=str(eps))
-        return result, meta
-
-    if protocol == "set_lower_bound":
-        ell = config["ell"]
-        circuit = SamplingCircuit.identity(ell)
-        n_sym = 1 << ell
-        probs = [Fraction(c) for c in config.get("claims", [str(Fraction(1, n_sym))] * n_sym)]
-        if config.get("inflate"):
-            probs[0] = min(Fraction(1), probs[0] * 2)
-        claim = MarginalClaim(tuple(probs), _frac(config.get("tau", "1/1000")),
-                              _frac(config.get("delta", "1/20")))
-        prover = prover_override or HonestSlbProver(circuit, lambda y: y)
-        result = run_set_lower_bound(circuit, claim, prover, seed,
-                                     bucket_bits=config.get("bucket_bits"))
-        meta.update(n=n_sym)
-        return result, meta
-
-    raise ValueError(f"unknown protocol {protocol!r}")
+    result, fields = _PROTOCOLS[protocol][1](config, _setup_rng(config["seed"]), seed,
+                                             prover_override)
+    meta.update(fields)
+    return result, meta
 
 
 class EchoProver(ProverStrategy):

@@ -64,31 +64,27 @@ class PrimeField:
     def __repr__(self) -> str:
         return f"PrimeField({self.modulus})"
 
-    def reduce(self, v: int) -> int:
-        return v % self.modulus
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.modulus
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.modulus
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.modulus
-
-    def neg(self, a: int) -> int:
-        return -a % self.modulus
-
-    def inv(self, a: int) -> int:
-        if a % self.modulus == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return pow(a, self.modulus - 2, self.modulus)
-
     def rand(self, rng) -> int:
         return rng.randrange(self.modulus)
 
     def rand_point(self, m: int, rng) -> tuple[int, ...]:
         return tuple(rng.randrange(self.modulus) for _ in range(m))
+
+
+def cell_index(coords: Sequence[int], k: int) -> int:
+    """Flat index of a cell of [k]^m; the first coordinate is the most significant."""
+    idx = 0
+    for c in coords:
+        idx = idx * k + c
+    return idx
+
+
+def cell_coords(idx: int, k: int, m: int) -> tuple[int, ...]:
+    """The m coordinates of flat cell index idx, the inverse of cell_index."""
+    out = [0] * m
+    for t in range(m - 1, -1, -1):
+        idx, out[t] = divmod(idx, k)
+    return tuple(out)
 
 
 def canonical_embed(i: int, k: int, field: PrimeField) -> int:
@@ -162,21 +158,8 @@ class InputTensor:
     def n(self) -> int:
         return self.k ** self.m
 
-    def flat(self, coords: Sequence[int]) -> int:
-        idx = 0
-        for c in coords:
-            idx = idx * self.k + c
-        return idx
-
-    def coords(self, flat: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.m):
-            flat, c = divmod(flat, self.k)
-            out.append(c)
-        return tuple(reversed(out))
-
     def cell(self, coords: Sequence[int]) -> int:
-        return self.data[self.flat(coords)]
+        return self.data[cell_index(coords, self.k)]
 
     def row(self, i: int) -> tuple[int, ...]:
         step = self.k ** (self.m - 1)

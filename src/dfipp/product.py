@@ -11,14 +11,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .field import InputTensor, PrimeField, lagrange_eval_univariate, lde_eval
+from .field import InputTensor, PrimeField, cell_coords
 from .tensors import BudgetExceeded, INF, PvalInstance, dist_to_pval_bruteforce
 from .distributions import (GranularitySet, Pmf, ProductDistribution, SamplingCircuit,
                             extension_row_map, granularise, make_uniform_oracle)
 from .session import (ACCEPT, OracleHandles, ProtocolViolation, ProverStrategy, Session,
                       Verdict)
-from .protocols import (FoldState, RunResult, _run, folded_eval, project_points,
-                        weight_classes)
+from .protocols import (FoldState, HonestFoldProver, RunResult, _fold_phase, _leaf_phase, _run,
+                        _run_fold_round, project_points)
 
 _RATIONAL_BITS = 64
 
@@ -115,6 +115,12 @@ def slb_verify(session: Session, circuit: SamplingCircuit, claim: MarginalClaim,
     return ACCEPT
 
 
+def _witness_sections(preimages: dict[int, list[int]], payload, ell: int):
+    """Per hash request (i, b, rows, c): the preimages of i that hash to zero."""
+    return [(tuple(x for x in preimages.get(i, ()) if _hash_zero(rows, c, x)), max(ell, 1))
+            for i, _b, rows, c in payload]
+
+
 class HonestSlbProver(ProverStrategy):
     """Enumerates all 2^ell circuit inputs and answers hash rounds exactly."""
 
@@ -132,11 +138,7 @@ class HonestSlbProver(ProverStrategy):
     def reply(self, tag, payload):
         if not tag.endswith("/witness"):
             raise ProtocolViolation(f"unexpected tag {tag}")
-        out = []
-        for i, b, rows, c in payload:
-            xs = [x for x in self._preimages.get(i, ()) if _hash_zero(rows, c, x)]
-            out.append((tuple(xs), max(self.ell, 1)))
-        return out
+        return _witness_sections(self._preimages, payload, self.ell)
 
 
 def run_set_lower_bound(circuit: SamplingCircuit, claim: MarginalClaim,
@@ -160,83 +162,25 @@ def wb_fold_kappa(r: int, k: int) -> int:
 
 
 def extended_fold_phase(session: Session, live: list[FoldState], k: int,
-                        field: PrimeField, kappa: int, B: GranularitySet,
-                        ask_payload):
+                        field: PrimeField, kappa: int, B: GranularitySet):
     """Fold every live tuple through the B-extension of g_cat of its view.
 
-    The prover sends the plain k-row matrices; the verifier checks columns
-    against the current claims, extends g_cat(Y~) by B into 8k rows, and
-    draws folding vectors in F^(8k).  Children carry the extension row map
-    so folded coordinates trace back to source rows (or the zero row).
+    The prover sends the plain k-row matrices; the verifier extends g_cat(Y~)
+    by B into 8k rows and draws folding vectors in F^(8k).
     """
-    p, fb = field.modulus, field.bits
-    projections = [project_points(st.points) for st in live]
-    expect = [(k * len(j2), fb) for (j2, _) in projections]
-    msg = session.ask("fold/matrix", ask_payload, expect=expect)
-
     counts = B.counts if isinstance(B, GranularitySet) else tuple(B)
-    rowmap = extension_row_map(counts)
-    ext_rows = len(rowmap)
-    matrices = []
-    for st, (j2, cols), sec in zip(live, projections, msg.sections):
-        t2 = len(j2)
-        Y = [sec.values[i * t2:(i + 1) * t2] for i in range(k)]
-        for (pt, v), c in zip(zip(st.points, st.values), cols):
-            column = [Y[i][c] for i in range(k)]
-            if lagrange_eval_univariate(field, column, pt[0]) != v:
-                return None, Verdict(False, "fold-consistency")
-        zero_row = (0,) * t2
-        U = [zero_row if src == k else Y[src] for src in rowmap]
-        matrices.append((U, j2))
-
-    classes = weight_classes(ext_rows, kappa, session.notes)
-    children: list[FoldState] = []
-    z_sections = []
-    for st, (U, j2) in zip(live, matrices):
-        for a, weight in classes:
-            support = tuple(sorted(session.rng.sample(range(ext_rows), weight)))
-            z = [0] * ext_rows
-            for i in support:
-                z[i] = session.rng.randrange(p)
-            va = tuple(sum(z[i] * U[i][c] for i in range(ext_rows)) % p
-                       for c in range(len(j2)))
-            children.append(FoldState(
-                zs=st.zs + (tuple(z),),
-                supports=st.supports + (support,),
-                rowmaps=st.rowmaps + (rowmap,),
-                weights=st.weights + (a,),
-                points=tuple(j2),
-                values=va,
-            ))
-            z_sections.append((tuple(z), fb))
-    session.tell("fold/vectors", z_sections)
-    return children, None
+    return _fold_phase(session, live, k, field, kappa, rowmap=extension_row_map(counts))
 
 
 def run_extended_poly_fold(X: InputTensor, inst: PvalInstance, B,
                            kappa: int, prover: ProverStrategy, seed: int):
     """Stand-alone extended folding round; returns (RunResult, outputs or None)."""
-    holder: dict = {}
-
-    def verifier(session: Session) -> Verdict:
-        root = FoldState((), (), (), (), inst.points, inst.values)
-        children, verdict = extended_fold_phase(
-            session, [root], inst.k, inst.field, kappa, B,
-            ask_payload=(0, inst.points, inst.values))
-        if verdict is not None:
-            return verdict
-        holder["children"] = children
-        return ACCEPT
-
-    result = _run(verifier, prover, OracleHandles(X.data), seed)
-    return result, holder.get("children")
+    return _run_fold_round(
+        X, lambda s: extended_fold_phase(s, [FoldState.root(inst)], inst.k, inst.field, kappa, B),
+        prover, seed)
 
 
 # --- the white-box product IPP ----------------------------------------------------
-
-def _coord_of(idx: int, k: int, m: int, dim: int) -> int:
-    return (idx // k ** (m - 1 - dim)) % k
-
 
 def whitebox_verifier(session: Session, X: InputTensor, inst: PvalInstance,
                       eps: Fraction, circuit: SamplingCircuit, r: int,
@@ -249,54 +193,35 @@ def whitebox_verifier(session: Session, X: InputTensor, inst: PvalInstance,
     kappa = kappa_override if kappa_override is not None else wb_fold_kappa(r, k)
     session.note(f"kappa = {kappa}")
 
-    live = [FoldState((), (), (), (), inst.points, inst.values)]
+    live = [FoldState.root(inst)]
     for rnd in range(r):
         msg = session.ask("wb/marginal", rnd, expect=[(2 * k, _RATIONAL_BITS)])
         pairs = msg.values()
-        probs = tuple(Fraction(pairs[2 * i], pairs[2 * i + 1] or 1) for i in range(k))
-        if any(p < 0 for p in probs) or sum(probs) != 1:
+        nums, dens = pairs[0::2], pairs[1::2]
+        # only canonical encodings: a positive denominator in lowest terms
+        if any(d == 0 or math.gcd(n, d) != 1 for n, d in zip(nums, dens)):
+            return Verdict(False, "marginal")
+        probs = tuple(map(Fraction, nums, dens))
+        if sum(probs) != 1:
             return Verdict(False, "marginal")
         claim = MarginalClaim(probs, tau, delta)
         verdict = slb_verify(session, circuit, claim,
-                             symbol_of=lambda y, d=rnd: _coord_of(y, k, m, d),
+                             symbol_of=lambda y, d=rnd: cell_coords(y, k, m)[d],
                              n_symbols=k, bucket_bits=bucket_bits)
         if not verdict.accepted:
             return Verdict(False, "learner")
-        B = granularise(Pmf(probs))
-        payload = (rnd, inst.points, inst.values) if rnd == 0 else (rnd,)
-        live, verdict = extended_fold_phase(session, live, k, field, kappa, B, payload)
+        live, verdict = extended_fold_phase(session, live, k, field, kappa,
+                                            granularise(Pmf(probs)))
         if verdict is not None:
             return verdict
 
-    leaf_len = k ** (m - r)
-    fb = field.bits
-    msg = session.ask("fin/leaves", r, expect=[(leaf_len, fb)] * len(live))
-    for st, sec in zip(live, msg.sections):
-        leaf = InputTensor(field, k, m - r, sec.values)
-        for pt, v in zip(st.points, st.values):
-            if lde_eval(leaf, pt) != v:
-                return Verdict(False, "leaf-pval")
-        eps_r = eps
-        for a in st.weights:
-            eps_r = eps_r * Fraction(2 ** a, 16)
-        nq = math.ceil(Fraction(10) / eps_r)
-        session.note(f"leaf weights={'.'.join(map(str, st.weights))} "
-                     f"tau={st.tau} nq={nq} eps_r={eps_r}")
-        batches = [[tuple(session.rng.randrange(k) for _ in range(m - r))
-                    for _ in range(nq)]]
-        # truncated-product draws via the sampling device: a full index from C,
-        # first r coordinates dropped -- the suffix of a product is the product
-        # of the remaining factors
-        drawn = []
-        for _ in range(nq):
-            idx = circuit.eval(session.rng.getrandbits(circuit.n_inputs))
-            drawn.append(X.coords(idx)[r:])
-        batches.append(drawn)
-        for batch in batches:
-            for coords in batch:
-                if leaf.cell(coords) != folded_eval(session.oracles, X, st, coords):
-                    return Verdict(False, "leaf-sample")
-    return ACCEPT
+    # truncated-product draws via the sampling device: a full index from C,
+    # first r coordinates dropped -- the suffix of a product is the product
+    # of the remaining factors
+    def draw():
+        return cell_coords(circuit.eval(session.rng.getrandbits(circuit.n_inputs)), k, m)[r:]
+
+    return _leaf_phase(session, X, live, r, eps, Fraction(16), draw)
 
 
 def run_whitebox_product_ipp(X: InputTensor, inst: PvalInstance, eps: Fraction,
@@ -318,7 +243,7 @@ def run_whitebox_product_ipp(X: InputTensor, inst: PvalInstance, eps: Fraction,
                 prover, oracles, seed)
 
 
-class WhiteboxFoldProver(ProverStrategy):
+class WhiteboxFoldProver(HonestFoldProver):
     """Prover side of the white-box IPP.
 
     Sends the true factor marginals (an honest learner never trips the set
@@ -330,14 +255,17 @@ class WhiteboxFoldProver(ProverStrategy):
 
     def __init__(self, tensor: InputTensor, factors: Sequence[Pmf],
                  circuit: SamplingCircuit, budget: int = 20):
-        self.X = tensor
-        self.field = tensor.field
-        self.k = tensor.k
+        super().__init__(tensor)
         self.factors = tuple(factors)
         self.slb = HonestSlbProver(circuit, lambda y: y, budget=budget)
-        self.live: list[tuple[int, ...]] = []
-        self.live_m = tensor.m
-        self.points: tuple = ()
+        # per dimension d: coordinate value -> circuit inputs, ascending
+        self._dim_preimages: list[dict[int, list[int]]] = [{} for _ in range(tensor.m)]
+        for y, xs in self.slb._preimages.items():
+            for table, c in zip(self._dim_preimages, cell_coords(y, self.k, tensor.m)):
+                table.setdefault(c, []).extend(xs)
+        for table in self._dim_preimages:
+            for xs in table.values():
+                xs.sort()
         self.round = -1
         self.claims_sent: list[tuple[Fraction, ...]] = []
 
@@ -345,7 +273,6 @@ class WhiteboxFoldProver(ProverStrategy):
         return tuple(self.factors[rnd].masses)
 
     def reply(self, tag, payload):
-        fb = self.field.bits
         if tag == "wb/marginal":
             self.round = payload
             probs = self.marginal(payload)
@@ -355,66 +282,11 @@ class WhiteboxFoldProver(ProverStrategy):
                 flat.extend(_encode_fraction(p))
             return [(tuple(flat), _RATIONAL_BITS)]
         if tag == "slb/witness":
-            dim = self.round
-            k, m = self.k, self.X.m
-            out = []
-            for i, b, rows, c in payload:
-                xs = [x for x in range(1 << self.slb.ell)
-                      if _coord_of(self.slb.circuit.eval(x), k, m, dim) == i
-                      and _hash_zero(rows, c, x)]
-                out.append((tuple(xs), max(self.slb.ell, 1)))
-            return out
-        if tag == "fold/matrix":
-            if payload[0] == 0:
-                _s, points, _values = payload
-                self.live = [self.X.data]
-                self.live_m = self.X.m
-                self.points = tuple(points)
-            return self._matrices()
-        if tag == "fin/leaves":
-            return [(data, fb) for data in self.live]
-        raise ProtocolViolation(f"unexpected tag {tag}")
+            return _witness_sections(self._dim_preimages[self.round], payload, self.slb.ell)
+        return super().reply(tag, payload)
 
-    def observe(self, tag, sections):
-        if tag == "fold/vectors":
-            self._expand([tuple(v) for v in sections])
-
-    def _matrices(self):
-        fb = self.field.bits
-        j2, _cols = project_points(self.points)
-        sections = []
-        row_m = self.live_m - 1
-        for data in self.live:
-            step = len(data) // self.k
-            flat: list[int] = []
-            for i in range(self.k):
-                row = InputTensor(self.field, self.k, row_m, data[i * step:(i + 1) * step])
-                flat.extend(lde_eval(row, pt) for pt in j2)
-            sections.append((tuple(flat), fb))
-        self.points = tuple(j2)
-        return sections
-
-    def _expand(self, zs):
-        p = self.field.modulus
-        B = granularise(Pmf(self.claims_sent[-1]))
-        rowmap = extension_row_map(B.counts)
-        per_tuple = len(zs) // len(self.live)
-        step = len(self.live[0]) // self.k
-        new_live = []
-        for idx, data in enumerate(self.live):
-            for j in range(per_tuple):
-                z = zs[idx * per_tuple + j]
-                out = [0] * step
-                for i, zi in enumerate(z):
-                    src = rowmap[i]
-                    if zi == 0 or src == self.k:
-                        continue
-                    base = src * step
-                    for u in range(step):
-                        out[u] = (out[u] + zi * data[base + u]) % p
-                new_live.append(tuple(out))
-        self.live = new_live
-        self.live_m -= 1
+    def _rowmap(self):
+        return extension_row_map(granularise(Pmf(self.claims_sent[-1])).counts)
 
 
 # --- product distance preservation -------------------------------------------------

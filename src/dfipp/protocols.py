@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .field import InputTensor, PrimeField, lagrange_eval_univariate, lde_eval, lde_eval_batch
+from .field import (InputTensor, PrimeField, cell_coords, cell_index, lagrange_eval_univariate,
+                    lde_eval, lde_eval_batch)
 from .tensors import INF, PvalInstance, dist_to_pval_bruteforce, metric_fn
 from .distributions import Pmf, dispersion_rho, marginal_first
 from .session import (ACCEPT, CostLedger, OracleHandles, ProtocolViolation, ProverStrategy,
@@ -71,6 +72,11 @@ class FoldState:
     points: tuple[tuple[int, ...], ...]
     values: tuple[int, ...]
 
+    @staticmethod
+    def root(inst: PvalInstance) -> "FoldState":
+        """The unfolded claim (J, v) that a folding tree starts from."""
+        return FoldState((), (), (), (), inst.points, inst.values)
+
     @property
     def tau(self) -> int:
         """Query locality per folded coordinate: the product of support sizes.
@@ -109,59 +115,74 @@ def folded_eval(oracles: OracleHandles, base: InputTensor, st: FoldState,
     p = base.field.modulus
     k = base.k
 
-    def rec(level: int, idx: tuple[int, ...]) -> int:
+    # level s fixes coordinate s of the base tensor, whose flat stride is k^(m-s)
+    def rec(level: int, offset: int) -> int:
         if level == 0:
-            return oracles.query(base.flat(idx))
+            return oracles.query(offset)
         z = st.zs[level - 1]
         rowmap = st.rowmaps[level - 1]
+        stride = k ** (base.m - level)
         acc = 0
         for i in st.supports[level - 1]:
             src = i if rowmap is None else rowmap[i]
-            if rowmap is not None and src == k:
+            if src == k:
                 continue
-            acc += z[i] * rec(level - 1, (src,) + idx)
+            acc += z[i] * rec(level - 1, offset + src * stride)
         return acc % p
 
-    return rec(len(st.zs), coords)
+    return rec(len(st.zs), cell_index(coords, k))
 
 
 def _fold_phase(session: Session, live: list[FoldState], k: int, field: PrimeField,
-                kappa: int, ask_payload, tag: str = "fold/matrix"):
+                kappa: int, rowmap: Optional[tuple[int, ...]] = None):
     """One parallel polynomial-folding round over every live tuple.
+
+    The prover sends the k-row matrices Y; the verifier checks their columns
+    against the current claims and folds the rows g_cat(Y)[rowmap[j]], where
+    row k is the appended zero row.  rowmap=None folds the k rows themselves
+    (a plain fold); a granular extension row map gives the extended fold, and
+    children record the map so folded coordinates trace back to source rows.
 
     Returns (children, None) on success or (None, verdict) on rejection.
     All matrices ride in one prover message and all folding vectors in one
-    verifier message, so each phase costs exactly two messages.
+    verifier message, so each phase costs exactly two messages.  The request
+    names the round s (the depth of the live tuples) and, in round 0, the
+    root claim (J, v).
     """
     p, fb = field.modulus, field.bits
+    s = len(live[0].zs)
+    payload = (s, live[0].points, live[0].values) if s == 0 else (s,)
     projections = [project_points(st.points) for st in live]
     expect = [(k * len(j2), fb) for (j2, _) in projections]
-    msg = session.ask(tag, ask_payload, expect=expect)
+    msg = session.ask("fold/matrix", payload, expect=expect)
 
+    rows = range(k) if rowmap is None else rowmap
     matrices = []
     for st, (j2, cols), sec in zip(live, projections, msg.sections):
         t2 = len(j2)
-        Y = [sec.values[i * t2:(i + 1) * t2] for i in range(k)]
+        Y = [sec.values[i * t2:(i + 1) * t2] for i in range(k)] + [(0,) * t2]
         for (pt, v), c in zip(zip(st.points, st.values), cols):
             column = [Y[i][c] for i in range(k)]
             if lagrange_eval_univariate(field, column, pt[0]) != v:
                 return None, Verdict(False, "fold-consistency")
-        matrices.append((Y, j2))
+        matrices.append(([Y[src] for src in rows], j2))
 
-    classes = weight_classes(k, kappa, session.notes)
+    n_rows = len(rows)
+    classes = weight_classes(n_rows, kappa, session.notes)
     children: list[FoldState] = []
     z_sections = []
-    for st, (Y, j2) in zip(live, matrices):
+    for st, (U, j2) in zip(live, matrices):
         for a, weight in classes:
-            support = tuple(sorted(session.rng.sample(range(k), weight)))
-            z = [0] * k
+            support = tuple(sorted(session.rng.sample(range(n_rows), weight)))
+            z = [0] * n_rows
             for i in support:
                 z[i] = session.rng.randrange(p)
-            va = tuple(sum(z[i] * Y[i][c] for i in range(k)) % p for c in range(len(j2)))
+            va = tuple(sum(z[i] * U[i][c] for i in range(n_rows)) % p
+                       for c in range(len(j2)))
             children.append(FoldState(
                 zs=st.zs + (tuple(z),),
                 supports=st.supports + (support,),
-                rowmaps=st.rowmaps + (None,),
+                rowmaps=st.rowmaps + (rowmap,),
                 weights=st.weights + (a,),
                 points=tuple(j2),
                 values=va,
@@ -177,9 +198,37 @@ def poly_fold(session: Session, inst: PvalInstance, kappa: int):
     The outputs are tuples (a, z_a, J_2, v_a = z_a . Y') carried inside
     FoldState records; tau_a is the support size of z_a.
     """
-    root = FoldState((), (), (), (), inst.points, inst.values)
-    return _fold_phase(session, [root], inst.k, inst.field, kappa,
-                       ask_payload=(0, inst.points, inst.values))
+    return _fold_phase(session, [FoldState.root(inst)], inst.k, inst.field, kappa)
+
+
+def _leaf_phase(session: Session, X: InputTensor, live: list[FoldState], r: int,
+                eps: Fraction, shrink: Fraction, draw: Callable[[], tuple[int, ...]]) -> Verdict:
+    """Leaf PVAL checks, then uniform and distribution spot checks per live tuple.
+
+    Each weight class a on a tuple's path scales eps_r by 2^a / shrink, and
+    the tuple gets nq = ceil(10 / eps_r) spot checks per batch.  draw()
+    returns the last m - r coordinates of one distribution-batch cell; both
+    batches are drawn before either is checked.
+    """
+    field, k, leaf_m = X.field, X.k, X.m - r
+    msg = session.ask("fin/leaves", r, expect=[(k ** leaf_m, field.bits)] * len(live))
+    for st, sec in zip(live, msg.sections):
+        leaf = InputTensor(field, k, leaf_m, sec.values)
+        for pt, v in zip(st.points, st.values):
+            if lde_eval(leaf, pt) != v:
+                return Verdict(False, "leaf-pval")
+        eps_r = eps
+        for a in st.weights:
+            eps_r = eps_r * Fraction(2 ** a) / shrink
+        nq = math.ceil(10 / eps_r)
+        session.note(f"leaf weights={'.'.join(map(str, st.weights))} "
+                     f"tau={st.tau} nq={nq} eps_r={eps_r}")
+        uniform = [tuple(session.rng.randrange(k) for _ in range(leaf_m)) for _ in range(nq)]
+        drawn = [draw() for _ in range(nq)]
+        for coords in uniform + drawn:
+            if leaf.cell(coords) != folded_eval(session.oracles, X, st, coords):
+                return Verdict(False, "leaf-sample")
+    return ACCEPT
 
 
 # --- HAM and symmetric languages ----------------------------------------------
@@ -370,43 +419,19 @@ def _fin_core(session: Session, X: InputTensor, inst: PvalInstance, eps: Fractio
     session.note(f"kappa = {kappa}")
     _fin_preconditions(session, field, k, m, r, eps)
 
-    live = [FoldState((), (), (), (), inst.points, inst.values)]
-    for s in range(r):
-        payload = (s, inst.points, inst.values) if s == 0 else (s,)
-        live, verdict = _fold_phase(session, live, k, field, kappa, payload)
+    live = [FoldState.root(inst)]
+    for _ in range(r):
+        live, verdict = _fold_phase(session, live, k, field, kappa)
         if verdict is not None:
             return verdict
 
-    leaf_len = k ** (m - r)
-    fb = field.bits
-    msg = session.ask("fin/leaves", r, expect=[(leaf_len, fb)] * len(live))
-    for st, sec in zip(live, msg.sections):
-        leaf = InputTensor(field, k, m - r, sec.values)
-        for pt, v in zip(st.points, st.values):
-            if lde_eval(leaf, pt) != v:
-                return Verdict(False, "leaf-pval")
-        eps_r = eps
-        for a in st.weights:
-            eps_r = eps_r * Fraction(2 ** a, 4) / rho
-        nq = math.ceil(Fraction(10) / eps_r)
-        session.note(f"leaf weights={'.'.join(map(str, st.weights))} "
-                     f"tau={st.tau} nq={nq} eps_r={eps_r}")
-        batches = [[tuple(session.rng.randrange(k) for _ in range(m - r))
-                    for _ in range(nq)]]
-        if dist_mode == "oracle":
-            drawn = []
-            for _ in range(nq):
-                i, _val = session.oracles.sample()
-                drawn.append(X.coords(i)[r:])
-            batches.append(drawn)
-        else:
-            batches.append([tuple(session.rng.randrange(k) for _ in range(m - r))
-                            for _ in range(nq)])
-        for batch in batches:
-            for coords in batch:
-                if leaf.cell(coords) != folded_eval(session.oracles, X, st, coords):
-                    return Verdict(False, "leaf-sample")
-    return ACCEPT
+    if dist_mode == "oracle":
+        def draw():
+            return cell_coords(session.oracles.sample()[0], k, m)[r:]
+    else:
+        def draw():
+            return tuple(session.rng.randrange(k) for _ in range(m - r))
+    return _leaf_phase(session, X, live, r, eps, 4 * rho, draw)
 
 
 def run_fin_ipp(X: InputTensor, inst: PvalInstance, D, eps: Fraction,
@@ -418,13 +443,13 @@ def run_fin_ipp(X: InputTensor, inst: PvalInstance, D, eps: Fraction,
                 prover, oracles, seed)
 
 
-def run_poly_fold(X: InputTensor, inst: PvalInstance, kappa: int,
-                  prover: ProverStrategy, seed: int):
-    """Stand-alone folding round; returns (RunResult, fold outputs or None)."""
+def _run_fold_round(X: InputTensor, fold: Callable, prover: ProverStrategy, seed: int):
+    """Run fold(session) -> (children, verdict) as a session of its own;
+    returns (RunResult, children or None)."""
     holder: dict = {}
 
     def verifier(session: Session) -> Verdict:
-        children, verdict = poly_fold(session, inst, kappa)
+        children, verdict = fold(session)
         if verdict is not None:
             return verdict
         holder["children"] = children
@@ -432,6 +457,12 @@ def run_poly_fold(X: InputTensor, inst: PvalInstance, kappa: int,
 
     result = _run(verifier, prover, OracleHandles(X.data), seed)
     return result, holder.get("children")
+
+
+def run_poly_fold(X: InputTensor, inst: PvalInstance, kappa: int,
+                  prover: ProverStrategy, seed: int):
+    """Stand-alone folding round; returns (RunResult, fold outputs or None)."""
+    return _run_fold_round(X, lambda s: poly_fold(s, inst, kappa), prover, seed)
 
 
 # --- composed df-IPPs -----------------------------------------------------------
@@ -453,7 +484,7 @@ def _df_nc_verifier(session: Session, X: InputTensor, eps: Fraction,
     session.tell("nc/samples", [(tuple(indices), idx_width), (tuple(labels), field.bits)])
     # sampled cells pin the LDE at their embedded grid points (grid agreement)
     ext = PvalInstance(field, k, m,
-                       inst.points + tuple(X.coords(i) for i in indices),
+                       inst.points + tuple(cell_coords(i, k, m) for i in indices),
                        inst.values + tuple(labels))
     return _fin_core(session, X, ext, eps, Fraction(1), r, "uniform", kappa_override)
 
@@ -574,9 +605,8 @@ class HonestFoldProver(ProverStrategy):
     All live folded tensors are materialized; at desk scale they are tiny.
     """
 
-    def __init__(self, tensor: InputTensor, dist_desc=None):
+    def __init__(self, tensor: InputTensor):
         self.X = tensor
-        self.dist_desc = dist_desc
         self.field = tensor.field
         self.k = tensor.k
         self.live: list[tuple[int, ...]] = []
@@ -585,9 +615,14 @@ class HonestFoldProver(ProverStrategy):
 
     def observe(self, tag: str, sections) -> None:
         if tag == "fold/vectors":
-            self._expand([tuple(v) for v in sections])
+            self._expand([tuple(v) for v in sections], self._rowmap())
 
-    def _expand(self, zs: list[tuple[int, ...]]) -> None:
+    def _rowmap(self) -> Sequence[int]:
+        """Source row of each folded row: the k rows themselves for a plain fold."""
+        return range(self.k)
+
+    def _expand(self, zs: list[tuple[int, ...]], rowmap: Sequence[int]) -> None:
+        """Fold every live tensor by its folding vectors; rows mapped to k are zero."""
         p = self.field.modulus
         per_tuple = len(zs) // len(self.live)
         step = len(self.live[0]) // self.k
@@ -596,11 +631,12 @@ class HonestFoldProver(ProverStrategy):
             for j in range(per_tuple):
                 z = zs[idx * per_tuple + j]
                 out = [0] * step
-                for i, zi in enumerate(z):
-                    if zi:
-                        base = i * step
-                        for u in range(step):
-                            out[u] = (out[u] + zi * data[base + u]) % p
+                for zi, src in zip(z, rowmap):
+                    if zi == 0 or src == self.k:
+                        continue
+                    base = src * step
+                    for u in range(step):
+                        out[u] = (out[u] + zi * data[base + u]) % p
                 new_live.append(tuple(out))
         self.live = new_live
         self.live_m -= 1

@@ -179,21 +179,22 @@ class Session:
     def tell(self, tag: str, sections) -> Message:
         """Record a verifier -> prover message and deliver it to the prover."""
         msg = self._record(VERIFIER, tag, sections)
-        self.prover.observe(tag, [s.values for s in msg.sections])
+        try:
+            self.prover.observe(tag, [s.values for s in msg.sections])
+        except Exception as exc:  # an adversarial strategy raised
+            raise ProtocolViolation(str(exc))
         return msg
 
     def ask(self, tag: str, payload, expect: Optional[list[tuple[int, int]]] = None) -> Message:
         """Obtain and record a prover -> verifier message.
 
-        `expect` is a list of (count, width) shapes; any mismatch raises
-        ProtocolViolation, which run_session converts to reject "malformed".
+        `expect` is a list of (count, width) shapes; any mismatch, and any
+        exception the strategy raises, becomes a ProtocolViolation, which
+        run_session converts to reject "malformed".
         """
-        raw = self.prover.reply(tag, payload)
         try:
-            msg = self._record(PROVER, tag, raw)
-        except ProtocolViolation:
-            raise
-        except Exception as exc:  # wrong structure from an adversarial strategy
+            msg = self._record(PROVER, tag, self.prover.reply(tag, payload))
+        except Exception as exc:  # an adversarial strategy raised or replied malformed
             raise ProtocolViolation(str(exc))
         if expect is not None:
             if len(msg.sections) != len(expect):

@@ -9,7 +9,7 @@ from dfipp.distributions import (GranularitySet, Pmf, ProductDistribution, RowTe
                                  SamplingCircuit, circuit_pmf, dispersion_rho,
                                  distribution_from_json, distribution_to_json, extend,
                                  extension_row_map, g_cat, granularise,
-                                 make_uniform_oracle, marginal_first, sample, tv_distance)
+                                 make_uniform_oracle, marginal_first, tv_distance)
 
 F5 = PrimeField(5)
 
@@ -219,6 +219,6 @@ def test_uniform_virtual_sampling_matches_granular_distribution():
 
 def test_sample_dispatch():
     rng = random.Random(5)
-    assert sample(Pmf.point_mass(1, 3), rng) == 1
+    assert Pmf.point_mass(1, 3).sample(rng) == 1
     prod = ProductDistribution([Pmf.point_mass(1, 2), Pmf.point_mass(0, 2)])
-    assert sample(prod, rng) == 2  # cell (1, 0) -> flat 1*2+0
+    assert prod.sample(rng) == 2  # cell (1, 0) -> flat 1*2+0

@@ -273,6 +273,27 @@ def test_whitebox_rejects_non_pmf_marginal():
     assert res.verdict == Verdict(False, "marginal")
 
 
+@pytest.mark.parametrize("profile, pairs", [
+    ("row-concentrated", (1, 0, 0, 1)),  # a zero denominator, once read as (1, 0)
+    ("uniform", (2, 4, 1, 2)),           # (1/2, 1/2), but not in lowest terms
+])
+def test_whitebox_rejects_non_canonical_marginal(profile, pairs):
+    rng = random.Random(7)
+    D, circuit = gen_product_fixture(2, 2, profile)
+    X, inst = member_instance(F5, 2, 2, rng)
+
+    class RawPairsProver(WhiteboxFoldProver):
+        def reply(self, tag, payload):
+            if tag == "wb/marginal":
+                super().reply(tag, payload)
+                return [(pairs, 64)]
+            return super().reply(tag, payload)
+
+    res = run_whitebox_product_ipp(X, inst, Fraction(1, 2), circuit, 1,
+                                   RawPairsProver(X, D.factors, circuit), 0)
+    assert res.verdict == Verdict(False, "marginal")
+
+
 def test_whitebox_learner_catches_distribution_lie():
     # prover overstates a factor mass: the set lower bound must fire
     rng = random.Random(8)

@@ -51,6 +51,30 @@ def test_wrong_arity_is_malformed():
     assert verdict.reject_reason == "malformed"
 
 
+def test_raising_prover_is_malformed():
+    class RaisingProver(EchoProver):
+        def reply(self, tag, payload):
+            return [({}[tag], 1)]
+
+    verdict, ledger, transcript, notes = run_session(echo_verifier(8), RaisingProver(),
+                                                     OracleHandles(()), 1)
+    assert verdict == Verdict(False, "malformed")
+    assert notes == ["malformed: 'echo/reply'"]
+    assert ledger.messages == len(transcript) == 1
+
+
+def test_raising_observer_is_malformed():
+    class RaisingObserver(EchoProver):
+        def observe(self, tag, sections):
+            raise ValueError(f"cannot take {tag}")
+
+    verdict, ledger, _transcript, notes = run_session(echo_verifier(8), RaisingObserver(),
+                                                      OracleHandles(()), 1)
+    assert verdict == Verdict(False, "malformed")
+    assert notes == ["malformed: cannot take echo/x"]
+    assert ledger.messages == 1
+
+
 def test_same_seed_same_everything():
     runs = [run_session(echo_verifier(32), EchoProver(), OracleHandles(()), seed=99)
             for _ in range(2)]
