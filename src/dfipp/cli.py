@@ -1,7 +1,8 @@
 """Command line entry point: run, check-lemma, gen-fixture, replay.
 
 Exit codes: 0 pass, 1 statistical-bound failure, 2 exact-invariant
-violation, 3 budget refusal.
+violation, 3 budget refusal.  A usage error (bad arguments, config, prover
+mode or lemma id) also exits 2, through argparse.
 """
 
 from __future__ import annotations
@@ -104,6 +105,8 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(json.dumps({"status": "refused", "reason": str(exc)}), file=sys.stderr)
         return EXIT_REFUSED
+    except ValueError as exc:  # a bad config, prover mode or lemma id
+        parser.error(str(exc))
     return EXIT_PASS
 
 

@@ -59,6 +59,14 @@ class Pmf:
     def point_mass(i: int, n: int, shape=None) -> "Pmf":
         return Pmf([Fraction(1) if j == i else Fraction(0) for j in range(n)], shape=shape)
 
+    @staticmethod
+    def random_grains(n: int, grains: int, rng, shape=None) -> "Pmf":
+        """Drop `grains` units of mass 1/grains on uniformly drawn cells."""
+        counts = [0] * n
+        for _ in range(grains):
+            counts[rng.randrange(n)] += 1
+        return Pmf([Fraction(c, grains) for c in counts], shape=shape)
+
     def _table(self):
         if self._cum is None:
             cum = []

@@ -229,8 +229,10 @@ def _run_whitebox_product(config: dict, rng: random.Random, seed: int, prover):
     X, inst = _tensor_and_instance(config, rng)
     eps = _frac(config["eps"])
     spec = config.get("prover", {"mode": "honest"})
-    committed = X if spec.get("mode", "honest") == "honest" else \
-        InputTensor(X.field, X.k, X.m, tuple(spec["alt"]))
+    mode = spec.get("mode", "honest")
+    if mode not in ("honest", "fixed-alternative"):
+        raise ValueError(f"unknown whitebox_product prover mode {mode!r}")
+    committed = X if mode == "honest" else InputTensor(X.field, X.k, X.m, tuple(spec["alt"]))
     prover = prover or WhiteboxFoldProver(committed, D.factors, circuit)
     result = run_whitebox_product_ipp(
         X, inst, eps, circuit, config["r"], prover, seed,
@@ -250,8 +252,7 @@ def _run_rlcc(config: dict, rng: random.Random, seed: int, prover):
         x[i] ^= 1
     D = _distribution(config, n)
     result = run_rlcc_transform(tuple(x), D, blr_linearity_ipp(eps, bits),
-                                hadamard_corrector(bits), eps, prover or NullProver(),
-                                seed, repetitions=config.get("repetitions", 4))
+                                hadamard_corrector(bits), eps, prover or NullProver(), seed)
     return result, {"n": n, "eps": str(eps)}
 
 
@@ -288,8 +289,7 @@ _PROTOCOLS = {
     "whitebox_product": ({"field_modulus", "k", "m", "r", "eps", "kappa_override",
                           "profile", "x", "points", "values", "tau", "bucket_bits"},
                          _run_whitebox_product),
-    "rlcc": ({"bits", "eps", "message", "corruptions", "distribution", "repetitions"},
-             _run_rlcc),
+    "rlcc": ({"bits", "eps", "message", "corruptions", "distribution"}, _run_rlcc),
     "set_lower_bound": ({"ell", "claims", "tau", "delta", "bucket_bits", "inflate"},
                         _run_set_lower_bound),
 }
@@ -300,20 +300,23 @@ def run_protocol(config: dict, seed: int, prover_override=None):
 
     A config-level "repetitions" (with "rule": all-accept | majority) wraps
     the trial in standard soundness amplification: independent sessions on
-    derived seeds, verdicts combined, ledgers summed.
+    derived seeds, verdicts combined, ledgers summed, transcripts concatenated
+    in order (one prover_override answers every repetition in turn).
     """
     reps = config.get("repetitions", 1)
     if reps > 1:
         inner = {k: v for k, v in config.items() if k not in ("repetitions", "rule")}
         meta_holder = {}
+        transcript = []
 
         def once(s):
             result, meta = run_protocol(inner, s, prover_override)
             meta_holder.setdefault("meta", meta)
+            transcript.extend(result.transcript)
             return result.verdict, result.ledger
 
         verdict, ledger = amplify(once, reps, config.get("rule", "all-accept"), seed)
-        return RunResult(verdict, ledger, [], [f"amplified x{reps}"]), meta_holder["meta"]
+        return RunResult(verdict, ledger, transcript, [f"amplified x{reps}"]), meta_holder["meta"]
 
     protocol = config["protocol"]
     if protocol not in _PROTOCOLS:
@@ -540,19 +543,8 @@ def estimate_dist_monte_carlo(x, y, D, trials: int, seed: int) -> float:
 
 # --- lemma checks ------------------------------------------------------------------
 
-def _random_pmf(n: int, rng: random.Random, grain: int = 64) -> Pmf:
-    counts = [0] * n
-    for _ in range(grain):
-        counts[rng.randrange(n)] += 1
-    return Pmf([Fraction(c, grain) for c in counts])
-
-
 def _random_shaped_pmf(k: int, m: int, rng: random.Random) -> Pmf:
-    n = k ** m
-    counts = [0] * n
-    for _ in range(4 * n):
-        counts[rng.randrange(n)] += 1
-    return Pmf([Fraction(c, 4 * n) for c in counts], shape=(k, m))
+    return Pmf.random_grains(k ** m, 4 * k ** m, rng, shape=(k, m))
 
 
 def _consistent_matrix(field: PrimeField, k: int, inst: PvalInstance,
@@ -583,40 +575,69 @@ def _consistent_matrix(field: PrimeField, k: int, inst: PvalInstance,
     return [[matrix_cols[c][i] for c in range(len(j2))] for i in range(k)], j2
 
 
+def _certified_tally(trials: int, draw) -> dict:
+    """Tally draw() outcomes until `trials` substantive instances are checked.
+
+    draw() returns (vacuous, holds), or None for a draw that yields no
+    instance.  Member draws and empty-PVAL draws are vacuous: they do not
+    count toward the quota, and 100 * trials of them end the search.
+    """
+    violations = 0
+    checked = 0
+    vacuous = 0
+    while checked < trials and vacuous < 100 * trials:
+        outcome = draw()
+        if outcome is None:
+            continue
+        if outcome[0]:
+            vacuous += 1
+            continue
+        checked += 1
+        if not outcome[1]:
+            violations += 1
+    status = "pass" if violations == 0 else "exact-fail"
+    return {"status": status, "checked": checked, "vacuous": vacuous,
+            "violations": violations}
+
+
+def _fixed_tally(trials: int, violated) -> dict:
+    """Run violated() `trials` times; each True is one exact violation."""
+    violations = sum(1 for _ in range(trials) if violated())
+    return {"status": "pass" if violations == 0 else "exact-fail",
+            "checked": trials, "violations": violations}
+
+
+def _claimed_instance(field: PrimeField, k: int, m: int, max_t: int, rng: random.Random):
+    """(X, (J, v), Y): t in [1, max_t) random points whose values are P_X(J) one
+    time in four and uniform otherwise, and a matrix Y passing the step-1
+    column checks, or None in place of Y when no such matrix exists."""
+    X = InputTensor.random(field, k, m, rng)
+    t = rng.randrange(1, max_t)
+    points = tuple(field.rand_point(m, rng) for _ in range(t))
+    if rng.randrange(4) == 0:
+        values = tuple(lde_eval(X, pt) for pt in points)
+    else:
+        values = tuple(rng.randrange(field.modulus) for _ in range(t))
+    inst = PvalInstance(field, k, m, points, values)
+    got = _consistent_matrix(field, k, inst, rng)
+    return X, inst, None if got is None else got[0]
+
+
 def check_lemma_epsilons(trials: int, seed: int, modulus: int = 5, k: int = 2,
                          m: int = 2, budget: int = 10 ** 7) -> dict:
     """Randomized instances of the row distance-preservation inequality."""
     rng = random.Random(seed)
     field = PrimeField(modulus)
-    violations = 0
-    checked = 0
-    vacuous = 0
-    # member draws and empty-PVAL draws are vacuous; only substantive
-    # instances count toward the trial quota
-    while checked < trials and vacuous < 100 * trials:
-        X = InputTensor.random(field, k, m, rng)
-        t = rng.randrange(1, 4)
-        points = tuple(field.rand_point(m, rng) for _ in range(t))
-        if rng.randrange(4) == 0:
-            values = tuple(lde_eval(X, pt) for pt in points)
-        else:
-            values = tuple(rng.randrange(modulus) for _ in range(t))
-        inst = PvalInstance(field, k, m, points, values)
-        got = _consistent_matrix(field, k, inst, rng)
-        if got is None:
-            continue
-        Y, _j2 = got
+
+    def draw():
+        X, inst, Y = _claimed_instance(field, k, m, 4, rng)
+        if Y is None:
+            return None
         D = _random_shaped_pmf(k, m, rng)
         report = check_distance_preservation(X, D, Y, inst, budget=budget)
-        if report.vacuous:
-            vacuous += 1
-            continue
-        checked += 1
-        if not report.holds:
-            violations += 1
-    status = "pass" if violations == 0 else "exact-fail"
-    return {"status": status, "checked": checked, "vacuous": vacuous,
-            "violations": violations}
+        return report.vacuous, report.holds
+
+    return _certified_tally(trials, draw)
 
 
 def check_lemma_dpl_product(trials: int, seed: int, modulus: int = 5, k: int = 2,
@@ -630,23 +651,12 @@ def check_lemma_dpl_product(trials: int, seed: int, modulus: int = 5, k: int = 2
     rng = random.Random(seed)
     field = PrimeField(modulus)
     tau = Fraction(1, 1000)
-    violations = 0
-    checked = 0
-    vacuous = 0
-    while checked < trials and vacuous < 100 * trials:
+
+    def draw():
         D, _circ = gen_product_fixture(k, m, "dyadic-random", rng=rng)
-        X = InputTensor.random(field, k, m, rng)
-        t = rng.randrange(1, 3)
-        points = tuple(field.rand_point(m, rng) for _ in range(t))
-        if rng.randrange(4) == 0:
-            values = tuple(lde_eval(X, pt) for pt in points)
-        else:
-            values = tuple(rng.randrange(modulus) for _ in range(t))
-        inst = PvalInstance(field, k, m, points, values)
-        got = _consistent_matrix(field, k, inst, rng)
-        if got is None:
-            continue
-        Y, _j2 = got
+        X, inst, Y = _claimed_instance(field, k, m, 3, rng)
+        if Y is None:
+            return None
         true = list(D.factors[0].masses)
         claims = list(true)
         if rng.getrandbits(1):
@@ -656,17 +666,10 @@ def check_lemma_dpl_product(trials: int, seed: int, modulus: int = 5, k: int = 2
                 claims[i] += shift
                 claims[j] -= shift
         B = granularise(Pmf(claims))
-        report = check_product_dpl(X, list(D.factors), Y, B, inst, tau,
-                                   budget=budget)
-        if report.vacuous:
-            vacuous += 1
-            continue
-        checked += 1
-        if not report.holds:
-            violations += 1
-    status = "pass" if violations == 0 else "exact-fail"
-    return {"status": status, "checked": checked, "vacuous": vacuous,
-            "violations": violations}
+        report = check_product_dpl(X, list(D.factors), Y, B, inst, tau, budget=budget)
+        return report.vacuous, report.holds
+
+    return _certified_tally(trials, draw)
 
 
 def check_lemma_linsub(trials: int, seed: int, modulus: int = 5, n: int = 4) -> dict:
@@ -674,91 +677,72 @@ def check_lemma_linsub(trials: int, seed: int, modulus: int = 5, n: int = 4) -> 
     rng = random.Random(seed)
     field = PrimeField(modulus)
     p = modulus
-    violations = 0
-    checked = 0
-    vacuous = 0
-    while checked < trials and vacuous < 100 * trials:
+
+    def draw():
         S_basis = [[rng.randrange(p) for _ in range(n)] for _ in range(2)]
         T_basis = [[rng.randrange(p) for _ in range(n)]
                    for _ in range(rng.randrange(1, 3))]
-        D = _random_pmf(n, rng)
-        metric = ("hybrid", D, Pmf.uniform(n))
-        report = check_subspace_lemma(field, S_basis, T_basis, metric)
-        if report["vacuous"]:
-            vacuous += 1
-            continue
-        checked += 1
-        if not report["holds"]:
-            violations += 1
-    status = "pass" if violations == 0 else "exact-fail"
-    return {"status": status, "checked": checked, "vacuous": vacuous,
-            "violations": violations}
+        D = Pmf.random_grains(n, 64, rng)
+        report = check_subspace_lemma(field, S_basis, T_basis, ("hybrid", D, Pmf.uniform(n)))
+        return report["vacuous"], report.get("holds")
+
+    return _certified_tally(trials, draw)
 
 
 def check_lemma_grainer(trials: int, seed: int, max_n: int = 16) -> dict:
     """Granularisation invariants: sum a_i = 8n and a_i/8n >= p_i/2, exactly."""
     rng = random.Random(seed)
-    violations = 0
-    for _ in range(trials):
+
+    def violated():
         n = rng.randrange(1, max_n + 1)
-        pmf = _random_pmf(n, rng)
+        pmf = Pmf.random_grains(n, 64, rng)
         grains = granularise(pmf)
-        if sum(grains.counts) != 8 * n:
-            violations += 1
-            continue
-        if any(Fraction(a, 8 * n) < pi / 2
-               for a, pi in zip(grains.counts[:-1], pmf.masses)):
-            violations += 1
-    return {"status": "pass" if violations == 0 else "exact-fail",
-            "checked": trials, "violations": violations}
+        return sum(grains.counts) != 8 * n or any(
+            Fraction(a, 8 * n) < pi / 2 for a, pi in zip(grains.counts[:-1], pmf.masses))
+
+    return _fixed_tally(trials, violated)
 
 
 def check_lemma_grainer_distance(trials: int, seed: int, max_n: int = 12) -> dict:
     """Distance preservation of granularisation: d_D'(gcat x, gcat y) >= d_p(x,y)/2."""
     rng = random.Random(seed)
-    violations = 0
-    for _ in range(trials):
+
+    def violated():
         n = rng.randrange(2, max_n + 1)
-        pmf = _random_pmf(n, rng)
+        pmf = Pmf.random_grains(n, 64, rng)
         x = [rng.getrandbits(1) for _ in range(n)]
         y = [rng.getrandbits(1) for _ in range(n)]
-        grains = granularise(pmf)
-        d_orig = dist(x, y, pmf)
-        d_gran = dist(x + [0], y + [0], grains.pmf())
-        if d_gran < d_orig / 2:
-            violations += 1
-    return {"status": "pass" if violations == 0 else "exact-fail",
-            "checked": trials, "violations": violations}
+        return dist(x + [0], y + [0], granularise(pmf).pmf()) < dist(x, y, pmf) / 2
+
+    return _fixed_tally(trials, violated)
 
 
 def check_lemma_fold_dispersed(trials: int, seed: int, max_km: int = 4) -> dict:
     """Marginalising the first coordinate never increases dispersion."""
     rng = random.Random(seed)
-    violations = 0
-    for _ in range(trials):
+
+    def violated():
         k = rng.randrange(2, max_km + 1)
         m = rng.randrange(2, max_km + 1)
         D = _random_shaped_pmf(k, m, rng)
-        if dispersion_rho(marginal_first(D)).rho > dispersion_rho(D).rho:
-            violations += 1
-    return {"status": "pass" if violations == 0 else "exact-fail",
-            "checked": trials, "violations": violations}
+        return dispersion_rho(marginal_first(D)).rho > dispersion_rho(D).rho
+
+    return _fixed_tally(trials, violated)
 
 
 def check_lemma_tvineq(trials: int, seed: int, max_n: int = 12) -> dict:
     """d_D(x,y) <= d_TV(D,D') + d_D'(x,y) with the L1 form of d_TV."""
     rng = random.Random(seed)
-    violations = 0
-    for _ in range(trials):
+
+    def violated():
         n = rng.randrange(2, max_n + 1)
-        D = _random_pmf(n, rng)
-        D2 = _random_pmf(n, rng)
+        D = Pmf.random_grains(n, 64, rng)
+        D2 = Pmf.random_grains(n, 64, rng)
         x = [rng.getrandbits(1) for _ in range(n)]
         y = [rng.getrandbits(1) for _ in range(n)]
-        if dist(x, y, D) > tv_distance(D, D2) + dist(x, y, D2):
-            violations += 1
-    return {"status": "pass" if violations == 0 else "exact-fail",
-            "checked": trials, "violations": violations}
+        return dist(x, y, D) > tv_distance(D, D2) + dist(x, y, D2)
+
+    return _fixed_tally(trials, violated)
 
 
 def check_lemma_min_distance(draws: int, seed: int, modulus: int = 5, k: int = 2,
@@ -815,12 +799,9 @@ def check_lemma_appendix_a(trials: int, seed: int, modulus: int = 5, k: int = 2,
         reports.append(rep)
         if not rep["sum_eps"]["holds"]:
             failures += 1
-        t = rep["support_hit"]["trials"]
-        for key in ("support_hit", "folded_far"):
-            rate = rep[key]["miss_rate"] if key == "support_hit" else rep[key]["fail_rate"]
-            bound = rep[key]["bound"] + 3 * math.sqrt(max(rep[key]["bound"], 0.01)
-                                                      * 1 / t)
-            if rate > bound:
+        for key, rate in (("support_hit", "miss_rate"), ("folded_far", "fail_rate")):
+            bound = rep[key]["bound"]
+            if rep[key][rate] > bound + 3 * math.sqrt(max(bound, 0.01) / trials):
                 failures += 1
     return {"status": "pass" if failures == 0 else "stat-fail",
             "instances": len(reports), "failures": failures}

@@ -12,13 +12,13 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .field import InputTensor, PrimeField, cell_coords
-from .tensors import BudgetExceeded, INF, PvalInstance, dist_to_pval_bruteforce
+from .tensors import BudgetExceeded, PvalInstance
 from .distributions import (GranularitySet, Pmf, ProductDistribution, SamplingCircuit,
                             extension_row_map, granularise, make_uniform_oracle)
 from .session import (ACCEPT, OracleHandles, ProtocolViolation, ProverStrategy, Session,
                       Verdict)
-from .protocols import (FoldState, HonestFoldProver, RunResult, _fold_phase, _leaf_phase, _run,
-                        _run_fold_round, project_points)
+from .protocols import (FoldState, HonestFoldProver, InequalityReport, RunResult, _fold_phase,
+                        _leaf_phase, _preservation_report, _round_kappa, _run, _run_fold_round)
 
 _RATIONAL_BITS = 64
 
@@ -188,10 +188,7 @@ def whitebox_verifier(session: Session, X: InputTensor, inst: PvalInstance,
                       kappa_override: Optional[int],
                       bucket_bits: Optional[int]) -> Verdict:
     field, k, m = inst.field, inst.k, inst.m
-    if not 1 <= r <= m - 1:
-        raise ValueError("round parameter must satisfy 1 <= r <= m-1")
-    kappa = kappa_override if kappa_override is not None else wb_fold_kappa(r, k)
-    session.note(f"kappa = {kappa}")
+    kappa = _round_kappa(session, r, k, m, kappa_override, wb_fold_kappa)
 
     live = [FoldState.root(inst)]
     for rnd in range(r):
@@ -291,53 +288,21 @@ class WhiteboxFoldProver(HonestFoldProver):
 
 # --- product distance preservation -------------------------------------------------
 
-@dataclass
-class ProductDplReport:
-    gamma: object
-    lhs: object
-    rhs: object
-    holds: bool
-    vacuous: bool = False
-
-
 def check_product_dpl(X: InputTensor, tail_factors: Sequence[Pmf],
                       Y: Sequence[Sequence[int]], B: GranularitySet,
                       inst: PvalInstance, tau: Fraction,
-                      budget: int = 10 ** 7) -> ProductDplReport:
+                      budget: int = 10 ** 7) -> InequalityReport:
     """Distance preservation for one extended folding round.
 
-    gamma = mu_{D-hat, U-hat}(X, PVAL(J, v)); the lemma's consequent is
-    sum_{i=1}^{8k} mu(X'_i, PVAL(J_2, U_i)) > 2k(1-tau)*gamma, checked in
-    its sharp non-strict form at the exact gamma.
+    With gamma = mu_{D-hat, U-hat}(X, PVAL(J, v)), the lemma's consequent is
+    sum_{i=1}^{8k} mu(X'_i, PVAL(J_2, U_i)) > 2k(1-tau)*gamma over the rows
+    of the B-extension of g_cat(X), checked in its sharp non-strict form at
+    the exact gamma.
     """
-    field, k, m = inst.field, inst.k, inst.m
     Dhat = ProductDistribution(tail_factors).joint_pmf()
-    uniform_full = Pmf.uniform(X.n, shape=(k, m))
-    gamma = dist_to_pval_bruteforce(X, inst, ("hybrid", Dhat, uniform_full),
-                                    budget=budget)
-    if gamma == 0 or gamma == INF:
-        return ProductDplReport(gamma, None, None, True, vacuous=True)
-
-    j2, _cols = project_points(inst.points)
-    rowmap = extension_row_map(B.counts)
     Dhat2 = ProductDistribution(tail_factors[1:]).joint_pmf()
-    uniform_sub = Pmf.uniform(k ** (m - 1), shape=(k, m - 1))
-    zero_data = (0,) * k ** (m - 1)
-    zero_claims = (0,) * len(j2)
-
-    lhs = Fraction(0)
-    for src in rowmap:
-        row_data = zero_data if src == k else X.row(src)
-        row_claims = zero_claims if src == k else tuple(Y[src])
-        row = InputTensor(field, k, m - 1, row_data)
-        row_inst = PvalInstance(field, k, m - 1, tuple(j2), row_claims)
-        d = dist_to_pval_bruteforce(row, row_inst, ("hybrid", Dhat2, uniform_sub),
-                                    budget=budget)
-        if d == INF:
-            return ProductDplReport(gamma, INF, 2 * k * (1 - tau) * gamma, True)
-        lhs += d
-    rhs = 2 * k * (1 - tau) * gamma
-    return ProductDplReport(gamma, lhs, rhs, lhs >= rhs)
+    return _preservation_report(X, Dhat, Dhat2, Y, inst, 2 * inst.k * (1 - tau),
+                               rowmap=extension_row_map(B.counts), budget=budget)
 
 
 # --- learnable-distribution pipeline ------------------------------------------------
@@ -464,11 +429,7 @@ def _dyadic_factor(k: int, profile: str, rng, grain_bits: int = 4) -> Pmf:
     if profile == "point":
         return Pmf.point_mass(0, k)
     if profile == "dyadic-random":
-        total = 1 << grain_bits
-        counts = [0] * k
-        for _ in range(total):
-            counts[rng.randrange(k)] += 1
-        return Pmf([Fraction(c, total) for c in counts])
+        return Pmf.random_grains(k, 1 << grain_bits, rng)
     raise ValueError(f"unknown factor profile {profile!r}")
 
 
@@ -495,9 +456,7 @@ def _concat_circuits(circuits: Sequence[SamplingCircuit]) -> SamplingCircuit:
     """Independent inputs side by side; factor 1's output lands in the top bits."""
     total_inputs = sum(c.n_inputs for c in circuits)
     gates: list[tuple] = []
-    outputs_rev: list[int] = []
     in_off = 0
-    m = len(circuits)
     out_groups = []
     for c in circuits:
         gate_off = total_inputs + len(gates)

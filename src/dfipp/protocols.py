@@ -40,12 +40,17 @@ def fold_kappa(r: int, k: int) -> int:
     return max(1, math.ceil(8 * math.log2(max(r, 2)) * math.log2(max(k, 2))))
 
 
-def weight_classes(k: int, kappa: int, notes: Optional[list] = None) -> list[tuple[int, int]]:
-    """(a, weight) pairs: a in 1..max(1, ceil(log2(k/kappa)))+1, weights clamped to [1,k]."""
+def _class_exponent(k: int, kappa: int) -> int:
+    """ceil(log2(k/kappa)), or 0 when kappa >= k: the least e with kappa * 2^e >= k."""
     e = 0
     while (kappa << e) < k:
         e += 1
-    count = max(1, e) + 1
+    return e
+
+
+def weight_classes(k: int, kappa: int, notes: Optional[list] = None) -> list[tuple[int, int]]:
+    """(a, weight) pairs: a in 1..max(1, ceil(log2(k/kappa)))+1, weights clamped to [1,k]."""
+    count = max(1, _class_exponent(k, kappa)) + 1
     out = []
     for a in range(1, count + 1):
         target = (1 << a) * kappa
@@ -133,6 +138,19 @@ def folded_eval(oracles: OracleHandles, base: InputTensor, st: FoldState,
     return rec(len(st.zs), cell_index(coords, k))
 
 
+def fold_rows(z: Sequence[int], rows: Sequence[Sequence[int]], p: int) -> tuple[int, ...]:
+    """z . rows over F_p: entry c is sum_i z[i] * rows[i][c] mod p."""
+    return tuple(sum(a * b for a, b in zip(z, col)) % p for col in zip(*rows))
+
+
+def _columns_consistent(field: PrimeField, k: int, points, values,
+                        Y: Sequence[Sequence[int]], cols: Sequence[int]) -> bool:
+    """Step 1 of a fold: column cols[j] of the first k rows of Y interpolates to
+    values[j] at the first coordinate of points[j], for every claim j."""
+    return all(lagrange_eval_univariate(field, [Y[i][c] for i in range(k)], pt[0]) == v
+               for pt, v, c in zip(points, values, cols))
+
+
 def _fold_phase(session: Session, live: list[FoldState], k: int, field: PrimeField,
                 kappa: int, rowmap: Optional[tuple[int, ...]] = None):
     """One parallel polynomial-folding round over every live tuple.
@@ -161,10 +179,8 @@ def _fold_phase(session: Session, live: list[FoldState], k: int, field: PrimeFie
     for st, (j2, cols), sec in zip(live, projections, msg.sections):
         t2 = len(j2)
         Y = [sec.values[i * t2:(i + 1) * t2] for i in range(k)] + [(0,) * t2]
-        for (pt, v), c in zip(zip(st.points, st.values), cols):
-            column = [Y[i][c] for i in range(k)]
-            if lagrange_eval_univariate(field, column, pt[0]) != v:
-                return None, Verdict(False, "fold-consistency")
+        if not _columns_consistent(field, k, st.points, st.values, Y, cols):
+            return None, Verdict(False, "fold-consistency")
         matrices.append(([Y[src] for src in rows], j2))
 
     n_rows = len(rows)
@@ -177,15 +193,13 @@ def _fold_phase(session: Session, live: list[FoldState], k: int, field: PrimeFie
             z = [0] * n_rows
             for i in support:
                 z[i] = session.rng.randrange(p)
-            va = tuple(sum(z[i] * U[i][c] for i in range(n_rows)) % p
-                       for c in range(len(j2)))
             children.append(FoldState(
                 zs=st.zs + (tuple(z),),
                 supports=st.supports + (support,),
                 rowmaps=st.rowmaps + (rowmap,),
                 weights=st.weights + (a,),
                 points=tuple(j2),
-                values=va,
+                values=fold_rows(z, U, p),
             ))
             z_sections.append((tuple(z), fb))
     session.tell("fold/vectors", z_sections)
@@ -402,6 +416,16 @@ def _fin_preconditions(session: Session, field: PrimeField, k: int, m: int,
             session.note(f"precondition violated (reported, not enforced): {name}")
 
 
+def _round_kappa(session: Session, r: int, k: int, m: int, kappa_override: Optional[int],
+                 default: Callable[[int, int], int]) -> int:
+    """Check 1 <= r <= m-1, then pick kappa (the override, else default(r, k)) and note it."""
+    if not 1 <= r <= m - 1:
+        raise ValueError("round parameter must satisfy 1 <= r <= m-1")
+    kappa = kappa_override if kappa_override is not None else default(r, k)
+    session.note(f"kappa = {kappa}")
+    return kappa
+
+
 def _fin_core(session: Session, X: InputTensor, inst: PvalInstance, eps: Fraction,
               rho: Fraction, r: int, dist_mode: str,
               kappa_override: Optional[int] = None) -> Verdict:
@@ -413,10 +437,7 @@ def _fin_core(session: Session, X: InputTensor, inst: PvalInstance, eps: Fractio
     zero samples).
     """
     field, k, m = inst.field, inst.k, inst.m
-    if not 1 <= r <= m - 1:
-        raise ValueError("round parameter must satisfy 1 <= r <= m-1")
-    kappa = kappa_override if kappa_override is not None else fold_kappa(r, k)
-    session.note(f"kappa = {kappa}")
+    kappa = _round_kappa(session, r, k, m, kappa_override, fold_kappa)
     _fin_preconditions(session, field, k, m, r, eps)
 
     live = [FoldState.root(inst)]
@@ -724,6 +745,59 @@ class InequalityReport:
     detail: str = ""
 
 
+def hybrid_pval_distance(X: InputTensor, inst: PvalInstance, D: Pmf,
+                         budget: int = 10 ** 7):
+    """mu_{D,U}(X, PVAL(J, v)) by exhaustive scan, U uniform over the cells of X."""
+    uniform = Pmf.uniform(X.n, shape=(X.k, X.m))
+    return dist_to_pval_bruteforce(X, inst, ("hybrid", D, uniform), budget=budget)
+
+
+def row_distances(X: InputTensor, row_dist: Pmf, Y: Sequence[Sequence[int]],
+                  j2: Sequence[tuple[int, ...]], rowmap: Optional[Sequence[int]] = None,
+                  budget: int = 10 ** 7) -> list:
+    """eps_i = mu_{row_dist,U}(X'[i,.], PVAL(J_2, Y'[i,.])) for every row i, by brute force.
+
+    The rows are X's own (rowmap=None) or rowmap's sources, where source k is
+    the appended zero row with zero claims.  Each distinct source is scanned
+    once.
+    """
+    field, k, m = X.field, X.k, X.m
+    rows = range(k) if rowmap is None else rowmap
+    data = [X.row(i) for i in range(k)] + [(0,) * k ** (m - 1)]
+    claims = [tuple(y) for y in Y] + [(0,) * len(j2)]
+    by_source = {
+        src: hybrid_pval_distance(InputTensor(field, k, m - 1, data[src]),
+                                  PvalInstance(field, k, m - 1, tuple(j2), claims[src]),
+                                  row_dist, budget)
+        for src in dict.fromkeys(rows)}
+    return [by_source[src] for src in rows]
+
+
+def _preservation_report(X: InputTensor, D: Pmf, row_dist: Pmf, Y: Sequence[Sequence[int]],
+                         inst: PvalInstance, factor: Fraction,
+                         rowmap: Optional[Sequence[int]] = None,
+                         budget: int = 10 ** 7) -> InequalityReport:
+    """sum_i eps_i >= factor * mu_{D,U}(X, PVAL(J, v)) over the rows of row_distances.
+
+    Stated non-strict at the exact distance: that is the sharp form of the
+    "far implies far" implication quantified over every eps below the true
+    distance.  A member instance or an empty PVAL(J, v) makes it vacuous.
+    """
+    mu = hybrid_pval_distance(X, inst, D, budget)
+    if mu == INF:
+        return InequalityReport(INF, INF, True, vacuous=True, detail="PVAL(J,v) empty")
+    if mu == 0:
+        return InequalityReport(None, Fraction(0), True, vacuous=True,
+                                detail="member instance; bound vacuous")
+    j2, _cols = project_points(inst.points)
+    eps_i = row_distances(X, row_dist, Y, j2, rowmap, budget)
+    rhs = factor * mu
+    if INF in eps_i:
+        return InequalityReport(INF, rhs, True, detail="some row PVAL empty")
+    lhs = sum(eps_i, Fraction(0))
+    return InequalityReport(lhs, rhs, lhs >= rhs)
+
+
 def check_distance_preservation(X: InputTensor, D: Pmf, Y: Sequence[Sequence[int]],
                                 inst: PvalInstance,
                                 budget: int = 10 ** 7) -> InequalityReport:
@@ -731,49 +805,13 @@ def check_distance_preservation(X: InputTensor, D: Pmf, Y: Sequence[Sequence[int
 
     Given Y passing the step-1 column checks, verifies
         sum_i mu_{D^(p),U}(X[i,.], PVAL(J_2, Y[i,.]))  >=  (k/rho) * mu_{D,U}(X, PVAL(J,v))
-    with exhaustive PVAL distance oracles on both sides.  Stated non-strict
-    at the exact distance: that is the sharp form of the "far implies far"
-    implication quantified over every eps below the true distance.
+    with exhaustive PVAL distance oracles on both sides.
     """
-    field, k, m = inst.field, inst.k, inst.m
-    j2, cols = project_points(inst.points)
-    for (pt, v), c in zip(zip(inst.points, inst.values), cols):
-        column = [Y[i][c] for i in range(k)]
-        if lagrange_eval_univariate(field, column, pt[0]) != v:
-            return InequalityReport(None, None, False, detail="step-1 check fails")
-
-    rho = dispersion_rho(D).rho
-    uniform_full = Pmf.uniform(X.n, shape=(k, m))
-    mu = dist_to_pval_bruteforce(X, inst, ("hybrid", D, uniform_full), budget=budget)
-    if mu == INF:
-        return InequalityReport(INF, INF, True, vacuous=True, detail="PVAL(J,v) empty")
-    if mu == 0:
-        return InequalityReport(None, Fraction(0), True, vacuous=True,
-                                detail="member instance; bound vacuous")
-
-    lhs = Fraction(0)
-    for d_i in row_distances(X, D, Y, j2, budget=budget):
-        if d_i == INF:
-            return InequalityReport(INF, Fraction(k) / rho * mu, True,
-                                    detail="some row PVAL empty")
-        lhs += d_i
-    rhs = Fraction(k) / rho * mu
-    return InequalityReport(lhs, rhs, lhs >= rhs)
-
-
-def row_distances(X: InputTensor, D: Pmf, Y: Sequence[Sequence[int]],
-                  j2: Sequence[tuple[int, ...]], budget: int = 10 ** 7) -> list:
-    """eps_i = mu_{D^(p),U}(X[i,.], PVAL(J_2, Y[i,.])) for every row, by brute force."""
-    field, k, m = X.field, X.k, X.m
-    marg = marginal_first(D)
-    uniform_sub = Pmf.uniform(k ** (m - 1), shape=(k, m - 1))
-    out = []
-    for i in range(k):
-        row = InputTensor(field, k, m - 1, X.row(i))
-        row_inst = PvalInstance(field, k, m - 1, tuple(j2), tuple(Y[i]))
-        out.append(dist_to_pval_bruteforce(row, row_inst, ("hybrid", marg, uniform_sub),
-                                           budget=budget))
-    return out
+    _j2, cols = project_points(inst.points)
+    if not _columns_consistent(inst.field, inst.k, inst.points, inst.values, Y, cols):
+        return InequalityReport(None, None, False, detail="step-1 check fails")
+    factor = Fraction(inst.k) / dispersion_rho(D).rho
+    return _preservation_report(X, D, marginal_first(D), Y, inst, factor, budget=budget)
 
 
 def span(field: PrimeField, basis: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
@@ -824,10 +862,10 @@ def check_appendix_claims(X: InputTensor, D: Pmf, Y: Sequence[Sequence[int]],
     field, k, m = inst.field, inst.k, inst.m
     p = field.modulus
     rho = dispersion_rho(D).rho
-    uniform_full = Pmf.uniform(X.n, shape=(k, m))
-    mu = dist_to_pval_bruteforce(X, inst, ("hybrid", D, uniform_full), budget=budget)
+    mu = hybrid_pval_distance(X, inst, D, budget)
+    marg = marginal_first(D)
     j2, _cols = project_points(inst.points)
-    eps_i = row_distances(X, D, Y, j2, budget=budget)
+    eps_i = row_distances(X, marg, Y, j2, budget=budget)
     log2k = math.log2(k)
 
     report: dict = {"mu": mu, "eps_i": eps_i, "rho": rho}
@@ -847,20 +885,15 @@ def check_appendix_claims(X: InputTensor, D: Pmf, Y: Sequence[Sequence[int]],
     # a* = min(log(k/kappa), log k - b), clamped into the available classes
     classes = weight_classes(k, kappa)
     b = found["b"] if found else 0
-    e = 0
-    while (kappa << e) < k:
-        e += 1
-    a_star = min(max(min(e, int(log2k) - b), 1), len(classes))
+    a_star = min(max(min(_class_exponent(k, kappa), int(log2k) - b), 1), len(classes))
     weight = classes[a_star - 1][1]
 
-    marg = marginal_first(D)
-    uniform_sub = Pmf.uniform(k ** (m - 1), shape=(k, m - 1))
     hit_threshold = mu * (2 ** a_star) / (2 * rho)
     far_threshold = mu * (2 ** a_star) / (4 * rho)
     rng = _random.Random(seed)
     misses = 0
     not_far = 0
-    step = k ** (m - 1)
+    rows = [X.row(i) for i in range(k)]
     for _ in range(trials):
         support = sorted(rng.sample(range(k), weight))
         if not any(eps_i[i] >= hit_threshold for i in support):
@@ -868,15 +901,9 @@ def check_appendix_claims(X: InputTensor, D: Pmf, Y: Sequence[Sequence[int]],
         z = [0] * k
         for i in support:
             z[i] = rng.randrange(p)
-        folded = tuple(
-            sum(z[i] * X.data[i * step + u] for i in range(k)) % p
-            for u in range(step))
-        va = tuple(sum(z[i] * Y[i][c] for i in range(k)) % p for c in range(len(j2)))
-        fold_inst = PvalInstance(field, k, m - 1, tuple(j2), va)
-        fold_tensor = InputTensor(field, k, m - 1, folded)
-        d = dist_to_pval_bruteforce(fold_tensor, fold_inst,
-                                    ("hybrid", marg, uniform_sub), budget=budget)
-        if d < far_threshold:
+        fold_tensor = InputTensor(field, k, m - 1, fold_rows(z, rows, p))
+        fold_inst = PvalInstance(field, k, m - 1, tuple(j2), fold_rows(z, Y, p))
+        if hybrid_pval_distance(fold_tensor, fold_inst, marg, budget) < far_threshold:
             not_far += 1
 
     miss_bound = math.exp(-kappa / (4 * log2k))

@@ -257,3 +257,48 @@ def test_fixture_yes_pair_accepts():
         res = run_ham_ipp(fx["y"], fx["d2"], fx["w"], Fraction(1, 100),
                           HonestHamProver(fx["y"]), seed)
         assert res.verdict.accepted
+
+
+@pytest.mark.parametrize("config", [
+    {"protocol": "ham", "trials": 1, "seed": 5, "n": 64, "eps": "1/4",
+     "repetitions": 3, "rule": "all-accept"},
+    {"protocol": "fin_ipp", "trials": 1, "seed": 9, "field_modulus": 97, "k": 2, "m": 4,
+     "r": 1, "eps": "1/2", "repetitions": 3, "rule": "majority"},
+], ids=["all-accept", "majority"])
+def test_amplified_trial_records_and_replays(config, tmp_path):
+    # the transcript of an amplified trial is every repetition's, in order
+    path = str(tmp_path / "t.jsonl")
+    result = record_transcript(config, 1234, path)
+    lines = open(path).read().splitlines()
+    assert len(lines) - 2 == result.ledger.messages > 0
+    assert sum(m.bits for m in result.transcript) == result.ledger.comm_bits
+    report = cmd_replay(path)
+    assert report["match"]
+    assert report["comm_bits_recomputed"] == report["comm_bits_recorded"]
+
+
+def test_repetitions_means_amplification_on_rlcc():
+    # one repetition is one plain trial: rlcc keeps its four corrector rounds
+    base = {"protocol": "rlcc", "trials": 2, "seed": 3, "bits": 4, "eps": "1/8"}
+    assert cmd_run({**base, "repetitions": 1})["ledger"] == cmd_run(dict(base))["ledger"]
+
+
+@pytest.mark.parametrize("config,argv,message", [
+    ({"protocol": "fin_ipp", "trials": 1, "seed": 1, "field_modulus": 17, "k": 2, "m": 3,
+      "r": 1, "eps": "1/2", "prover": {"mode": "bogus"}}, None, "'bogus'"),
+    ({"protocol": "whitebox_product", "trials": 1, "seed": 1, "field_modulus": 17, "k": 2,
+      "m": 3, "r": 1, "eps": "1/2", "prover": {"mode": "row-tamper"}}, None, "'row-tamper'"),
+    (None, ["check-lemma", "nope"], "'nope'"),
+], ids=["fin_ipp-bogus-mode", "whitebox-row-tamper", "unknown-lemma"])
+def test_cli_bad_input_is_a_usage_error(config, argv, message, tmp_path, capsys):
+    if config is not None:
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        argv = ["run", "--config", str(path)]
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    last = captured.err.splitlines()[-1]
+    assert last.startswith("dfipp: error: ") and message in last
