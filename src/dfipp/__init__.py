@@ -11,8 +11,8 @@ from .tensors import (BudgetExceeded, INF, PvalInstance, ball_membership, dist,
                       dist_to_pval_bruteforce, hybrid_dist, pval_member,
                       pval_min_distance)
 from .distributions import (GranularitySet, Pmf, ProductDistribution, SamplingCircuit,
-                            circuit_pmf, dispersion_rho, extend, g_cat, granularise,
-                            make_uniform_oracle, marginal_first, tv_distance)
+                            circuit_pmf, dispersion_rho, granularise, make_uniform_oracle,
+                            marginal_first, tv_distance)
 from .session import (CostLedger, Message, OracleHandles, ProverStrategy, Section,
                       Verdict, amplify, run_session)
 from .protocols import (ClaimGenerator, CorrectorHandle, FoldState, HonestFoldProver,

@@ -1,6 +1,6 @@
 """Distribution models: explicit PMFs, product distributions, white-box
-sampling circuits, dispersion, marginals, granularisation, concatenation,
-and tensor extensions.
+sampling circuits, dispersion, marginals, granularisation, and the
+granular-extension row map.
 
 Masses are exact Fractions everywhere.  Samplers convert to 64-bit
 fixed-point cumulative tables only inside the RNG path; the table
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .field import InputTensor, PrimeField, cell_coords, cell_index
+from .field import cell_coords, cell_index
 from .tensors import BudgetExceeded
 
 _TABLE_BITS = 64
@@ -306,29 +306,6 @@ def granularise(p: Pmf) -> GranularitySet:
     return GranularitySet(tuple(counts))
 
 
-@dataclass(frozen=True)
-class RowTensor:
-    """A stack of rows over F, each of length row_len (a [rows] x [k]^(m-1) view)."""
-
-    field: PrimeField
-    rows: tuple[tuple[int, ...], ...]
-
-    @property
-    def num_rows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def row_len(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-
-def g_cat(X: InputTensor) -> RowTensor:
-    """Concatenate the all-zero slice to the first dimension."""
-    rows = [X.row(i) for i in range(X.k)]
-    rows.append((0,) * X.k ** (X.m - 1))
-    return RowTensor(X.field, tuple(rows))
-
-
 def extension_row_map(B: Sequence[int]) -> tuple[int, ...]:
     """Source-row index for each extension row.
 
@@ -344,14 +321,6 @@ def extension_row_map(B: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def extend(X: RowTensor, B: Sequence[int]) -> tuple[RowTensor, tuple[int, ...]]:
-    """Replicate rows of X per the granularities B; returns (tensor, row_map)."""
-    if len(B) != X.num_rows:
-        raise ValueError(f"B has {len(B)} entries for {X.num_rows} rows")
-    row_map = extension_row_map(B)
-    return RowTensor(X.field, tuple(X.rows[j] for j in row_map)), row_map
-
-
 def tv_distance(p: Pmf, q: Pmf) -> Fraction:
     """sum_i |p_i - q_i| (the L1 form, without the conventional 1/2 factor)."""
     if p.n != q.n:
@@ -360,10 +329,10 @@ def tv_distance(p: Pmf, q: Pmf) -> Fraction:
 
 
 class VirtualUniformOracle:
-    """Oracle for the 8n-slot virtual input X'_i = g_cat(X)[Q_i].
+    """Oracle for the 8n-slot virtual input whose slot i reads source Q[i] of [n+1].
 
     A query to a slot backed by a real source index issues exactly one
-    source query; a slot backed by the appended zero returns 0 for free.
+    source query; a slot backed by the appended zero (n) returns 0 for free.
     """
 
     def __init__(self, Q: Sequence[int], n: int, source_query: Callable[[int], int]):
@@ -381,17 +350,12 @@ class VirtualUniformOracle:
 def make_uniform_oracle(p: Pmf, source_query: Callable[[int], int]):
     """Q maps the uniform distribution over 8n slots to granularise(p) over [n+1].
 
-    Q_i = i for i in [0, n); then a_j - 1 extra copies of each j in order;
-    the final a_{n+1} slots map to index n, the appended zero.  Uniform
-    slot-sampling therefore reproduces the granular distribution exactly.
+    Q is extension_row_map(granularise(p).counts), the layout of every extended
+    fold, where index n is the appended zero.  Uniform slot-sampling
+    therefore reproduces the granular distribution exactly.
     """
-    n = p.n
-    grains = granularise(p)
-    Q = list(range(n))
-    for j, a in enumerate(grains.counts[:-1]):
-        Q.extend([j] * (a - 1))
-    Q.extend([n] * grains.counts[-1])
-    return tuple(Q), VirtualUniformOracle(Q, n, source_query)
+    Q = extension_row_map(granularise(p).counts)
+    return Q, VirtualUniformOracle(Q, p.n, source_query)
 
 
 # --- JSON wire format -------------------------------------------------------

@@ -51,27 +51,50 @@ def _setup_rng(seed: int) -> random.Random:
 
 # --- protocol configs ---------------------------------------------------------
 
-_COMMON_KEYS = {"prover", "repetitions", "rule"}
+_COMMON_KEYS = {"repetitions", "rule"}
+
+# JSON type of every config key that is not an integer; Fraction marks a
+# positive rational given as an int, a float or a "p/q" string; claims is an
+# NC claim-generator object or a set_lower_bound mass list
+_KEY_TYPES = {"protocol": str, "out": str, "rule": str, "dist_mode": str, "profile": str,
+              "prover": dict, "distribution": dict, "claims": (dict, list), "x": list,
+              "points": list, "values": list, "corruptions": list, "inflate": bool,
+              "eps": Fraction, "tau": Fraction, "delta": Fraction}
+
+
+def _has_type(value, want) -> bool:
+    if isinstance(value, bool):  # JSON true/false are not numbers
+        return want is bool
+    if want is not Fraction:
+        return isinstance(value, want)
+    try:
+        return isinstance(value, (int, float, str)) and _frac(value) > 0
+    except (ValueError, ZeroDivisionError):
+        return False
 
 
 def validate_config(config: dict) -> None:
+    """Raise ValueError naming the first missing, unknown or ill-typed config key."""
     required = {"protocol", "trials", "seed"}
-    allowed = required | {"out"}
     missing = required - config.keys()
     if missing:
         raise ValueError(f"config missing keys: {sorted(missing)}")
     protocol = config["protocol"]
-    if protocol not in _PROTOCOLS:
+    if not isinstance(protocol, str) or protocol not in _PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
-    allowed |= _PROTOCOLS[protocol][0] | _COMMON_KEYS
-    unknown = config.keys() - allowed
+    needs, accepts, _build = _PROTOCOLS[protocol]
+    missing = needs - config.keys()
+    if missing:
+        raise ValueError(f"{protocol} config missing keys: {sorted(missing)}")
+    unknown = config.keys() - required - {"out"} - _COMMON_KEYS - needs - accepts
     if unknown:
         raise ValueError(f"config has unknown keys: {sorted(unknown)}")
-    if not isinstance(config["trials"], int) or config["trials"] < 1:
+    for key in sorted(config):
+        if not _has_type(config[key], _KEY_TYPES.get(key, int)):
+            raise ValueError(f"config key {key!r} has a bad type or value: {config[key]!r}")
+    if config["trials"] < 1:
         raise ValueError("trials must be a positive integer")
-    if not isinstance(config["seed"], int):
-        raise ValueError("seed must be an integer")
-    if not isinstance(config.get("repetitions", 1), int) or config.get("repetitions", 1) < 1:
+    if config.get("repetitions", 1) < 1:
         raise ValueError("repetitions must be a positive integer")
     if config.get("rule", "all-accept") not in ("all-accept", "majority"):
         raise ValueError("rule must be all-accept or majority")
@@ -271,26 +294,31 @@ def _run_set_lower_bound(config: dict, rng: random.Random, seed: int, prover):
     return result, {"n": n_sym}
 
 
-# protocol name -> (the config keys it accepts, its builder); a builder takes
-# (config, setup rng, trial seed, prover or None) and returns
-# (RunResult, report row fields)
+# protocol name -> (the config keys it requires, the ones it also accepts, its
+# builder); a builder takes (config, setup rng, trial seed, prover or None) and
+# returns (RunResult, report row fields)
+_FIELD_TENSOR = {"field_modulus", "k", "m"}
 _PROTOCOLS = {
-    "echo": ({"bits"}, _run_echo),
-    "ham": ({"n", "w", "eps", "x", "distribution", "c"}, _run_ham),
-    "symmetric": ({"n", "eps", "x", "distribution", "c", "predicate"}, _run_symmetric),
-    "poly_fold": ({"field_modulus", "k", "m", "kappa", "x", "points", "values", "t"},
+    "echo": (set(), {"bits"}, _run_echo),
+    "ham": ({"n", "eps"}, {"w", "x", "distribution", "c", "prover"}, _run_ham),
+    "symmetric": ({"n", "eps"}, {"x", "distribution", "c", "predicate", "prover"},
+                  _run_symmetric),
+    "poly_fold": (_FIELD_TENSOR, {"kappa", "x", "points", "values", "t", "prover"},
                   _run_poly_fold),
-    "fin_ipp": ({"field_modulus", "k", "m", "r", "eps", "kappa_override", "x",
-                 "points", "values", "t", "distribution", "dist_mode"}, _run_fin_ipp),
-    "df_ipp_nc": ({"field_modulus", "k", "m", "r", "eps", "kappa_override", "x",
-                   "distribution", "claims"}, _run_df_ipp_nc),
-    "dispersed_ipp_nc": ({"field_modulus", "k", "m", "r", "eps", "kappa_override",
-                          "x", "distribution", "claims"}, _run_dispersed_ipp_nc),
-    "whitebox_product": ({"field_modulus", "k", "m", "r", "eps", "kappa_override",
-                          "profile", "x", "points", "values", "tau", "bucket_bits"},
+    "fin_ipp": (_FIELD_TENSOR | {"r", "eps"}, {"kappa_override", "x", "points", "values",
+                                              "t", "distribution", "dist_mode", "prover"},
+                _run_fin_ipp),
+    "df_ipp_nc": (_FIELD_TENSOR | {"eps"}, {"r", "kappa_override", "x", "distribution",
+                                            "claims", "prover"}, _run_df_ipp_nc),
+    "dispersed_ipp_nc": (_FIELD_TENSOR | {"eps"}, {"r", "kappa_override", "x",
+                                                   "distribution", "claims", "prover"},
+                         _run_dispersed_ipp_nc),
+    "whitebox_product": (_FIELD_TENSOR | {"r", "eps"}, {"kappa_override", "profile", "x",
+                                                       "points", "values", "tau",
+                                                       "bucket_bits", "prover"},
                          _run_whitebox_product),
-    "rlcc": ({"bits", "eps", "message", "corruptions", "distribution"}, _run_rlcc),
-    "set_lower_bound": ({"ell", "claims", "tau", "delta", "bucket_bits", "inflate"},
+    "rlcc": ({"bits", "eps"}, {"message", "corruptions", "distribution"}, _run_rlcc),
+    "set_lower_bound": ({"ell"}, {"claims", "tau", "delta", "bucket_bits", "inflate"},
                         _run_set_lower_bound),
 }
 
@@ -301,29 +329,32 @@ def run_protocol(config: dict, seed: int, prover_override=None):
     A config-level "repetitions" (with "rule": all-accept | majority) wraps
     the trial in standard soundness amplification: independent sessions on
     derived seeds, verdicts combined, ledgers summed, transcripts concatenated
-    in order (one prover_override answers every repetition in turn).
+    in order (one prover_override answers every repetition in turn), and the
+    notes "amplified xN" followed by every repetition's notes in order.
     """
     reps = config.get("repetitions", 1)
     if reps > 1:
         inner = {k: v for k, v in config.items() if k not in ("repetitions", "rule")}
         meta_holder = {}
         transcript = []
+        notes = [f"amplified x{reps}"]
 
         def once(s):
             result, meta = run_protocol(inner, s, prover_override)
             meta_holder.setdefault("meta", meta)
             transcript.extend(result.transcript)
+            notes.extend(result.notes)
             return result.verdict, result.ledger
 
         verdict, ledger = amplify(once, reps, config.get("rule", "all-accept"), seed)
-        return RunResult(verdict, ledger, transcript, [f"amplified x{reps}"]), meta_holder["meta"]
+        return RunResult(verdict, ledger, transcript, notes), meta_holder["meta"]
 
     protocol = config["protocol"]
     if protocol not in _PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
     meta = {"protocol": protocol, "n": "", "k": "", "m": "", "r": "", "eps": "",
             "rho": "", "field": ""}
-    result, fields = _PROTOCOLS[protocol][1](config, _setup_rng(config["seed"]), seed,
+    result, fields = _PROTOCOLS[protocol][2](config, _setup_rng(config["seed"]), seed,
                                              prover_override)
     meta.update(fields)
     return result, meta
@@ -415,6 +446,7 @@ def cmd_replay(path: str) -> dict:
     """Re-run the verifier against recorded prover messages; compare everything."""
     header, messages, trailer = load_transcript(path)
     config, seed = header["config"], header["seed"]
+    validate_config(config)
     result, _meta = run_protocol(config, seed, prover_override=ReplayProver(messages))
     divergence = None
     for idx, (got, want) in enumerate(zip(result.transcript, messages)):

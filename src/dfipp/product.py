@@ -66,8 +66,7 @@ def _hash_zero(rows: Sequence[int], c: int, x: int) -> bool:
 
 def slb_verify(session: Session, circuit: SamplingCircuit, claim: MarginalClaim,
                symbol_of: Callable[[int], int], n_symbols: int,
-               bucket_bits: Optional[int] = None,
-               tag_prefix: str = "slb") -> Verdict:
+               bucket_bits: Optional[int] = None) -> Verdict:
     """One parallel set-lower-bound interactive proof.
 
     For each symbol i with claimed probability p_i > 0, the verifier draws a
@@ -94,9 +93,9 @@ def slb_verify(session: Session, circuit: SamplingCircuit, claim: MarginalClaim,
         c = session.rng.getrandbits(b) if b else 0
         hashes.append((i, N, b, rows, c))
         hash_sections.append((rows + (c,), max(ell, 1)))
-    session.tell(f"{tag_prefix}/hash", hash_sections)
+    session.tell("slb/hash", hash_sections)
 
-    msg = session.ask(f"{tag_prefix}/witness",
+    msg = session.ask("slb/witness",
                       [(i, b, rows, c) for (i, N, b, rows, c) in hashes])
     if len(msg.sections) != len(active):
         raise ProtocolViolation("one witness list per active symbol required")
@@ -128,15 +127,13 @@ class HonestSlbProver(ProverStrategy):
                  budget: int = 20):
         if circuit.n_inputs > budget:
             raise BudgetExceeded("honest prover enumeration over budget")
-        self.circuit = circuit
-        self.symbol_of = symbol_of
         self.ell = circuit.n_inputs
         self._preimages: dict[int, list[int]] = {}
         for x in range(1 << self.ell):
             self._preimages.setdefault(symbol_of(circuit.eval(x)), []).append(x)
 
     def reply(self, tag, payload):
-        if not tag.endswith("/witness"):
+        if tag != "slb/witness":
             raise ProtocolViolation(f"unexpected tag {tag}")
         return _witness_sections(self._preimages, payload, self.ell)
 
@@ -148,10 +145,9 @@ def run_set_lower_bound(circuit: SamplingCircuit, claim: MarginalClaim,
                         bucket_bits: Optional[int] = None) -> RunResult:
     symbol_of = symbol_of or (lambda y: y)
     n_symbols = n_symbols or len(claim.probs)
-    oracles = OracleHandles((), circuit=circuit)
     return _run(lambda s: slb_verify(s, circuit, claim, symbol_of, n_symbols,
                                      bucket_bits),
-                prover, oracles, seed)
+                prover, OracleHandles(()), seed)
 
 
 # --- extended polynomial folding -------------------------------------------------
@@ -165,11 +161,12 @@ def extended_fold_phase(session: Session, live: list[FoldState], k: int,
                         field: PrimeField, kappa: int, B: GranularitySet):
     """Fold every live tuple through the B-extension of g_cat of its view.
 
-    The prover sends the plain k-row matrices; the verifier extends g_cat(Y~)
-    by B into 8k rows and draws folding vectors in F^(8k).
+    The prover sends the plain k-row matrices; the verifier folds them through
+    the row map extension_row_map(B) (source k is the appended zero row) and
+    draws folding vectors in F^(8k).
     """
     counts = B.counts if isinstance(B, GranularitySet) else tuple(B)
-    return _fold_phase(session, live, k, field, kappa, rowmap=extension_row_map(counts))
+    return _fold_phase(session, live, k, field, kappa, extension_row_map(counts))
 
 
 def run_extended_poly_fold(X: InputTensor, inst: PvalInstance, B,
@@ -234,10 +231,9 @@ def run_whitebox_product_ipp(X: InputTensor, inst: PvalInstance, eps: Fraction,
     sampling circuit, so the ledger's sample count stays 0.
     """
     delta = delta if delta is not None else Fraction(1, 20 * r)
-    oracles = OracleHandles(X.data, circuit=circuit)
     return _run(lambda s: whitebox_verifier(s, X, inst, eps, circuit, r, tau, delta,
                                             kappa_override, bucket_bits),
-                prover, oracles, seed)
+                prover, OracleHandles(X.data), seed)
 
 
 class WhiteboxFoldProver(HonestFoldProver):
@@ -302,7 +298,7 @@ def check_product_dpl(X: InputTensor, tail_factors: Sequence[Pmf],
     Dhat = ProductDistribution(tail_factors).joint_pmf()
     Dhat2 = ProductDistribution(tail_factors[1:]).joint_pmf()
     return _preservation_report(X, Dhat, Dhat2, Y, inst, 2 * inst.k * (1 - tau),
-                               rowmap=extension_row_map(B.counts), budget=budget)
+                               extension_row_map(B.counts), budget)
 
 
 # --- learnable-distribution pipeline ------------------------------------------------
@@ -338,20 +334,12 @@ def extension_member(base_language: Callable[[tuple], bool], Q: Sequence[int],
                      n: int, virt: Sequence[int]) -> bool:
     """Is virt the Q-extension of g_cat of some member of the base language?
 
-    Needs: zero slots hold 0, slots backed by the same source index agree,
-    and the implied base string is a member.
+    The only candidate base string reads each source index at its first slot;
+    every slot must then read through Q (source n is the appended zero).
     """
-    source: dict[int, int] = {}
-    for slot, src in enumerate(Q):
-        if src == n:
-            if virt[slot] != 0:
-                return False
-        elif src in source:
-            if virt[slot] != source[src]:
-                return False
-        else:
-            source[src] = virt[slot]
-    return base_language(tuple(source[i] for i in range(n)))
+    base = tuple(virt[Q.index(i)] for i in range(n))
+    return (all(v == (0 if q == n else base[q]) for v, q in zip(virt, Q))
+            and base_language(base))
 
 
 def explicit_set_uniform_ipp(base_language: Callable[[tuple], bool], n: int,
@@ -423,13 +411,13 @@ def aborting_learner(session: Session):
 
 # --- fixtures -----------------------------------------------------------------------
 
-def _dyadic_factor(k: int, profile: str, rng, grain_bits: int = 4) -> Pmf:
+def _dyadic_factor(k: int, profile: str, rng) -> Pmf:
     if profile == "uniform":
         return Pmf.uniform(k)
     if profile == "point":
         return Pmf.point_mass(0, k)
     if profile == "dyadic-random":
-        return Pmf.random_grains(k, 1 << grain_bits, rng)
+        return Pmf.random_grains(k, 16, rng)  # 16 grains of mass 1/16: dyadic masses
     raise ValueError(f"unknown factor profile {profile!r}")
 
 
@@ -475,8 +463,7 @@ def _concat_circuits(circuits: Sequence[SamplingCircuit]) -> SamplingCircuit:
     return SamplingCircuit(total_inputs, tuple(gates), tuple(outputs))
 
 
-def gen_product_fixture(k: int, m: int, profile: str, rng=None,
-                        grain_bits: int = 4):
+def gen_product_fixture(k: int, m: int, profile: str, rng=None):
     """(ProductDistribution, SamplingCircuit) pairs with exactly matching laws.
 
     profile: "uniform" | "row-concentrated" | "dyadic-random".  Masses are
@@ -496,6 +483,6 @@ def gen_product_fixture(k: int, m: int, profile: str, rng=None,
         profiles = ["dyadic-random"] * m
     else:
         raise ValueError(f"unknown profile {profile!r}")
-    factors = [_dyadic_factor(k, pr, rng, grain_bits) for pr in profiles]
+    factors = [_dyadic_factor(k, pr, rng) for pr in profiles]
     circuit = _concat_circuits([_factor_circuit(f, out_bits) for f in factors])
     return ProductDistribution(factors), circuit

@@ -65,14 +65,14 @@ def weight_classes(k: int, kappa: int, notes: Optional[list] = None) -> list[tup
 class FoldState:
     """One node of the folding tree: histories plus the current PVAL claim.
 
-    rowmaps[s] is None for a plain fold; for extended folds it maps each
-    extension row to a source row of the g_cat stack, whose last index
-    (= k) is the appended all-zero row.
+    rowmaps[s] maps each row folded in round s to its source row, where
+    source k is the appended all-zero row: tuple(range(k)) for a plain fold,
+    a granular extension row map for an extended fold.
     """
 
     zs: tuple[tuple[int, ...], ...]
     supports: tuple[tuple[int, ...], ...]
-    rowmaps: tuple[Optional[tuple[int, ...]], ...]
+    rowmaps: tuple[tuple[int, ...], ...]
     weights: tuple[int, ...]
     points: tuple[tuple[int, ...], ...]
     values: tuple[int, ...]
@@ -113,34 +113,26 @@ def folded_eval(oracles: OracleHandles, base: InputTensor, st: FoldState,
                 coords: tuple[int, ...]) -> int:
     """Evaluate one coordinate of z_s . (... (z_1 . X)) through the query oracle.
 
-    Every support index is recursed even when its sampled coefficient is 0,
-    so the cost is exactly the product of support sizes; extension rows that
-    map to the appended zero row contribute 0 at zero query cost.
+    The (flat offset, coefficient) terms expand level by level over every
+    support index whose source is not the zero row, even when its sampled
+    coefficient is 0: exactly tau queries for plain folds, none for zero rows.
     """
-    p = base.field.modulus
     k = base.k
-
-    # level s fixes coordinate s of the base tensor, whose flat stride is k^(m-s)
-    def rec(level: int, offset: int) -> int:
-        if level == 0:
-            return oracles.query(offset)
-        z = st.zs[level - 1]
-        rowmap = st.rowmaps[level - 1]
-        stride = k ** (base.m - level)
-        acc = 0
-        for i in st.supports[level - 1]:
-            src = i if rowmap is None else rowmap[i]
-            if src == k:
-                continue
-            acc += z[i] * rec(level - 1, offset + src * stride)
-        return acc % p
-
-    return rec(len(st.zs), cell_index(coords, k))
+    terms = [(cell_index(coords, k), 1)]
+    for s in reversed(range(len(st.zs))):
+        z, rowmap, stride = st.zs[s], st.rowmaps[s], k ** (base.m - 1 - s)
+        steps = [(rowmap[i] * stride, z[i]) for i in st.supports[s] if rowmap[i] != k]
+        terms = [(off + d, c * zi) for off, c in terms for d, zi in steps]
+    return sum(c * oracles.query(off) for off, c in terms) % base.field.modulus
 
 
 def fold_rows(z: Sequence[int], rows: Sequence[Sequence[int]], p: int) -> tuple[int, ...]:
-    """z . rows over F_p: entry c is sum_i z[i] * rows[i][c] mod p."""
-    return tuple(sum(a * b for a, b in zip(z, col)) % p for col in zip(*rows))
+    """z . rows over F_p, row by row (rows with z[i] = 0 skipped), reduced once per entry."""
+    acc = [0] * len(rows[0])
+    for zi, row in zip(z, rows):
+        if zi:
+            acc = [a + zi * v for a, v in zip(acc, row)]
+    return tuple(a % p for a in acc)
 
 
 def _columns_consistent(field: PrimeField, k: int, points, values,
@@ -152,14 +144,14 @@ def _columns_consistent(field: PrimeField, k: int, points, values,
 
 
 def _fold_phase(session: Session, live: list[FoldState], k: int, field: PrimeField,
-                kappa: int, rowmap: Optional[tuple[int, ...]] = None):
+                kappa: int, rowmap: tuple[int, ...]):
     """One parallel polynomial-folding round over every live tuple.
 
     The prover sends the k-row matrices Y; the verifier checks their columns
-    against the current claims and folds the rows g_cat(Y)[rowmap[j]], where
-    row k is the appended zero row.  rowmap=None folds the k rows themselves
-    (a plain fold); a granular extension row map gives the extended fold, and
-    children record the map so folded coordinates trace back to source rows.
+    against the current claims and folds the rows Y[rowmap[j]], where row k
+    is the appended zero row.  The identity tuple(range(k)) is a plain fold;
+    a granular extension row map gives the extended fold, and children record
+    the map so folded coordinates trace back to source rows.
 
     Returns (children, None) on success or (None, verdict) on rejection.
     All matrices ride in one prover message and all folding vectors in one
@@ -174,16 +166,15 @@ def _fold_phase(session: Session, live: list[FoldState], k: int, field: PrimeFie
     expect = [(k * len(j2), fb) for (j2, _) in projections]
     msg = session.ask("fold/matrix", payload, expect=expect)
 
-    rows = range(k) if rowmap is None else rowmap
     matrices = []
     for st, (j2, cols), sec in zip(live, projections, msg.sections):
         t2 = len(j2)
         Y = [sec.values[i * t2:(i + 1) * t2] for i in range(k)] + [(0,) * t2]
         if not _columns_consistent(field, k, st.points, st.values, Y, cols):
             return None, Verdict(False, "fold-consistency")
-        matrices.append(([Y[src] for src in rows], j2))
+        matrices.append(([Y[src] for src in rowmap], j2))
 
-    n_rows = len(rows)
+    n_rows = len(rowmap)
     classes = weight_classes(n_rows, kappa, session.notes)
     children: list[FoldState] = []
     z_sections = []
@@ -212,7 +203,8 @@ def poly_fold(session: Session, inst: PvalInstance, kappa: int):
     The outputs are tuples (a, z_a, J_2, v_a = z_a . Y') carried inside
     FoldState records; tau_a is the support size of z_a.
     """
-    return _fold_phase(session, [FoldState.root(inst)], inst.k, inst.field, kappa)
+    return _fold_phase(session, [FoldState.root(inst)], inst.k, inst.field, kappa,
+                       tuple(range(inst.k)))
 
 
 def _leaf_phase(session: Session, X: InputTensor, live: list[FoldState], r: int,
@@ -442,7 +434,7 @@ def _fin_core(session: Session, X: InputTensor, inst: PvalInstance, eps: Fractio
 
     live = [FoldState.root(inst)]
     for _ in range(r):
-        live, verdict = _fold_phase(session, live, k, field, kappa)
+        live, verdict = _fold_phase(session, live, k, field, kappa, tuple(range(k)))
         if verdict is not None:
             return verdict
 
@@ -459,6 +451,8 @@ def run_fin_ipp(X: InputTensor, inst: PvalInstance, D, eps: Fraction,
                 rho: Fraction, r: int, prover: ProverStrategy, seed: int,
                 dist_mode: str = "oracle",
                 kappa_override: Optional[int] = None) -> RunResult:
+    if dist_mode not in ("oracle", "uniform"):
+        raise ValueError(f"unknown dist_mode {dist_mode!r}")
     oracles = OracleHandles(X.data, dist=D)
     return _run(lambda s: _fin_core(s, X, inst, eps, rho, r, dist_mode, kappa_override),
                 prover, oracles, seed)
@@ -643,22 +637,17 @@ class HonestFoldProver(ProverStrategy):
         return range(self.k)
 
     def _expand(self, zs: list[tuple[int, ...]], rowmap: Sequence[int]) -> None:
-        """Fold every live tensor by its folding vectors; rows mapped to k are zero."""
+        """Fold every live tensor's rows, the zero row as source k, through the row map."""
         p = self.field.modulus
         per_tuple = len(zs) // len(self.live)
         step = len(self.live[0]) // self.k
+        zero = (0,) * step
         new_live = []
         for idx, data in enumerate(self.live):
-            for j in range(per_tuple):
-                z = zs[idx * per_tuple + j]
-                out = [0] * step
-                for zi, src in zip(z, rowmap):
-                    if zi == 0 or src == self.k:
-                        continue
-                    base = src * step
-                    for u in range(step):
-                        out[u] = (out[u] + zi * data[base + u]) % p
-                new_live.append(tuple(out))
+            rows = [data[i * step:(i + 1) * step] for i in range(self.k)] + [zero]
+            mapped = [rows[src] for src in rowmap]
+            new_live.extend(fold_rows(z, mapped, p)
+                            for z in zs[idx * per_tuple:(idx + 1) * per_tuple])
         self.live = new_live
         self.live_m -= 1
 
@@ -753,29 +742,27 @@ def hybrid_pval_distance(X: InputTensor, inst: PvalInstance, D: Pmf,
 
 
 def row_distances(X: InputTensor, row_dist: Pmf, Y: Sequence[Sequence[int]],
-                  j2: Sequence[tuple[int, ...]], rowmap: Optional[Sequence[int]] = None,
+                  j2: Sequence[tuple[int, ...]], rowmap: Sequence[int],
                   budget: int = 10 ** 7) -> list:
     """eps_i = mu_{row_dist,U}(X'[i,.], PVAL(J_2, Y'[i,.])) for every row i, by brute force.
 
-    The rows are X's own (rowmap=None) or rowmap's sources, where source k is
-    the appended zero row with zero claims.  Each distinct source is scanned
-    once.
+    Row i is X's row rowmap[i] (the identity for X's own rows), where source
+    k is the appended zero row with zero claims.  Each distinct source is
+    scanned once.
     """
     field, k, m = X.field, X.k, X.m
-    rows = range(k) if rowmap is None else rowmap
     data = [X.row(i) for i in range(k)] + [(0,) * k ** (m - 1)]
     claims = [tuple(y) for y in Y] + [(0,) * len(j2)]
     by_source = {
         src: hybrid_pval_distance(InputTensor(field, k, m - 1, data[src]),
                                   PvalInstance(field, k, m - 1, tuple(j2), claims[src]),
                                   row_dist, budget)
-        for src in dict.fromkeys(rows)}
-    return [by_source[src] for src in rows]
+        for src in dict.fromkeys(rowmap)}
+    return [by_source[src] for src in rowmap]
 
 
 def _preservation_report(X: InputTensor, D: Pmf, row_dist: Pmf, Y: Sequence[Sequence[int]],
-                         inst: PvalInstance, factor: Fraction,
-                         rowmap: Optional[Sequence[int]] = None,
+                         inst: PvalInstance, factor: Fraction, rowmap: Sequence[int],
                          budget: int = 10 ** 7) -> InequalityReport:
     """sum_i eps_i >= factor * mu_{D,U}(X, PVAL(J, v)) over the rows of row_distances.
 
@@ -811,7 +798,8 @@ def check_distance_preservation(X: InputTensor, D: Pmf, Y: Sequence[Sequence[int
     if not _columns_consistent(inst.field, inst.k, inst.points, inst.values, Y, cols):
         return InequalityReport(None, None, False, detail="step-1 check fails")
     factor = Fraction(inst.k) / dispersion_rho(D).rho
-    return _preservation_report(X, D, marginal_first(D), Y, inst, factor, budget=budget)
+    return _preservation_report(X, D, marginal_first(D), Y, inst, factor,
+                                tuple(range(inst.k)), budget)
 
 
 def span(field: PrimeField, basis: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
@@ -865,7 +853,7 @@ def check_appendix_claims(X: InputTensor, D: Pmf, Y: Sequence[Sequence[int]],
     mu = hybrid_pval_distance(X, inst, D, budget)
     marg = marginal_first(D)
     j2, _cols = project_points(inst.points)
-    eps_i = row_distances(X, marg, Y, j2, budget=budget)
+    eps_i = row_distances(X, marg, Y, j2, tuple(range(k)), budget)
     log2k = math.log2(k)
 
     report: dict = {"mu": mu, "eps_i": eps_i, "rho": rho}

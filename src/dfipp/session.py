@@ -108,17 +108,16 @@ ACCEPT = Verdict(True)
 
 
 class OracleHandles:
-    """Query oracle i -> X_i, sample oracle -> (i, X_i), optional white-box handle.
+    """Query oracle i -> X_i and sample oracle -> (i, X_i).
 
     Queries and samples increment the session ledger; the prover never sees
     these handles.  `dist` may be a Pmf, ProductDistribution, or None (the
-    white-box setting, where `circuit` carries the sampling device).
+    white-box setting, where the verifier evaluates its sampling circuit).
     """
 
-    def __init__(self, values: Sequence[int], dist=None, circuit=None):
+    def __init__(self, values: Sequence[int], dist=None):
         self.values = values
         self.dist = dist
-        self.circuit = circuit
         self.ledger: Optional[CostLedger] = None
         self._rng: Optional[random.Random] = None
 
@@ -159,7 +158,6 @@ class Session:
     def __init__(self, prover: ProverStrategy, oracles: OracleHandles, seed: int):
         self.prover = prover
         self.oracles = oracles
-        self.seed = seed
         self.rng = random.Random(seed)
         self.ledger = CostLedger()
         self.transcript: list[Message] = []

@@ -4,14 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from dfipp.field import InputTensor, PrimeField
-from dfipp.distributions import (GranularitySet, Pmf, ProductDistribution, RowTensor,
-                                 SamplingCircuit, circuit_pmf, dispersion_rho,
-                                 distribution_from_json, distribution_to_json, extend,
-                                 extension_row_map, g_cat, granularise,
+from dfipp.distributions import (GranularitySet, Pmf, ProductDistribution, SamplingCircuit,
+                                 circuit_pmf, dispersion_rho, distribution_from_json,
+                                 distribution_to_json, extension_row_map, granularise,
                                  make_uniform_oracle, marginal_first, tv_distance)
-
-F5 = PrimeField(5)
 
 
 def test_pmf_validation():
@@ -114,34 +110,6 @@ def test_granularity_invariants_enforced():
         GranularitySet((15, 1, 0))  # a_2 < 2
 
 
-def test_g_cat_examples():
-    X = InputTensor(F5, 2, 1, (1, 0))
-    cat = g_cat(X)
-    assert cat.rows == ((1,), (0,), (0,))
-    rng = random.Random(9)
-    Y = InputTensor.random(F5, 2, 2, rng)
-    cat2 = g_cat(Y)
-    assert cat2.rows[0] == Y.row(0) and cat2.rows[1] == Y.row(1)
-    assert cat2.rows[2] == (0, 0)
-
-
-def test_extend_identity():
-    X = RowTensor(F5, ((1, 2), (3, 4)))
-    out, row_map = extend(X, (1, 1))
-    assert out.rows == X.rows
-    assert row_map == (0, 1)
-
-
-def test_extend_example_order():
-    rows = RowTensor(F5, ((1, 1), (2, 2), (0, 0)))
-    out, row_map = extend(rows, (8, 8, 0))
-    assert len(out.rows) == 16
-    assert out.rows[0] == (1, 1) and out.rows[1] == (2, 2)
-    assert out.rows[2:9] == ((1, 1),) * 7
-    assert out.rows[9:] == ((2, 2),) * 7
-    assert row_map == (0, 1) + (0,) * 7 + (1,) * 7
-
-
 def test_extend_counting_matches_granular_distribution():
     pmf = Pmf([Fraction(3, 4), Fraction(1, 4)])
     grains = granularise(pmf)
@@ -150,6 +118,9 @@ def test_extend_counting_matches_granular_distribution():
     for j, a in enumerate(grains.counts):
         assert row_map.count(j) == a
         assert Fraction(row_map.count(j), n) == grains.pmf().masses[j]
+    # first occurrences in order, then the extra copies in order
+    assert extension_row_map((1, 1)) == (0, 1)
+    assert extension_row_map((8, 8, 0)) == (0, 1) + (0,) * 7 + (1,) * 7
 
 
 def test_circuit_pmf_examples():

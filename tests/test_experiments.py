@@ -283,13 +283,39 @@ def test_repetitions_means_amplification_on_rlcc():
     assert cmd_run({**base, "repetitions": 1})["ledger"] == cmd_run(dict(base))["ledger"]
 
 
+FIN = {"protocol": "fin_ipp", "trials": 1, "seed": 1, "field_modulus": 17, "k": 2, "m": 3,
+       "r": 1, "eps": "1/2"}
+HAM = {"protocol": "ham", "trials": 1, "seed": 1, "n": 8, "eps": "1/4"}
+
+
+def _drop(config, key):
+    return {k: v for k, v in config.items() if k != key}
+
+
 @pytest.mark.parametrize("config,argv,message", [
     ({"protocol": "fin_ipp", "trials": 1, "seed": 1, "field_modulus": 17, "k": 2, "m": 3,
       "r": 1, "eps": "1/2", "prover": {"mode": "bogus"}}, None, "'bogus'"),
     ({"protocol": "whitebox_product", "trials": 1, "seed": 1, "field_modulus": 17, "k": 2,
       "m": 3, "r": 1, "eps": "1/2", "prover": {"mode": "row-tamper"}}, None, "'row-tamper'"),
     (None, ["check-lemma", "nope"], "'nope'"),
-], ids=["fin_ipp-bogus-mode", "whitebox-row-tamper", "unknown-lemma"])
+    ({**FIN, "k": "2"}, None, "'k'"),
+    (_drop(FIN, "eps"), None, "'eps'"),
+    (_drop(HAM, "eps"), None, "'eps'"),
+    ({**FIN, "prover": "honest"}, None, "'prover'"),
+    ({**HAM, "eps": 0}, None, "'eps'"),
+    ({**HAM, "eps": "1/0"}, None, "'eps'"),
+    ({**HAM, "trials": True}, None, "'trials'"),
+    ({**FIN, "dist_mode": "bogus"}, None, "dist_mode"),
+    ({"protocol": "echo", "trials": 1, "seed": 1, "prover": {"mode": "bogus"}}, None,
+     "'prover'"),
+    ({"protocol": "rlcc", "trials": 1, "seed": 1, "bits": 4, "eps": "1/8",
+      "prover": {"mode": "honest"}}, None, "'prover'"),
+    ({"protocol": "set_lower_bound", "trials": 1, "seed": 1, "ell": 4,
+      "prover": {"mode": "honest"}}, None, "'prover'"),
+], ids=["fin_ipp-bogus-mode", "whitebox-row-tamper", "unknown-lemma", "fin_ipp-str-k",
+        "fin_ipp-no-eps", "ham-no-eps", "fin_ipp-str-prover", "ham-eps-0", "ham-eps-1/0",
+        "trials-true", "fin_ipp-bogus-dist_mode", "echo-prover", "rlcc-prover",
+        "set_lower_bound-prover"])
 def test_cli_bad_input_is_a_usage_error(config, argv, message, tmp_path, capsys):
     if config is not None:
         path = tmp_path / "c.json"
@@ -302,3 +328,30 @@ def test_cli_bad_input_is_a_usage_error(config, argv, message, tmp_path, capsys)
     assert captured.out == ""
     last = captured.err.splitlines()[-1]
     assert last.startswith("dfipp: error: ") and message in last
+
+
+@pytest.mark.parametrize("eps", [2, 0.25, "1/4"])
+def test_config_rationals_accept_int_float_and_fraction_strings(eps):
+    validate_config({**HAM, "eps": eps})
+
+
+def test_replay_validates_the_header_config(tmp_path, capsys):
+    path = tmp_path / "t.jsonl"
+    record_transcript(dict(HAM), 7, str(path))
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["header"]["config"]["bogus"] = 1
+    path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["replay", str(path)])
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("dfipp: error: ") and "bogus" in last
+
+
+def test_amplified_trial_keeps_every_repetition_note():
+    config = {**FIN, "m": 4}
+    single = cmd_run(dict(config))["parameter_notes"]
+    amplified = cmd_run({**config, "repetitions": 3})["parameter_notes"]
+    assert len(single) == 6
+    assert amplified == ["amplified x3"] + single
