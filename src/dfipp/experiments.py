@@ -98,6 +98,15 @@ def validate_config(config: dict) -> None:
         raise ValueError("repetitions must be a positive integer")
     if config.get("rule", "all-accept") not in ("all-accept", "majority"):
         raise ValueError("rule must be all-accept or majority")
+    if ("points" in config) != ("values" in config):
+        raise ValueError("config keys 'points' and 'values' must be given together")
+
+
+def _entry(spec: dict, key: str, owner: str):
+    """spec[key] of the nested config object `owner`; a ValueError names a missing key."""
+    if key not in spec:
+        raise ValueError(f"config key {owner!r} is missing {key!r}")
+    return spec[key]
 
 
 def _tensor_and_instance(config: dict, rng: random.Random):
@@ -130,7 +139,7 @@ def _fold_prover(config: dict, X: InputTensor, rng: random.Random):
     if mode == "honest":
         return HonestFoldProver(X)
     if mode == "fixed-alternative":
-        alt = InputTensor(X.field, X.k, X.m, tuple(spec["alt"]))
+        alt = InputTensor(X.field, X.k, X.m, tuple(_entry(spec, "alt", "prover")))
         return HonestFoldProver(alt)
     if mode == "row-tamper":
         return RowTamperFoldProver(X, spec.get("row", 0), spec.get("col", 0),
@@ -174,7 +183,7 @@ def _ham_setup(config: dict, rng: random.Random, prover):
         if mode == "honest":
             prover = HonestHamProver(x)
         elif mode == "committed":
-            prover = HonestHamProver(tuple(spec["alt"]))
+            prover = HonestHamProver(tuple(_entry(spec, "alt", "prover")))
         elif mode == "bad-sum":
             prover = BadSumHamProver(x)
         else:
@@ -221,12 +230,14 @@ def _nc_setup(config: dict, rng: random.Random, prover):
     eps = _frac(config["eps"])
     D = _distribution(config, X.n, shape=(inst.k, inst.m))
     claims_spec = config.get("claims", {"mode": "honest"})
+    if not isinstance(claims_spec, dict):
+        raise ValueError(f"config key 'claims' must be an object here, not {claims_spec!r}")
     if claims_spec.get("mode", "honest") == "honest":
         gen = ClaimGenerator("honest", t=claims_spec.get("t"))
     else:
         adv = PvalInstance(inst.field, inst.k, inst.m,
-                           tuple(tuple(pt) for pt in claims_spec["points"]),
-                           tuple(claims_spec["values"]))
+                           tuple(tuple(pt) for pt in _entry(claims_spec, "points", "claims")),
+                           tuple(_entry(claims_spec, "values", "claims")))
         gen = ClaimGenerator("adversarial", instance=adv)
     prover = prover or _fold_prover(config, X, rng)
     rho = _rho(D)
@@ -255,7 +266,8 @@ def _run_whitebox_product(config: dict, rng: random.Random, seed: int, prover):
     mode = spec.get("mode", "honest")
     if mode not in ("honest", "fixed-alternative"):
         raise ValueError(f"unknown whitebox_product prover mode {mode!r}")
-    committed = X if mode == "honest" else InputTensor(X.field, X.k, X.m, tuple(spec["alt"]))
+    committed = X if mode == "honest" else \
+        InputTensor(X.field, X.k, X.m, tuple(_entry(spec, "alt", "prover")))
     prover = prover or WhiteboxFoldProver(committed, D.factors, circuit)
     result = run_whitebox_product_ipp(
         X, inst, eps, circuit, config["r"], prover, seed,

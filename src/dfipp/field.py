@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Sequence
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -105,7 +106,7 @@ def _bary_weights(p: int, k: int) -> tuple[int, ...]:
         for j in range(k):
             if j != i:
                 acc = acc * (i - j) % p
-        weights.append(pow(acc, p - 2, p))
+        weights.append(pow(acc, -1, p))
     return tuple(weights)
 
 
@@ -123,7 +124,7 @@ def lagrange_basis(p: int, k: int, t: int) -> tuple[int, ...]:
     ell = 1
     for j in range(k):
         ell = ell * (t - j) % p
-    return tuple(ell * w % p * pow(t - i, p - 2, p) % p for i, w in enumerate(weights))
+    return tuple(ell * w % p * pow(t - i, -1, p) % p for i, w in enumerate(weights))
 
 
 def lagrange_eval_univariate(field: PrimeField, values: Sequence[int], t: int) -> int:
@@ -170,38 +171,39 @@ class InputTensor:
         return InputTensor(field, k, m, tuple(rng.randrange(field.modulus) for _ in range(k ** m)))
 
 
-def lde_eval(X: InputTensor, point: Sequence[int]) -> int:
-    """P_X(point) = sum_{i in [k]^m} X_i * prod_t L_{i_t}(point_t)."""
-    if len(point) != X.m:
-        raise ValueError(f"point has {len(point)} coordinates, tensor has {X.m}")
-    p, k = X.field.modulus, X.k
-    data = list(X.data)
-    # contract the leading dimension once per coordinate
-    for t in range(X.m):
-        basis = lagrange_basis(p, k, point[t])
-        step = len(data) // k
-        data = [
-            sum(basis[i] * data[i * step + u] for i in range(k)) % p
-            for u in range(step)
-        ]
-    return data[0]
-
-
-def lde_eval_batch(X: InputTensor, points: Iterable[Sequence[int]]) -> list[int]:
-    """Pointwise lde_eval; output order matches the input order."""
-    return [lde_eval(X, j) for j in points]
-
-
 def basis_row(field: PrimeField, k: int, m: int, point: Sequence[int]) -> tuple[int, ...]:
-    """Coefficient vector c with P_X(point) = sum_cell c[cell] * X[cell].
+    """Coefficient vector c with P_X(point) = sum_cell c[cell] * X[cell] mod p.
 
-    Built by Kronecker products of per-coordinate Lagrange basis vectors;
-    used by the brute-force enumeration oracles so that membership scans
-    cost one dot product per candidate.
+    The Kronecker product of the per-coordinate Lagrange basis vectors in cell
+    order: every LDE evaluation, and every enumeration-oracle test, is one dot.
     """
+    if len(point) != m:
+        raise ValueError(f"point has {len(point)} coordinates, tensor has {m}")
     p = field.modulus
-    row = (1,)
-    for t in range(m):
-        basis = lagrange_basis(p, k, point[t])
-        row = tuple(r * b % p for r in row for b in basis)
-    return row
+    row = [1]
+    for t in point:
+        basis = lagrange_basis(p, k, t)
+        row = [r * b % p for r in row for b in basis]
+    return tuple(row)
+
+
+def lde_eval(X: InputTensor, point: Sequence[int]) -> int:
+    """P_X(point) = sum_{i in [k]^m} X_i * prod_t L_{i_t}(point_t), one basis-row dot."""
+    return sum(map(mul, basis_row(X.field, X.k, X.m, point), X.data)) % X.field.modulus
+
+
+def lde_eval_batch(field: PrimeField, k: int, m: int, tensors: Sequence[Sequence[int]],
+                   points: Iterable[Sequence[int]]) -> list[list[int]]:
+    """out[d][j] = P_{tensors[d]}(points[j]) for flat tensors of F^(k^m).
+
+    Streams the points: each point's basis row is built once, dotted with
+    every tensor and dropped, so at most one row is held at a time.
+    """
+    if any(len(data) != k ** m for data in tensors):
+        raise ValueError(f"every tensor needs {k ** m} cells")
+    out: list[list[int]] = [[] for _ in tensors]
+    for pt in points:
+        row = basis_row(field, k, m, pt)
+        for col, data in zip(out, tensors):
+            col.append(sum(map(mul, row, data)) % field.modulus)
+    return out

@@ -218,11 +218,13 @@ def _leaf_phase(session: Session, X: InputTensor, live: list[FoldState], r: int,
     """
     field, k, leaf_m = X.field, X.k, X.m - r
     msg = session.ask("fin/leaves", r, expect=[(k ** leaf_m, field.bits)] * len(live))
-    for st, sec in zip(live, msg.sections):
-        leaf = InputTensor(field, k, leaf_m, sec.values)
-        for pt, v in zip(st.points, st.values):
-            if lde_eval(leaf, pt) != v:
-                return Verdict(False, "leaf-pval")
+    leaves = [InputTensor(field, k, leaf_m, sec.values) for sec in msg.sections]
+    assert all(st.points == live[0].points for st in live), "live tuples share their points"
+    evals = lde_eval_batch(field, k, leaf_m, [leaf.data for leaf in leaves], live[0].points)
+    # tuple i's verdict is read only after tuples 0..i-1 made their spot checks
+    for st, leaf, got in zip(live, leaves, evals):
+        if got != list(st.values):
+            return Verdict(False, "leaf-pval")
         eps_r = eps
         for a in st.weights:
             eps_r = eps_r * Fraction(2 ** a) / shrink
@@ -654,7 +656,7 @@ class HonestFoldProver(ProverStrategy):
     def reply(self, tag: str, payload):
         fb = self.field.bits
         if tag == "claims/values":
-            return [(tuple(lde_eval_batch(self.X, payload)), fb)]
+            return [(tuple(lde_eval(self.X, pt) for pt in payload), fb)]
         if tag == "fold/matrix":
             if payload[0] == 0:
                 _s, points, _values = payload
@@ -667,19 +669,14 @@ class HonestFoldProver(ProverStrategy):
         raise ProtocolViolation(f"unexpected tag {tag}")
 
     def _matrices(self):
-        fb = self.field.bits
         j2, _cols = project_points(self.points)
-        sections = []
-        row_m = self.live_m - 1
-        for data in self.live:
-            step = len(data) // self.k
-            flat: list[int] = []
-            for i in range(self.k):
-                row = InputTensor(self.field, self.k, row_m, data[i * step:(i + 1) * step])
-                flat.extend(lde_eval(row, pt) for pt in j2)
-            sections.append((tuple(flat), fb))
+        k, step = self.k, self.k ** (self.live_m - 1)
+        rows = [data[i * step:(i + 1) * step] for data in self.live for i in range(k)]
+        evals = lde_eval_batch(self.field, k, self.live_m - 1, rows, j2)
         self.points = tuple(j2)  # children inherit the projected point set
-        return sections
+        # one section per live tensor: its k rows in order, each over every point
+        return [(tuple(v for row in evals[d * k:(d + 1) * k] for v in row), self.field.bits)
+                for d in range(len(self.live))]
 
 
 class RowTamperFoldProver(HonestFoldProver):

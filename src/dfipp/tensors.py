@@ -98,9 +98,9 @@ def enumerate_pval(inst: PvalInstance, budget: int = DEFAULT_ENUM_BUDGET,
     """Yield every member of PVAL(J, v) by scanning all of F^(k^m).
 
     The membership test per candidate is a dot product against precomputed
-    Lagrange coefficient rows (plain basis products, independent of the
-    barycentric fast path in lde_eval).  `reverse` flips the scan order so
-    results can be cross-checked against a second enumeration order.
+    basis rows, the same rows lde_eval uses; the independent check of both
+    is the Vandermonde oracle in tests/_oracles.py.  `reverse` flips the scan
+    order so results can be cross-checked against a second enumeration order.
     """
     _check_budget(inst.field, inst.k, inst.m, budget)
     p = inst.field.modulus

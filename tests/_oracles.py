@@ -1,8 +1,8 @@
 """Independent brute-force oracles used only by the test suite.
 
-These deliberately avoid the library's barycentric fast path: polynomial
-evaluation goes through coefficient vectors obtained by solving the
-Vandermonde system with plain Gaussian elimination mod p.
+These deliberately avoid the library's Lagrange basis rows (lagrange_basis,
+basis_row): polynomial evaluation goes through coefficient vectors obtained
+by solving the Vandermonde system with plain Gaussian elimination mod p.
 """
 
 import itertools

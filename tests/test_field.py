@@ -63,11 +63,11 @@ def test_lde_univariate_example():
 
 
 def test_lde_batch():
-    X = InputTensor(F7, 2, 1, (1, 4))
-    assert lde_eval_batch(X, []) == []
+    X = (1, 4)
+    assert lde_eval_batch(F7, 2, 1, [X], []) == [[]]
     grid = [(0,), (1,)]
-    assert lde_eval_batch(X, grid) == [1, 4]
-    assert lde_eval_batch(X, [(2,)]) == [0]
+    assert lde_eval_batch(F7, 2, 1, [X], grid) == [[1, 4]]
+    assert lde_eval_batch(F7, 2, 1, [X], [(2,)]) == [[0]]
 
 
 @pytest.mark.parametrize("k,m", [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2)])
@@ -78,6 +78,34 @@ def test_lde_matches_vandermonde_everywhere(k, m):
         X = InputTensor.random(F7, k, m, rng)
         for pt in product(range(7), repeat=m):
             assert lde_eval(X, pt) == vandermonde_lde_eval(X.data, k, m, pt, 7)
+
+
+@pytest.mark.parametrize("modulus,k,m", [(97, 3, 2), ((1 << 61) - 1, 2, 3)])
+def test_lde_matches_vandermonde_off_grid(modulus, k, m):
+    field = PrimeField(modulus)
+    rng = random.Random(modulus + 10 * k + m)
+    for _ in range(3):
+        X = InputTensor.random(field, k, m, rng)
+        for _ in range(4):
+            pt = tuple(rng.randrange(k, modulus) for _ in range(m))
+            assert lde_eval(X, pt) == vandermonde_lde_eval(X.data, k, m, pt, modulus)
+
+
+def test_lde_batch_matches_lde_eval_per_tensor():
+    field = PrimeField(97)
+    rng = random.Random(5)
+    tensors = [InputTensor.random(field, 3, 2, rng) for _ in range(4)]
+    datas = [X.data for X in tensors]
+    points = [field.rand_point(2, rng) for _ in range(6)] + [(0, 2)]
+    expected = [[lde_eval(X, pt) for pt in points] for X in tensors]
+    assert lde_eval_batch(field, 3, 2, datas, points) == expected
+    assert lde_eval_batch(field, 3, 2, datas[1:2], points) == expected[1:2]
+    assert lde_eval_batch(field, 3, 2, datas, []) == [[], [], [], []]
+    assert lde_eval_batch(field, 3, 2, [], points) == []
+    with pytest.raises(ValueError):
+        lde_eval_batch(field, 3, 2, [datas[0][:-1]], points)
+    with pytest.raises(ValueError):
+        lde_eval_batch(field, 3, 2, datas, [(1, 2, 3)])
 
 
 def test_lde_linearity():

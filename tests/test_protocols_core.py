@@ -353,6 +353,36 @@ def test_fin_ipp_random_lie_prover_rejected():
     assert rejects >= 40
 
 
+
+class SecondLeafCorrupter(HonestFoldProver):
+    """Honest except for one cell of the second fin/leaves section."""
+
+    def reply(self, tag, payload):
+        sections = super().reply(tag, payload)
+        if tag == "fin/leaves":
+            values, width = sections[1]
+            sections[1] = (((values[0] + 1) % self.field.modulus,) + values[1:], width)
+        return sections
+
+
+def test_fin_ipp_leaf_pval_verdicts_keep_tuple_order():
+    # the first tuple's spot checks run before the second tuple's bad leaf is
+    # rejected; ledger and notes are those of the per-tuple leaf loop
+    rng = random.Random(31)
+    X, inst = member_instance(F17, 2, 4, rng)
+    res = run_fin_ipp(X, inst, Pmf.uniform(16, shape=(2, 4)), Fraction(1, 2), Fraction(1), 1,
+                      SecondLeafCorrupter(X), 4)
+    assert res.verdict == Verdict(False, "leaf-pval")
+    assert (res.ledger.queries, res.ledger.samples) == (160, 40)
+    assert res.notes == [
+        "kappa = 8",
+        "precondition violated (reported, not enforced): |F| <= 1/eps",
+        "clamp: weight class a=1 target 16 clamped to 2 (k=2)",
+        "clamp: weight class a=2 target 32 clamped to 2 (k=2)",
+        "leaf weights=1 tau=2 nq=40 eps_r=1/4",
+    ]
+
+
 # --- df_ipp_nc --------------------------------------------------------------------
 
 def test_df_ipp_nc_perfect_completeness():
