@@ -109,17 +109,33 @@ def _entry(spec: dict, key: str, owner: str):
     return spec[key]
 
 
+def _ints(value, key: str) -> tuple[int, ...]:
+    """value as a tuple; a ValueError names the config key unless it is a list of integers."""
+    if not isinstance(value, list) or not all(
+            isinstance(v, int) and not isinstance(v, bool) for v in value):
+        raise ValueError(f"config key {key!r} must be a list of integers, not {value!r}")
+    return tuple(value)
+
+
+def _points(value, key: str) -> tuple[tuple[int, ...], ...]:
+    """value as a tuple of points; a ValueError names the config key unless it is a
+    list of integer lists."""
+    if not isinstance(value, list) or not all(isinstance(pt, list) for pt in value):
+        raise ValueError(f"config key {key!r} must be a list of integer lists, not {value!r}")
+    return tuple(_ints(pt, key) for pt in value)
+
+
 def _tensor_and_instance(config: dict, rng: random.Random):
     """Shared setup for the PVAL-based protocols: tensor + (J, v)."""
     field = PrimeField(config["field_modulus"])
     k, m = config["k"], config["m"]
     if "x" in config:
-        X = InputTensor(field, k, m, tuple(config["x"]))
+        X = InputTensor(field, k, m, _ints(config["x"], "x"))
     else:
         X = InputTensor.random(field, k, m, rng)
     if "points" in config:
-        points = tuple(tuple(pt) for pt in config["points"])
-        values = tuple(config["values"])
+        points = _points(config["points"], "points")
+        values = _ints(config["values"], "values")
     else:
         t = max(1, config.get("t", 2))
         points = tuple(field.rand_point(m, rng) for _ in range(t))
@@ -139,7 +155,7 @@ def _fold_prover(config: dict, X: InputTensor, rng: random.Random):
     if mode == "honest":
         return HonestFoldProver(X)
     if mode == "fixed-alternative":
-        alt = InputTensor(X.field, X.k, X.m, tuple(_entry(spec, "alt", "prover")))
+        alt = InputTensor(X.field, X.k, X.m, _ints(_entry(spec, "alt", "prover"), "prover.alt"))
         return HonestFoldProver(alt)
     if mode == "row-tamper":
         return RowTamperFoldProver(X, spec.get("row", 0), spec.get("col", 0),
@@ -174,7 +190,7 @@ def _ham_setup(config: dict, rng: random.Random, prover):
     """Input bits, distribution, eps and prover shared by ham and symmetric."""
     n = config["n"]
     eps = _frac(config["eps"])
-    x = tuple(config["x"]) if "x" in config else \
+    x = _ints(config["x"], "x") if "x" in config else \
         tuple(rng.getrandbits(1) for _ in range(n))
     D = _distribution(config, n)
     if prover is None:
@@ -183,7 +199,7 @@ def _ham_setup(config: dict, rng: random.Random, prover):
         if mode == "honest":
             prover = HonestHamProver(x)
         elif mode == "committed":
-            prover = HonestHamProver(tuple(_entry(spec, "alt", "prover")))
+            prover = HonestHamProver(_ints(_entry(spec, "alt", "prover"), "prover.alt"))
         elif mode == "bad-sum":
             prover = BadSumHamProver(x)
         else:
@@ -236,8 +252,8 @@ def _nc_setup(config: dict, rng: random.Random, prover):
         gen = ClaimGenerator("honest", t=claims_spec.get("t"))
     else:
         adv = PvalInstance(inst.field, inst.k, inst.m,
-                           tuple(tuple(pt) for pt in _entry(claims_spec, "points", "claims")),
-                           tuple(_entry(claims_spec, "values", "claims")))
+                           _points(_entry(claims_spec, "points", "claims"), "claims.points"),
+                           _ints(_entry(claims_spec, "values", "claims"), "claims.values"))
         gen = ClaimGenerator("adversarial", instance=adv)
     prover = prover or _fold_prover(config, X, rng)
     rho = _rho(D)
@@ -267,7 +283,7 @@ def _run_whitebox_product(config: dict, rng: random.Random, seed: int, prover):
     if mode not in ("honest", "fixed-alternative"):
         raise ValueError(f"unknown whitebox_product prover mode {mode!r}")
     committed = X if mode == "honest" else \
-        InputTensor(X.field, X.k, X.m, tuple(_entry(spec, "alt", "prover")))
+        InputTensor(X.field, X.k, X.m, _ints(_entry(spec, "alt", "prover"), "prover.alt"))
     prover = prover or WhiteboxFoldProver(committed, D.factors, circuit)
     result = run_whitebox_product_ipp(
         X, inst, eps, circuit, config["r"], prover, seed,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 from .field import (InputTensor, PrimeField, cell_coords, cell_index, lagrange_eval_univariate,
@@ -68,6 +69,9 @@ class FoldState:
     rowmaps[s] maps each row folded in round s to its source row, where
     source k is the appended all-zero row: tuple(range(k)) for a plain fold,
     a granular extension row map for an extended fold.
+
+    terms(k, m) is the state's fold-term table, built on first use and kept
+    outside the dataclass fields, so equality and hashing ignore it.
     """
 
     zs: tuple[tuple[int, ...], ...]
@@ -94,6 +98,26 @@ class FoldState:
             t *= len(s)
         return t
 
+    def terms(self, k: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(offsets, coefficients) of one folded coordinate over a k^m base tensor.
+
+        A folded coordinate is sum(c * X[leaf + o]) over the paired entries,
+        where leaf is the flat index of its leaf cell.  The table expands
+        level by level over rowmaps, last fold first, and keeps every support
+        index whose source is not the zero row, even when its sampled
+        coefficient is 0.  It is built once per (k, m) and cached.
+        """
+        cache = self.__dict__.setdefault("_terms", {})
+        table = cache.get((k, m))
+        if table is None:
+            terms = [(0, 1)]
+            for s in reversed(range(len(self.zs))):
+                z, rowmap, stride = self.zs[s], self.rowmaps[s], k ** (m - 1 - s)
+                steps = [(rowmap[i] * stride, z[i]) for i in self.supports[s] if rowmap[i] != k]
+                terms = [(off + d, c * zi) for off, c in terms for d, zi in steps]
+            table = cache[(k, m)] = (tuple(off for off, _ in terms), tuple(c for _, c in terms))
+        return table
+
 
 def project_points(points: Sequence[tuple[int, ...]]):
     """Distinct tail projections in first-occurrence order + column index per point."""
@@ -113,17 +137,13 @@ def folded_eval(oracles: OracleHandles, base: InputTensor, st: FoldState,
                 coords: tuple[int, ...]) -> int:
     """Evaluate one coordinate of z_s . (... (z_1 . X)) through the query oracle.
 
-    The (flat offset, coefficient) terms expand level by level over every
-    support index whose source is not the zero row, even when its sampled
-    coefficient is 0: exactly tau queries for plain folds, none for zero rows.
+    One charged read at the leaf cell's flat index plus the offsets of the
+    state's term table (FoldState.terms): exactly tau queries for plain
+    folds, none for support entries backed by the zero row.
     """
-    k = base.k
-    terms = [(cell_index(coords, k), 1)]
-    for s in reversed(range(len(st.zs))):
-        z, rowmap, stride = st.zs[s], st.rowmaps[s], k ** (base.m - 1 - s)
-        steps = [(rowmap[i] * stride, z[i]) for i in st.supports[s] if rowmap[i] != k]
-        terms = [(off + d, c * zi) for off, c in terms for d, zi in steps]
-    return sum(c * oracles.query(off) for off, c in terms) % base.field.modulus
+    offsets, coeffs = st.terms(base.k, base.m)
+    values = oracles.read(cell_index(coords, base.k), offsets)
+    return sum(map(mul, values, coeffs)) % base.field.modulus
 
 
 def fold_rows(z: Sequence[int], rows: Sequence[Sequence[int]], p: int) -> tuple[int, ...]:

@@ -34,9 +34,15 @@ class Section:
     def __post_init__(self):
         if self.width < 1:
             raise ValueError("width must be >= 1")
-        for v in self.values:
-            if not 0 <= v < (1 << self.width):
-                raise ProtocolViolation(f"value {v} does not fit in {self.width} bits")
+        values = self.values
+        try:
+            fits = not values or (min(values) >= 0 and max(values) < (1 << self.width))
+        except TypeError:  # values of mixed types: the loop below raises per value
+            fits = False
+        if not fits:  # name the first value that does not fit
+            for v in values:
+                if not 0 <= v < (1 << self.width):
+                    raise ProtocolViolation(f"value {v} does not fit in {self.width} bits")
 
     @property
     def bits(self) -> int:
@@ -129,6 +135,12 @@ class OracleHandles:
         self.ledger.queries += 1
         return self.values[i]
 
+    def read(self, base: int, offsets: Sequence[int]) -> list[int]:
+        """X_{base + o} for each offset o, in order; one query charged per offset."""
+        self.ledger.queries += len(offsets)
+        values = self.values
+        return [values[base + o] for o in offsets]
+
     def sample(self) -> tuple[int, int]:
         if self.dist is None:
             raise ProtocolViolation("no sample oracle bound (white-box session?)")
@@ -168,10 +180,15 @@ class Session:
         self.notes.append(text)
 
     def _record(self, sender: str, tag: str, sections) -> Message:
-        msg = Message(sender, tag, tuple(Section(tuple(v), w) for v, w in sections))
+        built, bits = [], 0
+        for v, w in sections:
+            section = Section(tuple(v), w)
+            built.append(section)
+            bits += len(section.values) * w
+        msg = Message(sender, tag, tuple(built))
         self.transcript.append(msg)
         self.ledger.messages += 1
-        self.ledger.comm_bits += msg.bits
+        self.ledger.comm_bits += bits
         return msg
 
     def tell(self, tag: str, sections) -> Message:

@@ -66,3 +66,22 @@ def exhaustive_hybrid_distance(x, candidates, d1_masses, d2_masses):
         if best is None or d < best:
             best = d
     return best
+
+
+def materialised_fold_value(data, k, m, zs, rowmaps, coords, p):
+    """One coordinate of z_r . (... (z_1 . X)) read off the fully folded tensor.
+
+    Each level views the current tensor as k rows, appends the all-zero row
+    as source k, folds row j of the result as sum_i z[i] * row[rowmaps[s][i]]
+    over every cell, and the leaf cell is then read directly: no term list.
+    """
+    cur = list(data)
+    for z, rowmap in zip(zs, rowmaps):
+        step = len(cur) // k
+        rows = [cur[i * step:(i + 1) * step] for i in range(k)] + [[0] * step]
+        cur = [sum(zi * rows[src][j] for zi, src in zip(z, rowmap)) % p for j in range(step)]
+    assert len(cur) == k ** (m - len(zs))
+    idx = 0
+    for c in coords:
+        idx = idx * k + c
+    return cur[idx]

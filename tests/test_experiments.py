@@ -317,11 +317,18 @@ def _drop(config, key):
     ({"protocol": "poly_fold", "trials": 1, "seed": 1, "field_modulus": 17, "k": 2, "m": 2,
       "points": [[1, 2]]}, None, "'values'"),
     ({**FIN, "prover": {"mode": "fixed-alternative"}}, None, "'alt'"),
+    ({**FIN, "prover": {"mode": "fixed-alternative", "alt": 5}}, None, "'prover.alt'"),
+    ({"protocol": "poly_fold", "trials": 1, "seed": 1, "field_modulus": 17, "k": 2, "m": 2,
+      "points": [1], "values": [1]}, None, "'points'"),
+    ({"protocol": "df_ipp_nc", "trials": 1, "seed": 1, "field_modulus": 17, "k": 2, "m": 3,
+      "eps": "1/2", "claims": {"mode": "adversarial", "points": [[1, 2, 3]], "values": 3}},
+     None, "'claims.values'"),
 ], ids=["fin_ipp-bogus-mode", "whitebox-row-tamper", "unknown-lemma", "fin_ipp-str-k",
         "fin_ipp-no-eps", "ham-no-eps", "fin_ipp-str-prover", "ham-eps-0", "ham-eps-1/0",
         "trials-true", "fin_ipp-bogus-dist_mode", "echo-prover", "rlcc-prover",
         "set_lower_bound-prover", "df_ipp_nc-claims-list", "poly_fold-points-no-values",
-        "fin_ipp-alternative-no-alt"])
+        "fin_ipp-alternative-no-alt", "fin_ipp-int-alt", "poly_fold-int-points",
+        "df_ipp_nc-int-claim-values"])
 def test_cli_bad_input_is_a_usage_error(config, argv, message, tmp_path, capsys):
     if config is not None:
         path = tmp_path / "c.json"

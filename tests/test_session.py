@@ -1,8 +1,9 @@
 import math
+import random
 
 import pytest
 
-from dfipp.session import (ACCEPT, OracleHandles, ProtocolViolation, ProverStrategy,
+from dfipp.session import (ACCEPT, CostLedger, OracleHandles, ProtocolViolation, ProverStrategy,
                            ReplayProver, Section, Verdict, amplify, dump_transcript,
                            load_transcript, run_session)
 from dfipp.distributions import Pmf
@@ -112,6 +113,24 @@ def test_section_width_validation():
     sec = Section((1, 0, 1), 1)
     assert sec.bits == 3
     assert Section.from_hex(sec.to_hex(), 3, 1) == sec
+
+
+def test_section_names_the_first_value_that_does_not_fit():
+    with pytest.raises(ProtocolViolation, match=r"^value 8 does not fit in 3 bits$"):
+        Section((0, 7, 3, 8, 9), 3)
+    with pytest.raises(ProtocolViolation, match=r"^value -1 does not fit in 2 bits$"):
+        Section((0, 3, 1, -1, 4), 2)
+
+
+def test_oracle_read_charges_one_query_per_offset():
+    values = tuple(range(100, 120))
+    oracles = OracleHandles(values)
+    ledger = CostLedger()
+    oracles.bind(ledger, random.Random(0))
+    assert oracles.read(4, (0, 9, 3, 3, 15)) == [104, 113, 107, 107, 119]
+    assert ledger.queries == 5
+    assert oracles.read(19, ()) == []
+    assert ledger.queries == 5
 
 
 def test_section_hex_round_trip_wide():
