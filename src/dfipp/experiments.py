@@ -14,7 +14,8 @@ import json
 import math
 import random
 from fractions import Fraction
-from typing import Optional
+from dataclasses import replace
+from typing import NamedTuple, Optional
 
 from .field import InputTensor, PrimeField, lde_eval
 from .tensors import INF, PvalInstance, dist, pval_min_distance
@@ -51,78 +52,119 @@ def _setup_rng(seed: int) -> random.Random:
 
 # --- protocol configs ---------------------------------------------------------
 
-_COMMON_KEYS = {"repetitions", "rule"}
+# Every config is checked against its protocol's specs before any builder runs,
+# so builders read trusted values.  A spec is a type (float: any JSON number; an
+# int is never a bool), a range of ints, a frozenset of strings, a predicate,
+# [spec] for a list, (required, optional) key -> spec dicts for an object, or Modes.
 
-# JSON type of every config key that is not an integer; Fraction marks a
-# positive rational given as an int, a float or a "p/q" string; claims is an
-# NC claim-generator object or a set_lower_bound mass list
-_KEY_TYPES = {"protocol": str, "out": str, "rule": str, "dist_mode": str, "profile": str,
-              "prover": dict, "distribution": dict, "claims": (dict, list), "x": list,
-              "points": list, "values": list, "corruptions": list, "inflate": bool,
-              "eps": Fraction, "tau": Fraction, "delta": Fraction}
+class Modes(NamedTuple):
+    """A tagged object: value[tag] (or default, unless that is None) names a variant,
+    (required specs, optional specs, build(object, *builder args))."""
+    tag: str
+    default: Optional[str]
+    variants: dict
+
+    def build(self, spec: dict, *args):
+        return self.variants[spec.get(self.tag, self.default)][2](spec, *args)
 
 
-def _has_type(value, want) -> bool:
-    if isinstance(value, bool):  # JSON true/false are not numbers
-        return want is bool
-    if want is not Fraction:
-        return isinstance(value, want)
+POSITIVE = range(1, 1 << 63)
+
+
+def _rational(value) -> Fraction:
+    """value as a Fraction when it is an int, a float or a "p/q" string, else -1."""
     try:
-        return isinstance(value, (int, float, str)) and _frac(value) > 0
+        return _frac(value) if type(value) in (int, float, str) else Fraction(-1)
     except (ValueError, ZeroDivisionError):
-        return False
+        return Fraction(-1)
+
+
+def _positive(value) -> bool:
+    return _rational(value) > 0
+
+
+def _mass(value) -> bool:
+    return _rational(value) >= 0
+
+
+def _error(key: Optional[str], problem: str) -> ValueError:
+    return ValueError(("config " if key is None else f"config key {key!r} ") + problem)
+
+
+def _check(value, spec, key: Optional[str]) -> None:
+    """Raise ValueError naming the dotted config path `key` unless value meets spec."""
+    if isinstance(spec, Modes) and type(value) is dict:
+        variant = value.get(spec.tag, spec.default)
+        if type(variant) is not str or variant not in spec.variants:
+            raise _error(key, f"is missing {spec.tag!r}" if variant is None else
+                         f"has an unknown {spec.tag} {variant!r}")
+        required, optional, _ = spec.variants[variant]
+        return _check(value, (required, {spec.tag: str, **optional}), key)
+    if isinstance(spec, tuple) and type(value) is dict:
+        required, optional = spec
+        for name in required:
+            if name not in value:
+                raise _error(key, f"is missing {name!r}")
+        for name in sorted(value):
+            item = required.get(name) or optional.get(name)
+            if item is None:
+                unknown = sorted(value.keys() - required.keys() - optional.keys())
+                raise _error(key, f"has unknown keys: {unknown}")
+            _check(value[name], item, name if key is None else f"{key}.{name}")
+        return
+    if isinstance(spec, list) and type(value) is list and spec[0] is not int:
+        for item in value:
+            _check(item, spec[0], key)
+        return
+    if isinstance(spec, list):  # a flat int list, in one pass
+        ok = type(value) is list and set(map(type, value)) <= {int}
+    elif isinstance(spec, type):
+        ok = type(value) is spec or spec is float and type(value) is int
+    elif isinstance(spec, (range, frozenset)):  # "x" in a range would scan it
+        ok = type(value) is (int if isinstance(spec, range) else str) and value in spec
+    else:
+        ok = not isinstance(spec, tuple) and spec(value)
+    if not ok:
+        raise _error(key, f"has a bad type or value: {value!r}")
 
 
 def validate_config(config: dict) -> None:
-    """Raise ValueError naming the first missing, unknown or ill-typed config key."""
-    required = {"protocol", "trials", "seed"}
-    missing = required - config.keys()
-    if missing:
-        raise ValueError(f"config missing keys: {sorted(missing)}")
-    protocol = config["protocol"]
-    if not isinstance(protocol, str) or protocol not in _PROTOCOLS:
-        raise ValueError(f"unknown protocol {protocol!r}")
-    needs, accepts, _build = _PROTOCOLS[protocol]
-    missing = needs - config.keys()
-    if missing:
-        raise ValueError(f"{protocol} config missing keys: {sorted(missing)}")
-    unknown = config.keys() - required - {"out"} - _COMMON_KEYS - needs - accepts
-    if unknown:
-        raise ValueError(f"config has unknown keys: {sorted(unknown)}")
-    for key in sorted(config):
-        if not _has_type(config[key], _KEY_TYPES.get(key, int)):
-            raise ValueError(f"config key {key!r} has a bad type or value: {config[key]!r}")
-    if config["trials"] < 1:
-        raise ValueError("trials must be a positive integer")
-    if config.get("repetitions", 1) < 1:
-        raise ValueError("repetitions must be a positive integer")
-    if config.get("rule", "all-accept") not in ("all-accept", "majority"):
-        raise ValueError("rule must be all-accept or majority")
+    """Raise ValueError naming the first bad config key by its dotted path."""
+    _check(config, _CONFIG, None)
     if ("points" in config) != ("values" in config):
         raise ValueError("config keys 'points' and 'values' must be given together")
 
 
-def _entry(spec: dict, key: str, owner: str):
-    """spec[key] of the nested config object `owner`; a ValueError names a missing key."""
-    if key not in spec:
-        raise ValueError(f"config key {owner!r} is missing {key!r}")
-    return spec[key]
-
-
-def _ints(value, key: str) -> tuple[int, ...]:
-    """value as a tuple; a ValueError names the config key unless it is a list of integers."""
-    if not isinstance(value, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in value):
-        raise ValueError(f"config key {key!r} must be a list of integers, not {value!r}")
-    return tuple(value)
-
-
-def _points(value, key: str) -> tuple[tuple[int, ...], ...]:
-    """value as a tuple of points; a ValueError names the config key unless it is a
-    list of integer lists."""
-    if not isinstance(value, list) or not all(isinstance(pt, list) for pt in value):
-        raise ValueError(f"config key {key!r} must be a list of integer lists, not {value!r}")
-    return tuple(_ints(pt, key) for pt in value)
+_ALT = {"alt": [int]}
+_FOLD_PROVERS = Modes("mode", "honest", {
+    "honest": ({}, {}, lambda s, X, rng: HonestFoldProver(X)),
+    "fixed-alternative": (_ALT, {}, lambda s, X, rng: HonestFoldProver(
+        replace(X, data=tuple(s["alt"])))),
+    "row-tamper": ({}, {"row": int, "col": int, "delta": int}, lambda s, X, rng:
+                   RowTamperFoldProver(X, s.get("row", 0), s.get("col", 0), s.get("delta", 1))),
+    "random-lie": ({}, {"prob": float}, lambda s, X, rng: RandomLieFoldProver(
+        X, float(s.get("prob", 0.1)), random.Random(rng.getrandbits(63)))),
+})
+_HAM_PROVERS = Modes("mode", "honest", {
+    "honest": ({}, {}, lambda s, x: HonestHamProver(x)),
+    "committed": (_ALT, {}, lambda s, x: HonestHamProver(tuple(s["alt"]))),
+    "bad-sum": ({}, {}, lambda s, x: BadSumHamProver(x)),
+})
+_WHITEBOX_COMMITS = Modes("mode", "honest", {
+    "honest": ({}, {}, lambda s, X: X),
+    "fixed-alternative": (_ALT, {}, lambda s, X: replace(X, data=tuple(s["alt"]))),
+})
+_NC_CLAIMS = Modes("mode", "honest", {
+    "honest": ({}, {"t": int}, lambda s, inst: ClaimGenerator("honest", t=s.get("t"))),
+    "adversarial": ({"points": [[int]], "values": [int]}, {}, lambda s, inst: ClaimGenerator(
+        "adversarial", instance=replace(inst, points=tuple(map(tuple, s["points"])),
+                                        values=tuple(s["values"])))),
+})
+_DISTRIBUTION = Modes("kind", None, {
+    "explicit": ({"masses": [_mass]}, {"shape": [int]}, distribution_from_json),
+    "product": ({"factors": [[_mass]]}, {}, distribution_from_json),
+    "circuit": ({"inputs": int, "gates": [list], "outputs": [int]}, {}, distribution_from_json),
+})
 
 
 def _tensor_and_instance(config: dict, rng: random.Random):
@@ -130,12 +172,12 @@ def _tensor_and_instance(config: dict, rng: random.Random):
     field = PrimeField(config["field_modulus"])
     k, m = config["k"], config["m"]
     if "x" in config:
-        X = InputTensor(field, k, m, _ints(config["x"], "x"))
+        X = InputTensor(field, k, m, tuple(config["x"]))
     else:
         X = InputTensor.random(field, k, m, rng)
     if "points" in config:
-        points = _points(config["points"], "points")
-        values = _ints(config["values"], "values")
+        points = tuple(map(tuple, config["points"]))
+        values = tuple(config["values"])
     else:
         t = max(1, config.get("t", 2))
         points = tuple(field.rand_point(m, rng) for _ in range(t))
@@ -145,25 +187,8 @@ def _tensor_and_instance(config: dict, rng: random.Random):
 
 def _distribution(config: dict, n: int, shape=None):
     if "distribution" in config:
-        return distribution_from_json(config["distribution"])
+        return _DISTRIBUTION.build(config["distribution"])
     return Pmf.uniform(n, shape=shape)
-
-
-def _fold_prover(config: dict, X: InputTensor, rng: random.Random):
-    spec = config.get("prover", {"mode": "honest"})
-    mode = spec.get("mode", "honest")
-    if mode == "honest":
-        return HonestFoldProver(X)
-    if mode == "fixed-alternative":
-        alt = InputTensor(X.field, X.k, X.m, _ints(_entry(spec, "alt", "prover"), "prover.alt"))
-        return HonestFoldProver(alt)
-    if mode == "row-tamper":
-        return RowTamperFoldProver(X, spec.get("row", 0), spec.get("col", 0),
-                                   spec.get("delta", 1))
-    if mode == "random-lie":
-        return RandomLieFoldProver(X, float(spec.get("prob", 0.1)),
-                                   random.Random(rng.getrandbits(63)))
-    raise ValueError(f"unknown prover mode {mode!r}")
 
 
 def _fold_meta(X: InputTensor, inst: PvalInstance, **fields) -> dict:
@@ -190,20 +215,10 @@ def _ham_setup(config: dict, rng: random.Random, prover):
     """Input bits, distribution, eps and prover shared by ham and symmetric."""
     n = config["n"]
     eps = _frac(config["eps"])
-    x = _ints(config["x"], "x") if "x" in config else \
-        tuple(rng.getrandbits(1) for _ in range(n))
+    x = tuple(config["x"]) if "x" in config else tuple(rng.getrandbits(1) for _ in range(n))
     D = _distribution(config, n)
     if prover is None:
-        spec = config.get("prover", {"mode": "honest"})
-        mode = spec.get("mode", "honest")
-        if mode == "honest":
-            prover = HonestHamProver(x)
-        elif mode == "committed":
-            prover = HonestHamProver(_ints(_entry(spec, "alt", "prover"), "prover.alt"))
-        elif mode == "bad-sum":
-            prover = BadSumHamProver(x)
-        else:
-            raise ValueError(f"unknown prover mode {mode!r}")
+        prover = _HAM_PROVERS.build(config.get("prover", {}), x)
     return x, D, eps, prover, {"n": n, "eps": str(eps)}
 
 
@@ -223,7 +238,7 @@ def _run_symmetric(config: dict, rng: random.Random, seed: int, prover):
 def _run_poly_fold(config: dict, rng: random.Random, seed: int, prover):
     X, inst = _tensor_and_instance(config, rng)
     kappa = config.get("kappa", fold_kappa(1, inst.k))
-    prover = prover or _fold_prover(config, X, rng)
+    prover = prover or _FOLD_PROVERS.build(config.get("prover", {}), X, rng)
     result, _outputs = run_poly_fold(X, inst, kappa, prover, seed)
     return result, _fold_meta(X, inst)
 
@@ -233,7 +248,7 @@ def _run_fin_ipp(config: dict, rng: random.Random, seed: int, prover):
     eps = _frac(config["eps"])
     D = _distribution(config, X.n, shape=(inst.k, inst.m))
     rho = _rho(D)
-    prover = prover or _fold_prover(config, X, rng)
+    prover = prover or _FOLD_PROVERS.build(config.get("prover", {}), X, rng)
     result = run_fin_ipp(X, inst, D, eps, rho, config["r"], prover, seed,
                          dist_mode=config.get("dist_mode", "oracle"),
                          kappa_override=config.get("kappa_override"))
@@ -245,17 +260,8 @@ def _nc_setup(config: dict, rng: random.Random, prover):
     X, inst = _tensor_and_instance(config, rng)
     eps = _frac(config["eps"])
     D = _distribution(config, X.n, shape=(inst.k, inst.m))
-    claims_spec = config.get("claims", {"mode": "honest"})
-    if not isinstance(claims_spec, dict):
-        raise ValueError(f"config key 'claims' must be an object here, not {claims_spec!r}")
-    if claims_spec.get("mode", "honest") == "honest":
-        gen = ClaimGenerator("honest", t=claims_spec.get("t"))
-    else:
-        adv = PvalInstance(inst.field, inst.k, inst.m,
-                           _points(_entry(claims_spec, "points", "claims"), "claims.points"),
-                           _ints(_entry(claims_spec, "values", "claims"), "claims.values"))
-        gen = ClaimGenerator("adversarial", instance=adv)
-    prover = prover or _fold_prover(config, X, rng)
+    gen = _NC_CLAIMS.build(config.get("claims", {}), inst)
+    prover = prover or _FOLD_PROVERS.build(config.get("prover", {}), X, rng)
     rho = _rho(D)
     meta = _fold_meta(X, inst, r=config.get("r", 1), eps=str(eps), rho=str(rho))
     return X, D, eps, gen, prover, rho, meta
@@ -278,12 +284,7 @@ def _run_whitebox_product(config: dict, rng: random.Random, seed: int, prover):
                                      config.get("profile", "uniform"), rng=rng)
     X, inst = _tensor_and_instance(config, rng)
     eps = _frac(config["eps"])
-    spec = config.get("prover", {"mode": "honest"})
-    mode = spec.get("mode", "honest")
-    if mode not in ("honest", "fixed-alternative"):
-        raise ValueError(f"unknown whitebox_product prover mode {mode!r}")
-    committed = X if mode == "honest" else \
-        InputTensor(X.field, X.k, X.m, _ints(_entry(spec, "alt", "prover"), "prover.alt"))
+    committed = _WHITEBOX_COMMITS.build(config.get("prover", {}), X)
     prover = prover or WhiteboxFoldProver(committed, D.factors, circuit)
     result = run_whitebox_product_ipp(
         X, inst, eps, circuit, config["r"], prover, seed,
@@ -322,33 +323,42 @@ def _run_set_lower_bound(config: dict, rng: random.Random, seed: int, prover):
     return result, {"n": n_sym}
 
 
-# protocol name -> (the config keys it requires, the ones it also accepts, its
-# builder); a builder takes (config, setup rng, trial seed, prover or None) and
-# returns (RunResult, report row fields)
-_FIELD_TENSOR = {"field_modulus", "k", "m"}
+# protocol name -> (required key specs, optional key specs, builder); a builder
+# takes (config, setup rng, trial seed, prover or None) and returns (RunResult,
+# report row fields)
+_TENSOR = {"field_modulus": int, "k": int, "m": int}
+_CLAIMED = {"x": [int], "points": [[int]], "values": [int]}
+_HAM = {"x": [int], "distribution": _DISTRIBUTION, "c": int, "prover": _HAM_PROVERS}
+_NC = {"r": int, "kappa_override": int, "x": [int], "distribution": _DISTRIBUTION,
+       "claims": _NC_CLAIMS, "prover": _FOLD_PROVERS}
 _PROTOCOLS = {
-    "echo": (set(), {"bits"}, _run_echo),
-    "ham": ({"n", "eps"}, {"w", "x", "distribution", "c", "prover"}, _run_ham),
-    "symmetric": ({"n", "eps"}, {"x", "distribution", "c", "predicate", "prover"},
-                  _run_symmetric),
-    "poly_fold": (_FIELD_TENSOR, {"kappa", "x", "points", "values", "t", "prover"},
+    "echo": ({}, {"bits": int}, _run_echo),
+    "ham": ({"n": int, "eps": _positive}, {**_HAM, "w": int}, _run_ham),
+    "symmetric": ({"n": int, "eps": _positive}, {**_HAM, "predicate": int}, _run_symmetric),
+    "poly_fold": (_TENSOR, {**_CLAIMED, "kappa": int, "t": int, "prover": _FOLD_PROVERS},
                   _run_poly_fold),
-    "fin_ipp": (_FIELD_TENSOR | {"r", "eps"}, {"kappa_override", "x", "points", "values",
-                                              "t", "distribution", "dist_mode", "prover"},
+    "fin_ipp": ({**_TENSOR, "r": int, "eps": _positive},
+                {**_CLAIMED, "kappa_override": int, "t": int, "distribution": _DISTRIBUTION,
+                 "dist_mode": frozenset({"oracle", "uniform"}), "prover": _FOLD_PROVERS},
                 _run_fin_ipp),
-    "df_ipp_nc": (_FIELD_TENSOR | {"eps"}, {"r", "kappa_override", "x", "distribution",
-                                            "claims", "prover"}, _run_df_ipp_nc),
-    "dispersed_ipp_nc": (_FIELD_TENSOR | {"eps"}, {"r", "kappa_override", "x",
-                                                   "distribution", "claims", "prover"},
-                         _run_dispersed_ipp_nc),
-    "whitebox_product": (_FIELD_TENSOR | {"r", "eps"}, {"kappa_override", "profile", "x",
-                                                       "points", "values", "tau",
-                                                       "bucket_bits", "prover"},
+    "df_ipp_nc": ({**_TENSOR, "eps": _positive}, _NC, _run_df_ipp_nc),
+    "dispersed_ipp_nc": ({**_TENSOR, "eps": _positive}, _NC, _run_dispersed_ipp_nc),
+    "whitebox_product": ({**_TENSOR, "r": int, "eps": _positive},
+                         {**_CLAIMED, "kappa_override": int, "tau": _positive,
+                          "profile": frozenset({"uniform", "row-concentrated", "dyadic-random"}),
+                          "bucket_bits": int, "prover": _WHITEBOX_COMMITS},
                          _run_whitebox_product),
-    "rlcc": ({"bits", "eps"}, {"message", "corruptions", "distribution"}, _run_rlcc),
-    "set_lower_bound": ({"ell"}, {"claims", "tau", "delta", "bucket_bits", "inflate"},
+    "rlcc": ({"bits": int, "eps": _positive},
+             {"message": int, "corruptions": [int], "distribution": _DISTRIBUTION}, _run_rlcc),
+    "set_lower_bound": ({"ell": int}, {"claims": [_mass], "tau": _positive, "delta": _positive,
+                                       "bucket_bits": int, "inflate": bool},
                         _run_set_lower_bound),
 }
+# a config: the keys of every run, then those of its protocol
+_CONFIG = Modes("protocol", None, {name: (
+    {"trials": POSITIVE, "seed": int, **required},
+    {"out": str, "repetitions": POSITIVE, "rule": frozenset({"all-accept", "majority"}),
+     **optional}, build) for name, (required, optional, build) in _PROTOCOLS.items()})
 
 
 def run_protocol(config: dict, seed: int, prover_override=None):
