@@ -107,6 +107,10 @@ class ProductDistribution:
     def n(self) -> int:
         return self.k ** self.m
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.k, self.m
+
     def mass(self, i) -> Fraction:
         coords = i if isinstance(i, tuple) else cell_coords(i, self.k, self.m)
         out = Fraction(1)
@@ -137,17 +141,27 @@ class SamplingCircuit:
     outputs: tuple[int, ...]
 
     def __post_init__(self):
-        for g, gate in enumerate(self.gates):
-            op = gate[0]
-            if op not in ("AND", "XOR", "NOT"):
-                raise ValueError(f"unknown gate {op}")
-            wire = self.n_inputs + g
-            if any(src >= wire for src in gate[1:]):
+        wires = self.n_inputs
+        if wires < 0:
+            raise ValueError("a circuit needs n_inputs >= 0")
+        for gate in self.gates:
+            op = gate[0] if gate else None
+            if op not in ("AND", "XOR", "NOT") or len(gate) != (2 if op == "NOT" else 3):
+                raise ValueError(f"unknown gate {gate}")
+            if any(type(src) is not int or not 0 <= src < wires for src in gate[1:]):
                 raise ValueError("gate inputs must reference earlier wires")
+            wires += 1
+        if any(type(w) is not int or not 0 <= w < wires for w in self.outputs):
+            raise ValueError("outputs must reference wires")
 
     @property
     def n_outputs(self) -> int:
         return len(self.outputs)
+
+    @property
+    def n(self) -> int:
+        """The number of output indices, 2^n_outputs."""
+        return 1 << len(self.outputs)
 
     def eval(self, x: int) -> int:
         wires = [(x >> j) & 1 for j in range(self.n_inputs)]

@@ -65,6 +65,7 @@ class Modes(NamedTuple):
     variants: dict
 
     def build(self, spec: dict, *args):
+        """The variant that the checked object `spec` names, built from args."""
         return self.variants[spec.get(self.tag, self.default)][2](spec, *args)
 
 
@@ -85,6 +86,13 @@ def _positive(value) -> bool:
 
 def _mass(value) -> bool:
     return _rational(value) >= 0
+
+
+def _sized(values: list, n: int, key: str) -> tuple:
+    """values as a tuple; a ValueError names the config key unless there are n of them."""
+    if len(values) != n:
+        raise ValueError(f"config key {key!r} must have {n} entries, not {len(values)}")
+    return tuple(values)
 
 
 def _error(key: Optional[str], problem: str) -> ValueError:
@@ -147,21 +155,32 @@ _FOLD_PROVERS = Modes("mode", "honest", {
 })
 _HAM_PROVERS = Modes("mode", "honest", {
     "honest": ({}, {}, lambda s, x: HonestHamProver(x)),
-    "committed": (_ALT, {}, lambda s, x: HonestHamProver(tuple(s["alt"]))),
+    "committed": (_ALT, {}, lambda s, x: HonestHamProver(
+        _sized(s["alt"], len(x), "prover.alt"))),
     "bad-sum": ({}, {}, lambda s, x: BadSumHamProver(x)),
 })
 _WHITEBOX_COMMITS = Modes("mode", "honest", {
     "honest": ({}, {}, lambda s, X: X),
     "fixed-alternative": (_ALT, {}, lambda s, X: replace(X, data=tuple(s["alt"]))),
 })
+
+
+def _adversarial_claims(spec: dict, inst: PvalInstance) -> ClaimGenerator:
+    """The fixed claims (J, v) of spec; a ValueError names the key unless every
+    coordinate and value is a field element."""
+    p = inst.field.modulus
+    if not all(0 <= v < p for v in [*spec["values"], *(c for pt in spec["points"] for c in pt)]):
+        raise ValueError(f"config key 'claims' must hold field elements in [0, {p})")
+    return ClaimGenerator("adversarial", instance=replace(
+        inst, points=tuple(map(tuple, spec["points"])), values=tuple(spec["values"])))
+
+
 _NC_CLAIMS = Modes("mode", "honest", {
-    "honest": ({}, {"t": int}, lambda s, inst: ClaimGenerator("honest", t=s.get("t"))),
-    "adversarial": ({"points": [[int]], "values": [int]}, {}, lambda s, inst: ClaimGenerator(
-        "adversarial", instance=replace(inst, points=tuple(map(tuple, s["points"])),
-                                        values=tuple(s["values"])))),
+    "honest": ({}, {"t": POSITIVE}, lambda s, inst: ClaimGenerator("honest", t=s.get("t"))),
+    "adversarial": ({"points": [[int]], "values": [int]}, {}, _adversarial_claims),
 })
 _DISTRIBUTION = Modes("kind", None, {
-    "explicit": ({"masses": [_mass]}, {"shape": [int]}, distribution_from_json),
+    "explicit": ({"masses": [_mass]}, {"shape": [POSITIVE]}, distribution_from_json),
     "product": ({"factors": [[_mass]]}, {}, distribution_from_json),
     "circuit": ({"inputs": int, "gates": [list], "outputs": [int]}, {}, distribution_from_json),
 })
@@ -179,16 +198,30 @@ def _tensor_and_instance(config: dict, rng: random.Random):
         points = tuple(map(tuple, config["points"]))
         values = tuple(config["values"])
     else:
-        t = max(1, config.get("t", 2))
-        points = tuple(field.rand_point(m, rng) for _ in range(t))
+        points = tuple(field.rand_point(m, rng) for _ in range(config.get("t", 2)))
         values = tuple(lde_eval(X, pt) for pt in points)
     return X, PvalInstance(field, k, m, points, values)
 
 
 def _distribution(config: dict, n: int, shape=None):
-    if "distribution" in config:
-        return _DISTRIBUTION.build(config["distribution"])
-    return Pmf.uniform(n, shape=shape)
+    """The config's distribution, else the uniform one; a ValueError names the key
+    unless it has n cells, and the protocol's shape where both give one."""
+    if "distribution" not in config:
+        return Pmf.uniform(n, shape=shape)
+    D = _DISTRIBUTION.build(config["distribution"])
+    if D.n != n or None not in (shape, getattr(D, "shape", None)) and D.shape != shape:
+        raise ValueError(f"config key 'distribution' must have {n} cells"
+                         + (f" in shape {list(shape)}" if shape else ""))
+    return D
+
+
+def _bucket_bits(config: dict, ell: int) -> Optional[int]:
+    """config's bucket_bits; a ValueError names the key unless the hash it sets fits
+    the max(ell, 1)-bit slots the set lower bound sends it in."""
+    b = config.get("bucket_bits")
+    if b is not None and not 0 <= b <= max(ell, 1):
+        raise ValueError(f"config key 'bucket_bits' must be in [0, {max(ell, 1)}]")
+    return b
 
 
 def _fold_meta(X: InputTensor, inst: PvalInstance, **fields) -> dict:
@@ -215,7 +248,8 @@ def _ham_setup(config: dict, rng: random.Random, prover):
     """Input bits, distribution, eps and prover shared by ham and symmetric."""
     n = config["n"]
     eps = _frac(config["eps"])
-    x = tuple(config["x"]) if "x" in config else tuple(rng.getrandbits(1) for _ in range(n))
+    x = _sized(config["x"], n, "x") if "x" in config else \
+        tuple(rng.getrandbits(1) for _ in range(n))
     D = _distribution(config, n)
     if prover is None:
         prover = _HAM_PROVERS.build(config.get("prover", {}), x)
@@ -290,7 +324,7 @@ def _run_whitebox_product(config: dict, rng: random.Random, seed: int, prover):
         X, inst, eps, circuit, config["r"], prover, seed,
         tau=_frac(config.get("tau", "1/1000")),
         kappa_override=config.get("kappa_override"),
-        bucket_bits=config.get("bucket_bits"))
+        bucket_bits=_bucket_bits(config, circuit.n_inputs))
     return result, _fold_meta(X, inst, r=config["r"], eps=str(eps),
                               rho=str(_rho(D.joint_pmf())))
 
@@ -301,6 +335,8 @@ def _run_rlcc(config: dict, rng: random.Random, seed: int, prover):
     eps = _frac(config["eps"])
     x = list(hadamard_codeword(config.get("message", 5 % n), bits))
     for i in config.get("corruptions", []):
+        if not 0 <= i < n:
+            raise ValueError(f"config key 'corruptions' must index the {n} codeword bits")
         x[i] ^= 1
     D = _distribution(config, n)
     result = run_rlcc_transform(tuple(x), D, blr_linearity_ipp(eps, bits),
@@ -312,47 +348,50 @@ def _run_set_lower_bound(config: dict, rng: random.Random, seed: int, prover):
     ell = config["ell"]
     circuit = SamplingCircuit.identity(ell)
     n_sym = 1 << ell
-    probs = [Fraction(c) for c in config.get("claims", [str(Fraction(1, n_sym))] * n_sym)]
+    claims = config.get("claims", [Fraction(1, n_sym)] * n_sym)
+    probs = [Fraction(c) for c in _sized(claims, n_sym, "claims")]
     if config.get("inflate"):
         probs[0] = min(Fraction(1), probs[0] * 2)
     claim = MarginalClaim(tuple(probs), _frac(config.get("tau", "1/1000")),
                           _frac(config.get("delta", "1/20")))
     prover = prover or HonestSlbProver(circuit, lambda y: y)
     result = run_set_lower_bound(circuit, claim, prover, seed,
-                                 bucket_bits=config.get("bucket_bits"))
+                                 bucket_bits=_bucket_bits(config, ell))
     return result, {"n": n_sym}
 
 
 # protocol name -> (required key specs, optional key specs, builder); a builder
 # takes (config, setup rng, trial seed, prover or None) and returns (RunResult,
 # report row fields)
-_TENSOR = {"field_modulus": int, "k": int, "m": int}
+_TENSOR = {"field_modulus": int, "k": POSITIVE, "m": POSITIVE}
 _CLAIMED = {"x": [int], "points": [[int]], "values": [int]}
-_HAM = {"x": [int], "distribution": _DISTRIBUTION, "c": int, "prover": _HAM_PROVERS}
-_NC = {"r": int, "kappa_override": int, "x": [int], "distribution": _DISTRIBUTION,
+_HAM = {"x": [int], "distribution": _DISTRIBUTION, "c": POSITIVE, "prover": _HAM_PROVERS}
+_NC = {"r": POSITIVE, "kappa_override": POSITIVE, "x": [int], "distribution": _DISTRIBUTION,
        "claims": _NC_CLAIMS, "prover": _FOLD_PROVERS}
 _PROTOCOLS = {
-    "echo": ({}, {"bits": int}, _run_echo),
-    "ham": ({"n": int, "eps": _positive}, {**_HAM, "w": int}, _run_ham),
-    "symmetric": ({"n": int, "eps": _positive}, {**_HAM, "predicate": int}, _run_symmetric),
-    "poly_fold": (_TENSOR, {**_CLAIMED, "kappa": int, "t": int, "prover": _FOLD_PROVERS},
-                  _run_poly_fold),
-    "fin_ipp": ({**_TENSOR, "r": int, "eps": _positive},
-                {**_CLAIMED, "kappa_override": int, "t": int, "distribution": _DISTRIBUTION,
-                 "dist_mode": frozenset({"oracle", "uniform"}), "prover": _FOLD_PROVERS},
+    "echo": ({}, {"bits": POSITIVE}, _run_echo),
+    "ham": ({"n": POSITIVE, "eps": _positive}, {**_HAM, "w": int}, _run_ham),
+    "symmetric": ({"n": POSITIVE, "eps": _positive}, {**_HAM, "predicate": POSITIVE},
+                  _run_symmetric),
+    "poly_fold": (_TENSOR, {**_CLAIMED, "kappa": POSITIVE, "t": POSITIVE,
+                            "prover": _FOLD_PROVERS}, _run_poly_fold),
+    "fin_ipp": ({**_TENSOR, "r": POSITIVE, "eps": _positive},
+                {**_CLAIMED, "kappa_override": POSITIVE, "t": POSITIVE,
+                 "distribution": _DISTRIBUTION, "dist_mode": frozenset({"oracle", "uniform"}),
+                 "prover": _FOLD_PROVERS},
                 _run_fin_ipp),
     "df_ipp_nc": ({**_TENSOR, "eps": _positive}, _NC, _run_df_ipp_nc),
     "dispersed_ipp_nc": ({**_TENSOR, "eps": _positive}, _NC, _run_dispersed_ipp_nc),
-    "whitebox_product": ({**_TENSOR, "r": int, "eps": _positive},
-                         {**_CLAIMED, "kappa_override": int, "tau": _positive,
+    "whitebox_product": ({**_TENSOR, "r": POSITIVE, "eps": _positive},
+                         {**_CLAIMED, "kappa_override": POSITIVE, "tau": _positive,
                           "profile": frozenset({"uniform", "row-concentrated", "dyadic-random"}),
                           "bucket_bits": int, "prover": _WHITEBOX_COMMITS},
                          _run_whitebox_product),
-    "rlcc": ({"bits": int, "eps": _positive},
+    "rlcc": ({"bits": POSITIVE, "eps": _positive},
              {"message": int, "corruptions": [int], "distribution": _DISTRIBUTION}, _run_rlcc),
-    "set_lower_bound": ({"ell": int}, {"claims": [_mass], "tau": _positive, "delta": _positive,
-                                       "bucket_bits": int, "inflate": bool},
-                        _run_set_lower_bound),
+    "set_lower_bound": ({"ell": POSITIVE},
+                        {"claims": [_mass], "tau": _positive, "delta": _positive,
+                         "bucket_bits": int, "inflate": bool}, _run_set_lower_bound),
 }
 # a config: the keys of every run, then those of its protocol
 _CONFIG = Modes("protocol", None, {name: (

@@ -181,11 +181,12 @@ def run_extended_poly_fold(X: InputTensor, inst: PvalInstance, B,
 
 def whitebox_verifier(session: Session, X: InputTensor, inst: PvalInstance,
                       eps: Fraction, circuit: SamplingCircuit, r: int,
-                      tau: Fraction, delta: Fraction,
+                      tau: Fraction, delta: Optional[Fraction],
                       kappa_override: Optional[int],
                       bucket_bits: Optional[int]) -> Verdict:
     field, k, m = inst.field, inst.k, inst.m
     kappa = _round_kappa(session, r, k, m, kappa_override, wb_fold_kappa)
+    delta = delta if delta is not None else Fraction(1, 20 * r)
 
     live = [FoldState.root(inst)]
     for rnd in range(r):
@@ -230,7 +231,6 @@ def run_whitebox_product_ipp(X: InputTensor, inst: PvalInstance, eps: Fraction,
     No sample oracle is bound: every distribution access goes through the
     sampling circuit, so the ledger's sample count stays 0.
     """
-    delta = delta if delta is not None else Fraction(1, 20 * r)
     return _run(lambda s: whitebox_verifier(s, X, inst, eps, circuit, r, tau, delta,
                                             kappa_override, bucket_bits),
                 prover, OracleHandles(X.data), seed)

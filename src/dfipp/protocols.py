@@ -43,6 +43,8 @@ def fold_kappa(r: int, k: int) -> int:
 
 def _class_exponent(k: int, kappa: int) -> int:
     """ceil(log2(k/kappa)), or 0 when kappa >= k: the least e with kappa * 2^e >= k."""
+    if kappa <= 0:
+        raise ValueError(f"kappa must be positive, not {kappa}")
     e = 0
     while (kappa << e) < k:
         e += 1

@@ -133,6 +133,20 @@ def test_circuit_pmf_examples():
     assert circuit_pmf(C2).masses == (Fraction(3, 4), Fraction(1, 4))
 
 
+@pytest.mark.parametrize("n_inputs,gates,outputs", [
+    (-1, (), ()),                       # no input count below zero
+    (2, ((),), (0,)),                   # a gate needs an op
+    (2, (("AND", 0),), (0,)),           # AND takes two wires
+    (2, (("NOT", -1),), (0,)),          # no wire below 0
+    (2, (("XOR", 0, 2),), (0,)),        # nor one not yet defined
+    (2, (("AND", 0, 1),), (3,)),        # an output is a defined wire
+    (2, (), (-1,)),
+])
+def test_circuit_rejects_malformed_wiring(n_inputs, gates, outputs):
+    with pytest.raises(ValueError):
+        SamplingCircuit(n_inputs, gates, outputs)
+
+
 def test_circuit_json_round_trip():
     C = SamplingCircuit(2, (("AND", 0, 1), ("XOR", 0, 2)), (3, 1))
     back = distribution_from_json(distribution_to_json(C))

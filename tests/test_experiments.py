@@ -323,12 +323,38 @@ def _drop(config, key):
     ({"protocol": "df_ipp_nc", "trials": 1, "seed": 1, "field_modulus": 17, "k": 2, "m": 3,
       "eps": "1/2", "claims": {"mode": "adversarial", "points": [[1, 2, 3]], "values": 3}},
      None, "'claims.values'"),
+    ({"protocol": "set_lower_bound", "trials": 1, "seed": 1, "ell": 2,
+      "claims": [[1], "1/4", "1/4", "1/4"]}, None, "'claims'"),
+    ({**HAM, "distribution": {}}, None, "'distribution'"),
+    ({"protocol": "df_ipp_nc", "trials": 1, "seed": 1, "field_modulus": 17, "k": 2, "m": 3,
+      "eps": "1/2", "claims": {"mode": "bogus"}}, None, "'bogus'"),
+    ({**FIN, "prover": {"mode": "honest", "bogus": 1}}, None, "'bogus'"),
+    ({**FIN, "kappa_override": 0}, None, "'kappa_override'"),
+    ({**HAM, "x": [1, 0]}, None, "'x'"),
+    ({**HAM, "prover": {"mode": "committed", "alt": [1]}}, None, "'prover.alt'"),
+    ({**HAM, "n": 4, "distribution": {"kind": "explicit", "masses": ["1/2", "1/2"]}}, None,
+     "'distribution'"),
+    ({"protocol": "dispersed_ipp_nc", "trials": 1, "seed": 1, "field_modulus": 17, "k": 2,
+      "m": 2, "eps": "1/2", "distribution": {"kind": "explicit", "shape": [2, 3],
+                                            "masses": ["1/8"] * 8}}, None, "'distribution'"),
+    ({"protocol": "rlcc", "trials": 1, "seed": 1, "bits": 3, "eps": "1/8",
+      "corruptions": [99]}, None, "'corruptions'"),
+    ({"protocol": "rlcc", "trials": 1, "seed": 1, "bits": 3, "eps": "1/8",
+      "corruptions": [-1]}, None, "'corruptions'"),
+    ({"protocol": "set_lower_bound", "trials": 1, "seed": 1, "ell": 2, "claims": ["1/4"]},
+     None, "'claims'"),
+    ({"protocol": "set_lower_bound", "trials": 1, "seed": 1, "ell": 2, "bucket_bits": 3},
+     None, "'bucket_bits'"),
 ], ids=["fin_ipp-bogus-mode", "whitebox-row-tamper", "unknown-lemma", "fin_ipp-str-k",
         "fin_ipp-no-eps", "ham-no-eps", "fin_ipp-str-prover", "ham-eps-0", "ham-eps-1/0",
         "trials-true", "fin_ipp-bogus-dist_mode", "echo-prover", "rlcc-prover",
         "set_lower_bound-prover", "df_ipp_nc-claims-list", "poly_fold-points-no-values",
         "fin_ipp-alternative-no-alt", "fin_ipp-int-alt", "poly_fold-int-points",
-        "df_ipp_nc-int-claim-values"])
+        "df_ipp_nc-int-claim-values", "set_lower_bound-nested-claim", "empty-distribution",
+        "df_ipp_nc-bogus-claims-mode", "fin_ipp-unknown-prover-key", "fin_ipp-kappa_override-0",
+        "ham-short-x", "ham-short-alt", "ham-too-few-cells", "dispersed_ipp_nc-shape-mismatch",
+        "rlcc-corruption-too-high", "rlcc-corruption-negative", "set_lower_bound-short-claims",
+        "set_lower_bound-wide-bucket"])
 def test_cli_bad_input_is_a_usage_error(config, argv, message, tmp_path, capsys):
     if config is not None:
         path = tmp_path / "c.json"

@@ -254,6 +254,16 @@ def test_weight_classes_formula_and_clamps():
     assert weight_classes(2, 8) == [(1, 2), (2, 2)]
 
 
+def test_nonpositive_kappa_is_a_value_error():
+    # kappa <= 0 never reaches kappa * 2^e >= k; it must raise, not loop
+    with pytest.raises(ValueError):
+        weight_classes(4, 0)
+    X, inst = member_instance(F17, 2, 3, random.Random(4))
+    for kappa in (0, -1):
+        with pytest.raises(ValueError):
+            run_poly_fold(X, inst, kappa=kappa, prover=HonestFoldProver(X), seed=0)
+
+
 def test_bounded_locality_exact():
     rng = random.Random(6)
     X, inst = member_instance(F17, 4, 2, rng)

@@ -210,6 +210,15 @@ def test_whitebox_honest_completeness_both_configs():
             assert res.verdict.accepted
 
 
+def test_whitebox_round_count_is_checked_first():
+    # r = 0 is the same ValueError as fin_ipp's, not a ZeroDivisionError from delta
+    D, circuit = gen_product_fixture(2, 3, "uniform")
+    X, inst = member_instance(F17, 2, 3, random.Random(5))
+    prover = WhiteboxFoldProver(X, D.factors, circuit)
+    with pytest.raises(ValueError, match="1 <= r <= m-1"):
+        run_whitebox_product_ipp(X, inst, Fraction(1, 2), circuit, 0, prover, 0)
+
+
 def test_whitebox_zero_sample_calls_and_message_count():
     rng = random.Random(5)
     D, circuit = gen_product_fixture(2, 4, "uniform")
