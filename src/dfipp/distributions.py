@@ -12,14 +12,40 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .field import cell_coords, cell_index
 from .tensors import BudgetExceeded
 
 _TABLE_BITS = 64
 _TABLE_ONE = 1 << _TABLE_BITS
+# per bit b: byte v -> ASCII "1" if bit b of v is set, else "0"
+_BIT_CHARS = tuple(bytes(0x31 if v >> b & 1 else 0x30 for v in range(256)) for b in range(8))
+# per bit b: ASCII "0" -> byte 0, "1" -> byte 2^b
+_CHAR_BITS = tuple(bytes.maketrans(b"01", bytes((0, 1 << b))) for b in range(8))
+
+
+def _bit_planes(xs: Sequence[int], ell: int) -> list[int]:
+    """Plane j, for j < ell, is the int whose bit i is bit j of xs[i]."""
+    width = (ell + 7) // 8
+    mask = (1 << ell) - 1
+    raw = b"".join([(x & mask).to_bytes(width, "little") for x in xs])
+    # one byte per x, as "0"/"1" text with xs[-1] first
+    return [int(raw[j >> 3::width].translate(_BIT_CHARS[j & 7])[::-1], 2) for j in range(ell)]
+
+
+def _from_bit_planes(planes: Sequence[int], n: int) -> list[int]:
+    """The inverse of _bit_planes over n values: value i is sum_j (bit i of planes[j]) << j."""
+    out = [0] * n
+    for g in range(0, len(planes), 8):
+        acc = 0
+        for b, plane in enumerate(planes[g:g + 8]):
+            acc |= int.from_bytes(format(plane, f"0{n}b").encode().translate(_CHAR_BITS[b]), "big")
+        group = acc.to_bytes(n, "little")  # byte i holds value i's bits g..g+7
+        out = list(group) if g == 0 else [v | byte << g for v, byte in zip(out, group)]
+    return out
 
 
 class Pmf:
@@ -164,18 +190,58 @@ class SamplingCircuit:
         return 1 << len(self.outputs)
 
     def eval(self, x: int) -> int:
-        wires = [(x >> j) & 1 for j in range(self.n_inputs)]
-        for gate in self.gates:
-            if gate[0] == "AND":
-                wires.append(wires[gate[1]] & wires[gate[2]])
-            elif gate[0] == "XOR":
-                wires.append(wires[gate[1]] ^ wires[gate[2]])
+        return self.eval_many((x,))[0]
+
+    def eval_many(self, xs: Iterable[int]) -> list[int]:
+        """[self.eval(x) for x in xs], running each gate once over all of xs.
+
+        Bitsliced: bit i of a register is one wire's value on xs[i], so AND
+        and XOR are one big-int operation each, and NOT is XOR with the
+        all-ones mask.  Only the low n_inputs bits of each x count.
+        """
+        xs = xs if isinstance(xs, (list, tuple, range)) else list(xs)
+        if not xs:
+            return []
+        n_regs, steps, out_regs = self._schedule
+        regs = _bit_planes(xs, self.n_inputs) + [(1 << len(xs)) - 1]
+        regs += [0] * (n_regs - len(regs))
+        for is_and, dst, a, b in steps:
+            regs[dst] = regs[a] & regs[b] if is_and else regs[a] ^ regs[b]
+        return _from_bit_planes([regs[r] for r in out_regs], len(xs))
+
+    @cached_property
+    def _schedule(self) -> tuple[int, tuple[tuple[bool, int, int, int], ...], tuple[int, ...]]:
+        """(register count, steps, output registers) of eval_many.
+
+        Registers 0..n_inputs-1 start as the input planes and register
+        n_inputs holds the all-ones mask.  Gates that no output depends on
+        are dropped.  Step (is_and, dst, a, b) sets dst to a & b or a ^ b;
+        a wire's register is reused once the wire has been read for the last
+        time, so a call holds only the live wires.  Built once per circuit;
+        not a field, so == and hash are unchanged.
+        """
+        ell, gates = self.n_inputs, self.gates
+        live = set(self.outputs)
+        for w in reversed(range(ell, ell + len(gates))):
+            if w in live:
+                live.update(gates[w - ell][1:])
+        kept = [w for w in range(ell, ell + len(gates)) if w in live]
+        last_read = {src: w for w in kept for src in gates[w - ell][1:]}
+        last_read.update(dict.fromkeys(self.outputs, -1))  # outputs are never freed
+        reg = {w: w for w in range(ell)}
+        free: list[int] = []
+        n_regs = ell + 1
+        steps = []
+        for w in kept:
+            op, *srcs = gates[w - ell]
+            a, b = reg[srcs[0]], reg[srcs[1]] if op != "NOT" else ell
+            free.extend(reg[src] for src in set(srcs) if last_read[src] == w)
+            if free:
+                reg[w] = free.pop()
             else:
-                wires.append(1 - wires[gate[1]])
-        out = 0
-        for j, w in enumerate(self.outputs):
-            out |= wires[w] << j
-        return out
+                reg[w], n_regs = n_regs, n_regs + 1
+            steps.append((op == "AND", reg[w], a, b))
+        return n_regs, tuple(steps), tuple(reg[w] for w in self.outputs)
 
     def sample(self, rng) -> int:
         return self.eval(rng.getrandbits(self.n_inputs))
@@ -229,10 +295,9 @@ def circuit_pmf(C: SamplingCircuit, budget: int = 20) -> Pmf:
     if C.n_inputs > budget:
         raise BudgetExceeded(
             f"circuit arity {C.n_inputs} exceeds exhaustive budget {budget}")
-    n = 2 ** C.n_outputs
-    counts = [0] * n
-    for x in range(2 ** C.n_inputs):
-        counts[C.eval(x)] += 1
+    counts = [0] * C.n
+    for y in C.eval_many(range(2 ** C.n_inputs)):
+        counts[y] += 1
     total = 2 ** C.n_inputs
     return Pmf([Fraction(c, total) for c in counts])
 

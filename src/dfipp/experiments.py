@@ -182,7 +182,9 @@ _NC_CLAIMS = Modes("mode", "honest", {
 _DISTRIBUTION = Modes("kind", None, {
     "explicit": ({"masses": [_mass]}, {"shape": [POSITIVE]}, distribution_from_json),
     "product": ({"factors": [[_mass]]}, {}, distribution_from_json),
-    "circuit": ({"inputs": int, "gates": [list], "outputs": [int]}, {}, distribution_from_json),
+    # at most the exhaustive budget of 20 inputs that circuit_pmf and HonestSlbProver enumerate
+    "circuit": ({"inputs": range(0, 21), "gates": [list], "outputs": [int]}, {},
+                distribution_from_json),
 })
 
 

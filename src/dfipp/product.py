@@ -50,11 +50,9 @@ class MarginalClaim:
 def _bucket_bits(N: Fraction, ell: int, tau: Fraction, delta_sym: Fraction) -> int:
     """Largest b with 2^b <= delta*tau^2*N^2 / (4*2^ell); one Chebyshev round
     then meets both error bounds.  0 means exact counting."""
-    cap = delta_sym * tau * tau * N * N / (4 * (1 << ell))
-    b = 0
-    while (1 << (b + 1)) <= cap:
-        b += 1
-    return b if cap >= 1 else 0
+    cap_floor = (delta_sym.numerator * tau.numerator ** 2 * N.numerator ** 2) // (
+        delta_sym.denominator * tau.denominator ** 2 * N.denominator ** 2 * 4 << ell)
+    return max(0, cap_floor.bit_length() - 1)
 
 
 def _hash_zero(rows: Sequence[int], c: int, x: int) -> bool:
@@ -99,6 +97,9 @@ def slb_verify(session: Session, circuit: SamplingCircuit, claim: MarginalClaim,
                       [(i, b, rows, c) for (i, N, b, rows, c) in hashes])
     if len(msg.sections) != len(active):
         raise ProtocolViolation("one witness list per active symbol required")
+    # every in-range witness of every section, evaluated in one pass
+    inputs = sorted({x for sec in msg.sections for x in sec.values if x < (1 << ell)})
+    out = dict(zip(inputs, circuit.eval_many(inputs)))
     for (i, N, b, rows, c), sec in zip(hashes, msg.sections):
         witnesses = sec.values
         if sec.width != max(ell, 1) or len(witnesses) > (1 << ell):
@@ -106,7 +107,7 @@ def slb_verify(session: Session, circuit: SamplingCircuit, claim: MarginalClaim,
         seen = set()
         for x in witnesses:
             if x in seen or x >= (1 << ell) or not _hash_zero(rows, c, x) \
-                    or symbol_of(circuit.eval(x)) != i:
+                    or symbol_of(out[x]) != i:
                 return Verdict(False, "witness")
             seen.add(x)
         if Fraction(len(witnesses) * (1 << b)) < (1 - claim.tau / 2) * N:
@@ -129,8 +130,8 @@ class HonestSlbProver(ProverStrategy):
             raise BudgetExceeded("honest prover enumeration over budget")
         self.ell = circuit.n_inputs
         self._preimages: dict[int, list[int]] = {}
-        for x in range(1 << self.ell):
-            self._preimages.setdefault(symbol_of(circuit.eval(x)), []).append(x)
+        for x, y in enumerate(circuit.eval_many(range(1 << self.ell))):
+            self._preimages.setdefault(symbol_of(y), []).append(x)
 
     def reply(self, tag, payload):
         if tag != "slb/witness":
@@ -213,8 +214,9 @@ def whitebox_verifier(session: Session, X: InputTensor, inst: PvalInstance,
     # truncated-product draws via the sampling device: a full index from C,
     # first r coordinates dropped -- the suffix of a product is the product
     # of the remaining factors
-    def draw():
-        return cell_coords(circuit.eval(session.rng.getrandbits(circuit.n_inputs)), k, m)[r:]
+    def draw(nq):
+        xs = [session.rng.getrandbits(circuit.n_inputs) for _ in range(nq)]
+        return [cell_coords(y, k, m)[r:] for y in circuit.eval_many(xs)]
 
     return _leaf_phase(session, X, live, r, eps, Fraction(16), draw)
 

@@ -230,12 +230,13 @@ def poly_fold(session: Session, inst: PvalInstance, kappa: int):
 
 
 def _leaf_phase(session: Session, X: InputTensor, live: list[FoldState], r: int,
-                eps: Fraction, shrink: Fraction, draw: Callable[[], tuple[int, ...]]) -> Verdict:
+                eps: Fraction, shrink: Fraction,
+                draw: Callable[[int], list[tuple[int, ...]]]) -> Verdict:
     """Leaf PVAL checks, then uniform and distribution spot checks per live tuple.
 
     Each weight class a on a tuple's path scales eps_r by 2^a / shrink, and
-    the tuple gets nq = ceil(10 / eps_r) spot checks per batch.  draw()
-    returns the last m - r coordinates of one distribution-batch cell; both
+    the tuple gets nq = ceil(10 / eps_r) spot checks per batch.  draw(nq)
+    returns the last m - r coordinates of nq distribution-batch cells; both
     batches are drawn before either is checked.
     """
     field, k, leaf_m = X.field, X.k, X.m - r
@@ -254,7 +255,7 @@ def _leaf_phase(session: Session, X: InputTensor, live: list[FoldState], r: int,
         session.note(f"leaf weights={'.'.join(map(str, st.weights))} "
                      f"tau={st.tau} nq={nq} eps_r={eps_r}")
         uniform = [tuple(session.rng.randrange(k) for _ in range(leaf_m)) for _ in range(nq)]
-        drawn = [draw() for _ in range(nq)]
+        drawn = draw(nq)
         for coords in uniform + drawn:
             if leaf.cell(coords) != folded_eval(session.oracles, X, st, coords):
                 return Verdict(False, "leaf-sample")
@@ -463,11 +464,11 @@ def _fin_core(session: Session, X: InputTensor, inst: PvalInstance, eps: Fractio
             return verdict
 
     if dist_mode == "oracle":
-        def draw():
-            return cell_coords(session.oracles.sample()[0], k, m)[r:]
+        def draw(nq):
+            return [cell_coords(session.oracles.sample()[0], k, m)[r:] for _ in range(nq)]
     else:
-        def draw():
-            return tuple(session.rng.randrange(k) for _ in range(m - r))
+        def draw(nq):
+            return [tuple(session.rng.randrange(k) for _ in range(m - r)) for _ in range(nq)]
     return _leaf_phase(session, X, live, r, eps, 4 * rho, draw)
 
 

@@ -85,3 +85,28 @@ def materialised_fold_value(data, k, m, zs, rowmaps, coords, p):
     for c in coords:
         idx = idx * k + c
     return cur[idx]
+
+
+def circuit_eval(circuit, x):
+    """A sampling circuit's output index on input x, one gate at a time."""
+    wires = [(x >> j) & 1 for j in range(circuit.n_inputs)]
+    for gate in circuit.gates:
+        if gate[0] == "AND":
+            wires.append(wires[gate[1]] & wires[gate[2]])
+        elif gate[0] == "XOR":
+            wires.append(wires[gate[1]] ^ wires[gate[2]])
+        else:
+            wires.append(1 - wires[gate[1]])
+    out = 0
+    for j, w in enumerate(circuit.outputs):
+        out |= wires[w] << j
+    return out
+
+
+def bucket_bits_loop(N, ell, tau, delta_sym):
+    """Largest b with 2^b <= delta*tau^2*N^2 / (4*2^ell), by exact Fraction search."""
+    cap = delta_sym * tau * tau * N * N / (4 * (1 << ell))
+    b = 0
+    while (1 << (b + 1)) <= cap:
+        b += 1
+    return b if cap >= 1 else 0

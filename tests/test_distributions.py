@@ -1,13 +1,17 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from _oracles import circuit_eval
 from dfipp.distributions import (GranularitySet, Pmf, ProductDistribution, SamplingCircuit,
                                  circuit_pmf, dispersion_rho, distribution_from_json,
                                  distribution_to_json, extension_row_map, granularise,
                                  make_uniform_oracle, marginal_first, tv_distance)
+from dfipp.experiments import _setup_rng
+from dfipp.product import gen_product_fixture
 
 
 def test_pmf_validation():
@@ -207,3 +211,79 @@ def test_sample_dispatch():
     assert Pmf.point_mass(1, 3).sample(rng) == 1
     prod = ProductDistribution([Pmf.point_mass(1, 2), Pmf.point_mass(0, 2)])
     assert prod.sample(rng) == 2  # cell (1, 0) -> flat 1*2+0
+
+
+# --- bitsliced circuit evaluation ---------------------------------------------------
+
+def _random_table_circuit(n_inputs, n_outputs, rng):
+    table = [rng.getrandbits(n_outputs) for _ in range(1 << n_inputs)]
+    return SamplingCircuit.from_table(n_inputs, table, n_outputs)
+
+
+@pytest.mark.parametrize("n_outputs", [0, 1, 4, 9, 12])
+@pytest.mark.parametrize("n_inputs", range(1, 8))
+def test_eval_many_matches_gate_loop_on_random_tables(n_inputs, n_outputs):
+    rng = random.Random(n_inputs * 100 + n_outputs)
+    C = _random_table_circuit(n_inputs, n_outputs, rng)
+    xs = list(range(1 << n_inputs))
+    rng.shuffle(xs)
+    assert C.eval_many(xs) == [circuit_eval(C, x) for x in xs]
+
+
+@pytest.mark.parametrize("n_bits", [0, 1, 3, 8, 9, 17])
+def test_eval_many_on_identity(n_bits):
+    C = SamplingCircuit.identity(n_bits)
+    xs = [random.Random(n_bits).getrandbits(n_bits) for _ in range(300)]
+    assert C.eval_many(xs) == xs == [circuit_eval(C, x) for x in xs]
+
+
+@pytest.mark.parametrize("config_seed", [1, 2, 6, 9, 57])
+def test_eval_many_on_dyadic_product_fixtures(config_seed):
+    _, C = gen_product_fixture(2, 4, "dyadic-random", rng=_setup_rng(config_seed))
+    xs = range(1 << C.n_inputs)
+    assert C.eval_many(xs) == [circuit_eval(C, x) for x in xs]
+
+
+def test_eval_many_edge_inputs():
+    rng = random.Random(3)
+    C = _random_table_circuit(5, 9, rng)
+    assert C.eval_many([]) == [] == C.eval_many(iter(()))
+    xs = [7, 7, 0, 7, 31, 0]  # repeats
+    assert C.eval_many(xs) == [circuit_eval(C, x) for x in xs]
+    # only the low n_inputs bits count, as in eval (negatives in two's complement)
+    wide = [32 + 5, (1 << 70) | 3, -1, -6, -(1 << 40)]
+    assert C.eval_many(wide) == [circuit_eval(C, x) for x in wide]
+    assert C.eval_many(iter(wide)) == C.eval_many(tuple(wide))
+    assert [C.eval(x) for x in wide] == C.eval_many(wide)
+
+
+def test_eval_many_keeps_equality_and_hash():
+    C = SamplingCircuit(2, (("AND", 0, 1), ("XOR", 0, 2)), (3, 1))
+    D = SamplingCircuit(2, (("AND", 0, 1), ("XOR", 0, 2)), (3, 1))
+    C.eval_many(range(4))  # builds C's cached schedule, but not D's
+    assert C == D and hash(C) == hash(D)
+
+
+def test_circuit_pmf_matches_gate_loop_counts():
+    rng = random.Random(11)
+    for C in [_random_table_circuit(6, 3, rng), SamplingCircuit.identity(4),
+              gen_product_fixture(2, 4, "dyadic-random", rng=_setup_rng(9))[1]]:
+        counts = [0] * C.n
+        for x in range(1 << C.n_inputs):
+            counts[circuit_eval(C, x)] += 1
+        expected = [Fraction(c, 1 << C.n_inputs) for c in counts]
+        assert list(circuit_pmf(C).masses) == expected
+
+
+def test_eval_many_frees_dead_wires():
+    # about 50k gates; holding every wire over 4096 inputs would peak near 26 MB
+    C = _random_table_circuit(12, 4, random.Random(12))
+    C.eval_many(range(2))  # builds the cached gate schedule outside the measurement
+    tracemalloc.start()
+    try:
+        out = C.eval_many(range(4096))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out[:64] == [circuit_eval(C, x) for x in range(64)]
+    assert peak < 8 * 2 ** 20

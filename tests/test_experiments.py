@@ -345,6 +345,10 @@ def _drop(config, key):
      None, "'claims'"),
     ({"protocol": "set_lower_bound", "trials": 1, "seed": 1, "ell": 2, "bucket_bits": 3},
      None, "'bucket_bits'"),
+    ({"protocol": "symmetric", "trials": 1, "seed": 1, "n": 4, "eps": "1/4", "x": [1, 0, 1, 0],
+      "c": 1, "predicate": 2, "prover": {"mode": "bad-sum"},
+      "distribution": {"kind": "circuit", "inputs": 2 ** 70, "gates": [["XOR", 0, 1], ["NOT", 2]],
+                       "outputs": [3, 0]}}, None, "'distribution.inputs'"),
 ], ids=["fin_ipp-bogus-mode", "whitebox-row-tamper", "unknown-lemma", "fin_ipp-str-k",
         "fin_ipp-no-eps", "ham-no-eps", "fin_ipp-str-prover", "ham-eps-0", "ham-eps-1/0",
         "trials-true", "fin_ipp-bogus-dist_mode", "echo-prover", "rlcc-prover",
@@ -354,7 +358,7 @@ def _drop(config, key):
         "df_ipp_nc-bogus-claims-mode", "fin_ipp-unknown-prover-key", "fin_ipp-kappa_override-0",
         "ham-short-x", "ham-short-alt", "ham-too-few-cells", "dispersed_ipp_nc-shape-mismatch",
         "rlcc-corruption-too-high", "rlcc-corruption-negative", "set_lower_bound-short-claims",
-        "set_lower_bound-wide-bucket"])
+        "set_lower_bound-wide-bucket", "symmetric-huge-circuit-inputs"])
 def test_cli_bad_input_is_a_usage_error(config, argv, message, tmp_path, capsys):
     if config is not None:
         path = tmp_path / "c.json"

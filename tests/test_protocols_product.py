@@ -5,18 +5,19 @@ from fractions import Fraction
 
 import pytest
 
+from _oracles import bucket_bits_loop
 from dfipp.field import InputTensor, PrimeField, lde_eval
 from dfipp.tensors import INF, PvalInstance, dist_to_pval_bruteforce, pval_member
 from dfipp.distributions import (Pmf, SamplingCircuit, circuit_pmf, dispersion_rho,
                                  extension_row_map, granularise)
-from dfipp.session import CostLedger, OracleHandles, Verdict
+from dfipp.session import CostLedger, OracleHandles, ProverStrategy, Verdict
 from dfipp.protocols import HonestFoldProver, check_distance_preservation, folded_eval
 from dfipp.product import (ExtensionEchoProver, FixedStringProver, HonestSlbProver,
                            MarginalClaim, WhiteboxFoldProver, aborting_learner,
                            check_product_dpl, exact_learner, explicit_set_uniform_ipp,
                            extension_member, gen_product_fixture, run_extended_poly_fold,
                            run_learnable_ipp, run_set_lower_bound,
-                           run_whitebox_product_ipp, wb_fold_kappa)
+                           run_whitebox_product_ipp, wb_fold_kappa, _bucket_bits)
 
 F5 = PrimeField(5)
 F17 = PrimeField(17)
@@ -128,6 +129,66 @@ def test_affine_hash_family_pairwise_independent():
                 hy = (bin(A & y).count("1") & 1) ^ c
                 table[(hx, hy)] += 1
         assert set(table.values()) == {2}  # 8 pairs / 4 outcomes
+
+
+class ScriptedSlbProver(ProverStrategy):
+    """Answers slb/witness with fixed sections, whatever the hash."""
+
+    def __init__(self, sections):
+        self.sections = sections
+
+    def reply(self, tag, payload):
+        return self.sections
+
+
+@pytest.mark.parametrize("ell,sections,reason", [
+    # a wrong symbol in section 0 is found before section 1's bad width
+    (2, [((1,), 2), ((1,), 3), ((2,), 2), ((3,), 2)], "witness"),
+    # with ell = 0 a 1-bit section can hold 1, past the one input 0
+    (0, [((1,), 1)], "witness"),
+    (2, [((0, 0), 2), ((1,), 2), ((2,), 2), ((3,), 2)], "witness"),
+    # section 0 fails its lower bound before section 1's witnesses are read
+    (2, [((), 2), ((0,), 2), ((2,), 2), ((3,), 2)], "lower-bound"),
+])
+def test_slb_verdict_order_on_hostile_witnesses(ell, sections, reason):
+    circuit = SamplingCircuit.identity(ell)
+    res = run_set_lower_bound(circuit, identity_claim(ell), ScriptedSlbProver(sections), 0)
+    assert res.verdict == Verdict(False, reason)
+
+
+def test_slb_scripted_honest_sections_accept():
+    sections = [((i,), 2) for i in range(4)]
+    res = run_set_lower_bound(SamplingCircuit.identity(2), identity_claim(2),
+                              ScriptedSlbProver(sections), 0)
+    assert res.verdict.accepted
+
+
+def test_bucket_bits_matches_fraction_search():
+    grid = []
+    for ell in range(0, 11):
+        for tau in (Fraction(1, 1000), Fraction(1, 2), Fraction(1)):
+            for delta in (Fraction(1, 20), Fraction(1, 60), Fraction(1)):
+                for N in (Fraction(1), Fraction(3, 2), Fraction(1 << ell),
+                          Fraction(3 << ell, 4), Fraction(1 << (ell + 4))):
+                    grid.append((N, ell, tau, delta))
+    # with tau = 1 and N = 2^ell, cap = delta * 2^(ell - 2): exactly 2^j, and just either side
+    for j in range(12):
+        for delta in (Fraction(1), Fraction(1000, 1001), Fraction(1001, 1000)):
+            grid.append((Fraction(1 << (j + 2)), j + 2, Fraction(1), delta))
+    # the SLB claims of acceptance criterion 7: uniform and inflated, ell = 2..8
+    for ell in range(2, 9):
+        n = 1 << ell
+        for p, active in ((Fraction(1, n), n), (Fraction(2, n), n - 1)):
+            grid.append((p * n, ell, Fraction(1, 1000), Fraction(1, 20) / active))
+    caps = set()
+    for N, ell, tau, delta in grid:
+        cap = delta * tau * tau * N * N / (4 * (1 << ell))
+        caps.add("<1" if cap < 1 else "[1,2)" if cap < 2 else
+                 "2^j" if cap.denominator == 1 and cap.numerator & (cap.numerator - 1) == 0
+                 else ">=2")
+        assert _bucket_bits(N, ell, tau, delta) == bucket_bits_loop(N, ell, tau, delta), \
+            (N, ell, tau, delta)
+    assert caps == {"<1", "[1,2)", "2^j", ">=2"}
 
 
 # --- extended folding -----------------------------------------------------------------
