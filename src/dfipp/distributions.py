@@ -2,9 +2,11 @@
 sampling circuits, dispersion, marginals, granularisation, and the
 granular-extension row map.
 
-Masses are exact Fractions everywhere.  Samplers convert to 64-bit
-fixed-point cumulative tables only inside the RNG path; the table
-derivation is deterministic, so (seed -> draws) is reproducible.
+A Pmf holds integer weights over one common denominator, and every kernel
+here (dispersion, marginals, granularisation, TV distance, the sampler
+table) works on those integers; masses and results leave as exact
+Fractions.  Samplers use a 64-bit fixed-point cumulative table, derived
+exactly from the weights, so (seed -> draws) is reproducible.
 """
 
 from __future__ import annotations
@@ -14,13 +16,13 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Iterable, Optional, Sequence
 
 from .field import cell_coords, cell_index
 from .tensors import BudgetExceeded
 
 _TABLE_BITS = 64
-_TABLE_ONE = 1 << _TABLE_BITS
 # per bit b: byte v -> ASCII "1" if bit b of v is set, else "0"
 _BIT_CHARS = tuple(bytes(0x31 if v >> b & 1 else 0x30 for v in range(256)) for b in range(8))
 # per bit b: ASCII "0" -> byte 0, "1" -> byte 2^b
@@ -49,28 +51,58 @@ def _from_bit_planes(planes: Sequence[int], n: int) -> list[int]:
 
 
 class Pmf:
-    """A distribution over [n] (optionally shaped as [k]^m in flat layout)."""
+    """A distribution over [n] (optionally shaped as [k]^m in flat layout).
 
-    __slots__ = ("masses", "shape", "_cum")
+    Cell i has mass weights[i] / denom, kept in lowest terms: denom > 0 and
+    gcd(denom, *weights) == 1, so two Pmfs are equal iff their weights and
+    denominators are.  `masses` gives the same values as Fractions.
+    """
+
+    __slots__ = ("weights", "denom", "shape", "_masses", "_cum")
 
     def __init__(self, masses: Sequence, shape: Optional[tuple[int, int]] = None):
         # Fraction(v) would copy every Fraction; keep those as they are
-        ms = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in masses)
-        if any(v < 0 for v in ms):
+        ms = [v if isinstance(v, Fraction) else Fraction(v) for v in masses]
+        denom = math.lcm(*(v.denominator for v in ms))
+        self._set([v.numerator * (denom // v.denominator) for v in ms], denom, shape)
+
+    @classmethod
+    def from_weights(cls, weights: Sequence[int], denom: int,
+                     shape: Optional[tuple[int, int]] = None) -> "Pmf":
+        """The Pmf with mass weights[i] / denom on cell i, in lowest terms."""
+        self = object.__new__(cls)
+        self._set(weights, denom, shape)
+        return self
+
+    def _set(self, weights: Sequence[int], denom: int, shape) -> None:
+        weights = tuple(weights)
+        if denom <= 0:
+            raise ValueError(f"denominator {denom} is not positive")
+        if any(w < 0 for w in weights):
             raise ValueError("negative mass")
-        if sum(ms) != 1:
-            raise ValueError(f"masses sum to {sum(ms)}, not 1")
+        total = sum(weights)
+        if total != denom:
+            raise ValueError(f"masses sum to {Fraction(total, denom)}, not 1")
         if shape is not None:
             k, m = shape
-            if k ** m != len(ms):
-                raise ValueError(f"shape {shape} does not match {len(ms)} masses")
-        self.masses = ms
+            if k ** m != len(weights):
+                raise ValueError(f"shape {shape} does not match {len(weights)} masses")
+        g = math.gcd(*weights)  # divides denom, since the weights sum to it
+        self.weights = tuple(w // g for w in weights) if g > 1 else weights
+        self.denom = denom // g
         self.shape = shape
+        self._masses = None
         self._cum = None
 
     @property
+    def masses(self) -> tuple[Fraction, ...]:
+        if self._masses is None:
+            self._masses = tuple(Fraction(w, self.denom) for w in self.weights)
+        return self._masses
+
+    @property
     def n(self) -> int:
-        return len(self.masses)
+        return len(self.weights)
 
     def mass(self, i) -> Fraction:
         if isinstance(i, tuple):
@@ -79,11 +111,11 @@ class Pmf:
 
     @staticmethod
     def uniform(n: int, shape=None) -> "Pmf":
-        return Pmf([Fraction(1, n)] * n, shape=shape)
+        return Pmf.from_weights([1] * n, n, shape=shape)
 
     @staticmethod
     def point_mass(i: int, n: int, shape=None) -> "Pmf":
-        return Pmf([Fraction(1) if j == i else Fraction(0) for j in range(n)], shape=shape)
+        return Pmf.from_weights([int(j == i) for j in range(n)], 1, shape=shape)
 
     @staticmethod
     def random_grains(n: int, grains: int, rng, shape=None) -> "Pmf":
@@ -91,17 +123,13 @@ class Pmf:
         counts = [0] * n
         for _ in range(grains):
             counts[rng.randrange(n)] += 1
-        return Pmf([Fraction(c, grains) for c in counts], shape=shape)
+        return Pmf.from_weights(counts, grains, shape=shape)
 
     def _table(self):
+        """Entry i is floor((w_0 + ... + w_i) * 2^64 / denom); the last is 2^64."""
         if self._cum is None:
-            cum = []
-            acc = Fraction(0)
-            for v in self.masses:
-                acc += v
-                cum.append(math.floor(acc * _TABLE_ONE))
-            cum[-1] = _TABLE_ONE
-            self._cum = cum
+            denom = self.denom
+            self._cum = [(c << _TABLE_BITS) // denom for c in accumulate(self.weights)]
         return self._cum
 
     def sample(self, rng) -> int:
@@ -110,7 +138,8 @@ class Pmf:
         return bisect_right(self._table(), u)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Pmf) and other.masses == self.masses
+        return (isinstance(other, Pmf) and other.denom == self.denom
+                and other.weights == self.weights)
 
     def __repr__(self) -> str:
         return f"Pmf({[str(v) for v in self.masses]}, shape={self.shape})"
@@ -145,10 +174,11 @@ class ProductDistribution:
         return out
 
     def joint_pmf(self) -> Pmf:
-        masses = [Fraction(1)]
+        weights, denom = [1], 1
         for f in self.factors:
-            masses = [a * b for a in masses for b in f.masses]
-        return Pmf(masses, shape=(self.k, self.m))
+            weights = [a * b for a in weights for b in f.weights]
+            denom *= f.denom
+        return Pmf.from_weights(weights, denom, shape=(self.k, self.m))
 
     def sample(self, rng) -> int:
         return cell_index([f.sample(rng) for f in self.factors], self.k)
@@ -298,8 +328,7 @@ def circuit_pmf(C: SamplingCircuit, budget: int = 20) -> Pmf:
     counts = [0] * C.n
     for y in C.eval_many(range(2 ** C.n_inputs)):
         counts[y] += 1
-    total = 2 ** C.n_inputs
-    return Pmf([Fraction(c, total) for c in counts])
+    return Pmf.from_weights(counts, 2 ** C.n_inputs)
 
 
 @dataclass(frozen=True)
@@ -313,31 +342,31 @@ def dispersion_rho(D: Pmf) -> DispersionReport:
     """Largest ratio of a cell's mass to the average mass along any axis line.
 
     0/0 lines count as ratio 1, so the uniform distribution reports exactly 1
-    and every distribution over [k]^m reports at most k.
+    and every distribution over [k]^m reports at most k.  Lines are scanned
+    axis by axis in ascending order of their first cell, and only a strictly
+    larger ratio replaces the witness, whose cell is the line's first
+    heaviest cell.
     """
     if D.shape is None:
         raise ValueError("dispersion needs a shaped PMF")
     k, m = D.shape
-    best = Fraction(1)
-    witness = (0, cell_coords(0, k, m))
+    w = D.weights
+    best_num, best_den = 1, 1  # the ratio k * w[top] / (line total)
+    witness = (0, 0)
     for dim in range(m):
         lo = k ** (m - 1 - dim)  # stride of the varied coordinate
-        seen = set()
-        for flat in range(D.n):
-            base = flat - (flat // lo % k) * lo
-            if (dim, base) in seen:
-                continue
-            seen.add((dim, base))
-            line = [base + t * lo for t in range(k)]
-            total = sum(D.masses[i] for i in line)
-            if total == 0:
-                continue
-            top = max(line, key=lambda i: D.masses[i])
-            ratio = Fraction(k) * D.masses[top] / total
-            if ratio > best:
-                best = ratio
-                witness = (dim, cell_coords(top, k, m))
-    return DispersionReport(best, witness[0], witness[1])
+        for block in range(0, D.n, k * lo):
+            for base in range(block, block + lo):
+                line = w[base:base + k * lo:lo]
+                total = sum(line)
+                if total == 0:
+                    continue
+                top = max(line)
+                if k * top * best_den > best_num * total:
+                    best_num, best_den = k * top, total
+                    witness = (dim, base + line.index(top) * lo)
+    return DispersionReport(Fraction(best_num, best_den), witness[0],
+                            cell_coords(witness[1], k, m))
 
 
 def marginal_first(D: Pmf) -> Pmf:
@@ -346,8 +375,8 @@ def marginal_first(D: Pmf) -> Pmf:
         raise ValueError("need a shaped PMF with m >= 2")
     k, m = D.shape
     step = k ** (m - 1)
-    masses = [sum(D.masses[t * step + u] for t in range(k)) for u in range(step)]
-    return Pmf(masses, shape=(k, m - 1))
+    return Pmf.from_weights([sum(D.weights[u::step]) for u in range(step)], D.denom,
+                            shape=(k, m - 1))
 
 
 @dataclass(frozen=True)
@@ -374,13 +403,13 @@ class GranularitySet:
         return 8 * self.n
 
     def pmf(self) -> Pmf:
-        return Pmf([Fraction(a, self.total) for a in self.counts])
+        return Pmf.from_weights(self.counts, self.total)
 
 
 def granularise(p: Pmf) -> GranularitySet:
     """a_i = floor(6n*p_i) + 2 for i <= n; a_{n+1} absorbs the remainder to 8n."""
-    n = p.n
-    counts = [math.floor(6 * n * v) + 2 for v in p.masses]
+    n, denom = p.n, p.denom
+    counts = [6 * n * w // denom + 2 for w in p.weights]
     counts.append(8 * n - sum(counts))
     return GranularitySet(tuple(counts))
 
@@ -404,7 +433,8 @@ def tv_distance(p: Pmf, q: Pmf) -> Fraction:
     """sum_i |p_i - q_i| (the L1 form, without the conventional 1/2 factor)."""
     if p.n != q.n:
         raise ValueError("support size mismatch")
-    return sum((abs(a - b) for a, b in zip(p.masses, q.masses)), Fraction(0))
+    pd, qd = p.denom, q.denom
+    return Fraction(sum([abs(a * qd - b * pd) for a, b in zip(p.weights, q.weights)]), pd * qd)
 
 
 class VirtualUniformOracle:
@@ -458,9 +488,9 @@ def distribution_from_json(obj: dict):
     kind = obj["kind"]
     if kind == "explicit":
         shape = tuple(obj["shape"]) if "shape" in obj else None
-        return Pmf([Fraction(s) for s in obj["masses"]], shape=shape)
+        return Pmf(obj["masses"], shape=shape)
     if kind == "product":
-        return ProductDistribution([Pmf([Fraction(s) for s in f]) for f in obj["factors"]])
+        return ProductDistribution([Pmf(f) for f in obj["factors"]])
     if kind == "circuit":
         return SamplingCircuit(obj["inputs"],
                                tuple(tuple(g) for g in obj["gates"]),

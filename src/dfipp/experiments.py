@@ -634,11 +634,11 @@ def ham_distance_exact(x: tuple[int, ...], D: Pmf, w: int) -> Fraction:
     if need == 0:
         return Fraction(0)
     polarity = 0 if need > 0 else 1
-    costs = sorted(D.masses[i] for i, b in enumerate(x) if b == polarity)
+    costs = sorted(wt for wt, b in zip(D.weights, x) if b == polarity)
     need = abs(need)
     if len(costs) < need:
         return INF  # weight w unreachable (never happens for valid fixtures)
-    return sum(costs[:need], Fraction(0))
+    return Fraction(sum(costs[:need]), D.denom)
 
 
 def estimate_dist_monte_carlo(x, y, D, trials: int, seed: int) -> float:
@@ -801,7 +801,10 @@ def check_lemma_linsub(trials: int, seed: int, modulus: int = 5, n: int = 4) -> 
 
 
 def check_lemma_grainer(trials: int, seed: int, max_n: int = 16) -> dict:
-    """Granularisation invariants: sum a_i = 8n and a_i/8n >= p_i/2, exactly."""
+    """Granularisation invariants: sum a_i = 8n and a_i/8n >= p_i/2, exactly.
+
+    With p_i = w_i/denom, a_i/8n < p_i/2 is a_i * denom < 4n * w_i.
+    """
     rng = random.Random(seed)
 
     def violated():
@@ -809,7 +812,7 @@ def check_lemma_grainer(trials: int, seed: int, max_n: int = 16) -> dict:
         pmf = Pmf.random_grains(n, 64, rng)
         grains = granularise(pmf)
         return sum(grains.counts) != 8 * n or any(
-            Fraction(a, 8 * n) < pi / 2 for a, pi in zip(grains.counts[:-1], pmf.masses))
+            a * pmf.denom < 4 * n * w for a, w in zip(grains.counts[:-1], pmf.weights))
 
     return _fixed_tally(trials, violated)
 

@@ -88,6 +88,11 @@ def cell_coords(idx: int, k: int, m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def cell_coord(idx: int, k: int, m: int, d: int) -> int:
+    """Coordinate d of flat cell index idx, i.e. cell_coords(idx, k, m)[d]."""
+    return idx // k ** (m - 1 - d) % k
+
+
 def canonical_embed(i: int, k: int, field: PrimeField) -> int:
     """Embed the 1-based index i in [k] as the field element i-1."""
     if not 1 <= k <= field.modulus:

@@ -6,12 +6,14 @@ the learnable-distribution pipeline.
 
 from __future__ import annotations
 
+import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .field import InputTensor, PrimeField, cell_coords
+from .field import InputTensor, PrimeField, cell_coord, cell_coords
 from .tensors import BudgetExceeded, PvalInstance
 from .distributions import (GranularitySet, Pmf, ProductDistribution, SamplingCircuit,
                             extension_row_map, granularise, make_uniform_oracle)
@@ -202,7 +204,7 @@ def whitebox_verifier(session: Session, X: InputTensor, inst: PvalInstance,
             return Verdict(False, "marginal")
         claim = MarginalClaim(probs, tau, delta)
         verdict = slb_verify(session, circuit, claim,
-                             symbol_of=lambda y, d=rnd: cell_coords(y, k, m)[d],
+                             symbol_of=lambda y, d=rnd: cell_coord(y, k, m, d),
                              n_symbols=k, bucket_bits=bucket_bits)
         if not verdict.accepted:
             return Verdict(False, "learner")
@@ -424,21 +426,14 @@ def _dyadic_factor(k: int, profile: str, rng) -> Pmf:
 
 
 def _factor_circuit(factor: Pmf, out_bits: int) -> SamplingCircuit:
-    denom = 1
-    for mass in factor.masses:
-        denom = math.lcm(denom, mass.denominator)
+    denom = factor.denom  # the lcm of the reduced masses' denominators
     if denom & (denom - 1):
         raise ValueError("factor masses must be dyadic")
     d = max(1, denom.bit_length() - 1)
-    table = []
-    acc = Fraction(0)
-    bounds = []
-    for mass in factor.masses:
-        acc += mass
-        bounds.append(acc * (1 << d))
-    for u in range(1 << d):
-        sym = next(i for i, bd in enumerate(bounds) if u < bd)
-        table.append(sym)
+    # denom divides 2^d, so each bound cum * 2^d / denom is an integer;
+    # input u samples the first symbol whose bound exceeds u
+    bounds = [(cum << d) // denom for cum in itertools.accumulate(factor.weights)]
+    table = [bisect_right(bounds, u) for u in range(1 << d)]
     return SamplingCircuit.from_table(d, table, out_bits)
 
 

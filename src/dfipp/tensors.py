@@ -1,7 +1,8 @@
 """The PVAL language, distance metrics, and brute-force distance oracles.
 
-Distances are exact Fractions; "eps-far" always means distance strictly
-greater than eps, and ball membership is strict (<), since the lemma
+Distances are exact Fractions, summed in the integer weights of the
+distribution over its one denominator; "eps-far" always means distance
+strictly greater than eps, and ball membership is strict (<), since the lemma
 checks built on these must not be confounded by boundary or float issues.
 The enumeration oracles refuse (BudgetExceeded) instead of approximating.
 """
@@ -12,6 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import ne
 from typing import Callable, Iterable, Sequence
 
 from .field import InputTensor, PrimeField, basis_row, lde_eval
@@ -54,22 +56,24 @@ def pval_member(X: InputTensor, inst: PvalInstance) -> bool:
     return all(lde_eval(X, j) == v for j, v in zip(inst.points, inst.values))
 
 
-def _diff_cells(x: Sequence[int], y: Sequence[int]) -> Iterable[int]:
-    return (i for i, (a, b) in enumerate(zip(x, y)) if a != b)
-
-
-def dist(x: Sequence[int], y: Sequence[int], D: "Pmf") -> Fraction:
-    """d_D(x, y) = P_{i ~ D}[x_i != y_i], exactly."""
+def _diff_weight(x: Sequence[int], y: Sequence[int], D: "Pmf") -> int:
+    """The summed integer weight of D on the cells where x and y differ."""
     if len(x) != len(y):
         raise ValueError("shape mismatch")
     if D.n != len(x):
         raise ValueError("distribution support does not match shape")
-    return sum((D.mass(i) for i in _diff_cells(x, y)), Fraction(0))
+    return sum(itertools.compress(D.weights, map(ne, x, y)))
+
+
+def dist(x: Sequence[int], y: Sequence[int], D: "Pmf") -> Fraction:
+    """d_D(x, y) = P_{i ~ D}[x_i != y_i], exactly."""
+    return Fraction(_diff_weight(x, y, D), D.denom)
 
 
 def hybrid_dist(x: Sequence[int], y: Sequence[int], D1: "Pmf", D2: "Pmf") -> Fraction:
     """mu_{D1,D2}(x, y) = max(d_D1, d_D2); the max of two metrics is a metric."""
-    return max(dist(x, y, D1), dist(x, y, D2))
+    a, b = _diff_weight(x, y, D1), _diff_weight(x, y, D2)
+    return Fraction(a, D1.denom) if a * D2.denom >= b * D1.denom else Fraction(b, D2.denom)
 
 
 def ball_membership(x: Sequence[int], y: Sequence[int], D: "Pmf", eps: Fraction) -> bool:

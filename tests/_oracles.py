@@ -3,9 +3,12 @@
 These deliberately avoid the library's Lagrange basis rows (lagrange_basis,
 basis_row): polynomial evaluation goes through coefficient vectors obtained
 by solving the Vandermonde system with plain Gaussian elimination mod p.
+The distribution oracles take masses as a list of Fractions and sum them as
+Fractions, never reading the library's integer weights.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 
@@ -110,3 +113,84 @@ def bucket_bits_loop(N, ell, tau, delta_sym):
     while (1 << (b + 1)) <= cap:
         b += 1
     return b if cap >= 1 else 0
+
+
+def fraction_dist(x, y, masses):
+    """d_D(x, y): the D-mass of the cells where x and y differ, summed as Fractions."""
+    return sum((m for m, a, b in zip(masses, x, y) if a != b), Fraction(0))
+
+
+def fraction_dispersion(masses, k, m):
+    """(rho, dim, cell) of dispersion_rho by a Fraction scan over every cell.
+
+    Lines along each axis are visited in order of their first cell; a line's
+    witness is its first heaviest cell and only a strictly larger ratio
+    replaces the running witness, so ties keep the earliest line.
+    """
+    best = Fraction(1)
+    witness = (0, (0,) * m)
+    for dim in range(m):
+        seen = set()
+        for cell in itertools.product(range(k), repeat=m):
+            base = cell[:dim] + (0,) + cell[dim + 1:]
+            if base in seen:
+                continue
+            seen.add(base)
+            line = [base[:dim] + (t,) + base[dim + 1:] for t in range(k)]
+            line_masses = [masses[_flat(c, k)] for c in line]
+            total = sum(line_masses, Fraction(0))
+            if total == 0:
+                continue
+            top = max(range(k), key=lambda t: line_masses[t])
+            ratio = Fraction(k) * line_masses[top] / total
+            if ratio > best:
+                best, witness = ratio, (dim, line[top])
+    return best, witness[0], witness[1]
+
+
+def _flat(cell, k):
+    idx = 0
+    for c in cell:
+        idx = idx * k + c
+    return idx
+
+
+def fraction_granularise(masses):
+    """a_i = floor(6n p_i) + 2 for i <= n, then the remainder up to 8n."""
+    n = len(masses)
+    counts = [math.floor(6 * n * v) + 2 for v in masses]
+    return tuple(counts + [8 * n - sum(counts)])
+
+
+def fraction_tv_distance(p_masses, q_masses):
+    """sum_i |p_i - q_i|, summed as Fractions."""
+    return sum((abs(a - b) for a, b in zip(p_masses, q_masses)), Fraction(0))
+
+
+def fraction_sampler_table(masses, bits=64):
+    """floor(acc * 2^bits) over the running Fraction sums acc, last entry clamped to 2^bits."""
+    table = []
+    acc = Fraction(0)
+    for v in masses:
+        acc += v
+        table.append(math.floor(acc * (1 << bits)))
+    table[-1] = 1 << bits
+    return table
+
+
+def factor_circuit_table(masses):
+    """(d, table) of a dyadic factor's sampling circuit by Fraction bounds.
+
+    d input bits, with 2^d the lcm of the masses' denominators (at least 2);
+    input u maps to the first symbol whose cumulative mass exceeds u / 2^d.
+    """
+    denom = 1
+    for mass in masses:
+        denom = math.lcm(denom, mass.denominator)
+    d = max(1, denom.bit_length() - 1)
+    acc = Fraction(0)
+    bounds = []
+    for mass in masses:
+        acc += mass
+        bounds.append(acc * (1 << d))
+    return d, [next(i for i, bd in enumerate(bounds) if u < bd) for u in range(1 << d)]

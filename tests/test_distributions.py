@@ -1,17 +1,21 @@
+import json
 import math
 import random
 import tracemalloc
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
 
-from _oracles import circuit_eval
+from _oracles import (circuit_eval, factor_circuit_table, fraction_dispersion, fraction_dist,
+                      fraction_granularise, fraction_sampler_table, fraction_tv_distance)
 from dfipp.distributions import (GranularitySet, Pmf, ProductDistribution, SamplingCircuit,
                                  circuit_pmf, dispersion_rho, distribution_from_json,
                                  distribution_to_json, extension_row_map, granularise,
                                  make_uniform_oracle, marginal_first, tv_distance)
 from dfipp.experiments import _setup_rng
-from dfipp.product import gen_product_fixture
+from dfipp.product import _factor_circuit, gen_product_fixture
+from dfipp.tensors import dist, hybrid_dist
 
 
 def test_pmf_validation():
@@ -287,3 +291,103 @@ def test_eval_many_frees_dead_wires():
         tracemalloc.stop()
     assert out[:64] == [circuit_eval(C, x) for x in range(64)]
     assert peak < 8 * 2 ** 20
+
+
+# --- integer weights against the Fraction oracles -------------------------------------
+
+def test_from_weights_is_canonical():
+    D = Pmf.from_weights([2, 2, 4], 8)
+    E = Pmf(["1/4", "1/4", "1/2"])
+    assert D == E
+    assert D.weights == E.weights == (1, 1, 2)
+    assert D.denom == E.denom == 4
+    assert D.masses == E.masses == (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))
+    assert Pmf.from_weights([0, 3, 0], 3) == Pmf.point_mass(1, 3)
+    assert Pmf.point_mass(1, 3).denom == 1
+    assert Pmf.uniform(6).weights == (1,) * 6 and Pmf.uniform(6).denom == 6
+
+
+def test_from_weights_json_round_trip_is_byte_identical():
+    D = Pmf.from_weights([2, 0, 4, 2], 8, shape=(2, 2))
+    wire = json.dumps(distribution_to_json(D))
+    assert wire == json.dumps(distribution_to_json(Pmf(["1/4", 0, "1/2", "1/4"], shape=(2, 2))))
+    back = distribution_from_json(json.loads(wire))
+    assert back == D and back.shape == D.shape
+    assert json.dumps(distribution_to_json(back)) == wire
+
+
+def test_from_weights_rejects_with_the_constructor_messages():
+    with pytest.raises(ValueError, match="^negative mass$"):
+        Pmf.from_weights([3, -1], 2)
+    with pytest.raises(ValueError, match="^negative mass$"):
+        Pmf([Fraction(3, 2), Fraction(-1, 2)])
+    with pytest.raises(ValueError, match="^masses sum to 5/8, not 1$"):
+        Pmf.from_weights([2, 3], 8)
+    with pytest.raises(ValueError, match="^masses sum to 5/8, not 1$"):
+        Pmf(["1/4", "3/8"])
+    with pytest.raises(ValueError, match=r"^shape \(2, 2\) does not match 3 masses$"):
+        Pmf.from_weights([1, 1, 1], 3, shape=(2, 2))
+    with pytest.raises(ValueError):
+        Pmf.from_weights([0, 0], 0)
+
+
+def _oracle_cases(count=200):
+    """Seeded random-grain PMFs over [k]^m, k and m in 2..4.
+
+    Grain counts range below and above the cell count, so some cells carry
+    zero mass, and the weights are scaled by a random factor before the
+    Pmf reduces them to lowest terms.
+    """
+    rng = random.Random(20230817)
+    for _ in range(count):
+        k, m = rng.randrange(2, 5), rng.randrange(2, 5)
+        n = k ** m
+        grains = rng.randrange(1, 3 * n)
+        counts = [0] * n
+        for _ in range(grains):
+            counts[rng.randrange(n)] += 1
+        scale = rng.choice([1, 2, 3, 12])
+        D = Pmf.from_weights([scale * c for c in counts], scale * grains, shape=(k, m))
+        yield rng, k, m, D
+
+
+def test_kernels_match_fraction_oracles_on_random_grains():
+    for rng, k, m, D in _oracle_cases():
+        masses = list(D.masses)
+        assert sum(masses) == 1 and math.gcd(D.denom, *D.weights) == 1
+        x = [rng.randrange(3) for _ in range(D.n)]
+        y = [rng.randrange(3) for _ in range(D.n)]
+        U = Pmf.uniform(D.n)
+        assert dist(x, y, D) == fraction_dist(x, y, masses)
+        assert hybrid_dist(x, y, D, U) == hybrid_dist(x, y, U, D) == max(
+            fraction_dist(x, y, masses), fraction_dist(x, y, U.masses))
+        report = dispersion_rho(D)
+        assert (report.rho, report.dim, report.cell) == fraction_dispersion(masses, k, m)
+        step = k ** (m - 1)
+        assert marginal_first(D).masses == tuple(
+            sum(masses[u::step], Fraction(0)) for u in range(step))
+        assert granularise(D).counts == fraction_granularise(masses)
+        E = Pmf.random_grains(D.n, rng.randrange(1, 2 * D.n), rng)
+        assert tv_distance(D, E) == fraction_tv_distance(masses, E.masses)
+
+
+def test_sampler_table_matches_fraction_table_on_random_grains():
+    for _, _, _, D in _oracle_cases():
+        table = fraction_sampler_table(D.masses)
+        assert D._table() == table
+        assert table[-1] == 2 ** 64
+        seed = D.n * 7919 + D.denom
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert [D.sample(rng) for _ in range(1000)] == \
+            [bisect_right(table, ref.getrandbits(64)) for _ in range(1000)]
+
+
+@pytest.mark.parametrize("config_seed", [1, 2, 6, 9, 57])
+def test_factor_circuit_matches_fraction_bounds(config_seed):
+    D, _ = gen_product_fixture(2, 4, "dyadic-random", rng=_setup_rng(config_seed))
+    for factor in D.factors:
+        d, table = factor_circuit_table(factor.masses)
+        assert _factor_circuit(factor, 1) == SamplingCircuit.from_table(d, table, 1)
+    for factor in [Pmf.point_mass(0, 2), Pmf.uniform(4), Pmf(["1/8", "3/8", "1/4", "1/4"])]:
+        d, table = factor_circuit_table(factor.masses)
+        assert _factor_circuit(factor, 2) == SamplingCircuit.from_table(d, table, 2)

@@ -3,8 +3,8 @@ from itertools import product
 
 import pytest
 
-from dfipp.field import (InputTensor, PrimeField, canonical_embed, lagrange_eval_univariate,
-                         lde_eval, lde_eval_batch)
+from dfipp.field import (InputTensor, PrimeField, canonical_embed, cell_coord, cell_coords,
+                         lagrange_eval_univariate, lde_eval, lde_eval_batch)
 
 from _oracles import vandermonde_lde_eval
 
@@ -129,3 +129,10 @@ def test_tensor_row_view_fixes_first_coordinate():
 def test_tensor_requires_k_at_most_modulus():
     with pytest.raises(ValueError):
         InputTensor(PrimeField(3), 4, 1, (0, 1, 2, 0))
+
+
+@pytest.mark.parametrize("k,m", [(2, 1), (2, 5), (3, 3), (4, 2), (5, 4)])
+def test_cell_coord_reads_one_coordinate(k, m):
+    for d in range(m):
+        assert [cell_coord(y, k, m, d) for y in range(k ** m)] == \
+            [cell_coords(y, k, m)[d] for y in range(k ** m)]
