@@ -36,7 +36,7 @@ st = outputs[0]
 oracles = OracleHandles(X.data)
 ledger = CostLedger()
 oracles.bind(ledger, random.Random(0))
-folded_eval(oracles, X, st, (0, 0, 0))
+folded_eval(oracles, X, st, 0)
 print(f"queries issued: {ledger.queries} (tau = {st.tau})")
 
 print()

@@ -15,9 +15,9 @@ from fractions import Fraction
 
 from .experiments import (EXIT_EXACT_FAIL, EXIT_PASS, EXIT_REFUSED, cmd_check_lemma,
                           cmd_replay, cmd_run, exit_code_for, gen_ham_lb_fixture)
-from .tensors import BudgetExceeded
+from .tensors import DEFAULT_ENUM_BUDGET, BudgetExceeded
 
-DEFAULT_BUDGET = int(os.environ.get("DFIPP_BUDGET", 10 ** 7))
+DEFAULT_BUDGET = int(os.environ.get("DFIPP_BUDGET", DEFAULT_ENUM_BUDGET))
 
 
 def _jsonable(obj):

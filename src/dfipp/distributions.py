@@ -23,6 +23,8 @@ from .field import cell_coords, cell_index
 from .tensors import BudgetExceeded
 
 _TABLE_BITS = 64
+# the most circuit inputs an exhaustive scan over all 2^ell of them may take
+CIRCUIT_INPUT_BUDGET = 20
 # per bit b: byte v -> ASCII "1" if bit b of v is set, else "0"
 _BIT_CHARS = tuple(bytes(0x31 if v >> b & 1 else 0x30 for v in range(256)) for b in range(8))
 # per bit b: ASCII "0" -> byte 0, "1" -> byte 2^b
@@ -104,11 +106,6 @@ class Pmf:
     def n(self) -> int:
         return len(self.weights)
 
-    def mass(self, i) -> Fraction:
-        if isinstance(i, tuple):
-            i = cell_index(i, self.shape[0])
-        return self.masses[i]
-
     @staticmethod
     def uniform(n: int, shape=None) -> "Pmf":
         return Pmf.from_weights([1] * n, n, shape=shape)
@@ -166,13 +163,6 @@ class ProductDistribution:
     def shape(self) -> tuple[int, int]:
         return self.k, self.m
 
-    def mass(self, i) -> Fraction:
-        coords = i if isinstance(i, tuple) else cell_coords(i, self.k, self.m)
-        out = Fraction(1)
-        for f, c in zip(self.factors, coords):
-            out *= f.mass(c)
-        return out
-
     def joint_pmf(self) -> Pmf:
         weights, denom = [1], 1
         for f in self.factors:
@@ -211,12 +201,8 @@ class SamplingCircuit:
             raise ValueError("outputs must reference wires")
 
     @property
-    def n_outputs(self) -> int:
-        return len(self.outputs)
-
-    @property
     def n(self) -> int:
-        """The number of output indices, 2^n_outputs."""
+        """The number of output indices, 2^len(outputs)."""
         return 1 << len(self.outputs)
 
     def eval(self, x: int) -> int:
@@ -320,11 +306,11 @@ class SamplingCircuit:
         return SamplingCircuit(n_inputs, tuple(gates), tuple(outputs))
 
 
-def circuit_pmf(C: SamplingCircuit, budget: int = 20) -> Pmf:
+def circuit_pmf(C: SamplingCircuit) -> Pmf:
     """Exact output distribution by enumerating all 2^l inputs."""
-    if C.n_inputs > budget:
+    if C.n_inputs > CIRCUIT_INPUT_BUDGET:
         raise BudgetExceeded(
-            f"circuit arity {C.n_inputs} exceeds exhaustive budget {budget}")
+            f"circuit arity {C.n_inputs} exceeds exhaustive budget {CIRCUIT_INPUT_BUDGET}")
     counts = [0] * C.n
     for y in C.eval_many(range(2 ** C.n_inputs)):
         counts[y] += 1

@@ -18,14 +18,14 @@ from dataclasses import replace
 from typing import NamedTuple, Optional
 
 from .field import InputTensor, PrimeField, lde_eval
-from .tensors import INF, PvalInstance, dist, pval_min_distance
-from .distributions import (Pmf, SamplingCircuit, distribution_from_json, dispersion_rho,
-                            granularise, marginal_first, tv_distance)
-from .session import (ACCEPT, OracleHandles, ProverStrategy, ReplayProver, Verdict,
-                      amplify, dump_transcript, load_transcript)
+from .tensors import DEFAULT_ENUM_BUDGET, INF, PvalInstance, dist, pval_min_distance
+from .distributions import (CIRCUIT_INPUT_BUDGET, Pmf, SamplingCircuit, distribution_from_json,
+                            dispersion_rho, granularise, marginal_first, tv_distance)
+from .session import (ACCEPT, OracleHandles, ProverStrategy, ReplayProver, RunResult, Verdict,
+                      amplify, dump_transcript, load_transcript, run_session)
 from .protocols import (BadSumHamProver, ClaimGenerator, HonestFoldProver, HonestHamProver,
-                        NullProver, RandomLieFoldProver, RowTamperFoldProver, RunResult, _run,
-                        blr_linearity_ipp, check_appendix_claims, check_distance_preservation,
+                        NullProver, RandomLieFoldProver, RowTamperFoldProver, blr_linearity_ipp,
+                        check_appendix_claims, check_distance_preservation,
                         check_subspace_lemma, fold_kappa, hadamard_codeword,
                         hadamard_corrector, project_points, run_df_ipp_nc,
                         run_dispersed_ipp_nc, run_fin_ipp, run_ham_ipp, run_poly_fold,
@@ -182,9 +182,9 @@ _NC_CLAIMS = Modes("mode", "honest", {
 _DISTRIBUTION = Modes("kind", None, {
     "explicit": ({"masses": [_mass]}, {"shape": [POSITIVE]}, distribution_from_json),
     "product": ({"factors": [[_mass]]}, {}, distribution_from_json),
-    # at most the exhaustive budget of 20 inputs that circuit_pmf and HonestSlbProver enumerate
-    "circuit": ({"inputs": range(0, 21), "gates": [list], "outputs": [int]}, {},
-                distribution_from_json),
+    # at most the inputs that circuit_pmf and HonestSlbProver enumerate
+    "circuit": ({"inputs": range(0, CIRCUIT_INPUT_BUDGET + 1), "gates": [list],
+                 "outputs": [int]}, {}, distribution_from_json),
 })
 
 
@@ -243,7 +243,7 @@ def _run_echo(config: dict, rng: random.Random, seed: int, prover):
         msg = session.ask("echo/reply", None, expect=[(bits, 1)])
         return ACCEPT if msg.values() == x else Verdict(False, "echo-mismatch")
 
-    return _run(verifier, prover or EchoProver(), OracleHandles(()), seed), {"n": bits}
+    return run_session(verifier, prover or EchoProver(), OracleHandles(()), seed), {"n": bits}
 
 
 def _ham_setup(config: dict, rng: random.Random, prover):
@@ -735,7 +735,7 @@ def _claimed_instance(field: PrimeField, k: int, m: int, max_t: int, rng: random
 
 
 def check_lemma_epsilons(trials: int, seed: int, modulus: int = 5, k: int = 2,
-                         m: int = 2, budget: int = 10 ** 7) -> dict:
+                         m: int = 2, budget: int = DEFAULT_ENUM_BUDGET) -> dict:
     """Randomized instances of the row distance-preservation inequality."""
     rng = random.Random(seed)
     field = PrimeField(modulus)
@@ -752,7 +752,7 @@ def check_lemma_epsilons(trials: int, seed: int, modulus: int = 5, k: int = 2,
 
 
 def check_lemma_dpl_product(trials: int, seed: int, modulus: int = 5, k: int = 2,
-                            m: int = 2, budget: int = 10 ** 7) -> dict:
+                            m: int = 2, budget: int = DEFAULT_ENUM_BUDGET) -> dict:
     """Randomized instances of the product distance-preservation inequality.
 
     Claims are drawn from the certified band p~ >= (1-tau) * true, the set
@@ -861,7 +861,7 @@ def check_lemma_tvineq(trials: int, seed: int, max_n: int = 12) -> dict:
 
 def check_lemma_min_distance(draws: int, seed: int, modulus: int = 5, k: int = 2,
                              m: int = 2, eps: Fraction = Fraction(1, 4),
-                             budget: int = 10 ** 7) -> dict:
+                             budget: int = DEFAULT_ENUM_BUDGET) -> dict:
     """Random-J minimum-distance events at tiny scale.
 
     With t >= 2 eps n (log2 n + log2 |F|) + 4 uniform points, the frequency
@@ -887,7 +887,7 @@ def check_lemma_min_distance(draws: int, seed: int, modulus: int = 5, k: int = 2
 
 
 def check_lemma_appendix_a(trials: int, seed: int, modulus: int = 5, k: int = 2,
-                           m: int = 2, budget: int = 10 ** 7) -> dict:
+                           m: int = 2, budget: int = DEFAULT_ENUM_BUDGET) -> dict:
     """Appendix folding claims on certified-far instances."""
     rng = random.Random(seed)
     field = PrimeField(modulus)
@@ -934,7 +934,8 @@ LEMMA_CHECKS = {
 }
 
 
-def cmd_check_lemma(lemma: str, trials: int, seed: int, budget: int = 10 ** 7) -> dict:
+def cmd_check_lemma(lemma: str, trials: int, seed: int,
+                    budget: int = DEFAULT_ENUM_BUDGET) -> dict:
     if lemma not in LEMMA_CHECKS:
         raise ValueError(f"unknown lemma id {lemma!r}; known: {sorted(LEMMA_CHECKS)}")
     report = LEMMA_CHECKS[lemma](trials, seed, budget)

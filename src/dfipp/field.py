@@ -72,7 +72,7 @@ class PrimeField:
         return tuple(rng.randrange(self.modulus) for _ in range(m))
 
 
-def cell_index(coords: Sequence[int], k: int) -> int:
+def cell_index(coords: Iterable[int], k: int) -> int:
     """Flat index of a cell of [k]^m; the first coordinate is the most significant."""
     idx = 0
     for c in coords:

@@ -14,13 +14,14 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .field import InputTensor, PrimeField, cell_coord, cell_coords
-from .tensors import BudgetExceeded, PvalInstance
-from .distributions import (GranularitySet, Pmf, ProductDistribution, SamplingCircuit,
-                            extension_row_map, granularise, make_uniform_oracle)
-from .session import (ACCEPT, OracleHandles, ProtocolViolation, ProverStrategy, Session,
-                      Verdict)
-from .protocols import (FoldState, HonestFoldProver, InequalityReport, RunResult, _fold_phase,
-                        _leaf_phase, _preservation_report, _round_kappa, _run, _run_fold_round)
+from .tensors import DEFAULT_ENUM_BUDGET, BudgetExceeded, PvalInstance
+from .distributions import (CIRCUIT_INPUT_BUDGET, GranularitySet, Pmf, ProductDistribution,
+                            SamplingCircuit, extension_row_map, granularise,
+                            make_uniform_oracle)
+from .session import (ACCEPT, OracleHandles, ProtocolViolation, ProverStrategy, RunResult,
+                      Session, Verdict, run_session)
+from .protocols import (FoldState, HonestFoldProver, InequalityReport, _fold_phase, _leaf_phase,
+                        _preservation_report, _round_kappa, _run_fold_round)
 
 _RATIONAL_BITS = 64
 
@@ -126,9 +127,8 @@ def _witness_sections(preimages: dict[int, list[int]], payload, ell: int):
 class HonestSlbProver(ProverStrategy):
     """Enumerates all 2^ell circuit inputs and answers hash rounds exactly."""
 
-    def __init__(self, circuit: SamplingCircuit, symbol_of: Callable[[int], int],
-                 budget: int = 20):
-        if circuit.n_inputs > budget:
+    def __init__(self, circuit: SamplingCircuit, symbol_of: Callable[[int], int]):
+        if circuit.n_inputs > CIRCUIT_INPUT_BUDGET:
             raise BudgetExceeded("honest prover enumeration over budget")
         self.ell = circuit.n_inputs
         self._preimages: dict[int, list[int]] = {}
@@ -148,9 +148,8 @@ def run_set_lower_bound(circuit: SamplingCircuit, claim: MarginalClaim,
                         bucket_bits: Optional[int] = None) -> RunResult:
     symbol_of = symbol_of or (lambda y: y)
     n_symbols = n_symbols or len(claim.probs)
-    return _run(lambda s: slb_verify(s, circuit, claim, symbol_of, n_symbols,
-                                     bucket_bits),
-                prover, OracleHandles(()), seed)
+    return run_session(lambda s: slb_verify(s, circuit, claim, symbol_of, n_symbols, bucket_bits),
+                       prover, OracleHandles(()), seed)
 
 
 # --- extended polynomial folding -------------------------------------------------
@@ -184,12 +183,11 @@ def run_extended_poly_fold(X: InputTensor, inst: PvalInstance, B,
 
 def whitebox_verifier(session: Session, X: InputTensor, inst: PvalInstance,
                       eps: Fraction, circuit: SamplingCircuit, r: int,
-                      tau: Fraction, delta: Optional[Fraction],
-                      kappa_override: Optional[int],
+                      tau: Fraction, kappa_override: Optional[int],
                       bucket_bits: Optional[int]) -> Verdict:
     field, k, m = inst.field, inst.k, inst.m
     kappa = _round_kappa(session, r, k, m, kappa_override, wb_fold_kappa)
-    delta = delta if delta is not None else Fraction(1, 20 * r)
+    delta = Fraction(1, 20 * r)
 
     live = [FoldState.root(inst)]
     for rnd in range(r):
@@ -214,11 +212,13 @@ def whitebox_verifier(session: Session, X: InputTensor, inst: PvalInstance,
             return verdict
 
     # truncated-product draws via the sampling device: a full index from C,
-    # first r coordinates dropped -- the suffix of a product is the product
-    # of the remaining factors
+    # first r coordinates dropped (y % k^(m-r)) -- the suffix of a product is
+    # the product of the remaining factors
+    leaf_n = k ** (m - r)
+
     def draw(nq):
         xs = [session.rng.getrandbits(circuit.n_inputs) for _ in range(nq)]
-        return [cell_coords(y, k, m)[r:] for y in circuit.eval_many(xs)]
+        return [y % leaf_n for y in circuit.eval_many(xs)]
 
     return _leaf_phase(session, X, live, r, eps, Fraction(16), draw)
 
@@ -227,17 +227,17 @@ def run_whitebox_product_ipp(X: InputTensor, inst: PvalInstance, eps: Fraction,
                              circuit: SamplingCircuit, r: int,
                              prover: ProverStrategy, seed: int,
                              tau: Fraction = Fraction(1, 1000),
-                             delta: Optional[Fraction] = None,
                              kappa_override: Optional[int] = None,
                              bucket_bits: Optional[int] = None) -> RunResult:
     """White-box PVAL IPP over m-product distributions.
 
     No sample oracle is bound: every distribution access goes through the
-    sampling circuit, so the ledger's sample count stays 0.
+    sampling circuit, so the ledger's sample count stays 0.  Each set lower
+    bound runs at error budget delta = 1/(20r).
     """
-    return _run(lambda s: whitebox_verifier(s, X, inst, eps, circuit, r, tau, delta,
-                                            kappa_override, bucket_bits),
-                prover, OracleHandles(X.data), seed)
+    return run_session(lambda s: whitebox_verifier(s, X, inst, eps, circuit, r, tau,
+                                                   kappa_override, bucket_bits),
+                       prover, OracleHandles(X.data), seed)
 
 
 class WhiteboxFoldProver(HonestFoldProver):
@@ -251,10 +251,10 @@ class WhiteboxFoldProver(HonestFoldProver):
     """
 
     def __init__(self, tensor: InputTensor, factors: Sequence[Pmf],
-                 circuit: SamplingCircuit, budget: int = 20):
+                 circuit: SamplingCircuit):
         super().__init__(tensor)
         self.factors = tuple(factors)
-        self.slb = HonestSlbProver(circuit, lambda y: y, budget=budget)
+        self.slb = HonestSlbProver(circuit, lambda y: y)
         # per dimension d: coordinate value -> circuit inputs, ascending
         self._dim_preimages: list[dict[int, list[int]]] = [{} for _ in range(tensor.m)]
         for y, xs in self.slb._preimages.items():
@@ -291,7 +291,7 @@ class WhiteboxFoldProver(HonestFoldProver):
 def check_product_dpl(X: InputTensor, tail_factors: Sequence[Pmf],
                       Y: Sequence[Sequence[int]], B: GranularitySet,
                       inst: PvalInstance, tau: Fraction,
-                      budget: int = 10 ** 7) -> InequalityReport:
+                      budget: int = DEFAULT_ENUM_BUDGET) -> InequalityReport:
     """Distance preservation for one extended folding round.
 
     With gamma = mu_{D-hat, U-hat}(X, PVAL(J, v)), the lemma's consequent is
@@ -331,7 +331,7 @@ def run_learnable_ipp(x_bits: Sequence[int], D, eps: Fraction,
         inner = uniform_ipp_factory(Q, eps / 4)
         return inner(session, virt.query)
 
-    return _run(verifier, prover, OracleHandles(x_bits, dist=D), seed)
+    return run_session(verifier, prover, OracleHandles(x_bits, dist=D), seed)
 
 
 def extension_member(base_language: Callable[[tuple], bool], Q: Sequence[int],

@@ -16,22 +16,11 @@ from typing import Callable, Optional, Sequence
 
 from .field import (InputTensor, PrimeField, cell_coords, cell_index, lagrange_eval_univariate,
                     lde_eval, lde_eval_batch)
-from .tensors import INF, PvalInstance, dist_to_pval_bruteforce, metric_fn
+from .tensors import (DEFAULT_ENUM_BUDGET, INF, PvalInstance, dist_to_pval_bruteforce,
+                      metric_fn)
 from .distributions import Pmf, dispersion_rho, marginal_first
-from .session import (ACCEPT, CostLedger, OracleHandles, ProtocolViolation, ProverStrategy,
+from .session import (ACCEPT, OracleHandles, ProtocolViolation, ProverStrategy, RunResult,
                       Session, Verdict, run_session)
-
-
-@dataclass
-class RunResult:
-    verdict: Verdict
-    ledger: CostLedger
-    transcript: list
-    notes: list[str]
-
-
-def _run(verifier, prover, oracles, seed) -> RunResult:
-    return RunResult(*run_session(verifier, prover, oracles, seed))
 
 
 # --- weight classes and folding state ----------------------------------------
@@ -135,16 +124,16 @@ def project_points(points: Sequence[tuple[int, ...]]):
     return j2, cols
 
 
-def folded_eval(oracles: OracleHandles, base: InputTensor, st: FoldState,
-                coords: tuple[int, ...]) -> int:
+def folded_eval(oracles: OracleHandles, base: InputTensor, st: FoldState, leaf: int) -> int:
     """Evaluate one coordinate of z_s . (... (z_1 . X)) through the query oracle.
 
-    One charged read at the leaf cell's flat index plus the offsets of the
-    state's term table (FoldState.terms): exactly tau queries for plain
-    folds, none for support entries backed by the zero row.
+    leaf is the coordinate's flat cell index in the leaf [k]^(m-s).  One
+    charged read at leaf plus the offsets of the state's term table
+    (FoldState.terms): exactly tau queries for plain folds, none for support
+    entries backed by the zero row.
     """
     offsets, coeffs = st.terms(base.k, base.m)
-    values = oracles.read(cell_index(coords, base.k), offsets)
+    values = oracles.read(leaf, offsets)
     return sum(map(mul, values, coeffs)) % base.field.modulus
 
 
@@ -229,15 +218,23 @@ def poly_fold(session: Session, inst: PvalInstance, kappa: int):
                        tuple(range(inst.k)))
 
 
+def _uniform_cells(rng, k: int, leaf_m: int, nq: int) -> list[int]:
+    """nq uniform flat cells of [k]^leaf_m, each from leaf_m randrange(k) draws
+    taken first coordinate first."""
+    return [cell_index((rng.randrange(k) for _ in range(leaf_m)), k) for _ in range(nq)]
+
+
 def _leaf_phase(session: Session, X: InputTensor, live: list[FoldState], r: int,
-                eps: Fraction, shrink: Fraction,
-                draw: Callable[[int], list[tuple[int, ...]]]) -> Verdict:
+                eps: Fraction, shrink: Fraction, draw: Callable[[int], list[int]]) -> Verdict:
     """Leaf PVAL checks, then uniform and distribution spot checks per live tuple.
 
     Each weight class a on a tuple's path scales eps_r by 2^a / shrink, and
-    the tuple gets nq = ceil(10 / eps_r) spot checks per batch.  draw(nq)
-    returns the last m - r coordinates of nq distribution-batch cells; both
-    batches are drawn before either is checked.
+    the tuple gets nq = ceil(10 / eps_r) spot checks per batch.  A spot-check
+    cell is a flat index into the leaf [k]^(m-r): the prover's leaf tensor is
+    read there and compared with folded_eval at the same index.  draw(nq)
+    returns nq distribution-batch cells; since the first coordinate is the
+    most significant, a full cell i of [k]^m drops its first r coordinates as
+    i % k^(m-r).  Both batches are drawn before either is checked.
     """
     field, k, leaf_m = X.field, X.k, X.m - r
     msg = session.ask("fin/leaves", r, expect=[(k ** leaf_m, field.bits)] * len(live))
@@ -254,10 +251,8 @@ def _leaf_phase(session: Session, X: InputTensor, live: list[FoldState], r: int,
         nq = math.ceil(10 / eps_r)
         session.note(f"leaf weights={'.'.join(map(str, st.weights))} "
                      f"tau={st.tau} nq={nq} eps_r={eps_r}")
-        uniform = [tuple(session.rng.randrange(k) for _ in range(leaf_m)) for _ in range(nq)]
-        drawn = draw(nq)
-        for coords in uniform + drawn:
-            if leaf.cell(coords) != folded_eval(session.oracles, X, st, coords):
+        for cell in _uniform_cells(session.rng, k, leaf_m, nq) + draw(nq):
+            if leaf.data[cell] != folded_eval(session.oracles, X, st, cell):
                 return Verdict(False, "leaf-sample")
     return ACCEPT
 
@@ -297,7 +292,7 @@ def run_ham_ipp(x_bits: Sequence[int], D, w: int, eps: Fraction,
     """df-IPP for the weight-w language; samples only, no input queries."""
     n = len(x_bits)
     oracles = OracleHandles(x_bits, dist=D)
-    return _run(lambda s: _ham_body(s, n, w, eps, c), prover, oracles, seed)
+    return run_session(lambda s: _ham_body(s, n, w, eps, c), prover, oracles, seed)
 
 
 def run_symmetric_ipp(x_bits: Sequence[int], D, predicate: Callable[[int], bool],
@@ -315,7 +310,7 @@ def run_symmetric_ipp(x_bits: Sequence[int], D, predicate: Callable[[int], bool]
             return Verdict(False, "predicate")
         return _ham_body(session, n, w, eps, c)
 
-    return _run(verifier, prover, OracleHandles(x_bits, dist=D), seed)
+    return run_session(verifier, prover, OracleHandles(x_bits, dist=D), seed)
 
 
 class HonestHamProver(ProverStrategy):
@@ -463,12 +458,13 @@ def _fin_core(session: Session, X: InputTensor, inst: PvalInstance, eps: Fractio
         if verdict is not None:
             return verdict
 
+    leaf_n = k ** (m - r)
     if dist_mode == "oracle":
         def draw(nq):
-            return [cell_coords(session.oracles.sample()[0], k, m)[r:] for _ in range(nq)]
+            return [session.oracles.sample()[0] % leaf_n for _ in range(nq)]
     else:
         def draw(nq):
-            return [tuple(session.rng.randrange(k) for _ in range(m - r)) for _ in range(nq)]
+            return _uniform_cells(session.rng, k, m - r, nq)
     return _leaf_phase(session, X, live, r, eps, 4 * rho, draw)
 
 
@@ -479,8 +475,8 @@ def run_fin_ipp(X: InputTensor, inst: PvalInstance, D, eps: Fraction,
     if dist_mode not in ("oracle", "uniform"):
         raise ValueError(f"unknown dist_mode {dist_mode!r}")
     oracles = OracleHandles(X.data, dist=D)
-    return _run(lambda s: _fin_core(s, X, inst, eps, rho, r, dist_mode, kappa_override),
-                prover, oracles, seed)
+    return run_session(lambda s: _fin_core(s, X, inst, eps, rho, r, dist_mode, kappa_override),
+                       prover, oracles, seed)
 
 
 def _run_fold_round(X: InputTensor, fold: Callable, prover: ProverStrategy, seed: int):
@@ -495,7 +491,7 @@ def _run_fold_round(X: InputTensor, fold: Callable, prover: ProverStrategy, seed
         holder["children"] = children
         return ACCEPT
 
-    result = _run(verifier, prover, OracleHandles(X.data), seed)
+    result = run_session(verifier, prover, OracleHandles(X.data), seed)
     return result, holder.get("children")
 
 
@@ -534,8 +530,8 @@ def run_df_ipp_nc(X: InputTensor, D, eps: Fraction, gen: ClaimGenerator,
                   kappa_override: Optional[int] = None) -> RunResult:
     """NC df-IPP: claims, T = ceil(3/eps) fresh samples, uniform PVAL IPP."""
     oracles = OracleHandles(X.data, dist=D)
-    return _run(lambda s: _df_nc_verifier(s, X, eps, gen, r, kappa_override),
-                prover, oracles, seed)
+    return run_session(lambda s: _df_nc_verifier(s, X, eps, gen, r, kappa_override),
+                       prover, oracles, seed)
 
 
 def run_dispersed_ipp_nc(X: InputTensor, D: Pmf, eps: Fraction, gen: ClaimGenerator,
@@ -548,7 +544,7 @@ def run_dispersed_ipp_nc(X: InputTensor, D: Pmf, eps: Fraction, gen: ClaimGenera
         session.note(f"queries before fin leaf phase: {session.ledger.queries}")
         return _fin_core(session, X, inst, eps, rho, r, "oracle", kappa_override)
 
-    return _run(verifier, prover, OracleHandles(X.data, dist=D), seed)
+    return run_session(verifier, prover, OracleHandles(X.data, dist=D), seed)
 
 
 # --- RLCC transformation ---------------------------------------------------------
@@ -591,7 +587,7 @@ def run_rlcc_transform(x_bits: Sequence[int], D, uniform_ipp: Callable[[Session]
                     return Verdict(False, "corrector")
         return ACCEPT
 
-    return _run(verifier, prover, OracleHandles(x_bits, dist=D), seed)
+    return run_session(verifier, prover, OracleHandles(x_bits, dist=D), seed)
 
 
 def hadamard_codeword(message: int, bits: int) -> tuple[int, ...]:
@@ -755,7 +751,7 @@ class InequalityReport:
 
 
 def hybrid_pval_distance(X: InputTensor, inst: PvalInstance, D: Pmf,
-                         budget: int = 10 ** 7):
+                         budget: int = DEFAULT_ENUM_BUDGET):
     """mu_{D,U}(X, PVAL(J, v)) by exhaustive scan, U uniform over the cells of X."""
     uniform = Pmf.uniform(X.n, shape=(X.k, X.m))
     return dist_to_pval_bruteforce(X, inst, ("hybrid", D, uniform), budget=budget)
@@ -763,7 +759,7 @@ def hybrid_pval_distance(X: InputTensor, inst: PvalInstance, D: Pmf,
 
 def row_distances(X: InputTensor, row_dist: Pmf, Y: Sequence[Sequence[int]],
                   j2: Sequence[tuple[int, ...]], rowmap: Sequence[int],
-                  budget: int = 10 ** 7) -> list:
+                  budget: int = DEFAULT_ENUM_BUDGET) -> list:
     """eps_i = mu_{row_dist,U}(X'[i,.], PVAL(J_2, Y'[i,.])) for every row i, by brute force.
 
     Row i is X's row rowmap[i] (the identity for X's own rows), where source
@@ -783,7 +779,7 @@ def row_distances(X: InputTensor, row_dist: Pmf, Y: Sequence[Sequence[int]],
 
 def _preservation_report(X: InputTensor, D: Pmf, row_dist: Pmf, Y: Sequence[Sequence[int]],
                          inst: PvalInstance, factor: Fraction, rowmap: Sequence[int],
-                         budget: int = 10 ** 7) -> InequalityReport:
+                         budget: int = DEFAULT_ENUM_BUDGET) -> InequalityReport:
     """sum_i eps_i >= factor * mu_{D,U}(X, PVAL(J, v)) over the rows of row_distances.
 
     Stated non-strict at the exact distance: that is the sharp form of the
@@ -807,7 +803,7 @@ def _preservation_report(X: InputTensor, D: Pmf, row_dist: Pmf, Y: Sequence[Sequ
 
 def check_distance_preservation(X: InputTensor, D: Pmf, Y: Sequence[Sequence[int]],
                                 inst: PvalInstance,
-                                budget: int = 10 ** 7) -> InequalityReport:
+                                budget: int = DEFAULT_ENUM_BUDGET) -> InequalityReport:
     """Row-distance preservation for the folding step.
 
     Given Y passing the step-1 column checks, verifies
@@ -856,7 +852,7 @@ def check_subspace_lemma(field: PrimeField, S_basis, T_basis, metric) -> dict:
 
 def check_appendix_claims(X: InputTensor, D: Pmf, Y: Sequence[Sequence[int]],
                           inst: PvalInstance, kappa: int, trials: int, seed: int,
-                          budget: int = 10 ** 7) -> dict:
+                          budget: int = DEFAULT_ENUM_BUDGET) -> dict:
     """Statistical checks of the folding soundness claims.
 
     - witness search: some b in {0..log2 k} admits a row set I with

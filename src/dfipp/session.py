@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 VERIFIER = "verifier"
 PROVER = "prover"
@@ -223,8 +223,17 @@ class Session:
         return msg
 
 
+class RunResult(NamedTuple):
+    """One finished session: its verdict, ledger, transcript and notes."""
+
+    verdict: Verdict
+    ledger: CostLedger
+    transcript: list[Message]
+    notes: list[str]
+
+
 def run_session(verifier: Callable[[Session], Verdict], prover: ProverStrategy,
-                oracles: OracleHandles, seed: int):
+                oracles: OracleHandles, seed: int) -> RunResult:
     """Drive the interaction to completion; deterministic given the seed."""
     session = Session(prover, oracles, seed)
     try:
@@ -232,7 +241,7 @@ def run_session(verifier: Callable[[Session], Verdict], prover: ProverStrategy,
     except ProtocolViolation as exc:
         session.note(f"malformed: {exc}")
         verdict = Verdict(False, "malformed")
-    return verdict, session.ledger, session.transcript, session.notes
+    return RunResult(verdict, session.ledger, session.transcript, session.notes)
 
 
 def amplify(run_once: Callable[[int], tuple], repetitions: int, rule: str, seed: int):

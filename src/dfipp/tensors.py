@@ -97,21 +97,19 @@ def _check_budget(field: PrimeField, k: int, m: int, budget: int) -> None:
         )
 
 
-def enumerate_pval(inst: PvalInstance, budget: int = DEFAULT_ENUM_BUDGET,
-                   reverse: bool = False) -> Iterable[tuple[int, ...]]:
+def enumerate_pval(inst: PvalInstance,
+                   budget: int = DEFAULT_ENUM_BUDGET) -> Iterable[tuple[int, ...]]:
     """Yield every member of PVAL(J, v) by scanning all of F^(k^m).
 
     The membership test per candidate is a dot product against precomputed
     basis rows, the same rows lde_eval uses; the independent check of both
-    is the Vandermonde oracle in tests/_oracles.py.  `reverse` flips the scan
-    order so results can be cross-checked against a second enumeration order.
+    is the Vandermonde oracle in tests/_oracles.py.
     """
     _check_budget(inst.field, inst.k, inst.m, budget)
     p = inst.field.modulus
     n = inst.k ** inst.m
     rows = [basis_row(inst.field, inst.k, inst.m, j) for j in inst.points]
-    alphabet = range(p - 1, -1, -1) if reverse else range(p)
-    for cand in itertools.product(alphabet, repeat=n):
+    for cand in itertools.product(range(p), repeat=n):
         ok = True
         for row, v in zip(rows, inst.values):
             if sum(r * c for r, c in zip(row, cand)) % p != v:
@@ -122,11 +120,11 @@ def enumerate_pval(inst: PvalInstance, budget: int = DEFAULT_ENUM_BUDGET,
 
 
 def dist_to_pval_bruteforce(X: InputTensor, inst: PvalInstance, metric,
-                            budget: int = DEFAULT_ENUM_BUDGET, reverse: bool = False):
+                            budget: int = DEFAULT_ENUM_BUDGET):
     """min over W in PVAL(J, v) of the metric distance; inf if PVAL is empty."""
     d = metric_fn(metric)
     best = INF
-    for w in enumerate_pval(inst, budget=budget, reverse=reverse):
+    for w in enumerate_pval(inst, budget=budget):
         best = min(best, d(X.data, w))
         if best == 0:
             break

@@ -269,7 +269,7 @@ def test_criterion_8_ledger_laws():
         oracles = OracleHandles(X.data)
         ledger = CostLedger()
         oracles.bind(ledger, random.Random(0))
-        folded_eval(oracles, X, st, (0,))
+        folded_eval(oracles, X, st, 0)
         if ledger.queries != expected or st.tau != expected:
             ok_tau = False
 

@@ -7,7 +7,7 @@ import pytest
 
 from _oracles import materialised_fold_value
 from dfipp.distributions import extension_row_map
-from dfipp.field import InputTensor, PrimeField
+from dfipp.field import InputTensor, PrimeField, cell_index
 from dfipp.protocols import FoldState, folded_eval
 from dfipp.session import CostLedger, OracleHandles
 
@@ -20,7 +20,7 @@ def _charged(X, st, coords):
     oracles = OracleHandles(X.data)
     ledger = CostLedger()
     oracles.bind(ledger, random.Random(0))
-    return folded_eval(oracles, X, st, coords), ledger.queries
+    return folded_eval(oracles, X, st, cell_index(coords, X.k)), ledger.queries
 
 
 def _random_level(rng, k, p, extended):

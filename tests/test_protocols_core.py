@@ -278,7 +278,7 @@ def test_bounded_locality_exact():
         from dfipp.session import CostLedger
         ledger = CostLedger()
         oracles.bind(ledger, random.Random(0))
-        folded_eval(oracles, X, st, (0,))
+        folded_eval(oracles, X, st, 0)
         assert ledger.queries == st.tau
 
 

@@ -251,7 +251,7 @@ def test_extended_fold_locality_bounded_and_zero_rows_free():
         oracles = OracleHandles(X.data)
         ledger = CostLedger()
         oracles.bind(ledger, random.Random(0))
-        folded_eval(oracles, X, st, (0,))
+        folded_eval(oracles, X, st, 0)
         zero_hits = sum(1 for i in st.supports[0] if rowmap[i] == 2)
         assert ledger.queries == len(st.supports[0]) - zero_hits
         assert ledger.queries <= st.tau
