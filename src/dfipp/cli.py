@@ -17,7 +17,20 @@ from .experiments import (EXIT_EXACT_FAIL, EXIT_PASS, EXIT_REFUSED, cmd_check_le
                           cmd_replay, cmd_run, exit_code_for, gen_ham_lb_fixture)
 from .tensors import DEFAULT_ENUM_BUDGET, BudgetExceeded
 
-DEFAULT_BUDGET = int(os.environ.get("DFIPP_BUDGET", DEFAULT_ENUM_BUDGET))
+
+def _budget(arg: str | None) -> int:
+    """--budget, else DFIPP_BUDGET, else the default; a set value must be a positive integer."""
+    name, text = ("--budget", arg) if arg is not None else ("DFIPP_BUDGET",
+                                                            os.environ.get("DFIPP_BUDGET"))
+    if text is None:
+        return DEFAULT_ENUM_BUDGET
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise ValueError(f"{name} must be a positive integer, got {text!r}")
+    return value
 
 
 def _jsonable(obj):
@@ -47,7 +60,8 @@ def main(argv=None) -> int:
     p_lem.add_argument("lemma")
     p_lem.add_argument("--trials", type=int, default=200)
     p_lem.add_argument("--seed", type=int, default=0)
-    p_lem.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p_lem.add_argument("--budget", help="enumeration budget (default: DFIPP_BUDGET, "
+                       f"else {DEFAULT_ENUM_BUDGET})")
 
     p_fix = sub.add_parser("gen-fixture", help="generate the weight-testing fixture pair")
     p_fix.add_argument("--n", type=int, required=True)
@@ -75,7 +89,7 @@ def main(argv=None) -> int:
 
         if args.command == "check-lemma":
             report = cmd_check_lemma(args.lemma, args.trials, args.seed,
-                                     budget=args.budget)
+                                     budget=_budget(args.budget))
             print(json.dumps(_jsonable(report), sort_keys=True, indent=2))
             return exit_code_for(report)
 

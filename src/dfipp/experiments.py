@@ -17,8 +17,9 @@ from fractions import Fraction
 from dataclasses import replace
 from typing import NamedTuple, Optional
 
-from .field import InputTensor, PrimeField, lde_eval
-from .tensors import DEFAULT_ENUM_BUDGET, INF, PvalInstance, dist, pval_min_distance
+from .field import InputTensor, PrimeField, lagrange_basis, lde_eval
+from .tensors import (DEFAULT_ENUM_BUDGET, INF, PvalInstance, coset, dist, pval_min_distance,
+                      solve_affine)
 from .distributions import (CIRCUIT_INPUT_BUDGET, Pmf, SamplingCircuit, distribution_from_json,
                             dispersion_rho, granularise, marginal_first, tv_distance)
 from .session import (ACCEPT, OracleHandles, ProverStrategy, ReplayProver, RunResult, Verdict,
@@ -663,25 +664,23 @@ def _consistent_matrix(field: PrimeField, k: int, inst: PvalInstance,
     """A k x |J2| matrix passing the step-1 column checks, or None.
 
     Columns carrying constraints are drawn uniformly from the solution set
-    (brute force over F^k); free columns are uniform.
+    of their Lagrange-basis rows, listed in lexicographic order over F^k;
+    free columns are uniform.
     """
-    import itertools as it
-    from .field import lagrange_eval_univariate as ev
-
     j2, cols = project_points(inst.points)
     p = field.modulus
     constraints: dict[int, list] = {}
     for (pt, v), c in zip(zip(inst.points, inst.values), cols):
-        constraints.setdefault(c, []).append((pt[0], v))
+        constraints.setdefault(c, []).append((lagrange_basis(p, k, pt[0]), v))
     matrix_cols = []
     for c in range(len(j2)):
         if c not in constraints:
             matrix_cols.append(tuple(rng.randrange(p) for _ in range(k)))
             continue
-        options = [cand for cand in it.product(range(p), repeat=k)
-                   if all(ev(field, list(cand), t) == v for t, v in constraints[c])]
-        if not options:
+        solved = solve_affine(p, k, *zip(*constraints[c]))
+        if solved is None:
             return None
+        options = list(coset(p, *solved))
         matrix_cols.append(options[rng.randrange(len(options))])
     return [[matrix_cols[c][i] for c in range(len(j2))] for i in range(k)], j2
 

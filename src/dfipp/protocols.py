@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 from .field import (InputTensor, PrimeField, cell_coords, cell_index, lagrange_eval_univariate,
                     lde_eval, lde_eval_batch)
 from .tensors import (DEFAULT_ENUM_BUDGET, INF, PvalInstance, dist_to_pval_bruteforce,
-                      metric_fn)
+                      metric_fn, span)
 from .distributions import Pmf, dispersion_rho, marginal_first
 from .session import (ACCEPT, OracleHandles, ProtocolViolation, ProverStrategy, RunResult,
                       Session, Verdict, run_session)
@@ -816,16 +816,6 @@ def check_distance_preservation(X: InputTensor, D: Pmf, Y: Sequence[Sequence[int
     factor = Fraction(inst.k) / dispersion_rho(D).rho
     return _preservation_report(X, D, marginal_first(D), Y, inst, factor,
                                 tuple(range(inst.k)), budget)
-
-
-def span(field: PrimeField, basis: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    p = field.modulus
-    vectors = [tuple(0 for _ in basis[0])]
-    for b in basis:
-        vectors = [tuple((v + c * bb) % p for v, bb in zip(vec, b))
-                   for vec in vectors for c in range(p)]
-        vectors = list(dict.fromkeys(vectors))  # collapse dependent bases
-    return vectors
 
 
 def check_subspace_lemma(field: PrimeField, S_basis, T_basis, metric) -> dict:

@@ -3,6 +3,8 @@
 These deliberately avoid the library's Lagrange basis rows (lagrange_basis,
 basis_row): polynomial evaluation goes through coefficient vectors obtained
 by solving the Vandermonde system with plain Gaussian elimination mod p.
+The PVAL, span and constraint-solution oracles test every candidate in turn
+instead of solving the claim system.
 The distribution oracles take masses as a list of Fractions and sum them as
 Fractions, never reading the library's integer weights.
 """
@@ -57,6 +59,48 @@ def _monomial(point, exps, p):
     for x, e in zip(point, exps):
         acc = acc * pow(x, e, p) % p
     return acc
+
+
+def vandermonde_rows(k, m, points, p):
+    """Row j holds P_{e_cell}(points[j]) for every unit tensor e_cell, by
+    vandermonde_lde_eval; the LDE is linear in the data, so P_X(points[j])
+    is the dot of row j with X."""
+    n = k ** m
+    units = [[int(i == cell) for i in range(n)] for cell in range(n)]
+    return [[vandermonde_lde_eval(e, k, m, pt, p) for e in units] for pt in points]
+
+
+def scan_pval(k, m, points, values, p):
+    """Every X in F_p^(k^m) with P_X(points) = values, by testing all p^(k^m)
+    candidates in lexicographic order, never solving the claim system."""
+    rows = vandermonde_rows(k, m, points, p)
+    return [cand for cand in itertools.product(range(p), repeat=k ** m)
+            if all(sum(r * c for r, c in zip(row, cand)) % p == v
+                   for row, v in zip(rows, values))]
+
+
+def pairwise_min_distance(members, n):
+    """min over pairs of distinct members of their Hamming distance over n; inf below two."""
+    best = math.inf
+    for a, b in itertools.combinations(members, 2):
+        best = min(best, Fraction(sum(x != y for x, y in zip(a, b)), n))
+    return best
+
+
+def span_set(basis, p):
+    """The span of basis over F_p as a set, by one combination layer per basis vector."""
+    vectors = {tuple(0 for _ in basis[0])}
+    for b in basis:
+        vectors = {tuple((v + c * bb) % p for v, bb in zip(vec, b))
+                   for vec in vectors for c in range(p)}
+    return vectors
+
+
+def univariate_solutions(k, constraints, p):
+    """Every value vector in F_p^k, lexicographically, whose Vandermonde
+    interpolant P has P(t) = v for every (t, v) in constraints."""
+    return [cand for cand in itertools.product(range(p), repeat=k)
+            if all(poly_eval(vandermonde_coeffs(cand, p), t, p) == v for t, v in constraints)]
 
 
 def exhaustive_hybrid_distance(x, candidates, d1_masses, d2_masses):
