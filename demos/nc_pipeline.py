@@ -10,8 +10,8 @@ from fractions import Fraction
 
 from dfipp import InputTensor, Pmf, PrimeField, PvalInstance, dispersion_rho, \
     dist_to_pval_bruteforce
-from dfipp.protocols import (ClaimGenerator, HonestFoldProver, run_df_ipp_nc,
-                             run_dispersed_ipp_nc)
+from dfipp.protocols import (ClaimGenerator, HonestFoldProver, ScriptedClaimsProver,
+                             run_df_ipp_nc, run_dispersed_ipp_nc)
 from dfipp.tensors import INF, enumerate_pval, hybrid_dist
 
 rng = random.Random(1)
@@ -21,7 +21,7 @@ F5 = PrimeField(5)
 print("== honest pipeline: claims -> fresh samples -> uniform recursion ==")
 X = InputTensor.random(F17, 2, 4, rng)
 U = Pmf.uniform(16, shape=(2, 4))
-res = run_df_ipp_nc(X, U, Fraction(1, 2), ClaimGenerator("honest"),
+res = run_df_ipp_nc(X, U, Fraction(1, 2), ClaimGenerator(),
                     HonestFoldProver(X), seed=0)
 print(f"accepted={res.verdict.accepted}, samples={res.ledger.samples} "
       f"(= ceil(3/eps)), queries={res.ledger.queries}")
@@ -32,7 +32,7 @@ D = Pmf([Fraction(3, 32) if i % 2 else Fraction(1, 32) for i in range(16)],
         shape=(2, 4))
 rho = dispersion_rho(D).rho
 print("dispersion rho =", rho)
-res = run_dispersed_ipp_nc(X, D, Fraction(1, 2), ClaimGenerator("honest"), rho, 1,
+res = run_dispersed_ipp_nc(X, D, Fraction(1, 2), ClaimGenerator(), rho, 1,
                            HonestFoldProver(X), seed=0)
 print(f"accepted={res.verdict.accepted}; {res.notes[0]}")
 
@@ -57,8 +57,9 @@ W = InputTensor(F5, 2, 2, best)
 print("the adversary commits to the closest member, at distance", best_d)
 rejects = 0
 trials = 200
-gen = ClaimGenerator("adversarial", instance=inst)
+gen = ClaimGenerator(points=inst.points)  # the adversary answers the fixed v
+prover = ScriptedClaimsProver(HonestFoldProver(W), inst.values, F5.bits)
 for seed in range(trials):
-    r = run_df_ipp_nc(Xf, U5, mu * Fraction(99, 100), gen, HonestFoldProver(W), seed)
+    r = run_df_ipp_nc(Xf, U5, mu * Fraction(99, 100), gen, prover, seed)
     rejects += not r.verdict.accepted
 print(f"empirical reject rate: {rejects}/{trials}")

@@ -25,7 +25,8 @@ from .distributions import (CIRCUIT_INPUT_BUDGET, Pmf, SamplingCircuit, distribu
 from .session import (ACCEPT, OracleHandles, ProverStrategy, ReplayProver, RunResult, Verdict,
                       amplify, dump_transcript, load_transcript, run_session)
 from .protocols import (BadSumHamProver, ClaimGenerator, HonestFoldProver, HonestHamProver,
-                        NullProver, RandomLieFoldProver, RowTamperFoldProver, blr_linearity_ipp,
+                        NullProver, RandomLieFoldProver, RowTamperFoldProver,
+                        ScriptedClaimsProver, blr_linearity_ipp,
                         check_appendix_claims, check_distance_preservation,
                         check_subspace_lemma, fold_kappa, hadamard_codeword,
                         hadamard_corrector, project_points, run_df_ipp_nc,
@@ -166,18 +167,27 @@ _WHITEBOX_COMMITS = Modes("mode", "honest", {
 })
 
 
-def _adversarial_claims(spec: dict, inst: PvalInstance) -> ClaimGenerator:
-    """The fixed claims (J, v) of spec; a ValueError names the key unless every
-    coordinate and value is a field element."""
+def _claimed(points: list, values: list, m: int, key: str = "") -> tuple:
+    """(J, v) as tuples; a ValueError names the key unless J lies in F^m and |J| = |v|."""
+    J = tuple(map(tuple, points))
+    if any(len(pt) != m for pt in J):
+        raise ValueError(f"config key '{key}points' must hold points of {m} coordinates")
+    return J, _sized(values, len(J), key + "values")
+
+
+def _adversarial_claims(spec: dict, inst: PvalInstance) -> tuple:
+    """The generator that fixes the J of spec, and its v for a scripted reply; a
+    ValueError names the key unless every coordinate and value is a field element."""
+    J, v = _claimed(spec["points"], spec["values"], inst.m, "claims.")
     p = inst.field.modulus
-    if not all(0 <= v < p for v in [*spec["values"], *(c for pt in spec["points"] for c in pt)]):
+    if not all(0 <= c < p for c in [*v, *(c for pt in J for c in pt)]):
         raise ValueError(f"config key 'claims' must hold field elements in [0, {p})")
-    return ClaimGenerator("adversarial", instance=replace(
-        inst, points=tuple(map(tuple, spec["points"])), values=tuple(spec["values"])))
+    return ClaimGenerator(points=J), v
 
 
+# a claims object builds (ClaimGenerator, the values a scripted prover answers or None)
 _NC_CLAIMS = Modes("mode", "honest", {
-    "honest": ({}, {"t": POSITIVE}, lambda s, inst: ClaimGenerator("honest", t=s.get("t"))),
+    "honest": ({}, {"t": POSITIVE}, lambda s, inst: (ClaimGenerator(t=s.get("t")), None)),
     "adversarial": ({"points": [[int]], "values": [int]}, {}, _adversarial_claims),
 })
 _DISTRIBUTION = Modes("kind", None, {
@@ -198,8 +208,7 @@ def _tensor_and_instance(config: dict, rng: random.Random):
     else:
         X = InputTensor.random(field, k, m, rng)
     if "points" in config:
-        points = tuple(map(tuple, config["points"]))
-        values = tuple(config["values"])
+        points, values = _claimed(config["points"], config["values"], m)
     else:
         points = tuple(field.rand_point(m, rng) for _ in range(config.get("t", 2)))
         values = tuple(lde_eval(X, pt) for pt in points)
@@ -297,8 +306,11 @@ def _nc_setup(config: dict, rng: random.Random, prover):
     X, inst = _tensor_and_instance(config, rng)
     eps = _frac(config["eps"])
     D = _distribution(config, X.n, shape=(inst.k, inst.m))
-    gen = _NC_CLAIMS.build(config.get("claims", {}), inst)
-    prover = prover or _FOLD_PROVERS.build(config.get("prover", {}), X, rng)
+    gen, values = _NC_CLAIMS.build(config.get("claims", {}), inst)
+    if prover is None:  # a prover_override (a replay) answers claims/values itself
+        prover = _FOLD_PROVERS.build(config.get("prover", {}), X, rng)
+        if values is not None:
+            prover = ScriptedClaimsProver(prover, values, X.field.bits)
     rho = _rho(D)
     meta = _fold_meta(X, inst, r=config.get("r", 1), eps=str(eps), rho=str(rho))
     return X, D, eps, gen, prover, rho, meta
@@ -352,10 +364,10 @@ def _run_set_lower_bound(config: dict, rng: random.Random, seed: int, prover):
     circuit = SamplingCircuit.identity(ell)
     n_sym = 1 << ell
     claims = config.get("claims", [Fraction(1, n_sym)] * n_sym)
-    probs = [Fraction(c) for c in _sized(claims, n_sym, "claims")]
-    if config.get("inflate"):
-        probs[0] = min(Fraction(1), probs[0] * 2)
-    claim = MarginalClaim(tuple(probs), _frac(config.get("tau", "1/1000")),
+    probs = tuple(Fraction(c) for c in _sized(claims, n_sym, "claims"))
+    if sum(probs) > 1:
+        raise ValueError("config key 'claims' must sum to at most 1")
+    claim = MarginalClaim(probs, _frac(config.get("tau", "1/1000")),
                           _frac(config.get("delta", "1/20")))
     prover = prover or HonestSlbProver(circuit, lambda y: y)
     result = run_set_lower_bound(circuit, claim, prover, seed,
@@ -394,7 +406,7 @@ _PROTOCOLS = {
              {"message": int, "corruptions": [int], "distribution": _DISTRIBUTION}, _run_rlcc),
     "set_lower_bound": ({"ell": POSITIVE},
                         {"claims": [_mass], "tau": _positive, "delta": _positive,
-                         "bucket_bits": int, "inflate": bool}, _run_set_lower_bound),
+                         "bucket_bits": int}, _run_set_lower_bound),
 }
 # a config: the keys of every run, then those of its protocol
 _CONFIG = Modes("protocol", None, {name: (
@@ -528,27 +540,19 @@ def cmd_replay(path: str) -> dict:
     config, seed = header["config"], header["seed"]
     validate_config(config)
     result, _meta = run_protocol(config, seed, prover_override=ReplayProver(messages))
-    divergence = None
-    for idx, (got, want) in enumerate(zip(result.transcript, messages)):
-        if (got.sender, got.tag, got.sections) != (want.sender, want.tag, want.sections):
-            divergence = idx
-            break
-    if divergence is None and len(result.transcript) != len(messages):
-        divergence = min(len(result.transcript), len(messages))
-    led = result.ledger
-    ledger_match = (trailer["queries"] == led.queries
-                    and trailer["samples"] == led.samples
-                    and trailer["comm_bits"] == led.comm_bits
-                    and trailer["messages"] == led.messages)
+    got = result.transcript
+    divergence = next((idx for idx, (a, b) in enumerate(zip(got, messages)) if a != b),
+                      None if len(got) == len(messages) else min(len(got), len(messages)))
+    ledger_match = all(trailer[key] == getattr(result.ledger, key)
+                       for key in ("queries", "samples", "comm_bits", "messages"))
     verdict_match = (trailer["accepted"] == result.verdict.accepted
                      and trailer["reject_reason"] == result.verdict.reject_reason)
-    recomputed_bits = sum(m.bits for m in result.transcript)
     return {
         "match": divergence is None and ledger_match and verdict_match,
         "first_divergence": divergence,
         "ledger_match": ledger_match,
         "verdict_match": verdict_match,
-        "comm_bits_recomputed": recomputed_bits,
+        "comm_bits_recomputed": sum(m.bits for m in got),
         "comm_bits_recorded": trailer["comm_bits"],
     }
 

@@ -20,7 +20,7 @@ from .tensors import (DEFAULT_ENUM_BUDGET, INF, PvalInstance, dist_to_pval_brute
                       metric_fn, span)
 from .distributions import Pmf, dispersion_rho, marginal_first
 from .session import (ACCEPT, OracleHandles, ProtocolViolation, ProverStrategy, RunResult,
-                      Session, Verdict, run_session)
+                      Section, Session, Verdict, run_session)
 
 
 # --- weight classes and folding state ----------------------------------------
@@ -376,41 +376,44 @@ def extract_committed_string(prover: ProverStrategy, n: int, w: int) -> list[int
 
 @dataclass
 class ClaimGenerator:
-    """Idealized stand-in for the interactive NC -> PVAL reduction.
+    """Idealized stand-in for the interactive NC -> PVAL reduction: the verifier
+    sends J, fresh uniform points (its coins) unless `points` fixes it, and the
+    prover answers v.  A fixed J with a ScriptedClaimsProver's v models a
+    reduction run whose guarantee failed; downstream protocols must still
+    reject under the hybrid promise."""
 
-    honest: J is a fresh uniform i.i.d. point set (verifier's coins) and the
-    prover supplies v, so honest provers yield v = P_X(J) with certainty.
-    adversarial: a fixed (J, v), modelling a reduction run whose guarantee
-    failed; downstream protocols must still reject under the hybrid promise.
-    """
-
-    mode: str = "honest"
     t: Optional[int] = None
-    instance: Optional[PvalInstance] = None
-
-    def point_count(self, n: int, eps: Fraction) -> int:
-        if self.t is not None:
-            return self.t
-        return max(1, math.ceil(4 * eps * n * math.log2(n))) if n > 1 else 1
+    points: Optional[tuple[tuple[int, ...], ...]] = None
 
 
 def generate_pval_claims(session: Session, gen: ClaimGenerator, field: PrimeField,
                          k: int, m: int, eps: Fraction) -> PvalInstance:
-    fb = field.bits
-    if gen.mode == "honest":
-        t = gen.point_count(k ** m, eps)
+    """Send J (gen.points, else t = ceil(4 eps n log2 n) uniform points) and ask for v."""
+    points = gen.points
+    if points is None:
+        n, t = k ** m, gen.t
+        if t is None:
+            t = max(1, math.ceil(4 * eps * n * math.log2(n))) if n > 1 else 1
         points = tuple(field.rand_point(m, session.rng) for _ in range(t))
-        flat = tuple(c for pt in points for c in pt)
-        session.tell("claims/points", [(flat, fb)])
-        msg = session.ask("claims/values", points, expect=[(t, fb)])
-        return PvalInstance(field, k, m, points, msg.values())
-    if gen.mode == "adversarial":
-        inst = gen.instance
-        flat = tuple(c for pt in inst.points for c in pt)
-        session.tell("claims/points", [(flat, fb)])
-        session._record("prover", "claims/values", [(inst.values, fb)])
-        return inst
-    raise ValueError(f"unknown claim generator mode {gen.mode!r}")
+    fb = field.bits
+    session.tell("claims/points", [(tuple(c for pt in points for c in pt), fb)])
+    msg = session.ask("claims/values", points, expect=[(len(points), fb)])
+    return PvalInstance(field, k, m, points, msg.values())
+
+
+class ScriptedClaimsProver(ProverStrategy):
+    """Answers claims/values with fixed values; every other request and message
+    goes to the inner prover, so a randomized one spends no coins on the claims."""
+
+    def __init__(self, inner: ProverStrategy, values: Sequence[int], width: int):
+        self.inner = inner
+        self.claims = Section(values, width)
+
+    def reply(self, tag, payload):
+        return [self.claims] if tag == "claims/values" else self.inner.reply(tag, payload)
+
+    def observe(self, tag, sections) -> None:
+        self.inner.observe(tag, sections)
 
 
 # --- FinIPP: recursive PVAL IPP over dispersed distributions -------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, NamedTuple, Optional, Sequence
 
 VERIFIER = "verifier"
@@ -24,58 +25,54 @@ class ProtocolViolation(Exception):
     """A malformed prover reply (wrong arity, width overflow, bad tag)."""
 
 
-@dataclass(frozen=True)
-class Section:
-    """A run of equal-width values inside a message payload."""
+class Section(tuple):
+    """A run of equal-width values inside a message payload: the pair (values, width).
+    The constructor validates every section: each value must be an int in
+    [0, 2^width), and the first one that is not is named."""
 
-    values: tuple[int, ...]
-    width: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.width < 1:
-            raise ValueError("width must be >= 1")
-        values = self.values
-        try:
-            fits = not values or (min(values) >= 0 and max(values) < (1 << self.width))
-        except TypeError:  # values of mixed types: the loop below raises per value
-            fits = False
-        if not fits:  # name the first value that does not fit
-            for v in values:
-                if not 0 <= v < (1 << self.width):
-                    raise ProtocolViolation(f"value {v} does not fit in {self.width} bits")
+    def __new__(cls, values, width: int) -> "Section":
+        values = tuple(values)
+        if type(width) is not int or width < 1:
+            raise ValueError(f"width must be an int >= 1, not {width!r}")
+        for v in values:
+            if type(v) is not int:
+                raise ProtocolViolation(f"value {v!r} is not an int")
+            if v < 0 or v >> width:
+                raise ProtocolViolation(f"value {v} does not fit in {width} bits")
+        return tuple.__new__(cls, (values, width))
+
+    values = property(itemgetter(0))
+    width = property(itemgetter(1))
 
     @property
     def bits(self) -> int:
-        return len(self.values) * self.width
+        return len(self[0]) * self[1]
 
     def to_hex(self) -> str:
-        acc = 0
-        for i, v in enumerate(self.values):
-            acc |= v << (i * self.width)
-        nbytes = (self.bits + 7) // 8
-        return acc.to_bytes(max(nbytes, 1), "little").hex() if self.values else ""
+        values, width = self
+        acc = sum(v << (i * width) for i, v in enumerate(values))
+        return acc.to_bytes((len(values) * width + 7) // 8, "little").hex()
 
     @staticmethod
     def from_hex(hexstr: str, count: int, width: int) -> "Section":
-        if count == 0:
-            return Section((), width)
         acc = int.from_bytes(bytes.fromhex(hexstr), "little")
         mask = (1 << width) - 1
         return Section(tuple((acc >> (i * width)) & mask for i in range(count)), width)
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     sender: str
     tag: str
     sections: tuple[Section, ...]
 
     @property
     def bits(self) -> int:
-        return sum(s.bits for s in self.sections)
+        return sum(len(values) * width for values, width in self.sections)
 
     def values(self, i: int = 0) -> tuple[int, ...]:
-        return self.sections[i].values
+        return self.sections[i][0]
 
 
 @dataclass
@@ -180,15 +177,13 @@ class Session:
         self.notes.append(text)
 
     def _record(self, sender: str, tag: str, sections) -> Message:
-        built, bits = [], 0
-        for v, w in sections:
-            section = Section(tuple(v), w)
-            built.append(section)
-            bits += len(section.values) * w
-        msg = Message(sender, tag, tuple(built))
+        """Append one message; each (values, width) pair that is not a Section yet
+        is validated by becoming one."""
+        msg = Message(sender, tag, tuple(s if type(s) is Section else Section(*s)
+                                         for s in sections))
         self.transcript.append(msg)
         self.ledger.messages += 1
-        self.ledger.comm_bits += bits
+        self.ledger.comm_bits += msg.bits
         return msg
 
     def tell(self, tag: str, sections) -> Message:
@@ -307,14 +302,12 @@ class ReplayProver(ProverStrategy):
     """Replays the prover messages of a recorded transcript in order."""
 
     def __init__(self, messages: Sequence[Message]):
-        self._queue = [m for m in messages if m.sender == PROVER]
-        self._pos = 0
+        self._queue = iter([m for m in messages if m.sender == PROVER])
 
     def reply(self, tag, payload):
-        if self._pos >= len(self._queue):
+        msg = next(self._queue, None)
+        if msg is None:
             raise ProtocolViolation("transcript exhausted")
-        msg = self._queue[self._pos]
-        self._pos += 1
         if msg.tag != tag:
             raise ProtocolViolation(f"transcript tag {msg.tag!r} != requested {tag!r}")
-        return [(s.values, s.width) for s in msg.sections]
+        return msg.sections

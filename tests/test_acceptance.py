@@ -93,7 +93,7 @@ def test_criterion_1_perfect_completeness():
         code = hadamard_codeword(1, bits)
         eps_rlcc = Fraction(1, 8)
         Dprod, circuit = gen_product_fixture(k, m, "uniform")
-        gen = ClaimGenerator("honest")
+        gen = ClaimGenerator()
         X, inst = member_instance(field, k, m, rng)
 
         runs = {
@@ -278,7 +278,7 @@ def test_criterion_8_ledger_laws():
     ok_samples = True
     for eps in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 7)):
         res = run_df_ipp_nc(Xb, Pmf.uniform(16, shape=(2, 4)), eps,
-                            ClaimGenerator("honest"), HonestFoldProver(Xb), 1)
+                            ClaimGenerator(), HonestFoldProver(Xb), 1)
         if not res.verdict.accepted or res.ledger.samples != math.ceil(3 / eps):
             ok_samples = False
 

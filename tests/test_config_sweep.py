@@ -65,7 +65,7 @@ CONFIGS = {
              "corruptions": [3], "distribution": PRODUCT_4},
     "set_lower_bound": {"protocol": "set_lower_bound", "ell": 2,
                         "claims": ["1/4", "1/8", 0.125, 0], "tau": "1/1000",
-                        "delta": "1/20", "bucket_bits": 1, "inflate": True},
+                        "delta": "1/20", "bucket_bits": 1},
 }
 CONFIGS = {name: {**cfg, **RUN} for name, cfg in CONFIGS.items()}
 

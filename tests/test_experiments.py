@@ -349,6 +349,17 @@ def _drop(config, key):
       "c": 1, "predicate": 2, "prover": {"mode": "bad-sum"},
       "distribution": {"kind": "circuit", "inputs": 2 ** 70, "gates": [["XOR", 0, 1], ["NOT", 2]],
                        "outputs": [3, 0]}}, None, "'distribution.inputs'"),
+    ({"protocol": "df_ipp_nc", "trials": 1, "seed": 1, "field_modulus": 17, "k": 2, "m": 3,
+      "eps": "1/2", "claims": {"mode": "adversarial", "points": [[1, 2, 3], [4, 5, 6]],
+                               "values": [3]}}, None, "'claims.values'"),
+    ({"protocol": "dispersed_ipp_nc", "trials": 1, "seed": 1, "field_modulus": 17, "k": 2,
+      "m": 3, "eps": "1/2", "claims": {"mode": "adversarial", "points": [[1, 2]],
+                                       "values": [3]}}, None, "'claims.points'"),
+    ({"protocol": "poly_fold", "trials": 1, "seed": 1, "field_modulus": 17, "k": 2, "m": 2,
+      "points": [[1, 2], [3, 4]], "values": [1]}, None, "'values'"),
+    ({**FIN, "points": [[1, 2]], "values": [1]}, None, "'points'"),
+    ({"protocol": "set_lower_bound", "trials": 1, "seed": 1, "ell": 2,
+      "claims": ["1/2", "1/4", "1/4", "1/8"]}, None, "'claims'"),
 ], ids=["fin_ipp-bogus-mode", "whitebox-row-tamper", "unknown-lemma", "fin_ipp-str-k",
         "fin_ipp-no-eps", "ham-no-eps", "fin_ipp-str-prover", "ham-eps-0", "ham-eps-1/0",
         "trials-true", "fin_ipp-bogus-dist_mode", "echo-prover", "rlcc-prover",
@@ -358,7 +369,9 @@ def _drop(config, key):
         "df_ipp_nc-bogus-claims-mode", "fin_ipp-unknown-prover-key", "fin_ipp-kappa_override-0",
         "ham-short-x", "ham-short-alt", "ham-too-few-cells", "dispersed_ipp_nc-shape-mismatch",
         "rlcc-corruption-too-high", "rlcc-corruption-negative", "set_lower_bound-short-claims",
-        "set_lower_bound-wide-bucket", "symmetric-huge-circuit-inputs"])
+        "set_lower_bound-wide-bucket", "symmetric-huge-circuit-inputs",
+        "df_ipp_nc-claims-count-mismatch", "dispersed_ipp_nc-claim-point-not-in-F^m",
+        "poly_fold-count-mismatch", "fin_ipp-point-not-in-F^m", "set_lower_bound-mass-over-1"])
 def test_cli_bad_input_is_a_usage_error(config, argv, message, tmp_path, capsys):
     if config is not None:
         path = tmp_path / "c.json"

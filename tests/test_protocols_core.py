@@ -11,7 +11,8 @@ from dfipp.distributions import Pmf, dispersion_rho
 from dfipp.session import OracleHandles, Verdict
 from dfipp.protocols import (BadSumHamProver, ClaimGenerator, CorrectorHandle,
                              HonestFoldProver, HonestHamProver, RandomLieFoldProver,
-                             RowTamperFoldProver, blr_linearity_ipp, check_appendix_claims,
+                             RowTamperFoldProver, ScriptedClaimsProver, blr_linearity_ipp,
+                             check_appendix_claims,
                              check_distance_preservation, check_subspace_lemma,
                              extract_committed_string, fold_kappa, folded_eval,
                              generate_pval_claims, hadamard_codeword, hadamard_corrector,
@@ -157,7 +158,7 @@ def test_symmetric_far_input_rejected():
 
 # --- claim generation ------------------------------------------------------------
 
-def run_claims(gen, X, eps, seed):
+def run_claims(gen, X, eps, seed, prover=None):
     holder = {}
 
     def verifier(session):
@@ -166,14 +167,14 @@ def run_claims(gen, X, eps, seed):
         return ACCEPT
 
     verdict, ledger, transcript, notes = run_session(
-        verifier, HonestFoldProver(X), OracleHandles(X.data), seed)
+        verifier, prover or HonestFoldProver(X), OracleHandles(X.data), seed)
     return holder["inst"], ledger, transcript
 
 
 def test_honest_claims_always_member():
     rng = random.Random(0)
     X = InputTensor.random(F17, 2, 4, rng)
-    gen = ClaimGenerator("honest")
+    gen = ClaimGenerator()
     for seed in range(1000):
         inst, _, _ = run_claims(gen, X, Fraction(1, 2), seed)
         assert pval_member(X, inst)
@@ -182,7 +183,7 @@ def test_honest_claims_always_member():
 def test_honest_claim_count_formula():
     rng = random.Random(1)
     X = InputTensor.random(F17, 2, 4, rng)  # n = 16
-    gen = ClaimGenerator("honest")
+    gen = ClaimGenerator()
     inst, _, _ = run_claims(gen, X, Fraction(1, 2), 0)
     assert inst.t == math.ceil(4 * Fraction(1, 2) * 16 * math.log2(16))
 
@@ -190,7 +191,7 @@ def test_honest_claim_count_formula():
 def test_claim_points_uniform_chi_square():
     rng = random.Random(2)
     X = InputTensor.random(F5, 2, 2, rng)
-    gen = ClaimGenerator("honest", t=1)
+    gen = ClaimGenerator(t=1)
     counts = {}
     draws = 10 ** 4
     for seed in range(draws):
@@ -209,9 +210,9 @@ def test_adversarial_claims_fixed():
     X = InputTensor.random(F5, 2, 2, rng)
     points = ((1, 2),)
     values = ((lde_eval(X, points[0]) + 1) % 5,)
-    gen = ClaimGenerator("adversarial",
-                         instance=PvalInstance(F5, 2, 2, points, values))
-    inst, _, _ = run_claims(gen, X, Fraction(1, 2), 9)
+    gen = ClaimGenerator(points=points)
+    prover = ScriptedClaimsProver(HonestFoldProver(X), values, F5.bits)
+    inst, _, _ = run_claims(gen, X, Fraction(1, 2), 9, prover)
     assert inst.points == points and inst.values == values
     assert not pval_member(X, inst)
 
@@ -397,7 +398,7 @@ def test_fin_ipp_leaf_pval_verdicts_keep_tuple_order():
 
 def test_df_ipp_nc_perfect_completeness():
     rng = random.Random(13)
-    gen = ClaimGenerator("honest")
+    gen = ClaimGenerator()
     for seed in range(60):
         X = InputTensor.random(F17, 2, 4, rng)
         res = run_df_ipp_nc(X, Pmf.uniform(16, shape=(2, 4)), Fraction(1, 2), gen,
@@ -408,7 +409,7 @@ def test_df_ipp_nc_perfect_completeness():
 def test_df_ipp_nc_sample_accounting():
     rng = random.Random(14)
     X = InputTensor.random(F17, 2, 4, rng)
-    gen = ClaimGenerator("honest")
+    gen = ClaimGenerator()
     for eps in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 7)):
         res = run_df_ipp_nc(X, Pmf.uniform(16, shape=(2, 4)), eps, gen,
                             HonestFoldProver(X), 0)
@@ -422,12 +423,13 @@ def test_df_ipp_nc_adversarial_claims_rejected():
     D = Pmf.uniform(4, shape=(2, 2))
     X, inst, mu = certified_far_instance(F5, 2, 2, rng, D)
     eps = mu * Fraction(99, 100)
-    gen = ClaimGenerator("adversarial", instance=inst)
+    gen = ClaimGenerator(points=inst.points)
     W = closest_member(X, inst, D)
     trials = 200
     rejects = 0
     for seed in range(trials):
-        res = run_df_ipp_nc(X, D, eps, gen, HonestFoldProver(W), seed)
+        res = run_df_ipp_nc(X, D, eps, gen,
+                            ScriptedClaimsProver(HonestFoldProver(W), inst.values, F5.bits), seed)
         if not res.verdict.accepted:
             rejects += 1
     sigma = math.sqrt(Fraction(1, 5) * Fraction(4, 5) / trials)
@@ -445,7 +447,7 @@ def test_dispersed_ipp_nc_completeness_and_no_early_queries():
     rng = random.Random(16)
     D = nonuniform_dispersed_pmf()
     rho = dispersion_rho(D).rho
-    gen = ClaimGenerator("honest")
+    gen = ClaimGenerator()
     for seed in range(60):
         X = InputTensor.random(F5, 2, 2, rng)
         res = run_dispersed_ipp_nc(X, D, Fraction(1, 2), gen, rho, 1,
@@ -460,12 +462,14 @@ def test_dispersed_ipp_nc_adversarial_rejected():
     rho = dispersion_rho(D).rho
     X, inst, mu = certified_far_instance(F5, 2, 2, rng, D)
     eps = mu * Fraction(99, 100)
-    gen = ClaimGenerator("adversarial", instance=inst)
+    gen = ClaimGenerator(points=inst.points)
     W = closest_member(X, inst, D)
     trials = 200
     rejects = 0
     for seed in range(trials):
-        res = run_dispersed_ipp_nc(X, D, eps, gen, rho, 1, HonestFoldProver(W), seed)
+        res = run_dispersed_ipp_nc(X, D, eps, gen, rho, 1,
+                                   ScriptedClaimsProver(HonestFoldProver(W), inst.values, F5.bits),
+                                   seed)
         if not res.verdict.accepted:
             rejects += 1
     sigma = math.sqrt(0.25 * 0.75 / trials)

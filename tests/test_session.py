@@ -122,6 +122,44 @@ def test_section_names_the_first_value_that_does_not_fit():
         Section((0, 3, 1, -1, 4), 2)
 
 
+@pytest.mark.parametrize("values,width,text", [
+    ((0.5, 1.0), 1, "value 0.5 is not an int"),
+    ((1, True), 1, "value True is not an int"),
+    ((0, "1"), 1, "value '1' is not an int"),
+    ((3, 2.0, 9), 2, "value 2.0 is not an int"),
+    ((0, 9, 0.5), 2, "value 9 does not fit in 2 bits"),
+])
+def test_section_names_the_first_value_that_is_not_a_fitting_int(values, width, text):
+    with pytest.raises(ProtocolViolation) as exc:
+        Section(values, width)
+    assert str(exc.value) == text
+
+
+@pytest.mark.parametrize("width", [0, -3, True, 1.0, None])
+def test_section_width_must_be_an_int_of_at_least_one(width):
+    with pytest.raises(ValueError, match=r"^width must be an int >= 1, not "):
+        Section((0,), width)
+
+
+class FloatProver(EchoProver):
+    def reply(self, tag, payload):
+        return [((0.5, 1.0), 1)]
+
+
+def test_non_int_reply_is_malformed(tmp_path):
+    def verifier(session):
+        session.ask("echo/reply", None, expect=[(2, 1)])
+        return ACCEPT
+
+    result = run_session(verifier, FloatProver(), OracleHandles(()), seed=0)
+    assert result.verdict == Verdict(False, "malformed")
+    assert result.notes == ["malformed: value 0.5 is not an int"]
+    assert result.transcript == [] and result.ledger.comm_bits == 0
+    path = str(tmp_path / "t.jsonl")
+    dump_transcript(path, {}, result.transcript, result.verdict, result.ledger)
+    assert load_transcript(path)[1] == []
+
+
 def test_oracle_read_charges_one_query_per_offset():
     values = tuple(range(100, 120))
     oracles = OracleHandles(values)
