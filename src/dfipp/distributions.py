@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Iterable, Optional, Sequence
 
-from .field import cell_coords, cell_index
+from .field import cell_coords, cell_index, uniform_draws
 from .tensors import BudgetExceeded
 
 _TABLE_BITS = 64
@@ -118,8 +118,8 @@ class Pmf:
     def random_grains(n: int, grains: int, rng, shape=None) -> "Pmf":
         """Drop `grains` units of mass 1/grains on uniformly drawn cells."""
         counts = [0] * n
-        for _ in range(grains):
-            counts[rng.randrange(n)] += 1
+        for i in uniform_draws(rng, n, grains):
+            counts[i] += 1
         return Pmf.from_weights(counts, grains, shape=shape)
 
     def _table(self):

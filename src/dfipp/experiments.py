@@ -17,7 +17,7 @@ from fractions import Fraction
 from dataclasses import replace
 from typing import NamedTuple, Optional
 
-from .field import InputTensor, PrimeField, lagrange_basis, lde_eval
+from .field import InputTensor, PrimeField, lagrange_basis, lde_eval, uniform_draws
 from .tensors import (DEFAULT_ENUM_BUDGET, INF, PvalInstance, coset, dist, pval_min_distance,
                       solve_affine)
 from .distributions import (CIRCUIT_INPUT_BUDGET, Pmf, SamplingCircuit, distribution_from_json,
@@ -679,7 +679,7 @@ def _consistent_matrix(field: PrimeField, k: int, inst: PvalInstance,
     matrix_cols = []
     for c in range(len(j2)):
         if c not in constraints:
-            matrix_cols.append(tuple(rng.randrange(p) for _ in range(k)))
+            matrix_cols.append(tuple(uniform_draws(rng, p, k)))
             continue
         solved = solve_affine(p, k, *zip(*constraints[c]))
         if solved is None:
@@ -731,7 +731,7 @@ def _claimed_instance(field: PrimeField, k: int, m: int, max_t: int, rng: random
     if rng.randrange(4) == 0:
         values = tuple(lde_eval(X, pt) for pt in points)
     else:
-        values = tuple(rng.randrange(field.modulus) for _ in range(t))
+        values = tuple(uniform_draws(rng, field.modulus, t))
     inst = PvalInstance(field, k, m, points, values)
     got = _consistent_matrix(field, k, inst, rng)
     return X, inst, None if got is None else got[0]
@@ -793,9 +793,9 @@ def check_lemma_linsub(trials: int, seed: int, modulus: int = 5, n: int = 4) -> 
     p = modulus
 
     def draw():
-        S_basis = [[rng.randrange(p) for _ in range(n)] for _ in range(2)]
-        T_basis = [[rng.randrange(p) for _ in range(n)]
-                   for _ in range(rng.randrange(1, 3))]
+        S_basis = [uniform_draws(rng, p, n) for _ in range(2)]
+        t_rows = rng.randrange(1, 3)
+        T_basis = [uniform_draws(rng, p, n) for _ in range(t_rows)]
         D = Pmf.random_grains(n, 64, rng)
         report = check_subspace_lemma(field, S_basis, T_basis, ("hybrid", D, Pmf.uniform(n)))
         return report["vacuous"], report.get("holds")
@@ -902,7 +902,7 @@ def check_lemma_appendix_a(trials: int, seed: int, modulus: int = 5, k: int = 2,
         attempts += 1
         X = InputTensor.random(field, k, m, rng)
         points = tuple(field.rand_point(m, rng) for _ in range(2))
-        values = tuple(rng.randrange(modulus) for _ in range(2))
+        values = tuple(uniform_draws(rng, modulus, 2))
         inst = PvalInstance(field, k, m, points, values)
         got = _consistent_matrix(field, k, inst, rng)
         if got is None:

@@ -42,6 +42,23 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def uniform_draws(rng, n: int, count: int) -> list[int]:
+    """[rng.randrange(n) for _ in range(count)] without a randrange call per draw: on a
+    random.Random, the same values and the same final getstate(), since randrange(n)
+    also redraws getrandbits(n.bit_length()) until it is below n.  n <= 0 raises
+    ValueError, as randrange does; count 0 gives []."""
+    if n <= 0:
+        raise ValueError(f"empty range for uniform_draws (n = {n})")
+    getrandbits, k = rng.getrandbits, n.bit_length()
+    out = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        out.append(r)
+    return out
+
+
 class PrimeField:
     """The field F_p for a prime modulus p (up to 64 bits)."""
 
@@ -69,7 +86,7 @@ class PrimeField:
         return rng.randrange(self.modulus)
 
     def rand_point(self, m: int, rng) -> tuple[int, ...]:
-        return tuple(rng.randrange(self.modulus) for _ in range(m))
+        return tuple(uniform_draws(rng, self.modulus, m))
 
 
 def cell_index(coords: Iterable[int], k: int) -> int:
@@ -173,7 +190,7 @@ class InputTensor:
 
     @staticmethod
     def random(field: PrimeField, k: int, m: int, rng) -> "InputTensor":
-        return InputTensor(field, k, m, tuple(rng.randrange(field.modulus) for _ in range(k ** m)))
+        return InputTensor(field, k, m, tuple(uniform_draws(rng, field.modulus, k ** m)))
 
 
 def basis_row(field: PrimeField, k: int, m: int, point: Sequence[int]) -> tuple[int, ...]:

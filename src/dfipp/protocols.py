@@ -15,7 +15,7 @@ from operator import mul
 from typing import Callable, Optional, Sequence
 
 from .field import (InputTensor, PrimeField, cell_coords, cell_index, lagrange_eval_univariate,
-                    lde_eval, lde_eval_batch)
+                    lde_eval, lde_eval_batch, uniform_draws)
 from .tensors import (DEFAULT_ENUM_BUDGET, INF, PvalInstance, dist_to_pval_bruteforce,
                       metric_fn, span)
 from .distributions import Pmf, dispersion_rho, marginal_first
@@ -193,8 +193,8 @@ def _fold_phase(session: Session, live: list[FoldState], k: int, field: PrimeFie
         for a, weight in classes:
             support = tuple(sorted(session.rng.sample(range(n_rows), weight)))
             z = [0] * n_rows
-            for i in support:
-                z[i] = session.rng.randrange(p)
+            for i, v in zip(support, uniform_draws(session.rng, p, weight)):
+                z[i] = v
             children.append(FoldState(
                 zs=st.zs + (tuple(z),),
                 supports=st.supports + (support,),
@@ -221,7 +221,8 @@ def poly_fold(session: Session, inst: PvalInstance, kappa: int):
 def _uniform_cells(rng, k: int, leaf_m: int, nq: int) -> list[int]:
     """nq uniform flat cells of [k]^leaf_m, each from leaf_m randrange(k) draws
     taken first coordinate first."""
-    return [cell_index((rng.randrange(k) for _ in range(leaf_m)), k) for _ in range(nq)]
+    coords = uniform_draws(rng, k, nq * leaf_m)
+    return [cell_index(coords[i * leaf_m:(i + 1) * leaf_m], k) for i in range(nq)]
 
 
 def _leaf_phase(session: Session, X: InputTensor, live: list[FoldState], r: int,
@@ -896,8 +897,8 @@ def check_appendix_claims(X: InputTensor, D: Pmf, Y: Sequence[Sequence[int]],
         if not any(eps_i[i] >= hit_threshold for i in support):
             misses += 1
         z = [0] * k
-        for i in support:
-            z[i] = rng.randrange(p)
+        for i, v in zip(support, uniform_draws(rng, p, weight)):
+            z[i] = v
         fold_tensor = InputTensor(field, k, m - 1, fold_rows(z, rows, p))
         fold_inst = PvalInstance(field, k, m - 1, tuple(j2), fold_rows(z, Y, p))
         if hybrid_pval_distance(fold_tensor, fold_inst, marg, budget) < far_threshold:

@@ -331,6 +331,14 @@ def test_from_weights_rejects_with_the_constructor_messages():
         Pmf.from_weights([0, 0], 0)
 
 
+def _reference_grains(rng, n, grains):
+    """Grain counts from one randrange(n) per grain, in draw order."""
+    counts = [0] * n
+    for _ in range(grains):
+        counts[rng.randrange(n)] += 1
+    return counts
+
+
 def _oracle_cases(count=200):
     """Seeded random-grain PMFs over [k]^m, k and m in 2..4.
 
@@ -343,9 +351,7 @@ def _oracle_cases(count=200):
         k, m = rng.randrange(2, 5), rng.randrange(2, 5)
         n = k ** m
         grains = rng.randrange(1, 3 * n)
-        counts = [0] * n
-        for _ in range(grains):
-            counts[rng.randrange(n)] += 1
+        counts = _reference_grains(rng, n, grains)
         scale = rng.choice([1, 2, 3, 12])
         D = Pmf.from_weights([scale * c for c in counts], scale * grains, shape=(k, m))
         yield rng, k, m, D
@@ -369,6 +375,17 @@ def test_kernels_match_fraction_oracles_on_random_grains():
         assert granularise(D).counts == fraction_granularise(masses)
         E = Pmf.random_grains(D.n, rng.randrange(1, 2 * D.n), rng)
         assert tv_distance(D, E) == fraction_tv_distance(masses, E.masses)
+
+
+def test_random_grains_match_the_reference_draw():
+    for rng, k, m, D in _oracle_cases(50):
+        grains = rng.randrange(1, 3 * D.n)
+        ref = random.Random()
+        ref.setstate(rng.getstate())
+        E = Pmf.random_grains(D.n, grains, rng, shape=(k, m))
+        F = Pmf.from_weights(_reference_grains(ref, D.n, grains), grains, shape=(k, m))
+        assert E == F
+        assert rng.getstate() == ref.getstate()
 
 
 def test_sampler_table_matches_fraction_table_on_random_grains():
