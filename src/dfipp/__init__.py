@@ -11,16 +11,16 @@ from .tensors import (BudgetExceeded, INF, PvalInstance, ball_membership, dist,
                       dist_to_pval_bruteforce, hybrid_dist, pval_member,
                       pval_min_distance)
 from .distributions import (GranularitySet, Pmf, ProductDistribution, SamplingCircuit,
-                            circuit_pmf, dispersion_rho, granularise, make_uniform_oracle,
-                            marginal_first, tv_distance)
+                            circuit_pmf, dispersion_rho, granularise, marginal_first,
+                            tv_distance)
 from .session import (CostLedger, Message, OracleHandles, ProverStrategy, Section,
                       Verdict, amplify, run_session)
 from .protocols import (ClaimGenerator, CorrectorHandle, FoldState, HonestFoldProver,
                         HonestHamProver, RunResult, check_appendix_claims,
                         check_distance_preservation, check_subspace_lemma, fold_kappa,
-                        generate_pval_claims, poly_fold, run_df_ipp_nc,
-                        run_dispersed_ipp_nc, run_fin_ipp, run_ham_ipp, run_poly_fold,
-                        run_rlcc_transform, run_symmetric_ipp, weight_classes)
+                        generate_pval_claims, run_df_ipp_nc, run_dispersed_ipp_nc,
+                        run_fin_ipp, run_ham_ipp, run_poly_fold, run_rlcc_transform,
+                        run_symmetric_ipp, weight_classes)
 from .product import (MarginalClaim, WhiteboxFoldProver, check_product_dpl,
                       gen_product_fixture, run_extended_poly_fold, run_learnable_ipp,
                       run_set_lower_bound, run_whitebox_product_ipp, wb_fold_kappa)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .field import cell_coords, cell_index, uniform_draws
 from .tensors import BudgetExceeded
@@ -415,42 +415,19 @@ def extension_row_map(B: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def extend_rows(rows: Sequence, rowmap: Sequence[int], zero) -> list:
+    """rows[src] for each src of rowmap, where source len(rows), the appended
+    zero row of a granular extension, reads as zero."""
+    padded = [*rows, zero]
+    return [padded[src] for src in rowmap]
+
+
 def tv_distance(p: Pmf, q: Pmf) -> Fraction:
     """sum_i |p_i - q_i| (the L1 form, without the conventional 1/2 factor)."""
     if p.n != q.n:
         raise ValueError("support size mismatch")
     pd, qd = p.denom, q.denom
     return Fraction(sum([abs(a * qd - b * pd) for a, b in zip(p.weights, q.weights)]), pd * qd)
-
-
-class VirtualUniformOracle:
-    """Oracle for the 8n-slot virtual input whose slot i reads source Q[i] of [n+1].
-
-    A query to a slot backed by a real source index issues exactly one
-    source query; a slot backed by the appended zero (n) returns 0 for free.
-    """
-
-    def __init__(self, Q: Sequence[int], n: int, source_query: Callable[[int], int]):
-        self.Q = tuple(Q)
-        self.n = n
-        self._source = source_query
-
-    def query(self, i: int) -> int:
-        src = self.Q[i]
-        if src == self.n:
-            return 0
-        return self._source(src)
-
-
-def make_uniform_oracle(p: Pmf, source_query: Callable[[int], int]):
-    """Q maps the uniform distribution over 8n slots to granularise(p) over [n+1].
-
-    Q is extension_row_map(granularise(p).counts), the layout of every extended
-    fold, where index n is the appended zero.  Uniform slot-sampling
-    therefore reproduces the granular distribution exactly.
-    """
-    Q = extension_row_map(granularise(p).counts)
-    return Q, VirtualUniformOracle(Q, p.n, source_query)
 
 
 # --- JSON wire format -------------------------------------------------------

@@ -175,11 +175,11 @@ def _claimed(points: list, values: list, m: int, key: str = "") -> tuple:
     return J, _sized(values, len(J), key + "values")
 
 
-def _adversarial_claims(spec: dict, inst: PvalInstance) -> tuple:
+def _adversarial_claims(spec: dict, X: InputTensor) -> tuple:
     """The generator that fixes the J of spec, and its v for a scripted reply; a
     ValueError names the key unless every coordinate and value is a field element."""
-    J, v = _claimed(spec["points"], spec["values"], inst.m, "claims.")
-    p = inst.field.modulus
+    J, v = _claimed(spec["points"], spec["values"], X.m, "claims.")
+    p = X.field.modulus
     if not all(0 <= c < p for c in [*v, *(c for pt in J for c in pt)]):
         raise ValueError(f"config key 'claims' must hold field elements in [0, {p})")
     return ClaimGenerator(points=J), v
@@ -187,7 +187,7 @@ def _adversarial_claims(spec: dict, inst: PvalInstance) -> tuple:
 
 # a claims object builds (ClaimGenerator, the values a scripted prover answers or None)
 _NC_CLAIMS = Modes("mode", "honest", {
-    "honest": ({}, {"t": POSITIVE}, lambda s, inst: (ClaimGenerator(t=s.get("t")), None)),
+    "honest": ({}, {"t": POSITIVE}, lambda s, X: (ClaimGenerator(t=s.get("t")), None)),
     "adversarial": ({"points": [[int]], "values": [int]}, {}, _adversarial_claims),
 })
 _DISTRIBUTION = Modes("kind", None, {
@@ -199,20 +199,24 @@ _DISTRIBUTION = Modes("kind", None, {
 })
 
 
-def _tensor_and_instance(config: dict, rng: random.Random):
-    """Shared setup for the PVAL-based protocols: tensor + (J, v)."""
+def _tensor(config: dict, rng: random.Random) -> InputTensor:
+    """The config's tensor x, else a random one from the setup rng."""
     field = PrimeField(config["field_modulus"])
     k, m = config["k"], config["m"]
     if "x" in config:
-        X = InputTensor(field, k, m, tuple(config["x"]))
-    else:
-        X = InputTensor.random(field, k, m, rng)
+        return InputTensor(field, k, m, tuple(config["x"]))
+    return InputTensor.random(field, k, m, rng)
+
+
+def _tensor_and_instance(config: dict, rng: random.Random):
+    """Shared setup for the PVAL-based protocols: tensor + (J, v)."""
+    X = _tensor(config, rng)
     if "points" in config:
-        points, values = _claimed(config["points"], config["values"], m)
+        points, values = _claimed(config["points"], config["values"], X.m)
     else:
-        points = tuple(field.rand_point(m, rng) for _ in range(config.get("t", 2)))
+        points = tuple(X.field.rand_point(X.m, rng) for _ in range(config.get("t", 2)))
         values = tuple(lde_eval(X, pt) for pt in points)
-    return X, PvalInstance(field, k, m, points, values)
+    return X, PvalInstance(X.field, X.k, X.m, points, values)
 
 
 def _distribution(config: dict, n: int, shape=None):
@@ -236,8 +240,8 @@ def _bucket_bits(config: dict, ell: int) -> Optional[int]:
     return b
 
 
-def _fold_meta(X: InputTensor, inst: PvalInstance, **fields) -> dict:
-    return {"n": X.n, "k": inst.k, "m": inst.m, "field": inst.field.modulus, **fields}
+def _fold_meta(X: InputTensor, **fields) -> dict:
+    return {"n": X.n, "k": X.k, "m": X.m, "field": X.field.modulus, **fields}
 
 
 def _rho(D) -> Fraction:
@@ -286,7 +290,7 @@ def _run_poly_fold(config: dict, rng: random.Random, seed: int, prover):
     kappa = config.get("kappa", fold_kappa(1, inst.k))
     prover = prover or _FOLD_PROVERS.build(config.get("prover", {}), X, rng)
     result, _outputs = run_poly_fold(X, inst, kappa, prover, seed)
-    return result, _fold_meta(X, inst)
+    return result, _fold_meta(X)
 
 
 def _run_fin_ipp(config: dict, rng: random.Random, seed: int, prover):
@@ -298,21 +302,21 @@ def _run_fin_ipp(config: dict, rng: random.Random, seed: int, prover):
     result = run_fin_ipp(X, inst, D, eps, rho, config["r"], prover, seed,
                          dist_mode=config.get("dist_mode", "oracle"),
                          kappa_override=config.get("kappa_override"))
-    return result, _fold_meta(X, inst, r=config["r"], eps=str(eps), rho=str(rho))
+    return result, _fold_meta(X, r=config["r"], eps=str(eps), rho=str(rho))
 
 
 def _nc_setup(config: dict, rng: random.Random, prover):
     """Tensor, distribution, claim generator and prover shared by the NC df-IPPs."""
-    X, inst = _tensor_and_instance(config, rng)
+    X = _tensor(config, rng)
     eps = _frac(config["eps"])
-    D = _distribution(config, X.n, shape=(inst.k, inst.m))
-    gen, values = _NC_CLAIMS.build(config.get("claims", {}), inst)
+    D = _distribution(config, X.n, shape=(X.k, X.m))
+    gen, values = _NC_CLAIMS.build(config.get("claims", {}), X)
     if prover is None:  # a prover_override (a replay) answers claims/values itself
         prover = _FOLD_PROVERS.build(config.get("prover", {}), X, rng)
         if values is not None:
             prover = ScriptedClaimsProver(prover, values, X.field.bits)
     rho = _rho(D)
-    meta = _fold_meta(X, inst, r=config.get("r", 1), eps=str(eps), rho=str(rho))
+    meta = _fold_meta(X, r=config.get("r", 1), eps=str(eps), rho=str(rho))
     return X, D, eps, gen, prover, rho, meta
 
 
@@ -340,8 +344,7 @@ def _run_whitebox_product(config: dict, rng: random.Random, seed: int, prover):
         tau=_frac(config.get("tau", "1/1000")),
         kappa_override=config.get("kappa_override"),
         bucket_bits=_bucket_bits(config, circuit.n_inputs))
-    return result, _fold_meta(X, inst, r=config["r"], eps=str(eps),
-                              rho=str(_rho(D.joint_pmf())))
+    return result, _fold_meta(X, r=config["r"], eps=str(eps), rho=str(_rho(D.joint_pmf())))
 
 
 def _run_rlcc(config: dict, rng: random.Random, seed: int, prover):

@@ -16,8 +16,7 @@ from typing import Callable, Optional, Sequence
 from .field import InputTensor, PrimeField, cell_coord, cell_coords
 from .tensors import DEFAULT_ENUM_BUDGET, BudgetExceeded, PvalInstance
 from .distributions import (CIRCUIT_INPUT_BUDGET, GranularitySet, Pmf, ProductDistribution,
-                            SamplingCircuit, extension_row_map, granularise,
-                            make_uniform_oracle)
+                            SamplingCircuit, extend_rows, extension_row_map, granularise)
 from .session import (ACCEPT, OracleHandles, ProtocolViolation, ProverStrategy, RunResult,
                       Session, Verdict, run_session)
 from .protocols import (FoldState, HonestFoldProver, InequalityReport, _fold_phase, _leaf_phase,
@@ -124,16 +123,23 @@ def _witness_sections(preimages: dict[int, list[int]], payload, ell: int):
             for i, _b, rows, c in payload]
 
 
+def _preimages(circuit: SamplingCircuit, symbol_of: Callable[[int], int]) -> dict[int, list[int]]:
+    """symbol_of(output) -> every circuit input with that symbol, ascending, from one
+    enumeration of all 2^ell inputs; refused over CIRCUIT_INPUT_BUDGET inputs."""
+    if circuit.n_inputs > CIRCUIT_INPUT_BUDGET:
+        raise BudgetExceeded("honest prover enumeration over budget")
+    out: dict[int, list[int]] = {}
+    for x, y in enumerate(circuit.eval_many(range(1 << circuit.n_inputs))):
+        out.setdefault(symbol_of(y), []).append(x)
+    return out
+
+
 class HonestSlbProver(ProverStrategy):
     """Enumerates all 2^ell circuit inputs and answers hash rounds exactly."""
 
     def __init__(self, circuit: SamplingCircuit, symbol_of: Callable[[int], int]):
-        if circuit.n_inputs > CIRCUIT_INPUT_BUDGET:
-            raise BudgetExceeded("honest prover enumeration over budget")
         self.ell = circuit.n_inputs
-        self._preimages: dict[int, list[int]] = {}
-        for x, y in enumerate(circuit.eval_many(range(1 << self.ell))):
-            self._preimages.setdefault(symbol_of(y), []).append(x)
+        self._preimages = _preimages(circuit, symbol_of)
 
     def reply(self, tag, payload):
         if tag != "slb/witness":
@@ -167,16 +173,15 @@ def extended_fold_phase(session: Session, live: list[FoldState], k: int,
     the row map extension_row_map(B) (source k is the appended zero row) and
     draws folding vectors in F^(8k).
     """
-    counts = B.counts if isinstance(B, GranularitySet) else tuple(B)
-    return _fold_phase(session, live, k, field, kappa, extension_row_map(counts))
+    return _fold_phase(session, live, k, field, kappa, extension_row_map(B.counts))
 
 
 def run_extended_poly_fold(X: InputTensor, inst: PvalInstance, B,
                            kappa: int, prover: ProverStrategy, seed: int):
-    """Stand-alone extended folding round; returns (RunResult, outputs or None)."""
-    return _run_fold_round(
-        X, lambda s: extended_fold_phase(s, [FoldState.root(inst)], inst.k, inst.field, kappa, B),
-        prover, seed)
+    """Stand-alone extended folding round over a GranularitySet or its counts;
+    returns (RunResult, outputs or None)."""
+    counts = B.counts if isinstance(B, GranularitySet) else tuple(B)
+    return _run_fold_round(X, inst, kappa, extension_row_map(counts), prover, seed)
 
 
 # --- the white-box product IPP ----------------------------------------------------
@@ -254,10 +259,10 @@ class WhiteboxFoldProver(HonestFoldProver):
                  circuit: SamplingCircuit):
         super().__init__(tensor)
         self.factors = tuple(factors)
-        self.slb = HonestSlbProver(circuit, lambda y: y)
+        self.ell = circuit.n_inputs
         # per dimension d: coordinate value -> circuit inputs, ascending
         self._dim_preimages: list[dict[int, list[int]]] = [{} for _ in range(tensor.m)]
-        for y, xs in self.slb._preimages.items():
+        for y, xs in _preimages(circuit, lambda y: y).items():
             for table, c in zip(self._dim_preimages, cell_coords(y, self.k, tensor.m)):
                 table.setdefault(c, []).extend(xs)
         for table in self._dim_preimages:
@@ -279,7 +284,7 @@ class WhiteboxFoldProver(HonestFoldProver):
                 flat.extend(_encode_fraction(p))
             return [(tuple(flat), _RATIONAL_BITS)]
         if tag == "slb/witness":
-            return _witness_sections(self._dim_preimages[self.round], payload, self.slb.ell)
+            return _witness_sections(self._dim_preimages[self.round], payload, self.ell)
         return super().reply(tag, payload)
 
     def _rowmap(self):
@@ -315,9 +320,9 @@ def run_learnable_ipp(x_bits: Sequence[int], D, eps: Fraction,
 
     The learner returns a Pmf (claimed within eps/2 total variation in the
     L1 convention, without the 1/2 factor) or None for reject.  uniform_ipp_factory(Q, eps4)
-    builds the uniform verifier for the extended parameterised language; it
-    receives a virtual-oracle query function whose every real-slot query
-    costs exactly one source query.
+    builds the uniform verifier for the extended parameterised language over the
+    8n slots Q = extension_row_map(granularise(learned).counts); its query function
+    reads slot j as source Q[j] at one query, or as 0 for free at the zero row.
     """
     n = len(x_bits)
 
@@ -325,11 +330,10 @@ def run_learnable_ipp(x_bits: Sequence[int], D, eps: Fraction,
         learned = learner(session)
         if learned is None:
             return Verdict(False, "learner-abort")
-        Q, virt = make_uniform_oracle(learned, session.oracles.query)
-        width = max(1, n.bit_length())
-        session.tell("learn/q", [(Q, width)])
+        Q = extension_row_map(granularise(learned).counts)
+        session.tell("learn/q", [(Q, max(1, n.bit_length()))])
         inner = uniform_ipp_factory(Q, eps / 4)
-        return inner(session, virt.query)
+        return inner(session, lambda j: 0 if Q[j] == learned.n else session.oracles.query(Q[j]))
 
     return run_session(verifier, prover, OracleHandles(x_bits, dist=D), seed)
 
@@ -342,8 +346,7 @@ def extension_member(base_language: Callable[[tuple], bool], Q: Sequence[int],
     every slot must then read through Q (source n is the appended zero).
     """
     base = tuple(virt[Q.index(i)] for i in range(n))
-    return (all(v == (0 if q == n else base[q]) for v, q in zip(virt, Q))
-            and base_language(base))
+    return tuple(virt) == tuple(extend_rows(base, Q, 0)) and base_language(base)
 
 
 def explicit_set_uniform_ipp(base_language: Callable[[tuple], bool], n: int,
@@ -385,9 +388,7 @@ class ExtensionEchoProver(ProverStrategy):
 
     def reply(self, tag, payload):
         if tag == "set/member":
-            n = len(self.bits)
-            virt = tuple(0 if q == n else self.bits[q] for q in self.Q)
-            return [(virt, 1)]
+            return [(tuple(extend_rows(self.bits, self.Q, 0)), 1)]
         raise ProtocolViolation(f"unexpected tag {tag}")
 
 

@@ -18,7 +18,7 @@ from .field import (InputTensor, PrimeField, cell_coords, cell_index, lagrange_e
                     lde_eval, lde_eval_batch, uniform_draws)
 from .tensors import (DEFAULT_ENUM_BUDGET, INF, PvalInstance, dist_to_pval_bruteforce,
                       metric_fn, span)
-from .distributions import Pmf, dispersion_rho, marginal_first
+from .distributions import Pmf, dispersion_rho, extend_rows, marginal_first
 from .session import (ACCEPT, OracleHandles, ProtocolViolation, ProverStrategy, RunResult,
                       Section, Session, Verdict, run_session)
 
@@ -180,10 +180,10 @@ def _fold_phase(session: Session, live: list[FoldState], k: int, field: PrimeFie
     matrices = []
     for st, (j2, cols), sec in zip(live, projections, msg.sections):
         t2 = len(j2)
-        Y = [sec.values[i * t2:(i + 1) * t2] for i in range(k)] + [(0,) * t2]
+        Y = [sec.values[i * t2:(i + 1) * t2] for i in range(k)]
         if not _columns_consistent(field, k, st.points, st.values, Y, cols):
             return None, Verdict(False, "fold-consistency")
-        matrices.append(([Y[src] for src in rowmap], j2))
+        matrices.append((extend_rows(Y, rowmap, (0,) * t2), j2))
 
     n_rows = len(rowmap)
     classes = weight_classes(n_rows, kappa, session.notes)
@@ -191,31 +191,28 @@ def _fold_phase(session: Session, live: list[FoldState], k: int, field: PrimeFie
     z_sections = []
     for st, (U, j2) in zip(live, matrices):
         for a, weight in classes:
-            support = tuple(sorted(session.rng.sample(range(n_rows), weight)))
-            z = [0] * n_rows
-            for i, v in zip(support, uniform_draws(session.rng, p, weight)):
-                z[i] = v
+            support, z = fold_vector(session.rng, n_rows, weight, p)
             children.append(FoldState(
-                zs=st.zs + (tuple(z),),
+                zs=st.zs + (z,),
                 supports=st.supports + (support,),
                 rowmaps=st.rowmaps + (rowmap,),
                 weights=st.weights + (a,),
                 points=tuple(j2),
                 values=fold_rows(z, U, p),
             ))
-            z_sections.append((tuple(z), fb))
+            z_sections.append((z, fb))
     session.tell("fold/vectors", z_sections)
     return children, None
 
 
-def poly_fold(session: Session, inst: PvalInstance, kappa: int):
-    """Single folding round as a stand-alone operation.
-
-    The outputs are tuples (a, z_a, J_2, v_a = z_a . Y') carried inside
-    FoldState records; tau_a is the support size of z_a.
-    """
-    return _fold_phase(session, [FoldState.root(inst)], inst.k, inst.field, kappa,
-                       tuple(range(inst.k)))
+def fold_vector(rng, n_rows: int, weight: int, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(support, z): a folding vector in F_p^n_rows, nonzero only on a sorted
+    uniform support of weight rows, whose entries are drawn after the support."""
+    support = tuple(sorted(rng.sample(range(n_rows), weight)))
+    z = [0] * n_rows
+    for i, v in zip(support, uniform_draws(rng, p, weight)):
+        z[i] = v
+    return support, tuple(z)
 
 
 def _uniform_cells(rng, k: int, leaf_m: int, nq: int) -> list[int]:
@@ -483,13 +480,15 @@ def run_fin_ipp(X: InputTensor, inst: PvalInstance, D, eps: Fraction,
                        prover, oracles, seed)
 
 
-def _run_fold_round(X: InputTensor, fold: Callable, prover: ProverStrategy, seed: int):
-    """Run fold(session) -> (children, verdict) as a session of its own;
-    returns (RunResult, children or None)."""
+def _run_fold_round(X: InputTensor, inst: PvalInstance, kappa: int, rowmap: tuple[int, ...],
+                    prover: ProverStrategy, seed: int):
+    """One folding round of the claim inst over rowmap, as a session of its own; returns
+    (RunResult, the children FoldStates (a, z_a, J_2, v_a = z_a . Y') or None)."""
     holder: dict = {}
 
     def verifier(session: Session) -> Verdict:
-        children, verdict = fold(session)
+        children, verdict = _fold_phase(session, [FoldState.root(inst)], inst.k, inst.field,
+                                        kappa, rowmap)
         if verdict is not None:
             return verdict
         holder["children"] = children
@@ -502,7 +501,7 @@ def _run_fold_round(X: InputTensor, fold: Callable, prover: ProverStrategy, seed
 def run_poly_fold(X: InputTensor, inst: PvalInstance, kappa: int,
                   prover: ProverStrategy, seed: int):
     """Stand-alone folding round; returns (RunResult, fold outputs or None)."""
-    return _run_fold_round(X, lambda s: poly_fold(s, inst, kappa), prover, seed)
+    return _run_fold_round(X, inst, kappa, tuple(range(inst.k)), prover, seed)
 
 
 # --- composed df-IPPs -----------------------------------------------------------
@@ -654,27 +653,24 @@ class HonestFoldProver(ProverStrategy):
         self.points: tuple[tuple[int, ...], ...] = ()
 
     def observe(self, tag: str, sections) -> None:
-        if tag == "fold/vectors":
-            self._expand([tuple(v) for v in sections], self._rowmap())
+        """On fold/vectors, fold every live tensor's rows through the row map."""
+        if tag != "fold/vectors":
+            return
+        p, rowmap = self.field.modulus, self._rowmap()
+        per_tuple = len(sections) // len(self.live)
+        step = len(self.live[0]) // self.k
+        new_live = []
+        for idx, data in enumerate(self.live):
+            mapped = extend_rows([data[i * step:(i + 1) * step] for i in range(self.k)],
+                                 rowmap, (0,) * step)
+            new_live.extend(fold_rows(z, mapped, p)
+                            for z in sections[idx * per_tuple:(idx + 1) * per_tuple])
+        self.live = new_live
+        self.live_m -= 1
 
     def _rowmap(self) -> Sequence[int]:
         """Source row of each folded row: the k rows themselves for a plain fold."""
         return range(self.k)
-
-    def _expand(self, zs: list[tuple[int, ...]], rowmap: Sequence[int]) -> None:
-        """Fold every live tensor's rows, the zero row as source k, through the row map."""
-        p = self.field.modulus
-        per_tuple = len(zs) // len(self.live)
-        step = len(self.live[0]) // self.k
-        zero = (0,) * step
-        new_live = []
-        for idx, data in enumerate(self.live):
-            rows = [data[i * step:(i + 1) * step] for i in range(self.k)] + [zero]
-            mapped = [rows[src] for src in rowmap]
-            new_live.extend(fold_rows(z, mapped, p)
-                            for z in zs[idx * per_tuple:(idx + 1) * per_tuple])
-        self.live = new_live
-        self.live_m -= 1
 
     def reply(self, tag: str, payload):
         fb = self.field.bits
@@ -771,13 +767,14 @@ def row_distances(X: InputTensor, row_dist: Pmf, Y: Sequence[Sequence[int]],
     scanned once.
     """
     field, k, m = X.field, X.k, X.m
-    data = [X.row(i) for i in range(k)] + [(0,) * k ** (m - 1)]
-    claims = [tuple(y) for y in Y] + [(0,) * len(j2)]
+    sources = tuple(dict.fromkeys(rowmap))
+    data = extend_rows([X.row(i) for i in range(k)], sources, (0,) * k ** (m - 1))
+    claims = extend_rows([tuple(y) for y in Y], sources, (0,) * len(j2))
     by_source = {
-        src: hybrid_pval_distance(InputTensor(field, k, m - 1, data[src]),
-                                  PvalInstance(field, k, m - 1, tuple(j2), claims[src]),
+        src: hybrid_pval_distance(InputTensor(field, k, m - 1, row),
+                                  PvalInstance(field, k, m - 1, tuple(j2), claim),
                                   row_dist, budget)
-        for src in dict.fromkeys(rowmap)}
+        for src, row, claim in zip(sources, data, claims)}
     return [by_source[src] for src in rowmap]
 
 
@@ -893,12 +890,9 @@ def check_appendix_claims(X: InputTensor, D: Pmf, Y: Sequence[Sequence[int]],
     not_far = 0
     rows = [X.row(i) for i in range(k)]
     for _ in range(trials):
-        support = sorted(rng.sample(range(k), weight))
+        support, z = fold_vector(rng, k, weight, p)
         if not any(eps_i[i] >= hit_threshold for i in support):
             misses += 1
-        z = [0] * k
-        for i, v in zip(support, uniform_draws(rng, p, weight)):
-            z[i] = v
         fold_tensor = InputTensor(field, k, m - 1, fold_rows(z, rows, p))
         fold_inst = PvalInstance(field, k, m - 1, tuple(j2), fold_rows(z, Y, p))
         if hybrid_pval_distance(fold_tensor, fold_inst, marg, budget) < far_threshold:

@@ -11,10 +11,12 @@ from _oracles import (circuit_eval, factor_circuit_table, fraction_dispersion, f
                       fraction_granularise, fraction_sampler_table, fraction_tv_distance)
 from dfipp.distributions import (GranularitySet, Pmf, ProductDistribution, SamplingCircuit,
                                  circuit_pmf, dispersion_rho, distribution_from_json,
-                                 distribution_to_json, extension_row_map, granularise,
-                                 make_uniform_oracle, marginal_first, tv_distance)
+                                 distribution_to_json, extend_rows, extension_row_map,
+                                 granularise, marginal_first, tv_distance)
 from dfipp.experiments import _setup_rng
-from dfipp.product import _factor_circuit, gen_product_fixture
+from dfipp.product import (ExtensionEchoProver, _factor_circuit, exact_learner,
+                           gen_product_fixture, run_learnable_ipp)
+from dfipp.session import ACCEPT
 from dfipp.tensors import dist, hybrid_dist
 
 
@@ -172,40 +174,63 @@ def test_tv_distance_l1_convention():
     assert tv_distance(D, D) == 0
 
 
-def test_make_uniform_oracle_layout():
+def _virtual_read(pmf: Pmf, x, slot: int) -> tuple[int, int]:
+    """(value, queries charged) of one virtual slot read in run_learnable_ipp."""
+    seen = {}
+
+    def factory(Q, eps4):
+        def ipp(session, vquery):
+            seen["value"] = vquery(slot)
+            return ACCEPT
+        return ipp
+
+    res = run_learnable_ipp(x, pmf, Fraction(1, 2), exact_learner(pmf), factory,
+                            ExtensionEchoProver(x), 0)
+    return seen["value"], res.ledger.queries
+
+
+def test_virtual_slot_layout_and_read_cost():
     pmf = Pmf([Fraction(1, 2), Fraction(1, 2)])
-    queries = []
-
-    def source(i):
-        queries.append(i)
-        return [7, 9][i]
-
-    Q, oracle = make_uniform_oracle(pmf, source)
+    Q = extension_row_map(granularise(pmf).counts)
     assert len(Q) == 16
     assert Q[:2] == (0, 1)
     assert Q[2:9] == (0,) * 7
     assert Q[9:16] == (1,) * 7
     assert 2 not in Q  # the appended-zero index never appears when a_{n+1} = 0
-    # one virtual query = one source query
-    assert oracle.query(5) == 7
-    assert queries == [0]
+    # one virtual query = one source query, of source Q[5] = 0
+    assert _virtual_read(pmf, (7, 9), 5) == (7, 1)
 
 
-def test_make_uniform_oracle_zero_slots_cost_nothing():
+def test_virtual_zero_slots_cost_nothing():
     pmf = Pmf([Fraction(7, 8), Fraction(1, 8)])
     grains = granularise(pmf)
     assert grains.counts[-1] > 0
-    queries = []
-    Q, oracle = make_uniform_oracle(pmf, lambda i: queries.append(i) or 1)
+    Q = extension_row_map(grains.counts)
     zero_slot = Q.index(2)
-    assert oracle.query(zero_slot) == 0
-    assert queries == []
+    assert _virtual_read(pmf, (1, 1), zero_slot) == (0, 0)
+
+
+def test_extend_rows_reads_the_appended_zero_row():
+    rng = random.Random(3)
+    checked = 0
+    for _ in range(200):
+        n = rng.randrange(1, 6)
+        counts = granularise(Pmf.random_grains(n, rng.randrange(1, 40), rng)).counts
+        if counts[-1] == 0:
+            continue
+        rowmap = extension_row_map(counts)
+        assert n in rowmap
+        rows = [tuple(rng.randrange(17) for _ in range(3)) for _ in range(n)]
+        zero = (0, 0, 0)
+        assert extend_rows(rows, rowmap, zero) == [(list(rows) + [zero])[src] for src in rowmap]
+        checked += 1
+    assert checked >= 50
 
 
 def test_uniform_virtual_sampling_matches_granular_distribution():
     pmf = Pmf([Fraction(3, 4), Fraction(1, 4)])
-    Q, _oracle = make_uniform_oracle(pmf, lambda i: 0)
     grains = granularise(pmf)
+    Q = extension_row_map(grains.counts)
     counts = [Q.count(j) for j in range(3)]
     assert counts == list(grains.counts)
 

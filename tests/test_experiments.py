@@ -411,3 +411,17 @@ def test_amplified_trial_keeps_every_repetition_note():
     amplified = cmd_run({**config, "repetitions": 3})["parameter_notes"]
     assert len(single) == 6
     assert amplified == ["amplified x3"] + single
+
+
+@pytest.mark.parametrize("protocol", ["df_ipp_nc", "dispersed_ipp_nc"])
+def test_nc_setup_evaluates_no_claim_points(protocol, monkeypatch):
+    # the NC df-IPPs draw their claims in the session, so setup needs no LDE value
+    from dfipp import experiments
+    calls = []
+    real = experiments.lde_eval
+    monkeypatch.setattr(experiments, "lde_eval", lambda X, pt: calls.append(pt) or real(X, pt))
+    config = {"protocol": protocol, "trials": 1, "seed": 6, "field_modulus": 17,
+              "k": 2, "m": 4, "r": 1, "eps": "1/2"}
+    result, _meta = experiments.run_protocol(config, 42)
+    assert result.verdict.accepted
+    assert calls == []

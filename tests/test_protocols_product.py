@@ -454,10 +454,10 @@ def test_learnable_far_input_rejected_and_distance_certified():
     x = (0, 0, 0, 0)
     D = Pmf.uniform(n)
     # certify d_U(X', L'_Q) on the virtual strings by direct computation
-    from dfipp.distributions import make_uniform_oracle
-    Q, _ = make_uniform_oracle(D, lambda i: x[i])
+    Q = extension_row_map(granularise(D).counts)
     member_virt = tuple(1 if src != n else 0 for src in Q)
     assert extension_member(ALL_ONES, Q, n, member_virt)
+    assert not extension_member(ALL_ONES, Q, n, member_virt + (1,))  # no extra trailing slot
     x_virt = tuple(0 for _ in Q)
     d_virtual = Fraction(sum(1 for a, b in zip(member_virt, x_virt) if a != b), len(Q))
     eps = Fraction(1, 2)
