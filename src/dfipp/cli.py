@@ -14,7 +14,8 @@ import sys
 from fractions import Fraction
 
 from .experiments import (EXIT_EXACT_FAIL, EXIT_PASS, EXIT_REFUSED, cmd_check_lemma,
-                          cmd_replay, cmd_run, exit_code_for, gen_ham_lb_fixture)
+                          cmd_replay, cmd_run, exit_code_for, gen_ham_lb_fixture,
+                          validate_config)
 from .tensors import DEFAULT_ENUM_BUDGET, BudgetExceeded
 
 
@@ -22,8 +23,11 @@ def _budget(arg: str | None) -> int:
     """--budget, else DFIPP_BUDGET, else the default; a set value must be a positive integer."""
     name, text = ("--budget", arg) if arg is not None else ("DFIPP_BUDGET",
                                                             os.environ.get("DFIPP_BUDGET"))
-    if text is None:
-        return DEFAULT_ENUM_BUDGET
+    return DEFAULT_ENUM_BUDGET if text is None else _positive(name, text)
+
+
+def _positive(name: str, text: str) -> int:
+    """text as an int; a ValueError names the flag or variable unless it is positive."""
     try:
         value = int(text)
     except ValueError:
@@ -58,7 +62,7 @@ def main(argv=None) -> int:
 
     p_lem = sub.add_parser("check-lemma", help="run a lemma-check suite")
     p_lem.add_argument("lemma")
-    p_lem.add_argument("--trials", type=int, default=200)
+    p_lem.add_argument("--trials", default="200")
     p_lem.add_argument("--seed", type=int, default=0)
     p_lem.add_argument("--budget", help="enumeration budget (default: DFIPP_BUDGET, "
                        f"else {DEFAULT_ENUM_BUDGET})")
@@ -79,6 +83,8 @@ def main(argv=None) -> int:
         if args.command == "run":
             with open(args.config) as fh:
                 config = json.load(fh)
+            if type(config) is not dict:  # refused before the overrides index it
+                validate_config(config)
             if args.seed is not None:
                 config["seed"] = args.seed
             if args.trials is not None:
@@ -88,7 +94,7 @@ def main(argv=None) -> int:
             return EXIT_PASS
 
         if args.command == "check-lemma":
-            report = cmd_check_lemma(args.lemma, args.trials, args.seed,
+            report = cmd_check_lemma(args.lemma, _positive("--trials", args.trials), args.seed,
                                      budget=_budget(args.budget))
             print(json.dumps(_jsonable(report), sort_keys=True, indent=2))
             return exit_code_for(report)

@@ -24,16 +24,17 @@ from .distributions import (CIRCUIT_INPUT_BUDGET, Pmf, SamplingCircuit, distribu
                             dispersion_rho, granularise, marginal_first, tv_distance)
 from .session import (ACCEPT, OracleHandles, ProverStrategy, ReplayProver, RunResult, Verdict,
                       amplify, dump_transcript, load_transcript, run_session)
-from .protocols import (BadSumHamProver, ClaimGenerator, HonestFoldProver, HonestHamProver,
-                        NullProver, RandomLieFoldProver, RowTamperFoldProver,
-                        ScriptedClaimsProver, blr_linearity_ipp,
+from .protocols import (DEFAULT_HAM_C, DEFAULT_NC_R, BadSumHamProver, ClaimGenerator,
+                        HonestFoldProver, HonestHamProver, NullProver, RandomLieFoldProver,
+                        RowTamperFoldProver, ScriptedClaimsProver, blr_linearity_ipp,
                         check_appendix_claims, check_distance_preservation,
                         check_subspace_lemma, fold_kappa, hadamard_codeword,
                         hadamard_corrector, project_points, run_df_ipp_nc,
                         run_dispersed_ipp_nc, run_fin_ipp, run_ham_ipp, run_poly_fold,
                         run_rlcc_transform, run_symmetric_ipp)
-from .product import (HonestSlbProver, MarginalClaim, WhiteboxFoldProver, check_product_dpl,
-                      gen_product_fixture, run_set_lower_bound, run_whitebox_product_ipp)
+from .product import (DEFAULT_TAU, HonestSlbProver, MarginalClaim, WhiteboxFoldProver,
+                      check_product_dpl, gen_product_fixture, run_set_lower_bound,
+                      run_whitebox_product_ipp)
 
 CSV_COLUMNS = ["protocol", "n", "k", "m", "r", "eps", "rho", "field", "queries",
                "samples", "comm_bits", "messages", "accepted", "reject_reason", "seed"]
@@ -275,14 +276,14 @@ def _ham_setup(config: dict, rng: random.Random, prover):
 def _run_ham(config: dict, rng: random.Random, seed: int, prover):
     x, D, eps, prover, meta = _ham_setup(config, rng, prover)
     w = config.get("w", sum(x))
-    return run_ham_ipp(x, D, w, eps, prover, seed, c=config.get("c", 2)), meta
+    return run_ham_ipp(x, D, w, eps, prover, seed, c=config.get("c", DEFAULT_HAM_C)), meta
 
 
 def _run_symmetric(config: dict, rng: random.Random, seed: int, prover):
     x, D, eps, prover, meta = _ham_setup(config, rng, prover)
     pred_mod = config.get("predicate", 2)
     return run_symmetric_ipp(x, D, lambda v: v % pred_mod == 0, eps, prover, seed,
-                             c=config.get("c", 2)), meta
+                             c=config.get("c", DEFAULT_HAM_C)), meta
 
 
 def _run_poly_fold(config: dict, rng: random.Random, seed: int, prover):
@@ -300,13 +301,13 @@ def _run_fin_ipp(config: dict, rng: random.Random, seed: int, prover):
     rho = _rho(D)
     prover = prover or _FOLD_PROVERS.build(config.get("prover", {}), X, rng)
     result = run_fin_ipp(X, inst, D, eps, rho, config["r"], prover, seed,
-                         dist_mode=config.get("dist_mode", "oracle"),
-                         kappa_override=config.get("kappa_override"))
+                         kappa_override=config.get("kappa_override"),
+                         **({"dist_mode": config["dist_mode"]} if "dist_mode" in config else {}))
     return result, _fold_meta(X, r=config["r"], eps=str(eps), rho=str(rho))
 
 
 def _nc_setup(config: dict, rng: random.Random, prover):
-    """Tensor, distribution, claim generator and prover shared by the NC df-IPPs."""
+    """Tensor, distribution, claim generator, prover and rounds shared by the NC df-IPPs."""
     X = _tensor(config, rng)
     eps = _frac(config["eps"])
     D = _distribution(config, X.n, shape=(X.k, X.m))
@@ -315,20 +316,20 @@ def _nc_setup(config: dict, rng: random.Random, prover):
         prover = _FOLD_PROVERS.build(config.get("prover", {}), X, rng)
         if values is not None:
             prover = ScriptedClaimsProver(prover, values, X.field.bits)
-    rho = _rho(D)
-    meta = _fold_meta(X, r=config.get("r", 1), eps=str(eps), rho=str(rho))
-    return X, D, eps, gen, prover, rho, meta
+    rho, r = _rho(D), config.get("r", DEFAULT_NC_R)
+    meta = _fold_meta(X, r=r, eps=str(eps), rho=str(rho))
+    return X, D, eps, gen, prover, rho, r, meta
 
 
 def _run_df_ipp_nc(config: dict, rng: random.Random, seed: int, prover):
-    X, D, eps, gen, prover, _, meta = _nc_setup(config, rng, prover)
-    return run_df_ipp_nc(X, D, eps, gen, prover, seed, r=config.get("r", 1),
+    X, D, eps, gen, prover, _, r, meta = _nc_setup(config, rng, prover)
+    return run_df_ipp_nc(X, D, eps, gen, prover, seed, r=r,
                          kappa_override=config.get("kappa_override")), meta
 
 
 def _run_dispersed_ipp_nc(config: dict, rng: random.Random, seed: int, prover):
-    X, D, eps, gen, prover, rho, meta = _nc_setup(config, rng, prover)
-    return run_dispersed_ipp_nc(X, D, eps, gen, rho, config.get("r", 1), prover, seed,
+    X, D, eps, gen, prover, rho, r, meta = _nc_setup(config, rng, prover)
+    return run_dispersed_ipp_nc(X, D, eps, gen, rho, r, prover, seed,
                                 kappa_override=config.get("kappa_override")), meta
 
 
@@ -341,7 +342,7 @@ def _run_whitebox_product(config: dict, rng: random.Random, seed: int, prover):
     prover = prover or WhiteboxFoldProver(committed, D.factors, circuit)
     result = run_whitebox_product_ipp(
         X, inst, eps, circuit, config["r"], prover, seed,
-        tau=_frac(config.get("tau", "1/1000")),
+        tau=_frac(config.get("tau", DEFAULT_TAU)),
         kappa_override=config.get("kappa_override"),
         bucket_bits=_bucket_bits(config, circuit.n_inputs))
     return result, _fold_meta(X, r=config["r"], eps=str(eps), rho=str(_rho(D.joint_pmf())))
@@ -370,7 +371,7 @@ def _run_set_lower_bound(config: dict, rng: random.Random, seed: int, prover):
     probs = tuple(Fraction(c) for c in _sized(claims, n_sym, "claims"))
     if sum(probs) > 1:
         raise ValueError("config key 'claims' must sum to at most 1")
-    claim = MarginalClaim(probs, _frac(config.get("tau", "1/1000")),
+    claim = MarginalClaim(probs, _frac(config.get("tau", DEFAULT_TAU)),
                           _frac(config.get("delta", "1/20")))
     prover = prover or HonestSlbProver(circuit, lambda y: y)
     result = run_set_lower_bound(circuit, claim, prover, seed,
@@ -762,12 +763,12 @@ def check_lemma_dpl_product(trials: int, seed: int, modulus: int = 5, k: int = 2
     """Randomized instances of the product distance-preservation inequality.
 
     Claims are drawn from the certified band p~ >= (1-tau) * true, the set
-    of claims the accepted-learner guarantee covers; tau matches the
-    white-box protocol default.
+    of claims the accepted-learner guarantee covers, at the white-box
+    protocol's default tau.
     """
     rng = random.Random(seed)
     field = PrimeField(modulus)
-    tau = Fraction(1, 1000)
+    tau = DEFAULT_TAU
 
     def draw():
         D, _circ = gen_product_fixture(k, m, "dyadic-random", rng=rng)

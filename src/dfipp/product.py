@@ -23,6 +23,7 @@ from .protocols import (FoldState, HonestFoldProver, InequalityReport, _fold_pha
                         _preservation_report, _round_kappa, _run_fold_round)
 
 _RATIONAL_BITS = 64
+DEFAULT_TAU = Fraction(1, 1000)  # lower-bound slack of a marginal claim unless one is set
 
 
 def _encode_fraction(f: Fraction) -> tuple[int, int]:
@@ -231,7 +232,7 @@ def whitebox_verifier(session: Session, X: InputTensor, inst: PvalInstance,
 def run_whitebox_product_ipp(X: InputTensor, inst: PvalInstance, eps: Fraction,
                              circuit: SamplingCircuit, r: int,
                              prover: ProverStrategy, seed: int,
-                             tau: Fraction = Fraction(1, 1000),
+                             tau: Fraction = DEFAULT_TAU,
                              kappa_override: Optional[int] = None,
                              bucket_bits: Optional[int] = None) -> RunResult:
     """White-box PVAL IPP over m-product distributions.
@@ -246,13 +247,14 @@ def run_whitebox_product_ipp(X: InputTensor, inst: PvalInstance, eps: Fraction,
 
 
 class WhiteboxFoldProver(HonestFoldProver):
-    """Prover side of the white-box IPP.
+    """Prover side of the white-box IPP: the honest fold prover plus marginals
+    and set-lower-bound witnesses.
 
     Sends the true factor marginals (an honest learner never trips the set
-    lower bound), mirrors the verifier's granularisation and extensions on
-    its committed tensor, and answers folding and leaf requests from that
-    state.  Commit to a tensor other than X to get the fixed-alternative
-    adversary; override marginal() for distribution-lying strategies.
+    lower bound) and answers folding and leaf requests on its committed
+    tensor through the row map each fold request carries.  Commit to a tensor
+    other than X to get the fixed-alternative adversary; override marginal()
+    for distribution-lying strategies.
     """
 
     def __init__(self, tensor: InputTensor, factors: Sequence[Pmf],
@@ -269,7 +271,6 @@ class WhiteboxFoldProver(HonestFoldProver):
             for xs in table.values():
                 xs.sort()
         self.round = -1
-        self.claims_sent: list[tuple[Fraction, ...]] = []
 
     def marginal(self, rnd: int) -> tuple[Fraction, ...]:
         return tuple(self.factors[rnd].masses)
@@ -277,18 +278,11 @@ class WhiteboxFoldProver(HonestFoldProver):
     def reply(self, tag, payload):
         if tag == "wb/marginal":
             self.round = payload
-            probs = self.marginal(payload)
-            self.claims_sent.append(probs)
-            flat = []
-            for p in probs:
-                flat.extend(_encode_fraction(p))
-            return [(tuple(flat), _RATIONAL_BITS)]
+            return [(tuple(v for p in self.marginal(payload) for v in _encode_fraction(p)),
+                     _RATIONAL_BITS)]
         if tag == "slb/witness":
             return _witness_sections(self._dim_preimages[self.round], payload, self.ell)
         return super().reply(tag, payload)
-
-    def _rowmap(self):
-        return extension_row_map(granularise(Pmf(self.claims_sent[-1])).counts)
 
 
 # --- product distance preservation -------------------------------------------------

@@ -22,6 +22,9 @@ from .distributions import Pmf, dispersion_rho, extend_rows, marginal_first
 from .session import (ACCEPT, OracleHandles, ProtocolViolation, ProverStrategy, RunResult,
                       Section, Session, Verdict, run_session)
 
+DEFAULT_HAM_C = 2  # the weight protocol samples ceil(c/eps) leaves
+DEFAULT_NC_R = 1  # folding rounds of the NC df-IPPs
+
 
 # --- weight classes and folding state ----------------------------------------
 
@@ -167,29 +170,26 @@ def _fold_phase(session: Session, live: list[FoldState], k: int, field: PrimeFie
     Returns (children, None) on success or (None, verdict) on rejection.
     All matrices ride in one prover message and all folding vectors in one
     verifier message, so each phase costs exactly two messages.  The request
-    names the round s (the depth of the live tuples) and, in round 0, the
-    root claim (J, v).
+    (s, rowmap, points) names the round s (the depth of the live tuples), the
+    row map and the point set J that every live tuple shares.
     """
     p, fb = field.modulus, field.bits
-    s = len(live[0].zs)
-    payload = (s, live[0].points, live[0].values) if s == 0 else (s,)
-    projections = [project_points(st.points) for st in live]
-    expect = [(k * len(j2), fb) for (j2, _) in projections]
-    msg = session.ask("fold/matrix", payload, expect=expect)
-
-    matrices = []
-    for st, (j2, cols), sec in zip(live, projections, msg.sections):
-        t2 = len(j2)
-        Y = [sec.values[i * t2:(i + 1) * t2] for i in range(k)]
-        if not _columns_consistent(field, k, st.points, st.values, Y, cols):
-            return None, Verdict(False, "fold-consistency")
-        matrices.append((extend_rows(Y, rowmap, (0,) * t2), j2))
+    points = live[0].points
+    j2, cols = project_points(points)
+    j2, t2 = tuple(j2), len(j2)
+    msg = session.ask("fold/matrix", (len(live[0].zs), rowmap, points),
+                      expect=[(k * t2, fb)] * len(live))
+    matrices = [[sec.values[i * t2:(i + 1) * t2] for i in range(k)] for sec in msg.sections]
+    if not all(_columns_consistent(field, k, points, st.values, Y, cols)
+               for st, Y in zip(live, matrices)):
+        return None, Verdict(False, "fold-consistency")
 
     n_rows = len(rowmap)
     classes = weight_classes(n_rows, kappa, session.notes)
     children: list[FoldState] = []
     z_sections = []
-    for st, (U, j2) in zip(live, matrices):
+    for st, Y in zip(live, matrices):
+        U = extend_rows(Y, rowmap, (0,) * t2)
         for a, weight in classes:
             support, z = fold_vector(session.rng, n_rows, weight, p)
             children.append(FoldState(
@@ -197,7 +197,7 @@ def _fold_phase(session: Session, live: list[FoldState], k: int, field: PrimeFie
                 supports=st.supports + (support,),
                 rowmaps=st.rowmaps + (rowmap,),
                 weights=st.weights + (a,),
-                points=tuple(j2),
+                points=j2,
                 values=fold_rows(z, U, p),
             ))
             z_sections.append((z, fb))
@@ -286,7 +286,7 @@ def _ham_body(session: Session, n: int, w: int, eps: Fraction, c: int) -> Verdic
 
 
 def run_ham_ipp(x_bits: Sequence[int], D, w: int, eps: Fraction,
-                prover: ProverStrategy, seed: int, c: int = 2) -> RunResult:
+                prover: ProverStrategy, seed: int, c: int = DEFAULT_HAM_C) -> RunResult:
     """df-IPP for the weight-w language; samples only, no input queries."""
     n = len(x_bits)
     oracles = OracleHandles(x_bits, dist=D)
@@ -295,7 +295,7 @@ def run_ham_ipp(x_bits: Sequence[int], D, w: int, eps: Fraction,
 
 def run_symmetric_ipp(x_bits: Sequence[int], D, predicate: Callable[[int], bool],
                       eps: Fraction, prover: ProverStrategy, seed: int,
-                      c: int = 2) -> RunResult:
+                      c: int = DEFAULT_HAM_C) -> RunResult:
     """The prover announces the weight; the verifier gates on the predicate
     before delegating to the weight protocol."""
     n = len(x_bits)
@@ -529,7 +529,7 @@ def _df_nc_verifier(session: Session, X: InputTensor, eps: Fraction,
 
 
 def run_df_ipp_nc(X: InputTensor, D, eps: Fraction, gen: ClaimGenerator,
-                  prover: ProverStrategy, seed: int, r: int = 1,
+                  prover: ProverStrategy, seed: int, r: int = DEFAULT_NC_R,
                   kappa_override: Optional[int] = None) -> RunResult:
     """NC df-IPP: claims, T = ceil(3/eps) fresh samples, uniform PVAL IPP."""
     oracles = OracleHandles(X.data, dist=D)
@@ -641,61 +641,49 @@ class HonestFoldProver(ProverStrategy):
     Commits to the tensor handed to it: pass the true X for honesty, or any
     alternative W for the fixed-alternative-string adversary (committing to
     the mu-closest PVAL member is the analysis-optimal cheating strategy).
-    All live folded tensors are materialized; at desk scale they are tiny.
+    A fold/matrix request (s, rowmap, points) carries the round, the row map
+    the verifier folds through and the live tuples' shared point set, so the
+    prover keeps only its committed tensor and its live folds.  All live
+    folded tensors are materialized; at desk scale they are tiny.
     """
 
     def __init__(self, tensor: InputTensor):
         self.X = tensor
         self.field = tensor.field
         self.k = tensor.k
-        self.live: list[tuple[int, ...]] = []
-        self.live_m = tensor.m
-        self.points: tuple[tuple[int, ...], ...] = ()
+        self.live: list = []
 
     def observe(self, tag: str, sections) -> None:
-        """On fold/vectors, fold every live tensor's rows through the row map."""
-        if tag != "fold/vectors":
-            return
-        p, rowmap = self.field.modulus, self._rowmap()
-        per_tuple = len(sections) // len(self.live)
-        step = len(self.live[0]) // self.k
-        new_live = []
-        for idx, data in enumerate(self.live):
-            mapped = extend_rows([data[i * step:(i + 1) * step] for i in range(self.k)],
-                                 rowmap, (0,) * step)
-            new_live.extend(fold_rows(z, mapped, p)
-                            for z in sections[idx * per_tuple:(idx + 1) * per_tuple])
-        self.live = new_live
-        self.live_m -= 1
-
-    def _rowmap(self) -> Sequence[int]:
-        """Source row of each folded row: the k rows themselves for a plain fold."""
-        return range(self.k)
+        """On fold/vectors, fold the rows each live tensor was extended to."""
+        if tag == "fold/vectors":
+            p, per_tuple = self.field.modulus, len(sections) // len(self.live)
+            self.live = [fold_rows(z, rows, p) for idx, rows in enumerate(self.live)
+                         for z in sections[idx * per_tuple:(idx + 1) * per_tuple]]
 
     def reply(self, tag: str, payload):
         fb = self.field.bits
         if tag == "claims/values":
             return [(tuple(lde_eval(self.X, pt) for pt in payload), fb)]
         if tag == "fold/matrix":
-            if payload[0] == 0:
-                _s, points, _values = payload
-                self.live = [self.X.data]
-                self.live_m = self.X.m
-                self.points = tuple(points)
-            return self._matrices()
+            return self._matrices(*payload)
         if tag == "fin/leaves":
             return [(data, fb) for data in self.live]
         raise ProtocolViolation(f"unexpected tag {tag}")
 
-    def _matrices(self):
-        j2, _cols = project_points(self.points)
-        k, step = self.k, self.k ** (self.live_m - 1)
-        rows = [data[i * step:(i + 1) * step] for data in self.live for i in range(k)]
-        evals = lde_eval_batch(self.field, k, self.live_m - 1, rows, j2)
-        self.points = tuple(j2)  # children inherit the projected point set
-        # one section per live tensor: its k rows in order, each over every point
+    def _matrices(self, s: int, rowmap: Sequence[int], points):
+        """One section per live tensor: its k rows in order, each evaluated at the
+        tail projection of every point.  Each live tensor is then kept as its rows
+        read through rowmap, for observe to fold."""
+        if s == 0:
+            self.live = [self.X.data]
+        k, tail_m = self.k, self.X.m - s - 1
+        step = k ** tail_m
+        rows = [[data[i * step:(i + 1) * step] for i in range(k)] for data in self.live]
+        j2, _cols = project_points(points)
+        evals = lde_eval_batch(self.field, k, tail_m, [row for rs in rows for row in rs], j2)
+        self.live = [extend_rows(rs, rowmap, (0,) * step) for rs in rows]
         return [(tuple(v for row in evals[d * k:(d + 1) * k] for v in row), self.field.bits)
-                for d in range(len(self.live))]
+                for d in range(len(rows))]
 
 
 class RowTamperFoldProver(HonestFoldProver):

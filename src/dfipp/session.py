@@ -57,7 +57,11 @@ class Section(tuple):
 
     @staticmethod
     def from_hex(hexstr: str, count: int, width: int) -> "Section":
-        acc = int.from_bytes(bytes.fromhex(hexstr), "little")
+        """The inverse of to_hex; refuses any other byte length or a bit above count*width."""
+        raw = bytes.fromhex(hexstr)
+        acc, bits = int.from_bytes(raw, "little"), count * width
+        if bits < 0 or len(raw) != (bits + 7) // 8 or acc >> bits:
+            raise ValueError(f"section hex does not hold {count} values of {width} bits")
         mask = (1 << width) - 1
         return Section(tuple((acc >> (i * width)) & mask for i in range(count)), width)
 
@@ -286,8 +290,13 @@ def dump_transcript(path: str, header: dict, transcript: Sequence[Message],
 
 
 def load_transcript(path: str):
+    """(header, messages, trailer); a ValueError names a missing header or trailer line."""
     with open(path) as fh:
         lines = [json.loads(line) for line in fh if line.strip()]
+    if not lines or type(lines[0]) is not dict or "header" not in lines[0]:
+        raise ValueError(f"transcript {path!r} has no header line")
+    if len(lines) < 2 or type(lines[-1]) is not dict or "trailer" not in lines[-1]:
+        raise ValueError(f"transcript {path!r} has no trailer line")
     header = lines[0]["header"]
     trailer = lines[-1]["trailer"]
     messages = [

@@ -425,3 +425,52 @@ def test_nc_setup_evaluates_no_claim_points(protocol, monkeypatch):
     result, _meta = experiments.run_protocol(config, 42)
     assert result.verdict.accepted
     assert calls == []
+
+
+@pytest.mark.parametrize("lemma", ["tvineq", "rr20_min_dist", "appendix-a"])
+@pytest.mark.parametrize("trials", ["0", "-3", "x"])
+def test_check_lemma_refuses_a_trial_count_that_is_not_positive(lemma, trials, capsys,
+                                                                 monkeypatch):
+    from dfipp import experiments
+    monkeypatch.setitem(experiments.LEMMA_CHECKS, lemma, None)  # no suite may run
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["check-lemma", lemma, "--trials", trials])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if line.startswith("dfipp: error: ")]
+    assert errors == [f"dfipp: error: --trials must be a positive integer, got {trials!r}"]
+
+
+@pytest.mark.parametrize("lines,message", [
+    ([], "no header line"),
+    (['{"header": {"config": {}, "seed": 1}}'], "no trailer line"),
+    (['{"header": {"config": {}, "seed": 1}}',
+      '{"sender": "prover", "tag": "echo/reply", "sections": []}'], "no trailer line"),
+    (['{"header": {"config": {}, "seed": 1}}',
+      '{"sender": "prover", "tag": "t", "sections": [{"hex": "07", "n": 1, "w": 2}]}',
+      '{"trailer": {}}'], "does not hold 1 values of 2 bits"),
+], ids=["empty", "header-only", "no-trailer", "high-bits"])
+def test_cli_replay_of_a_malformed_transcript_is_a_usage_error(lines, message, tmp_path,
+                                                               capsys):
+    path = tmp_path / "t.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["replay", str(path)])
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("dfipp: error: ")]
+    assert len(errors) == 1 and message in errors[0]
+
+
+@pytest.mark.parametrize("argv", [[], ["--seed", "3"], ["--trials", "2"]])
+@pytest.mark.parametrize("config", [[1, 2], "ham", 7, None])
+def test_cli_run_refuses_a_config_that_is_not_an_object(config, argv, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["run", "--config", str(path), *argv])
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("dfipp: error: ")]
+    assert errors == [f"dfipp: error: config has a bad type or value: {config!r}"]

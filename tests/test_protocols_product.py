@@ -9,9 +9,10 @@ from _oracles import bucket_bits_loop
 from dfipp.field import InputTensor, PrimeField, lde_eval
 from dfipp.tensors import INF, PvalInstance, dist_to_pval_bruteforce, pval_member
 from dfipp.distributions import (Pmf, SamplingCircuit, circuit_pmf, dispersion_rho,
-                                 extension_row_map, granularise)
+                                 extend_rows, extension_row_map, granularise)
 from dfipp.session import CostLedger, OracleHandles, ProverStrategy, Verdict
-from dfipp.protocols import HonestFoldProver, check_distance_preservation, folded_eval
+from dfipp.protocols import (HonestFoldProver, check_distance_preservation, fold_rows,
+                             folded_eval)
 from dfipp.product import (ExtensionEchoProver, FixedStringProver, HonestSlbProver,
                            MarginalClaim, WhiteboxFoldProver, aborting_learner,
                            check_product_dpl, exact_learner, explicit_set_uniform_ipp,
@@ -199,7 +200,6 @@ def test_extended_fold_honest_outputs_are_members():
     B = granularise(Pmf([Fraction(1, 2), Fraction(1, 2)]))
     prover = WhiteboxFoldProver(X, [Pmf.uniform(2), Pmf.uniform(2)],
                                 SamplingCircuit.identity(2))
-    prover.claims_sent.append((Fraction(1, 2), Fraction(1, 2)))
     result, outputs = run_extended_poly_fold(X, inst, B, kappa=wb_fold_kappa(1, 2),
                                              prover=prover, seed=0)
     assert result.verdict.accepted
@@ -227,7 +227,6 @@ def test_extended_fold_degenerate_B_reduces_to_plain_fold():
     _res_plain, plain = run_poly_fold(X, inst, kappa, HonestFoldProver(X), seed=9)
     prover = WhiteboxFoldProver(X, [Pmf.uniform(2), Pmf.uniform(2)],
                                 SamplingCircuit.identity(2))
-    prover.claims_sent.append((Fraction(1, 2), Fraction(1, 2)))
     _res_ext, ext = run_extended_poly_fold(X, inst, (1, 1, 0), kappa, prover, seed=9)
     assert [(st.points, st.values, st.zs) for st in plain] == \
         [(st.points, st.values, st.zs) for st in ext]
@@ -242,7 +241,6 @@ def test_extended_fold_locality_bounded_and_zero_rows_free():
     B = granularise(pmf)
     assert B.counts[-1] > 0
     prover = WhiteboxFoldProver(X, [pmf, Pmf.uniform(2)], SamplingCircuit.identity(2))
-    prover.claims_sent.append(tuple(pmf.masses))
     result, outputs = run_extended_poly_fold(X, inst, B, kappa=wb_fold_kappa(1, 2),
                                              prover=prover, seed=5)
     assert result.verdict.accepted
@@ -255,6 +253,23 @@ def test_extended_fold_locality_bounded_and_zero_rows_free():
         zero_hits = sum(1 for i in st.supports[0] if rowmap[i] == 2)
         assert ledger.queries == len(st.supports[0]) - zero_hits
         assert ledger.queries <= st.tau
+
+
+@pytest.mark.parametrize("white_box", [False, True], ids=["honest", "whitebox"])
+def test_fold_prover_folds_through_the_requested_row_map(white_box):
+    # the fold request carries the row map, so neither prover needs a marginal
+    # exchange to fold as the verifier does
+    rng = random.Random(3)
+    X, inst = member_instance(F5, 2, 2, rng)
+    pmf = Pmf([Fraction(7, 8), Fraction(1, 8)])
+    B = granularise(pmf)
+    prover = WhiteboxFoldProver(X, [pmf, Pmf.uniform(2)], SamplingCircuit.identity(2)) \
+        if white_box else HonestFoldProver(X)
+    result, outputs = run_extended_poly_fold(X, inst, B, kappa=wb_fold_kappa(1, 2),
+                                             prover=prover, seed=5)
+    assert result.verdict.accepted
+    rows = extend_rows([X.row(i) for i in range(2)], extension_row_map(B.counts), (0, 0))
+    assert prover.live == [fold_rows(st.zs[0], rows, 5) for st in outputs]
 
 
 # --- white-box product IPP --------------------------------------------------------------

@@ -176,6 +176,21 @@ def test_section_hex_round_trip_wide():
     assert Section.from_hex(sec.to_hex(), 3, 10) == sec
 
 
+def test_section_from_hex_round_trips_and_refuses_other_lengths_and_high_bits():
+    rng = random.Random(4)
+    for width in (1, 3, 8, 13, 64, 65):
+        for count in range(6):
+            sec = Section([rng.getrandbits(width) for _ in range(count)], width)
+            text = sec.to_hex()
+            assert Section.from_hex(text, count, width) == sec
+            bad = [text + "00", text[:-2]] if text else ["00"]
+            if count * width % 8:  # the last byte has bits above count * width
+                bad.append(text[:-2] + format(int(text[-2:], 16) | 0x80, "02x"))
+            for hexstr in bad:
+                with pytest.raises(ValueError, match="does not hold"):
+                    Section.from_hex(hexstr, count, width)
+
+
 def test_verdict_invariants():
     with pytest.raises(ValueError):
         Verdict(True, "reason")
@@ -237,6 +252,20 @@ def test_transcript_dump_and_replay_prover(tmp_path):
         echo_verifier(12), ReplayProver(messages), OracleHandles(()), seed=77)
     assert verdict2 == verdict
     assert transcript2 == transcript
+
+
+def test_load_transcript_names_a_missing_header_or_trailer_line(tmp_path):
+    path = tmp_path / "run.jsonl"
+    verdict, ledger, transcript, _ = run_session(echo_verifier(12), EchoProver(),
+                                                 OracleHandles(()), seed=77)
+    dump_transcript(str(path), {"seed": 77}, transcript, verdict, ledger)
+    assert load_transcript(str(path))[1] == transcript
+    lines = path.read_text().splitlines(keepends=True)
+    for kept, missing in (([], "header"), (lines[:1], "trailer"), (lines[:-1], "trailer"),
+                          (lines[1:], "header")):
+        path.write_text("".join(kept))
+        with pytest.raises(ValueError, match=f"no {missing} line"):
+            load_transcript(str(path))
 
 
 def test_prover_never_sees_oracles():
