@@ -5,11 +5,9 @@ distances and distribution masses are exact rationals; desk-scale
 brute-force oracles back every soundness and distance-preservation check.
 """
 
-from .field import (InputTensor, PrimeField, canonical_embed, lagrange_eval_univariate,
-                    lde_eval, lde_eval_batch)
-from .tensors import (BudgetExceeded, INF, PvalInstance, ball_membership, dist,
-                      dist_to_pval_bruteforce, hybrid_dist, pval_member,
-                      pval_min_distance)
+from .field import InputTensor, PrimeField, lagrange_eval_univariate, lde_eval, lde_eval_batch
+from .tensors import (BudgetExceeded, INF, PvalInstance, dist, dist_to_pval_bruteforce,
+                      hybrid_dist, pval_member, pval_min_distance)
 from .distributions import (GranularitySet, Pmf, ProductDistribution, SamplingCircuit,
                             circuit_pmf, dispersion_rho, granularise, marginal_first,
                             tv_distance)
@@ -22,8 +20,8 @@ from .protocols import (ClaimGenerator, CorrectorHandle, FoldState, HonestFoldPr
                         run_fin_ipp, run_ham_ipp, run_poly_fold, run_rlcc_transform,
                         run_symmetric_ipp, weight_classes)
 from .product import (MarginalClaim, WhiteboxFoldProver, check_product_dpl,
-                      gen_product_fixture, run_extended_poly_fold, run_learnable_ipp,
-                      run_set_lower_bound, run_whitebox_product_ipp, wb_fold_kappa)
+                      gen_product_fixture, run_learnable_ipp, run_set_lower_bound,
+                      run_whitebox_product_ipp, wb_fold_kappa)
 from .experiments import cmd_check_lemma, cmd_replay, cmd_run, gen_ham_lb_fixture
 
 __all__ = [name for name in dir() if not name.startswith("_")]

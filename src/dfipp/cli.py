@@ -2,7 +2,8 @@
 
 Exit codes: 0 pass, 1 statistical-bound failure, 2 exact-invariant
 violation, 3 budget refusal.  A usage error (bad arguments, config, prover
-mode or lemma id) also exits 2, through argparse.
+mode, lemma id or transcript, or a path that cannot be read or written) also
+exits 2, through argparse.
 """
 
 from __future__ import annotations
@@ -37,6 +38,14 @@ def _positive(name: str, text: str) -> int:
     return value
 
 
+def _fraction(name: str, text: str) -> Fraction:
+    """text as a Fraction; a ValueError names the flag unless it is one."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{name} must be a fraction, got {text!r}") from None
+
+
 def _jsonable(obj):
     if isinstance(obj, Fraction):
         return str(obj)
@@ -68,7 +77,7 @@ def main(argv=None) -> int:
                        f"else {DEFAULT_ENUM_BUDGET})")
 
     p_fix = sub.add_parser("gen-fixture", help="generate the weight-testing fixture pair")
-    p_fix.add_argument("--n", type=int, required=True)
+    p_fix.add_argument("--n", required=True)
     p_fix.add_argument("--eps", default="1/100")
     p_fix.add_argument("--e2", default="2/3", help="exponent of |I2|")
     p_fix.add_argument("--e3", default="1997/3000", help="exponent of |I3|")
@@ -100,10 +109,11 @@ def main(argv=None) -> int:
             return exit_code_for(report)
 
         if args.command == "gen-fixture":
-            fixture = gen_ham_lb_fixture(args.n, Fraction(args.eps),
-                                         Fraction(args.e2), Fraction(args.e3))
+            n = _positive("--n", args.n)
+            fixture = gen_ham_lb_fixture(n, _fraction("--eps", args.eps),
+                                         _fraction("--e2", args.e2), _fraction("--e3", args.e3))
             payload = {
-                "n": args.n,
+                "n": n,
                 "w": fixture["w"],
                 "x": list(fixture["x"]),
                 "y": list(fixture["y"]),
@@ -125,7 +135,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(json.dumps({"status": "refused", "reason": str(exc)}), file=sys.stderr)
         return EXIT_REFUSED
-    except ValueError as exc:  # a bad config, prover mode or lemma id
+    except (ValueError, OSError) as exc:  # a bad config, prover mode, lemma id or path
         parser.error(str(exc))
     return EXIT_PASS
 

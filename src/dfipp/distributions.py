@@ -432,21 +432,6 @@ def tv_distance(p: Pmf, q: Pmf) -> Fraction:
 
 # --- JSON wire format -------------------------------------------------------
 
-def distribution_to_json(D) -> dict:
-    if isinstance(D, Pmf):
-        out = {"kind": "explicit", "masses": [str(v) for v in D.masses]}
-        if D.shape is not None:
-            out["shape"] = list(D.shape)
-        return out
-    if isinstance(D, ProductDistribution):
-        return {"kind": "product",
-                "factors": [[str(v) for v in f.masses] for f in D.factors]}
-    if isinstance(D, SamplingCircuit):
-        return {"kind": "circuit", "inputs": D.n_inputs,
-                "gates": [list(g) for g in D.gates], "outputs": list(D.outputs)}
-    raise TypeError(f"not a distribution: {D!r}")
-
-
 def distribution_from_json(obj: dict):
     kind = obj["kind"]
     if kind == "explicit":

@@ -22,8 +22,9 @@ from .tensors import (DEFAULT_ENUM_BUDGET, INF, PvalInstance, coset, dist, pval_
                       solve_affine)
 from .distributions import (CIRCUIT_INPUT_BUDGET, Pmf, SamplingCircuit, distribution_from_json,
                             dispersion_rho, granularise, marginal_first, tv_distance)
-from .session import (ACCEPT, OracleHandles, ProverStrategy, ReplayProver, RunResult, Verdict,
-                      amplify, dump_transcript, load_transcript, run_session)
+from .session import (ACCEPT, TRAILER_FIELDS, OracleHandles, ProverStrategy, ReplayProver,
+                      RunResult, Verdict, amplify, dump_transcript, has_fields, load_transcript,
+                      run_session)
 from .protocols import (DEFAULT_HAM_C, DEFAULT_NC_R, BadSumHamProver, ClaimGenerator,
                         HonestFoldProver, HonestHamProver, NullProver, RandomLieFoldProver,
                         RowTamperFoldProver, ScriptedClaimsProver, blr_linearity_ipp,
@@ -541,6 +542,11 @@ def record_transcript(config: dict, seed: int, path: str) -> RunResult:
 def cmd_replay(path: str) -> dict:
     """Re-run the verifier against recorded prover messages; compare everything."""
     header, messages, trailer = load_transcript(path)
+    if not has_fields(header, {"config": (dict,), "seed": (int,)}):
+        raise ValueError(f"transcript {path!r} header line needs a config object and an "
+                         "int seed")
+    if not has_fields(trailer, TRAILER_FIELDS):
+        raise ValueError(f"transcript {path!r} trailer line needs {', '.join(TRAILER_FIELDS)}")
     config, seed = header["config"], header["seed"]
     validate_config(config)
     result, _meta = run_protocol(config, seed, prover_override=ReplayProver(messages))
@@ -648,17 +654,6 @@ def ham_distance_exact(x: tuple[int, ...], D: Pmf, w: int) -> Fraction:
     if len(costs) < need:
         return INF  # weight w unreachable (never happens for valid fixtures)
     return Fraction(sum(costs[:need]), D.denom)
-
-
-def estimate_dist_monte_carlo(x, y, D, trials: int, seed: int) -> float:
-    """APPROXIMATE d_D(x, y) by sampling.
-
-    The Monte-Carlo counterpart of the exact `dfipp.tensors.dist` for inputs
-    past the enumeration budget; standard error ~ sqrt(d(1-d)/trials).
-    """
-    rng = random.Random(seed)
-    hits = sum(1 for _ in range(trials) if x[(i := D.sample(rng))] != y[i])
-    return hits / trials
 
 
 # --- lemma checks ------------------------------------------------------------------

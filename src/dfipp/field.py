@@ -82,9 +82,6 @@ class PrimeField:
     def __repr__(self) -> str:
         return f"PrimeField({self.modulus})"
 
-    def rand(self, rng) -> int:
-        return rng.randrange(self.modulus)
-
     def rand_point(self, m: int, rng) -> tuple[int, ...]:
         return tuple(uniform_draws(rng, self.modulus, m))
 
@@ -108,15 +105,6 @@ def cell_coords(idx: int, k: int, m: int) -> tuple[int, ...]:
 def cell_coord(idx: int, k: int, m: int, d: int) -> int:
     """Coordinate d of flat cell index idx, i.e. cell_coords(idx, k, m)[d]."""
     return idx // k ** (m - 1 - d) % k
-
-
-def canonical_embed(i: int, k: int, field: PrimeField) -> int:
-    """Embed the 1-based index i in [k] as the field element i-1."""
-    if not 1 <= k <= field.modulus:
-        raise ValueError(f"k={k} exceeds field size {field.modulus}")
-    if not 1 <= i <= k:
-        raise ValueError(f"index {i} outside [1, {k}]")
-    return i - 1
 
 
 @lru_cache(maxsize=4096)

@@ -20,7 +20,7 @@ from .distributions import (CIRCUIT_INPUT_BUDGET, GranularitySet, Pmf, ProductDi
 from .session import (ACCEPT, OracleHandles, ProtocolViolation, ProverStrategy, RunResult,
                       Session, Verdict, run_session)
 from .protocols import (FoldState, HonestFoldProver, InequalityReport, _fold_phase, _leaf_phase,
-                        _preservation_report, _round_kappa, _run_fold_round)
+                        _preservation_report, _round_kappa)
 
 _RATIONAL_BITS = 64
 DEFAULT_TAU = Fraction(1, 1000)  # lower-bound slack of a marginal claim unless one is set
@@ -175,14 +175,6 @@ def extended_fold_phase(session: Session, live: list[FoldState], k: int,
     draws folding vectors in F^(8k).
     """
     return _fold_phase(session, live, k, field, kappa, extension_row_map(B.counts))
-
-
-def run_extended_poly_fold(X: InputTensor, inst: PvalInstance, B,
-                           kappa: int, prover: ProverStrategy, seed: int):
-    """Stand-alone extended folding round over a GranularitySet or its counts;
-    returns (RunResult, outputs or None)."""
-    counts = B.counts if isinstance(B, GranularitySet) else tuple(B)
-    return _run_fold_round(X, inst, kappa, extension_row_map(counts), prover, seed)
 
 
 # --- the white-box product IPP ----------------------------------------------------

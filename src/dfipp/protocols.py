@@ -347,29 +347,6 @@ class BadSumHamProver(HonestHamProver):
         return super().reply(tag, payload)
 
 
-def extract_committed_string(prover: ProverStrategy, n: int, w: int) -> list[int]:
-    """Walk every binary-descent path and read off the implied leaf string.
-
-    For any path-consistent strategy that passes all sum/range checks, the
-    implied string has Hamming weight exactly w.
-    """
-    out = []
-    for i in range(1, n + 1):
-        lo, hi, v = 1, n, w
-        path: tuple[int, ...] = ()
-        while lo < hi:
-            mid = (lo + hi) // 2
-            h0, h1 = prover.reply("ham/split", (lo, hi, mid, path))[0][0]
-            if i <= mid:
-                hi, v = mid, h0
-                path += (0,)
-            else:
-                lo, v = mid + 1, h1
-                path += (1,)
-        out.append(v)
-    return out
-
-
 # --- NC -> PVAL claim generation ----------------------------------------------
 
 @dataclass

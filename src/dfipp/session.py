@@ -271,6 +271,19 @@ def amplify(run_once: Callable[[int], tuple], repetitions: int, rule: str, seed:
 
 # --- transcript dump / replay ------------------------------------------------
 
+# the keys of a transcript record, each with the exact types its value may have
+_MESSAGE_FIELDS = {"sender": (str,), "tag": (str,), "sections": (list,)}
+_SECTION_FIELDS = {"hex": (str,), "n": (int,), "w": (int,)}
+TRAILER_FIELDS = {"accepted": (bool,), "reject_reason": (str, type(None)), "queries": (int,),
+                  "samples": (int,), "comm_bits": (int,), "messages": (int,)}
+
+
+def has_fields(rec, fields: dict) -> bool:
+    """rec is a dict that holds every key of fields, with a value of one of its types."""
+    return type(rec) is dict and all(key in rec and type(rec[key]) in types
+                                     for key, types in fields.items())
+
+
 def dump_transcript(path: str, header: dict, transcript: Sequence[Message],
                     verdict: Verdict, ledger: CostLedger) -> None:
     """JSON lines: one header line, one line per message, one trailer line."""
@@ -290,21 +303,38 @@ def dump_transcript(path: str, header: dict, transcript: Sequence[Message],
 
 
 def load_transcript(path: str):
-    """(header, messages, trailer); a ValueError names a missing header or trailer line."""
+    """(header, messages, trailer); a ValueError names a missing header or trailer line,
+    and the line of a record that is not JSON or not a message."""
+    numbers, lines = [], []
     with open(path) as fh:
-        lines = [json.loads(line) for line in fh if line.strip()]
+        for no, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    lines.append(json.loads(line))
+                except ValueError:
+                    raise ValueError(f"transcript {path!r} line {no} is not JSON") from None
+                numbers.append(no)
     if not lines or type(lines[0]) is not dict or "header" not in lines[0]:
         raise ValueError(f"transcript {path!r} has no header line")
     if len(lines) < 2 or type(lines[-1]) is not dict or "trailer" not in lines[-1]:
         raise ValueError(f"transcript {path!r} has no trailer line")
-    header = lines[0]["header"]
-    trailer = lines[-1]["trailer"]
-    messages = [
-        Message(rec["sender"], rec["tag"],
-                tuple(Section.from_hex(s["hex"], s["n"], s["w"]) for s in rec["sections"]))
-        for rec in lines[1:-1]
-    ]
-    return header, messages, trailer
+    messages = [_load_message(f"transcript {path!r} line {no}", rec)
+                for no, rec in zip(numbers[1:-1], lines[1:-1])]
+    return lines[0]["header"], messages, lines[-1]["trailer"]
+
+
+def _load_message(where: str, rec) -> Message:
+    """A message record as a Message; a ValueError says where it is otherwise."""
+    if not (has_fields(rec, _MESSAGE_FIELDS) and rec["sender"] in (VERIFIER, PROVER)
+            and all(has_fields(s, _SECTION_FIELDS) and s["n"] >= 0 and s["w"] >= 1
+                    for s in rec["sections"])):
+        raise ValueError(f"{where} is not a message: it needs a sender, a tag and sections "
+                         "of hex, n >= 0 and w >= 1")
+    try:
+        sections = tuple(Section.from_hex(s["hex"], s["n"], s["w"]) for s in rec["sections"])
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+    return Message(rec["sender"], rec["tag"], sections)
 
 
 class ReplayProver(ProverStrategy):

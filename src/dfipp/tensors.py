@@ -2,8 +2,8 @@
 
 Distances are exact Fractions, summed in the integer weights of the
 distribution over its one denominator; "eps-far" always means distance
-strictly greater than eps, and ball membership is strict (<), since the lemma
-checks built on these must not be confounded by boundary or float issues.
+strictly greater than eps, since the lemma checks built on these must not be
+confounded by boundary or float issues.
 
 PVAL(J, v) is the affine coset {X : B X = v} of a linear code, row j of B
 being basis_row(J_j).  One solver (solve_affine) eliminates B over F_p once,
@@ -80,11 +80,6 @@ def hybrid_dist(x: Sequence[int], y: Sequence[int], D1: "Pmf", D2: "Pmf") -> Fra
     """mu_{D1,D2}(x, y) = max(d_D1, d_D2); the max of two metrics is a metric."""
     a, b = _diff_weight(x, y, D1), _diff_weight(x, y, D2)
     return Fraction(a, D1.denom) if a * D2.denom >= b * D1.denom else Fraction(b, D2.denom)
-
-
-def ball_membership(x: Sequence[int], y: Sequence[int], D: "Pmf", eps: Fraction) -> bool:
-    """y in B_{D,eps}(x), i.e. d_D(x,y) < eps (strict)."""
-    return dist(x, y, D) < eps
 
 
 def metric_fn(metric) -> Callable[[Sequence[int], Sequence[int]], Fraction]:

@@ -11,13 +11,29 @@ from _oracles import (circuit_eval, factor_circuit_table, fraction_dispersion, f
                       fraction_granularise, fraction_sampler_table, fraction_tv_distance)
 from dfipp.distributions import (GranularitySet, Pmf, ProductDistribution, SamplingCircuit,
                                  circuit_pmf, dispersion_rho, distribution_from_json,
-                                 distribution_to_json, extend_rows, extension_row_map,
-                                 granularise, marginal_first, tv_distance)
+                                 extend_rows, extension_row_map, granularise, marginal_first,
+                                 tv_distance)
 from dfipp.experiments import _setup_rng
 from dfipp.product import (ExtensionEchoProver, _factor_circuit, exact_learner,
                            gen_product_fixture, run_learnable_ipp)
 from dfipp.session import ACCEPT
 from dfipp.tensors import dist, hybrid_dist
+
+
+def distribution_to_json(D) -> dict:
+    """The config-file object that distribution_from_json reads back as D."""
+    if isinstance(D, Pmf):
+        out = {"kind": "explicit", "masses": [str(v) for v in D.masses]}
+        if D.shape is not None:
+            out["shape"] = list(D.shape)
+        return out
+    if isinstance(D, ProductDistribution):
+        return {"kind": "product",
+                "factors": [[str(v) for v in f.masses] for f in D.factors]}
+    if isinstance(D, SamplingCircuit):
+        return {"kind": "circuit", "inputs": D.n_inputs,
+                "gates": [list(g) for g in D.gates], "outputs": list(D.outputs)}
+    raise TypeError(f"not a distribution: {D!r}")
 
 
 def test_pmf_validation():

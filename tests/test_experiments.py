@@ -124,19 +124,6 @@ def test_fixture_degenerate_inputs_rejected():
         gen_ham_lb_fixture(64, Fraction(1, 100), e3=Fraction(1, 12))  # |I3| < 6
 
 
-def test_estimate_dist_monte_carlo_converges():
-    from dfipp.experiments import estimate_dist_monte_carlo
-    from dfipp.tensors import dist
-    import math as _math
-    D = Pmf([Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)])
-    x, y = (0, 0, 0, 0), (0, 1, 0, 1)
-    exact = dist(x, y, D)  # 3/8
-    trials = 20000
-    approx = estimate_dist_monte_carlo(x, y, D, trials, seed=0)
-    sigma = _math.sqrt(float(exact) * (1 - float(exact)) / trials)
-    assert abs(approx - float(exact)) <= 5 * sigma
-
-
 def test_ham_distance_exact_greedy():
     # flipping up: cheapest zeros first
     D = Pmf([Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)])
@@ -450,7 +437,17 @@ def test_check_lemma_refuses_a_trial_count_that_is_not_positive(lemma, trials, c
     (['{"header": {"config": {}, "seed": 1}}',
       '{"sender": "prover", "tag": "t", "sections": [{"hex": "07", "n": 1, "w": 2}]}',
       '{"trailer": {}}'], "does not hold 1 values of 2 bits"),
-], ids=["empty", "header-only", "no-trailer", "high-bits"])
+    (['{"header": {"config": {}, "seed": 1}}', '{"sender": "prover"}', '{"trailer": {}}'],
+     "line 2 is not a message"),
+    (['{"header": {"config": {}, "seed": 1}}',
+      '{"sender": "prover", "tag": "t", "sections": [{"hex": "", "n": "x", "w": 2}]}',
+      '{"trailer": {}}'], "line 2 is not a message"),
+    (['{"header": {"config": {}, "seed": 1}}', '{"sender": "prover", "tag": "t",',
+      '{"trailer": {}}'], "line 2 is not JSON"),
+    (['{"header": {"seed": 1}}', '{"trailer": {}}'], "header line needs a config"),
+    (['{"header": {"config": {}, "seed": 1}}', '{"trailer": {}}'], "trailer line needs"),
+], ids=["empty", "header-only", "no-trailer", "high-bits", "no-tag", "section-n-not-int",
+        "not-json", "header-without-config", "empty-trailer"])
 def test_cli_replay_of_a_malformed_transcript_is_a_usage_error(lines, message, tmp_path,
                                                                capsys):
     path = tmp_path / "t.jsonl"
@@ -460,6 +457,26 @@ def test_cli_replay_of_a_malformed_transcript_is_a_usage_error(lines, message, t
     assert exc.value.code == 2
     errors = [line for line in capsys.readouterr().err.splitlines()
               if line.startswith("dfipp: error: ")]
+    assert len(errors) == 1 and message in errors[0]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["gen-fixture", "--n", "-5"], "--n must be a positive integer, got '-5'"),
+    (["gen-fixture", "--n", "64", "--eps", "1/0"], "--eps must be a fraction, got '1/0'"),
+    (["gen-fixture", "--n", "64", "--e2", "1/0"], "--e2 must be a fraction, got '1/0'"),
+    (["gen-fixture", "--n", "64", "--e3", "1/0"], "--e3 must be a fraction, got '1/0'"),
+    (["gen-fixture", "--n", "64", "--out", "{tmp}/missing/f.json"], "No such file"),
+    (["run", "--config", "{tmp}/missing.json"], "No such file"),
+    (["replay", "{tmp}/missing.jsonl"], "No such file"),
+], ids=["negative-n", "eps-over-zero", "e2-over-zero", "e3-over-zero", "unwritable-out",
+        "missing-config", "missing-transcript"])
+def test_cli_bad_numbers_and_paths_are_usage_errors(argv, message, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main([arg.format(tmp=tmp_path) for arg in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if line.startswith("dfipp: error: ")]
     assert len(errors) == 1 and message in errors[0]
 
 

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from dfipp.field import (InputTensor, PrimeField, canonical_embed, cell_coord, cell_coords,
+from dfipp.field import (InputTensor, PrimeField, cell_coord, cell_coords, lagrange_basis,
                          lagrange_eval_univariate, lde_eval, lde_eval_batch)
 
 from _oracles import vandermonde_lde_eval
@@ -18,19 +18,12 @@ def test_prime_check():
     PrimeField((1 << 61) - 1)  # Mersenne prime, 61 bits
 
 
-def test_canonical_embed_convention():
-    assert canonical_embed(1, 5, F7) == 0
-    assert canonical_embed(5, 5, F7) == 4
-    assert canonical_embed(3, 5, F7) == 2
-
-
-def test_canonical_embed_rejects():
-    with pytest.raises(ValueError):
-        canonical_embed(0, 5, F7)
-    with pytest.raises(ValueError):
-        canonical_embed(6, 5, F7)
-    with pytest.raises(ValueError):
-        canonical_embed(1, 8, F7)  # k > modulus
+def test_k_exceeding_the_field_size_is_refused():
+    # the LDE needs k distinct nodes in F_p
+    with pytest.raises(ValueError, match="exceeds field size"):
+        InputTensor(F7, 8, 1, (0,) * 8)
+    with pytest.raises(ValueError, match="exceeds field size"):
+        lagrange_basis(7, 8, 3)
 
 
 def test_lagrange_constant():

@@ -14,7 +14,7 @@ from dfipp.protocols import (BadSumHamProver, ClaimGenerator, CorrectorHandle,
                              RowTamperFoldProver, ScriptedClaimsProver, blr_linearity_ipp,
                              check_appendix_claims,
                              check_distance_preservation, check_subspace_lemma,
-                             extract_committed_string, fold_kappa, folded_eval,
+                             fold_kappa, folded_eval,
                              generate_pval_claims, hadamard_codeword, hadamard_corrector,
                              run_df_ipp_nc, run_dispersed_ipp_nc, run_fin_ipp, run_ham_ipp,
                              run_poly_fold, run_rlcc_transform, run_symmetric_ipp,
@@ -111,6 +111,29 @@ def test_ham_range_check():
     res = run_ham_ipp(x, U4, 4, Fraction(1, 2), RangeViolatingProver(x), 0)
     assert not res.verdict.accepted
     assert res.verdict.reject_reason in ("range", "sum")
+
+
+def extract_committed_string(prover, n: int, w: int) -> list[int]:
+    """Walk every binary-descent path and read off the implied leaf string.
+
+    For any path-consistent strategy that passes all sum/range checks, the
+    implied string has Hamming weight exactly w.
+    """
+    out = []
+    for i in range(1, n + 1):
+        lo, hi, v = 1, n, w
+        path: tuple[int, ...] = ()
+        while lo < hi:
+            mid = (lo + hi) // 2
+            h0, h1 = prover.reply("ham/split", (lo, hi, mid, path))[0][0]
+            if i <= mid:
+                hi, v = mid, h0
+                path += (0,)
+            else:
+                lo, v = mid + 1, h1
+                path += (1,)
+        out.append(v)
+    return out
 
 
 def test_ham_implied_string_has_weight_w():
@@ -639,7 +662,7 @@ def test_poly_fold_handles_duplicate_and_shared_column_points():
     X = InputTensor.random(F17, 2, 3, rng)
     base = F17.rand_point(3, rng)
     shared_tail = base[1:]
-    other = (F17.rand(rng),) + shared_tail  # same column, different row coord
+    other = (rng.randrange(17),) + shared_tail  # same column, different row coord
     points = (base, base, other)            # J is a multiset
     values = tuple(lde_eval(X, pt) for pt in points)
     inst = PvalInstance(F17, 2, 3, points, values)

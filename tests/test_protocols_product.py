@@ -11,14 +11,14 @@ from dfipp.tensors import INF, PvalInstance, dist_to_pval_bruteforce, pval_membe
 from dfipp.distributions import (Pmf, SamplingCircuit, circuit_pmf, dispersion_rho,
                                  extend_rows, extension_row_map, granularise)
 from dfipp.session import CostLedger, OracleHandles, ProverStrategy, Verdict
-from dfipp.protocols import (HonestFoldProver, check_distance_preservation, fold_rows,
-                             folded_eval)
+from dfipp.protocols import (HonestFoldProver, _run_fold_round, check_distance_preservation,
+                             fold_rows, folded_eval)
 from dfipp.product import (ExtensionEchoProver, FixedStringProver, HonestSlbProver,
                            MarginalClaim, WhiteboxFoldProver, aborting_learner,
                            check_product_dpl, exact_learner, explicit_set_uniform_ipp,
-                           extension_member, gen_product_fixture, run_extended_poly_fold,
-                           run_learnable_ipp, run_set_lower_bound,
-                           run_whitebox_product_ipp, wb_fold_kappa, _bucket_bits)
+                           extension_member, gen_product_fixture, run_learnable_ipp,
+                           run_set_lower_bound, run_whitebox_product_ipp, wb_fold_kappa,
+                           _bucket_bits)
 
 F5 = PrimeField(5)
 F17 = PrimeField(17)
@@ -200,10 +200,9 @@ def test_extended_fold_honest_outputs_are_members():
     B = granularise(Pmf([Fraction(1, 2), Fraction(1, 2)]))
     prover = WhiteboxFoldProver(X, [Pmf.uniform(2), Pmf.uniform(2)],
                                 SamplingCircuit.identity(2))
-    result, outputs = run_extended_poly_fold(X, inst, B, kappa=wb_fold_kappa(1, 2),
-                                             prover=prover, seed=0)
-    assert result.verdict.accepted
     rowmap = extension_row_map(B.counts)
+    result, outputs = _run_fold_round(X, inst, wb_fold_kappa(1, 2), rowmap, prover, seed=0)
+    assert result.verdict.accepted
     for st in outputs:
         z = st.zs[0]
         folded = [0, 0]
@@ -227,7 +226,7 @@ def test_extended_fold_degenerate_B_reduces_to_plain_fold():
     _res_plain, plain = run_poly_fold(X, inst, kappa, HonestFoldProver(X), seed=9)
     prover = WhiteboxFoldProver(X, [Pmf.uniform(2), Pmf.uniform(2)],
                                 SamplingCircuit.identity(2))
-    _res_ext, ext = run_extended_poly_fold(X, inst, (1, 1, 0), kappa, prover, seed=9)
+    _res_ext, ext = _run_fold_round(X, inst, kappa, extension_row_map((1, 1, 0)), prover, seed=9)
     assert [(st.points, st.values, st.zs) for st in plain] == \
         [(st.points, st.values, st.zs) for st in ext]
 
@@ -241,10 +240,9 @@ def test_extended_fold_locality_bounded_and_zero_rows_free():
     B = granularise(pmf)
     assert B.counts[-1] > 0
     prover = WhiteboxFoldProver(X, [pmf, Pmf.uniform(2)], SamplingCircuit.identity(2))
-    result, outputs = run_extended_poly_fold(X, inst, B, kappa=wb_fold_kappa(1, 2),
-                                             prover=prover, seed=5)
-    assert result.verdict.accepted
     rowmap = extension_row_map(B.counts)
+    result, outputs = _run_fold_round(X, inst, wb_fold_kappa(1, 2), rowmap, prover, seed=5)
+    assert result.verdict.accepted
     for st in outputs:
         oracles = OracleHandles(X.data)
         ledger = CostLedger()
@@ -265,10 +263,10 @@ def test_fold_prover_folds_through_the_requested_row_map(white_box):
     B = granularise(pmf)
     prover = WhiteboxFoldProver(X, [pmf, Pmf.uniform(2)], SamplingCircuit.identity(2)) \
         if white_box else HonestFoldProver(X)
-    result, outputs = run_extended_poly_fold(X, inst, B, kappa=wb_fold_kappa(1, 2),
-                                             prover=prover, seed=5)
+    rowmap = extension_row_map(B.counts)
+    result, outputs = _run_fold_round(X, inst, wb_fold_kappa(1, 2), rowmap, prover, seed=5)
     assert result.verdict.accepted
-    rows = extend_rows([X.row(i) for i in range(2)], extension_row_map(B.counts), (0, 0))
+    rows = extend_rows([X.row(i) for i in range(2)], rowmap, (0, 0))
     assert prover.live == [fold_rows(st.zs[0], rows, 5) for st in outputs]
 
 

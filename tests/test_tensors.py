@@ -4,9 +4,8 @@ from fractions import Fraction
 import pytest
 
 from dfipp.field import InputTensor, PrimeField
-from dfipp.tensors import (BudgetExceeded, INF, PvalInstance, ball_membership, dist,
-                           dist_to_pval_bruteforce, enumerate_pval, hybrid_dist,
-                           pval_member, pval_min_distance)
+from dfipp.tensors import (BudgetExceeded, INF, PvalInstance, dist, dist_to_pval_bruteforce,
+                           enumerate_pval, hybrid_dist, pval_member, pval_min_distance)
 from dfipp.distributions import Pmf
 
 from _oracles import exhaustive_hybrid_distance
@@ -67,10 +66,10 @@ def test_hybrid_triangle_inequality_random():
 def test_ball_membership_strict():
     U4 = Pmf.uniform(4)
     x = (0, 0, 0, 0)
-    assert ball_membership(x, x, U4, Fraction(1, 100))
+    assert dist(x, x, U4) < Fraction(1, 100)
     # one disagreement at eps = 1/4 sits on the boundary: excluded
-    assert not ball_membership(x, (1, 0, 0, 0), U4, Fraction(1, 4))
-    assert ball_membership(x, (1, 0, 0, 0), U4, Fraction(1, 3))
+    assert not dist(x, (1, 0, 0, 0), U4) < Fraction(1, 4)
+    assert dist(x, (1, 0, 0, 0), U4) < Fraction(1, 3)
 
 
 def test_bruteforce_distance_member_is_zero():
