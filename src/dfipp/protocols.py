@@ -24,6 +24,7 @@ from .session import (ACCEPT, OracleHandles, ProtocolViolation, ProverStrategy, 
 
 DEFAULT_HAM_C = 2  # the weight protocol samples ceil(c/eps) leaves
 DEFAULT_NC_R = 1  # folding rounds of the NC df-IPPs
+_HAM_DIR = ((Section((0,), 1),), (Section((1,), 1),))  # the two constant ham/dir payloads
 
 
 # --- weight classes and folding state ----------------------------------------
@@ -133,7 +134,8 @@ def folded_eval(oracles: OracleHandles, base: InputTensor, st: FoldState, leaf: 
     leaf is the coordinate's flat cell index in the leaf [k]^(m-s).  One
     charged read at leaf plus the offsets of the state's term table
     (FoldState.terms): exactly tau queries for plain folds, none for support
-    entries backed by the zero row.
+    entries backed by the zero row.  The leaf phase calls it once per distinct
+    cell of a live tuple and charges a repeated cell len(offsets) queries.
     """
     offsets, coeffs = st.terms(base.k, base.m)
     values = oracles.read(leaf, offsets)
@@ -233,6 +235,9 @@ def _leaf_phase(session: Session, X: InputTensor, live: list[FoldState], r: int,
     returns nq distribution-batch cells; since the first coordinate is the
     most significant, a full cell i of [k]^m drops its first r coordinates as
     i % k^(m-r).  Both batches are drawn before either is checked.
+
+    Cells are checked in draw order; the first mismatch rejects.  A tuple folds
+    each distinct cell once; a repeat passed before and is only charged again.
     """
     field, k, leaf_m = X.field, X.k, X.m - r
     msg = session.ask("fin/leaves", r, expect=[(k ** leaf_m, field.bits)] * len(live))
@@ -249,9 +254,14 @@ def _leaf_phase(session: Session, X: InputTensor, live: list[FoldState], r: int,
         nq = math.ceil(10 / eps_r)
         session.note(f"leaf weights={'.'.join(map(str, st.weights))} "
                      f"tau={st.tau} nq={nq} eps_r={eps_r}")
+        checked, reads = set(), len(st.terms(k, X.m)[0])
         for cell in _uniform_cells(session.rng, k, leaf_m, nq) + draw(nq):
-            if leaf.data[cell] != folded_eval(session.oracles, X, st, cell):
+            if cell in checked:  # passed before: charge the same reads, fold nothing
+                session.oracles.charge(reads)
+            elif leaf.data[cell] != folded_eval(session.oracles, X, st, cell):
                 return Verdict(False, "leaf-sample")
+            else:
+                checked.add(cell)
     return ACCEPT
 
 
@@ -274,7 +284,7 @@ def _ham_body(session: Session, n: int, w: int, eps: Fraction, c: int) -> Verdic
             if h0 > mid - lo + 1 or h1 > hi - mid:
                 return Verdict(False, "range")
             bit = 0 if i <= mid else 1
-            session.tell("ham/dir", [((bit,), 1)])
+            session.tell("ham/dir", _HAM_DIR[bit])
             if bit == 0:
                 hi, v = mid, h0
             else:

@@ -136,6 +136,10 @@ class OracleHandles:
         self.ledger.queries += 1
         return self.values[i]
 
+    def charge(self, n: int) -> None:
+        """Charge n queries without reading: the repeat of a read already made."""
+        self.ledger.queries += n
+
     def read(self, base: int, offsets: Sequence[int]) -> list[int]:
         """X_{base + o} for each offset o, in order; one query charged per offset."""
         self.ledger.queries += len(offsets)
@@ -183,11 +187,11 @@ class Session:
     def _record(self, sender: str, tag: str, sections) -> Message:
         """Append one message; each (values, width) pair that is not a Section yet
         is validated by becoming one."""
-        msg = Message(sender, tag, tuple(s if type(s) is Section else Section(*s)
-                                         for s in sections))
+        sections = tuple(s if type(s) is Section else Section(*s) for s in sections)
+        msg = Message(sender, tag, sections)
         self.transcript.append(msg)
         self.ledger.messages += 1
-        self.ledger.comm_bits += msg.bits
+        self.ledger.comm_bits += sum(len(values) * width for values, width in sections)
         return msg
 
     def tell(self, tag: str, sections) -> Message:

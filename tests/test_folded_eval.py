@@ -1,15 +1,20 @@
-"""folded_eval against a materialised fold, and its cached fold-term table."""
+"""folded_eval against a materialised fold, its cached fold-term table, and
+the leaf phase's spot checks: one fold per distinct cell, every check charged."""
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from _oracles import materialised_fold_value
-from dfipp.distributions import extension_row_map
-from dfipp.field import InputTensor, PrimeField, cell_index
-from dfipp.protocols import FoldState, folded_eval
-from dfipp.session import CostLedger, OracleHandles
+from dfipp import protocols
+from dfipp.distributions import extension_row_map, granularise
+from dfipp.field import InputTensor, PrimeField, cell_index, lde_eval
+from dfipp.product import WhiteboxFoldProver, gen_product_fixture, run_whitebox_product_ipp
+from dfipp.protocols import FoldState, _leaf_phase, folded_eval
+from dfipp.session import CostLedger, OracleHandles, ProverStrategy, Session
+from dfipp.tensors import PvalInstance
 
 F17 = PrimeField(17)
 M61 = PrimeField((1 << 61) - 1)
@@ -86,3 +91,110 @@ def test_term_table_cache_keeps_equality_and_hash():
     assert len({st, twin}) == 1
     assert _charged(X, st, (1, 0)) == first
     assert _charged(X, twin, (1, 0)) == first
+
+
+# --- leaf phase: spot checks --------------------------------------------------------
+
+def _member(field, k, m, rng, t=2):
+    X = InputTensor.random(field, k, m, rng)
+    points = tuple(field.rand_point(m, rng) for _ in range(t))
+    return X, PvalInstance(field, k, m, points, tuple(lde_eval(X, pt) for pt in points))
+
+
+def _counted_whitebox(monkeypatch, X, inst, circuit, r, prover, seed):
+    """(result, folded_eval calls) of one white-box session at eps = 1/2."""
+    calls = []
+    real = protocols.folded_eval
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(protocols, "folded_eval", counted)
+    res = run_whitebox_product_ipp(X, inst, Fraction(1, 2), circuit, r, prover, seed)
+    return res, len(calls)
+
+
+def _spot_checks(notes):
+    """(checks, tau * checks) summed over the leaf notes: 2 * nq checks per tuple."""
+    checks = charge = 0
+    for note in notes:
+        if note.startswith("leaf "):
+            fields = dict(f.split("=") for f in note.split()[1:])
+            checks += 2 * int(fields["nq"])
+            charge += 2 * int(fields["nq"]) * int(fields["tau"])
+    return checks, charge
+
+
+# The ledger pins below are those of a fold on every spot check: a repeated
+# cell must cost what folding it again would.
+
+def test_leaf_phase_honest_r2_folds_each_cell_once_and_charges_every_check(monkeypatch):
+    D, circuit = gen_product_fixture(2, 5, "uniform")
+    X, inst = _member(F17, 2, 5, random.Random(21))
+    res, calls = _counted_whitebox(monkeypatch, X, inst, circuit, 2,
+                                   WhiteboxFoldProver(X, D.factors, circuit), 3)
+    assert res.verdict.accepted
+    assert (res.ledger.queries, res.ledger.comm_bits) == (1474560, 1552)
+    checks, charge = _spot_checks(res.notes)
+    assert res.ledger.queries == charge  # every check charges tau = 256, repeats included
+    assert checks == 5760
+    assert calls <= 4 * 2 ** 3  # at most one fold per (live tuple, leaf cell)
+
+
+def test_leaf_phase_fixed_alternative_rejects_at_its_first_check(monkeypatch):
+    D, circuit = gen_product_fixture(2, 4, "uniform")
+    W, inst = _member(F17, 2, 4, random.Random(22))
+    X = InputTensor(F17, 2, 4, [(v + 1) % 17 for v in W.data])  # differs from W everywhere
+    res, calls = _counted_whitebox(monkeypatch, X, inst, circuit, 2,
+                                   WhiteboxFoldProver(W, D.factors, circuit), 4)
+    assert res.verdict.reject_reason == "leaf-sample"
+    assert (res.ledger.queries, res.ledger.comm_bits) == (256, 1276)
+    assert calls == 1
+
+
+def test_leaf_phase_extended_fold_charges_below_tau_on_zero_rows(monkeypatch):
+    rng = random.Random(101)
+    D, circuit = gen_product_fixture(2, 3, "dyadic-random", rng=rng)
+    assert granularise(D.factors[0]).counts[-1] > 0  # the extension has a zero row
+    X, inst = _member(F17, 2, 3, rng)
+    res, calls = _counted_whitebox(monkeypatch, X, inst, circuit, 1,
+                                   WhiteboxFoldProver(X, D.factors, circuit), 5)
+    assert res.verdict.accepted
+    assert (res.ledger.queries, res.ledger.comm_bits) == (7200, 10736)
+    checks, charge = _spot_checks(res.notes)
+    assert res.ledger.queries < charge
+    assert calls < checks
+
+
+class _LeafProver(ProverStrategy):
+    def __init__(self, leaves, width):
+        self.sections = [(tuple(leaf), width) for leaf in leaves]
+
+    def reply(self, tag, payload):
+        return self.sections
+
+
+@pytest.mark.parametrize("tamper", [False, True], ids=["honest", "second-tuple-lies"])
+def test_leaf_phase_keeps_one_fold_memo_per_tuple(tamper):
+    # two live tuples fold the same X under different vectors and are checked
+    # at the same leaf cell 0 only; each tuple's check reads its own fold
+    k, m, p = 2, 2, 17
+    X = InputTensor(F17, k, m, [3, 5, 7, 11])
+    states = [FoldState(zs=(z,), supports=((0, 1),), rowmaps=((0, 1),), weights=(1,),
+                        points=(), values=()) for z in [(1, 2), (4, 1)]]
+    leaves = [[materialised_fold_value(X.data, k, m, st.zs, st.rowmaps, (c,), p)
+               for c in range(k)] for st in states]
+    assert leaves[0][0] != leaves[1][0]
+    if tamper:
+        leaves[1][0] = leaves[0][0]
+    oracles = OracleHandles(X.data)
+    session = Session(_LeafProver(leaves, F17.bits), oracles, 0)
+    # eps_r = 2, so nq = 5 uniform cells, then 5 distribution cells that are all 0
+    verdict = _leaf_phase(session, X, states, 1, Fraction(1), Fraction(1),
+                          lambda nq: [0] * nq)
+    if tamper:
+        assert verdict.reject_reason == "leaf-sample"
+    else:
+        assert verdict.accepted
+        assert session.ledger.queries == 2 * 10 * 2  # tuples * checks * tau

@@ -171,6 +171,22 @@ def test_oracle_read_charges_one_query_per_offset():
     assert ledger.queries == 5
 
 
+def test_oracle_charge_adds_queries_only_and_matches_read():
+    oracles = OracleHandles(tuple(range(10)), dist=Pmf.uniform(10))
+    ledger = CostLedger()
+    oracles.bind(ledger, random.Random(0))
+    oracles.charge(7)
+    oracles.charge(0)
+    assert (ledger.queries, ledger.samples) == (7, 0)
+    for offsets in [(), (0,), (1, 1, 4), tuple(range(6))]:
+        before = ledger.queries
+        oracles.read(2, offsets)
+        read_cost = ledger.queries - before
+        oracles.charge(len(offsets))
+        assert ledger.queries - before == 2 * read_cost == 2 * len(offsets)
+    assert ledger.samples == 0
+
+
 def test_section_hex_round_trip_wide():
     sec = Section((1023, 0, 512), 10)
     assert Section.from_hex(sec.to_hex(), 3, 10) == sec
