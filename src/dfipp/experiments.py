@@ -34,7 +34,7 @@ from .protocols import (DEFAULT_HAM_C, DEFAULT_NC_R, BadSumHamProver, ClaimGener
                         run_dispersed_ipp_nc, run_fin_ipp, run_ham_ipp, run_poly_fold,
                         run_rlcc_transform, run_symmetric_ipp)
 from .product import (DEFAULT_TAU, HonestSlbProver, MarginalClaim, WhiteboxFoldProver,
-                      check_product_dpl, gen_product_fixture, run_set_lower_bound,
+                      check_product_dpl, exceeds_one, gen_product_fixture, run_set_lower_bound,
                       run_whitebox_product_ipp)
 
 CSV_COLUMNS = ["protocol", "n", "k", "m", "r", "eps", "rho", "field", "queries",
@@ -86,6 +86,10 @@ def _rational(value) -> Fraction:
 
 def _positive(value) -> bool:
     return _rational(value) > 0
+
+
+def _unit(value) -> bool:
+    return 0 < _rational(value) < 1
 
 
 def _mass(value) -> bool:
@@ -368,9 +372,9 @@ def _run_set_lower_bound(config: dict, rng: random.Random, seed: int, prover):
     ell = config["ell"]
     circuit = SamplingCircuit.identity(ell)
     n_sym = 1 << ell
-    claims = config.get("claims", [Fraction(1, n_sym)] * n_sym)
-    probs = tuple(Fraction(c) for c in _sized(claims, n_sym, "claims"))
-    if sum(probs) > 1:
+    claims = _sized(config.get("claims", (Fraction(1, n_sym),) * n_sym), n_sym, "claims")
+    probs = tuple(c if type(c) is Fraction else Fraction(c) for c in claims)
+    if exceeds_one(probs):
         raise ValueError("config key 'claims' must sum to at most 1")
     claim = MarginalClaim(probs, _frac(config.get("tau", DEFAULT_TAU)),
                           _frac(config.get("delta", "1/20")))
@@ -403,14 +407,14 @@ _PROTOCOLS = {
     "df_ipp_nc": ({**_TENSOR, "eps": _positive}, _NC, _run_df_ipp_nc),
     "dispersed_ipp_nc": ({**_TENSOR, "eps": _positive}, _NC, _run_dispersed_ipp_nc),
     "whitebox_product": ({**_TENSOR, "r": POSITIVE, "eps": _positive},
-                         {**_CLAIMED, "kappa_override": POSITIVE, "tau": _positive,
+                         {**_CLAIMED, "kappa_override": POSITIVE, "tau": _unit,
                           "profile": frozenset({"uniform", "row-concentrated", "dyadic-random"}),
                           "bucket_bits": int, "prover": _WHITEBOX_COMMITS},
                          _run_whitebox_product),
     "rlcc": ({"bits": POSITIVE, "eps": _positive},
              {"message": int, "corruptions": [int], "distribution": _DISTRIBUTION}, _run_rlcc),
     "set_lower_bound": ({"ell": POSITIVE},
-                        {"claims": [_mass], "tau": _positive, "delta": _positive,
+                        {"claims": [_mass], "tau": _unit, "delta": _unit,
                          "bucket_bits": int}, _run_set_lower_bound),
 }
 # a config: the keys of every run, then those of its protocol

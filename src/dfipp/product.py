@@ -42,10 +42,18 @@ class MarginalClaim:
     delta: Fraction
 
     def __post_init__(self):
-        if any(p < 0 for p in self.probs):
+        if not (0 < self.tau < 1 and 0 < self.delta < 1):
+            raise ValueError("tau and delta must lie in (0, 1)")
+        if any(p.numerator < 0 for p in self.probs):
             raise ValueError("negative claimed probability")
-        if sum(self.probs) > 1:
+        if exceeds_one(self.probs):
             raise ValueError("claimed probabilities exceed 1")
+
+
+def exceeds_one(probs: Sequence[Fraction]) -> bool:
+    """Whether sum(probs) > 1, in integers over the lcm of the denominators."""
+    den = math.lcm(*(p.denominator for p in probs))
+    return sum(p.numerator * (den // p.denominator) for p in probs) > den
 
 
 # --- parallel Goldwasser-Sipser set lower bound --------------------------------
@@ -60,7 +68,7 @@ def _bucket_bits(N: Fraction, ell: int, tau: Fraction, delta_sym: Fraction) -> i
 
 def _hash_zero(rows: Sequence[int], c: int, x: int) -> bool:
     for j, row in enumerate(rows):
-        if (bin(row & x).count("1") & 1) != ((c >> j) & 1):
+        if ((row & x).bit_count() ^ (c >> j)) & 1:
             return False
     return True
 
@@ -78,42 +86,44 @@ def slb_verify(session: Session, circuit: SamplingCircuit, claim: MarginalClaim,
     Completeness >= 1-delta when the true masses dominate the claims;
     soundness <= delta when some claim overstates by 1/(1-tau).
     """
-    ell = circuit.n_inputs
-    active = [i for i in range(n_symbols) if claim.probs[i] > 0]
+    ell, tau = circuit.n_inputs, claim.tau
+    size, width, getrandbits = 1 << ell, max(ell, 1), session.rng.getrandbits
+    masses = [(p.numerator, p.denominator) for p in claim.probs]
+    active = [i for i in range(n_symbols) if masses[i][0] > 0]
     if not active:
         return ACCEPT
     delta_sym = claim.delta / len(active)
+    # 1 - tau/2 = slack_n / slack_d, so each lower bound is one integer comparison
+    slack_n, slack_d = 2 * tau.denominator - tau.numerator, 2 * tau.denominator
+    bits = {} if bucket_bits is not None else {  # once per distinct claimed mass
+        m: _bucket_bits(Fraction(*m) * size, ell, tau, delta_sym) for m in set(masses)}
 
-    hashes = []
-    hash_sections = []
+    hashes, hash_sections = [], []
     for i in active:
-        N = claim.probs[i] * (1 << ell)
-        b = bucket_bits if bucket_bits is not None else _bucket_bits(
-            N, ell, claim.tau, delta_sym)
-        rows = tuple(session.rng.getrandbits(ell) for _ in range(b))
-        c = session.rng.getrandbits(b) if b else 0
-        hashes.append((i, N, b, rows, c))
-        hash_sections.append((rows + (c,), max(ell, 1)))
+        b = bits.get(masses[i], bucket_bits)
+        rows = tuple(getrandbits(ell) for _ in range(b))
+        c = getrandbits(b) if b else 0
+        hashes.append((i, b, rows, c))
+        hash_sections.append((rows + (c,), width))
     session.tell("slb/hash", hash_sections)
 
-    msg = session.ask("slb/witness",
-                      [(i, b, rows, c) for (i, N, b, rows, c) in hashes])
+    msg = session.ask("slb/witness", list(hashes))
     if len(msg.sections) != len(active):
         raise ProtocolViolation("one witness list per active symbol required")
     # every in-range witness of every section, evaluated in one pass
-    inputs = sorted({x for sec in msg.sections for x in sec.values if x < (1 << ell)})
+    inputs = sorted({x for sec in msg.sections for x in sec.values if x < size})
     out = dict(zip(inputs, circuit.eval_many(inputs)))
-    for (i, N, b, rows, c), sec in zip(hashes, msg.sections):
+    for (i, b, rows, c), sec in zip(hashes, msg.sections):
         witnesses = sec.values
-        if sec.width != max(ell, 1) or len(witnesses) > (1 << ell):
+        if sec.width != width or len(witnesses) > size:
             raise ProtocolViolation("witness section malformed")
         seen = set()
         for x in witnesses:
-            if x in seen or x >= (1 << ell) or not _hash_zero(rows, c, x) \
-                    or symbol_of(out[x]) != i:
+            if x in seen or x >= size or not _hash_zero(rows, c, x) or symbol_of(out[x]) != i:
                 return Verdict(False, "witness")
             seen.add(x)
-        if Fraction(len(witnesses) * (1 << b)) < (1 - claim.tau / 2) * N:
+        # |w| * 2^b < (1 - tau/2) * p_i * 2^ell, times slack_d * denominator(p_i)
+        if (len(witnesses) * slack_d * masses[i][1]) << b < (slack_n * masses[i][0]) << ell:
             return Verdict(False, "lower-bound")
     return ACCEPT
 

@@ -347,6 +347,17 @@ def _drop(config, key):
     ({**FIN, "points": [[1, 2]], "values": [1]}, None, "'points'"),
     ({"protocol": "set_lower_bound", "trials": 1, "seed": 1, "ell": 2,
       "claims": ["1/2", "1/4", "1/4", "1/8"]}, None, "'claims'"),
+    # tau and delta lie in (0, 1): at tau >= 2 the lower bound (1 - tau/2) * p is vacuous,
+    # at tau = 1 a 2x overclaim passes, and a huge tau overflows the verifier's own hash
+    ({"protocol": "set_lower_bound", "trials": 3, "seed": 1, "ell": 6, "tau": "5/2",
+      "claims": ["1/2"] + [0] * 63}, None, "'tau'"),
+    ({"protocol": "set_lower_bound", "trials": 3, "seed": 1, "ell": 6, "tau": "1",
+      "claims": ["1/32"] + [0] * 63}, None, "'tau'"),
+    ({"protocol": "set_lower_bound", "trials": 3, "seed": 1, "ell": 4, "tau": "1000",
+      "claims": ["1/2"] + [0] * 15}, None, "'tau'"),
+    ({"protocol": "set_lower_bound", "trials": 1, "seed": 1, "ell": 4, "delta": 1}, None,
+     "'delta'"),
+    ({**FIN, "protocol": "whitebox_product", "tau": 1.5}, None, "'tau'"),
 ], ids=["fin_ipp-bogus-mode", "whitebox-row-tamper", "unknown-lemma", "fin_ipp-str-k",
         "fin_ipp-no-eps", "ham-no-eps", "fin_ipp-str-prover", "ham-eps-0", "ham-eps-1/0",
         "trials-true", "fin_ipp-bogus-dist_mode", "echo-prover", "rlcc-prover",
@@ -358,7 +369,9 @@ def _drop(config, key):
         "rlcc-corruption-too-high", "rlcc-corruption-negative", "set_lower_bound-short-claims",
         "set_lower_bound-wide-bucket", "symmetric-huge-circuit-inputs",
         "df_ipp_nc-claims-count-mismatch", "dispersed_ipp_nc-claim-point-not-in-F^m",
-        "poly_fold-count-mismatch", "fin_ipp-point-not-in-F^m", "set_lower_bound-mass-over-1"])
+        "poly_fold-count-mismatch", "fin_ipp-point-not-in-F^m", "set_lower_bound-mass-over-1",
+        "set_lower_bound-tau-5/2", "set_lower_bound-tau-1", "set_lower_bound-tau-1000",
+        "set_lower_bound-delta-1", "whitebox_product-tau-3/2"])
 def test_cli_bad_input_is_a_usage_error(config, argv, message, tmp_path, capsys):
     if config is not None:
         path = tmp_path / "c.json"

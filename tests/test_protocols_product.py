@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -10,7 +11,8 @@ from dfipp.field import InputTensor, PrimeField, lde_eval
 from dfipp.tensors import INF, PvalInstance, dist_to_pval_bruteforce, pval_member
 from dfipp.distributions import (Pmf, SamplingCircuit, circuit_pmf, dispersion_rho,
                                  extend_rows, extension_row_map, granularise)
-from dfipp.session import CostLedger, OracleHandles, ProverStrategy, Verdict
+from dfipp.experiments import run_protocol
+from dfipp.session import CostLedger, OracleHandles, ProverStrategy, Verdict, dump_transcript
 from dfipp.protocols import (HonestFoldProver, _run_fold_round, check_distance_preservation,
                              fold_rows, folded_eval)
 from dfipp.product import (ExtensionEchoProver, FixedStringProver, HonestSlbProver,
@@ -18,7 +20,7 @@ from dfipp.product import (ExtensionEchoProver, FixedStringProver, HonestSlbProv
                            check_product_dpl, exact_learner, explicit_set_uniform_ipp,
                            extension_member, gen_product_fixture, run_learnable_ipp,
                            run_set_lower_bound, run_whitebox_product_ipp, wb_fold_kappa,
-                           _bucket_bits)
+                           _bucket_bits, _hash_zero)
 
 F5 = PrimeField(5)
 F17 = PrimeField(17)
@@ -190,6 +192,131 @@ def test_bucket_bits_matches_fraction_search():
         assert _bucket_bits(N, ell, tau, delta) == bucket_bits_loop(N, ell, tau, delta), \
             (N, ell, tau, delta)
     assert caps == {"<1", "[1,2)", "2^j", ">=2"}
+
+
+def _parity_hash_zero(rows, c, x):
+    """Every affine GF(2) hash bit of x is 0, by counting the '1' digits of row & x."""
+    return all(bin(row & x).count("1") % 2 == (c >> j) & 1 for j, row in enumerate(rows))
+
+
+def test_hash_zero_matches_bin_count_parity():
+    rng = random.Random(18)
+    for ell in range(0, 17):
+        for b in (0, 1, 2, ell):
+            for _ in range(40):
+                rows = tuple(rng.getrandbits(ell) for _ in range(b))
+                c, x = rng.getrandbits(b), rng.getrandbits(ell)
+                assert _hash_zero(rows, c, x) == _parity_hash_zero(rows, c, x), (rows, c, x)
+    assert _hash_zero((), 0, 12345)  # b = 0: no hash bit, every input hashes to zero
+
+
+class CountingSlbProver(ProverStrategy):
+    """Answers one hash request with the first `count` inputs it maps to zero."""
+
+    def __init__(self, ell, count):
+        self.ell, self.count, self.sent = ell, count, None
+
+    def reply(self, tag, payload):
+        ((_, _, rows, c),) = payload
+        zeros = [x for x in range(1 << self.ell) if _parity_hash_zero(rows, c, x)]
+        self.sent = len(zeros[:self.count])
+        return [(tuple(zeros[:self.count]), max(self.ell, 1))]
+
+
+def _lower_bound_verdict(ell, p, tau, b, count):
+    """(verdict, witnesses sent) of a one-symbol set lower bound whose every input maps
+    to that symbol, so every zero-hash input is a valid witness."""
+    prover = CountingSlbProver(ell, count)
+    res = run_set_lower_bound(SamplingCircuit.identity(ell),
+                              MarginalClaim((p,), tau, Fraction(1, 20)), prover, 0,
+                              symbol_of=lambda y: 0, n_symbols=1, bucket_bits=b)
+    return res.verdict, prover.sent
+
+
+def test_slb_lower_bound_matches_fraction_oracle():
+    rng = random.Random(1806)
+    taus = [Fraction(1, 1000), Fraction(1, 2), Fraction(3, 4), Fraction(2, 3), Fraction(5, 7),
+            Fraction(999, 1000)]  # odd and even denominators
+    ell, cases, rejects = 8, 0, 0
+    for _ in range(120):
+        p = Fraction(1 + rng.randrange(1 << 12), 1 + rng.randrange(1 << 12, 1 << 13))
+        tau, b = rng.choice(taus), rng.randrange(4)
+        edge = (1 - tau / 2) * p * (1 << ell) / (1 << b)  # fewest witnesses that pass
+        for count in {max(0, math.ceil(edge) + d) for d in (-2, -1, 0, 1)}:
+            verdict, sent = _lower_bound_verdict(ell, p, tau, b, count)
+            below = Fraction(sent << b) < (1 - tau / 2) * p * (1 << ell)
+            assert verdict == (Verdict(False, "lower-bound") if below else Verdict(True)), \
+                (p, tau, b, count, sent)
+            cases, rejects = cases + 1, rejects + below
+    assert cases > 300 and 0 < rejects < cases
+
+
+@pytest.mark.parametrize("p,tau,b", [(Fraction(1, 2), Fraction(1, 2), 0),
+                                     (Fraction(1, 2), Fraction(1, 2), 2),
+                                     (Fraction(3, 8), Fraction(2, 3), 0),
+                                     (Fraction(7, 16), Fraction(6, 7), 1)])
+def test_slb_lower_bound_exact_equality_accepts(p, tau, b):
+    # ell = 8: the threshold (1 - tau/2) * p * 2^8 / 2^b is a whole number of witnesses
+    ell = 8
+    edge = (1 - tau / 2) * p * (1 << ell) / (1 << b)
+    assert edge.denominator == 1
+    assert _lower_bound_verdict(ell, p, tau, b, int(edge)) == (Verdict(True), int(edge))
+    assert _lower_bound_verdict(ell, p, tau, b, int(edge) - 1) == \
+        (Verdict(False, "lower-bound"), int(edge) - 1)
+
+
+def _top_symbol(y):
+    """Four symbols over 2^10 inputs, of true masses 1/2, 3/8, 1/16 and 1/16."""
+    return 0 if y < 512 else 1 if y < 896 else 2 if y < 960 else 3
+
+
+# Pinned at the commit before the integer lower bound, whose verifier compared
+# Fractions and recomputed the bucket bits for every symbol: the claimed masses
+# 1/2, 3/8 and 1/16 take 2, 1 and 0 bucket bits, and 1/16 is claimed twice.
+@pytest.mark.parametrize("probs,verdict,comm_bits,sha", [
+    ((Fraction(1, 2), Fraction(3, 8), Fraction(1, 16), Fraction(1, 16), Fraction(0)),
+     Verdict(True), 4550, "e3c1aa5888fafc9cebd3a4792960a4361d4d25697abbcbe3ce3c3c6bd8ccc02d"),
+    ((Fraction(1, 2), Fraction(3, 8), Fraction(1, 8), Fraction(0), Fraction(0)),
+     Verdict(False, "lower-bound"), 2320,
+     "4d90926892ba3d985c32627116343927e1bcdbdacb2852ba2b06760d7694550a"),
+], ids=["honest", "symbol-2-overclaimed"])
+def test_slb_mixed_mass_claims_pinned(probs, verdict, comm_bits, sha, tmp_path):
+    circuit = SamplingCircuit.identity(10)
+    claim = MarginalClaim(probs, Fraction(3, 4), Fraction(3, 4))
+    assert [_bucket_bits(p * 1024, 10, claim.tau, claim.delta / 4) for p in probs[:3]] == \
+        [2, 1, 0]
+    res = run_set_lower_bound(circuit, claim, HonestSlbProver(circuit, _top_symbol), 0,
+                              symbol_of=_top_symbol, n_symbols=5)
+    assert res.verdict == verdict
+    assert res.ledger == CostLedger(queries=0, samples=0, comm_bits=comm_bits, messages=2)
+    path = tmp_path / "slb.jsonl"
+    dump_transcript(str(path), {}, res.transcript, res.verdict, res.ledger)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
+
+
+_EXACTLY_ONE = (Fraction(1, 3), Fraction(1, 6), Fraction(1, 7), Fraction(5, 14))
+_OVER_ONE = (Fraction(1, 3), Fraction(1, 6), Fraction(1, 4), Fraction(1, 4) + Fraction(1, 1 << 64))
+
+
+def test_claim_sum_is_exact():
+    assert sum(_EXACTLY_ONE) == 1 and sum(_OVER_ONE) == 1 + Fraction(1, 1 << 64)
+    MarginalClaim(_EXACTLY_ONE, Fraction(1, 1000), Fraction(1, 20))
+    with pytest.raises(ValueError, match="claimed probabilities exceed 1"):
+        MarginalClaim(_OVER_ONE, Fraction(1, 1000), Fraction(1, 20))
+    config = {"protocol": "set_lower_bound", "trials": 1, "seed": 1, "ell": 2}
+    res, _ = run_protocol({**config, "claims": [str(p) for p in _EXACTLY_ONE]}, 3)
+    assert res.verdict == Verdict(False, "lower-bound")  # 1/3 > the true mass 1/4
+    with pytest.raises(ValueError, match="config key 'claims' must sum to at most 1"):
+        run_protocol({**config, "claims": [str(p) for p in _OVER_ONE]}, 3)
+
+
+@pytest.mark.parametrize("tau,delta", [(0, Fraction(1, 20)), (1, Fraction(1, 20)),
+                                       (Fraction(5, 2), Fraction(1, 20)),
+                                       (Fraction(1, 1000), 0), (Fraction(1, 1000), 1),
+                                       (Fraction(-1, 2), Fraction(1, 20))])
+def test_marginal_claim_refuses_slack_or_budget_outside_unit_interval(tau, delta):
+    with pytest.raises(ValueError, match=r"tau and delta must lie in \(0, 1\)"):
+        MarginalClaim((Fraction(1, 2), Fraction(1, 2)), tau, delta)
 
 
 # --- extended folding -----------------------------------------------------------------
