@@ -197,8 +197,11 @@ _NC_CLAIMS = Modes("mode", "honest", {
     "adversarial": ({"points": [[int]], "values": [int]}, {}, _adversarial_claims),
 })
 _DISTRIBUTION = Modes("kind", None, {
-    "explicit": ({"masses": [_mass]}, {"shape": [POSITIVE]}, distribution_from_json),
-    "product": ({"factors": [[_mass]]}, {}, distribution_from_json),
+    # masses read through _frac, as every rational key: 0.1 is 1/10, not its binary value
+    "explicit": ({"masses": [_mass]}, {"shape": [POSITIVE]},
+                 lambda s: distribution_from_json({**s, "masses": list(map(_frac, s["masses"]))})),
+    "product": ({"factors": [[_mass]]}, {}, lambda s: distribution_from_json(
+        {**s, "factors": [list(map(_frac, f)) for f in s["factors"]]})),
     # at most the inputs that circuit_pmf and HonestSlbProver enumerate
     "circuit": ({"inputs": range(0, CIRCUIT_INPUT_BUDGET + 1), "gates": [list],
                  "outputs": [int]}, {}, distribution_from_json),
@@ -373,7 +376,7 @@ def _run_set_lower_bound(config: dict, rng: random.Random, seed: int, prover):
     circuit = SamplingCircuit.identity(ell)
     n_sym = 1 << ell
     claims = _sized(config.get("claims", (Fraction(1, n_sym),) * n_sym), n_sym, "claims")
-    probs = tuple(c if type(c) is Fraction else Fraction(c) for c in claims)
+    probs = tuple(map(_frac, claims))
     if exceeds_one(probs):
         raise ValueError("config key 'claims' must sum to at most 1")
     claim = MarginalClaim(probs, _frac(config.get("tau", DEFAULT_TAU)),

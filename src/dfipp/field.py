@@ -122,19 +122,20 @@ def _bary_weights(p: int, k: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=65536)
 def lagrange_basis(p: int, k: int, t: int) -> tuple[int, ...]:
-    """Evaluations (L_0(t), ..., L_{k-1}(t)) of the Lagrange basis over nodes 0..k-1."""
+    """Evaluations (L_0(t), ..., L_{k-1}(t)) of the Lagrange basis over nodes 0..k-1,
+    L_i(t) = w_i * prod_{j != i} (t - j) from prefix and suffix products: no inversion."""
     if not 1 <= k <= p:
         raise ValueError(f"k={k} exceeds field size {p}")
     t %= p
-    if t < k:
-        out = [0] * k
-        out[t] = 1
-        return tuple(out)
+    prefix = [1]  # prefix[i] = prod_{j < i} (t - j)
+    for j in range(k - 1):
+        prefix.append(prefix[-1] * (t - j) % p)
     weights = _bary_weights(p, k)
-    ell = 1
-    for j in range(k):
-        ell = ell * (t - j) % p
-    return tuple(ell * w % p * pow(t - i, -1, p) % p for i, w in enumerate(weights))
+    out, suffix = [0] * k, 1  # suffix = prod_{j > i} (t - j)
+    for i in range(k - 1, -1, -1):
+        out[i] = weights[i] * prefix[i] * suffix % p
+        suffix = suffix * (t - i) % p
+    return tuple(out)
 
 
 def lagrange_eval_univariate(field: PrimeField, values: Sequence[int], t: int) -> int:

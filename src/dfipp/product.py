@@ -119,7 +119,8 @@ def slb_verify(session: Session, circuit: SamplingCircuit, claim: MarginalClaim,
             raise ProtocolViolation("witness section malformed")
         seen = set()
         for x in witnesses:
-            if x in seen or x >= size or not _hash_zero(rows, c, x) or symbol_of(out[x]) != i:
+            if (x in seen or x >= size or (b and not _hash_zero(rows, c, x))
+                    or symbol_of(out[x]) != i):
                 return Verdict(False, "witness")
             seen.add(x)
         # |w| * 2^b < (1 - tau/2) * p_i * 2^ell, times slack_d * denominator(p_i)
@@ -129,9 +130,10 @@ def slb_verify(session: Session, circuit: SamplingCircuit, claim: MarginalClaim,
 
 
 def _witness_sections(preimages: dict[int, list[int]], payload, ell: int):
-    """Per hash request (i, b, rows, c): the preimages of i that hash to zero."""
-    return [(tuple(x for x in preimages.get(i, ()) if _hash_zero(rows, c, x)), max(ell, 1))
-            for i, _b, rows, c in payload]
+    """Per hash request (i, b, rows, c): the preimages of i that hash to zero
+    (all of them when b = 0, where there is no hash row)."""
+    return [(tuple(x for x in preimages.get(i, ()) if _hash_zero(rows, c, x)) if b
+             else tuple(preimages.get(i, ())), max(ell, 1)) for i, b, rows, c in payload]
 
 
 def _preimages(circuit: SamplingCircuit, symbol_of: Callable[[int], int]) -> dict[int, list[int]]:

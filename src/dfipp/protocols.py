@@ -14,8 +14,8 @@ from fractions import Fraction
 from operator import mul
 from typing import Callable, Optional, Sequence
 
-from .field import (InputTensor, PrimeField, cell_coords, cell_index, lagrange_eval_univariate,
-                    lde_eval, lde_eval_batch, uniform_draws)
+from .field import (InputTensor, PrimeField, cell_coords, cell_index, lagrange_basis,
+                    lde_eval_batch, uniform_draws)
 from .tensors import (DEFAULT_ENUM_BUDGET, INF, PvalInstance, dist_to_pval_bruteforce,
                       metric_fn, span)
 from .distributions import Pmf, dispersion_rho, extend_rows, marginal_first
@@ -151,12 +151,13 @@ def fold_rows(z: Sequence[int], rows: Sequence[Sequence[int]], p: int) -> tuple[
     return tuple(a % p for a in acc)
 
 
-def _columns_consistent(field: PrimeField, k: int, points, values,
+def _columns_consistent(p: int, bases: Sequence[Sequence[int]], values,
                         Y: Sequence[Sequence[int]], cols: Sequence[int]) -> bool:
-    """Step 1 of a fold: column cols[j] of the first k rows of Y interpolates to
-    values[j] at the first coordinate of points[j], for every claim j."""
-    return all(lagrange_eval_univariate(field, [Y[i][c] for i in range(k)], pt[0]) == v
-               for pt, v, c in zip(points, values, cols))
+    """Step 1 of a fold: column cols[j] of the k rows of Y, dotted with bases[j],
+    the Lagrange basis at the first coordinate of points[j], is values[j] for
+    every claim j.  A fold phase looks the bases up once for all live tuples."""
+    columns = list(zip(*Y))
+    return all(map(lambda b, c, v: sum(map(mul, b, columns[c])) % p == v, bases, cols, values))
 
 
 def _fold_phase(session: Session, live: list[FoldState], k: int, field: PrimeField,
@@ -182,7 +183,8 @@ def _fold_phase(session: Session, live: list[FoldState], k: int, field: PrimeFie
     msg = session.ask("fold/matrix", (len(live[0].zs), rowmap, points),
                       expect=[(k * t2, fb)] * len(live))
     matrices = [[sec.values[i * t2:(i + 1) * t2] for i in range(k)] for sec in msg.sections]
-    if not all(_columns_consistent(field, k, points, st.values, Y, cols)
+    bases = [lagrange_basis(p, k, pt[0]) for pt in points]
+    if not all(_columns_consistent(p, bases, st.values, Y, cols)
                for st, Y in zip(live, matrices)):
         return None, Verdict(False, "fold-consistency")
 
@@ -630,8 +632,10 @@ class HonestFoldProver(ProverStrategy):
     the mu-closest PVAL member is the analysis-optimal cheating strategy).
     A fold/matrix request (s, rowmap, points) carries the round, the row map
     the verifier folds through and the live tuples' shared point set, so the
-    prover keeps only its committed tensor and its live folds.  All live
-    folded tensors are materialized; at desk scale they are tiny.
+    prover keeps only its committed tensor, its live folds and, from its claims
+    to its first fold, its round-0 columns (X's k rows evaluated at a tail); a
+    claim is P_X(pt) = sum_i L_i(pt[0]) * P_{X row i}(pt[1:]).  All live folded
+    tensors are materialized; at desk scale they are tiny.
     """
 
     def __init__(self, tensor: InputTensor):
@@ -639,6 +643,7 @@ class HonestFoldProver(ProverStrategy):
         self.field = tensor.field
         self.k = tensor.k
         self.live: list = []
+        self._cols: dict = {}  # tail -> (P_{X row 0}(tail), ..., P_{X row k-1}(tail))
 
     def observe(self, tag: str, sections) -> None:
         """On fold/vectors, fold the rows each live tensor was extended to."""
@@ -650,12 +655,24 @@ class HonestFoldProver(ProverStrategy):
     def reply(self, tag: str, payload):
         fb = self.field.bits
         if tag == "claims/values":
-            return [(tuple(lde_eval(self.X, pt) for pt in payload), fb)]
+            p = self.field.modulus
+            cols = self._columns([pt[1:] for pt in payload])
+            return [(tuple(sum(map(mul, lagrange_basis(p, self.k, pt[0]), col)) % p
+                           for pt, col in zip(payload, cols)), fb)]
         if tag == "fold/matrix":
             return self._matrices(*payload)
         if tag == "fin/leaves":
             return [(data, fb) for data in self.live]
         raise ProtocolViolation(f"unexpected tag {tag}")
+
+    def _columns(self, tails) -> list[tuple[int, ...]]:
+        """The round-0 column at each tail: one lde_eval_batch over X's k rows at
+        the distinct tails not yet kept."""
+        new = [tail for tail in dict.fromkeys(tails) if tail not in self._cols]
+        evals = lde_eval_batch(self.field, self.k, self.X.m - 1,
+                               [self.X.row(i) for i in range(self.k)], new)
+        self._cols.update(zip(new, zip(*evals)))
+        return [self._cols[tail] for tail in tails]
 
     def _matrices(self, s: int, rowmap: Sequence[int], points):
         """One section per live tensor: its k rows in order, each evaluated at the
@@ -667,7 +684,10 @@ class HonestFoldProver(ProverStrategy):
         step = k ** tail_m
         rows = [[data[i * step:(i + 1) * step] for i in range(k)] for data in self.live]
         j2, _cols = project_points(points)
-        evals = lde_eval_batch(self.field, k, tail_m, [row for rs in rows for row in rs], j2)
+        if s == 0:  # X's rows at the tails are the kept columns, transposed
+            evals, self._cols = list(zip(*self._columns(j2))), {}
+        else:
+            evals = lde_eval_batch(self.field, k, tail_m, [row for rs in rows for row in rs], j2)
         self.live = [extend_rows(rs, rowmap, (0,) * step) for rs in rows]
         return [(tuple(v for row in evals[d * k:(d + 1) * k] for v in row), self.field.bits)
                 for d in range(len(rows))]
@@ -787,7 +807,9 @@ def check_distance_preservation(X: InputTensor, D: Pmf, Y: Sequence[Sequence[int
     with exhaustive PVAL distance oracles on both sides.
     """
     _j2, cols = project_points(inst.points)
-    if not _columns_consistent(inst.field, inst.k, inst.points, inst.values, Y, cols):
+    p = inst.field.modulus
+    if not _columns_consistent(p, [lagrange_basis(p, inst.k, pt[0]) for pt in inst.points],
+                               inst.values, Y, cols):
         return InequalityReport(None, None, False, detail="step-1 check fails")
     factor = Fraction(inst.k) / dispersion_rho(D).rho
     return _preservation_report(X, D, marginal_first(D), Y, inst, factor,

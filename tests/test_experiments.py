@@ -5,7 +5,7 @@ import pytest
 
 from dfipp.experiments import (CSV_COLUMNS, cmd_check_lemma, cmd_replay, cmd_run,
                                config_hash, gen_ham_lb_fixture, ham_distance_exact,
-                               record_transcript, validate_config)
+                               record_transcript, run_protocol, validate_config)
 from dfipp.distributions import Pmf
 from dfipp.cli import main as cli_main
 
@@ -389,6 +389,27 @@ def test_cli_bad_input_is_a_usage_error(config, argv, message, tmp_path, capsys)
 @pytest.mark.parametrize("eps", [2, 0.25, "1/4"])
 def test_config_rationals_accept_int_float_and_fraction_strings(eps):
     validate_config({**HAM, "eps": eps})
+
+
+# a JSON float is read as its decimal value, as eps, tau and delta are: 0.1 is 1/10
+@pytest.mark.parametrize("config,decimal", [
+    ({"protocol": "set_lower_bound", "ell": 2, "claims": ["1/10", "1/5", "3/10", "2/5"]},
+     {"claims": [0.1, 0.2, 0.3, 0.4]}),
+    ({"protocol": "ham", "n": 4, "eps": "1/4", "w": 2, "x": [1, 0, 1, 0],
+      "distribution": {"kind": "explicit", "masses": ["1/10", "1/5", "3/10", "2/5"]}},
+     {"distribution": {"kind": "explicit", "masses": [0.1, 0.2, 0.3, 0.4]}}),
+    ({"protocol": "rlcc", "bits": 2, "eps": "1/8", "message": 1, "corruptions": [3],
+      "distribution": {"kind": "product", "factors": [["1/10", "9/10"], ["3/10", "7/10"]]}},
+     {"distribution": {"kind": "product", "factors": [[0.1, 0.9], [0.3, 0.7]]}}),
+], ids=["set_lower_bound-claims", "explicit-masses", "product-factors"])
+def test_decimal_float_masses_run_as_their_fraction_strings(config, decimal):
+    config = {**config, "trials": 1, "seed": 2}
+    validate_config({**config, **decimal})
+    for seed in (1, 2, 3):
+        want, _ = run_protocol(config, seed)
+        got, _ = run_protocol({**config, **decimal}, seed)
+        assert (got.verdict, got.ledger, got.transcript) == \
+            (want.verdict, want.ledger, want.transcript)
 
 
 def test_replay_validates_the_header_config(tmp_path, capsys):

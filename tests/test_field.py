@@ -6,7 +6,7 @@ import pytest
 from dfipp.field import (InputTensor, PrimeField, cell_coord, cell_coords, lagrange_basis,
                          lagrange_eval_univariate, lde_eval, lde_eval_batch)
 
-from _oracles import vandermonde_lde_eval
+from _oracles import poly_eval, vandermonde_coeffs, vandermonde_lde_eval
 
 F7 = PrimeField(7)
 
@@ -35,6 +35,31 @@ def test_lagrange_line_through_two_points():
     # values (1, 4) over F_7 lie on 1 + 3t
     assert lagrange_eval_univariate(F7, [1, 4], 1) == 4
     assert lagrange_eval_univariate(F7, [1, 4], 2) == 0  # 1 + 6 = 7 = 0 mod 7
+
+
+def _oracle_basis(p, k):
+    """L_0..L_{k-1} in coefficient form: the polynomials through the unit vectors."""
+    return [vandermonde_coeffs([int(i == j) for j in range(k)], p) for i in range(k)]
+
+
+@pytest.mark.parametrize("p", [5, 7, 17])
+def test_lagrange_basis_matches_vandermonde_at_every_point(p):
+    for k in range(1, p + 1):
+        polys = _oracle_basis(p, k)
+        for t in range(p):
+            assert lagrange_basis(p, k, t) == tuple(poly_eval(c, t, p) for c in polys)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_lagrange_basis_matches_vandermonde_at_m61(k):
+    p = (1 << 61) - 1
+    polys = _oracle_basis(p, k)
+    rng = random.Random(k)
+    for t in [rng.randrange(p) for _ in range(200)] + [t + p for t in range(k)]:
+        assert lagrange_basis(p, k, t) == tuple(poly_eval(c, t % p, p) for c in polys)
+    for t in range(k):  # a node is a unit vector, however it is written mod p
+        unit = tuple(int(i == t) for i in range(k))
+        assert lagrange_basis(p, k, t) == lagrange_basis(p, k, t + p) == unit
 
 
 def test_lde_constant_tensor():

@@ -294,6 +294,42 @@ def test_slb_mixed_mass_claims_pinned(probs, verdict, comm_bits, sha, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
 
 
+def _slb_config(**keys):
+    return lambda: run_protocol({"protocol": "set_lower_bound", "trials": 1, "seed": 5,
+                                 **keys}, 11)[0]
+
+
+def _slb_grouped():
+    """Four symbols of 64 inputs each over 2^8 inputs, two hash rows per symbol."""
+    circuit, symbol_of = SamplingCircuit.identity(8), (lambda y: y >> 6)
+    claim = MarginalClaim((Fraction(1, 4),) * 4, Fraction(1, 2), Fraction(1, 20))
+    return run_set_lower_bound(circuit, claim, HonestSlbProver(circuit, symbol_of), 0,
+                               symbol_of=symbol_of, n_symbols=4, bucket_bits=2)
+
+
+# Pinned at the commit before the prover and verifier skipped the hash test of a
+# request with no hash rows (b = 0), which every witness passes.
+@pytest.mark.parametrize("run,verdict,comm_bits,sha", [
+    (_slb_config(ell=6, bucket_bits=0), Verdict(True), 768,
+     "82e0205a1e82f6d49e2ebc876dba75a335c427e1e59d9d2ac748e521f4b7e82a"),
+    (_slb_config(ell=2, bucket_bits=0, claims=["1/2", "1/4", "1/8", "1/8"]),
+     Verdict(False, "lower-bound"), 16,
+     "26d8410bb96da2ed7f37a79c1947e1617c749e12c49adb00259511ad4da592d7"),
+    (_slb_grouped, Verdict(True), 608,
+     "e2e13a6a68f3cde24b85bdbb475ffe94fbce08131df98da0c9cc61d5b041f216"),
+    (_slb_config(ell=8, bucket_bits=3), Verdict(False, "lower-bound"), 8432,
+     "7666bd88abd9dace0d01d17faec971f5dcd3bfff3d20004ec48f82ff59bc0ef4"),
+], ids=["b0-honest", "b0-overclaimed", "b2-grouped-honest", "b3-identity"])
+def test_slb_sessions_with_and_without_hash_rows_pinned(run, verdict, comm_bits, sha,
+                                                        tmp_path):
+    res = run()
+    assert res.verdict == verdict
+    assert res.ledger == CostLedger(queries=0, samples=0, comm_bits=comm_bits, messages=2)
+    path = tmp_path / "slb.jsonl"
+    dump_transcript(str(path), {}, res.transcript, res.verdict, res.ledger)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
+
+
 _EXACTLY_ONE = (Fraction(1, 3), Fraction(1, 6), Fraction(1, 7), Fraction(5, 14))
 _OVER_ONE = (Fraction(1, 3), Fraction(1, 6), Fraction(1, 4), Fraction(1, 4) + Fraction(1, 1 << 64))
 
