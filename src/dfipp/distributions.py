@@ -324,18 +324,23 @@ class DispersionReport:
     cell: tuple[int, ...]
 
 
-def dispersion_rho(D: Pmf) -> DispersionReport:
+def dispersion_rho(D, shape: Optional[tuple[int, int]] = None) -> DispersionReport:
     """Largest ratio of a cell's mass to the average mass along any axis line.
 
-    0/0 lines count as ratio 1, so the uniform distribution reports exactly 1
-    and every distribution over [k]^m reports at most k.  Lines are scanned
-    axis by axis in ascending order of their first cell, and only a strictly
-    larger ratio replaces the witness, whose cell is the line's first
-    heaviest cell.
+    The law is D's exact one over [k]^m, read in `shape` (k, m), else in D's
+    own: a Pmf's masses, a ProductDistribution's joint_pmf or a
+    SamplingCircuit's circuit_pmf.  0/0 lines count as ratio 1, so the
+    uniform distribution reports exactly 1 and every distribution over [k]^m
+    reports at most k.  Lines are scanned axis by axis in ascending order of
+    their first cell, and only a strictly larger ratio replaces the witness,
+    whose cell is the line's first heaviest cell.
     """
-    if D.shape is None:
-        raise ValueError("dispersion needs a shaped PMF")
-    k, m = D.shape
+    D = D.joint_pmf() if isinstance(D, ProductDistribution) else \
+        circuit_pmf(D) if isinstance(D, SamplingCircuit) else D
+    shape = shape or D.shape
+    if shape is None or shape[0] ** shape[1] != D.n:
+        raise ValueError(f"dispersion needs a shape of {D.n} cells, not {shape}")
+    k, m = shape
     w = D.weights
     best_num, best_den = 1, 1  # the ratio k * w[top] / (line total)
     witness = (0, 0)
@@ -429,18 +434,3 @@ def tv_distance(p: Pmf, q: Pmf) -> Fraction:
     pd, qd = p.denom, q.denom
     return Fraction(sum([abs(a * qd - b * pd) for a, b in zip(p.weights, q.weights)]), pd * qd)
 
-
-# --- JSON wire format -------------------------------------------------------
-
-def distribution_from_json(obj: dict):
-    kind = obj["kind"]
-    if kind == "explicit":
-        shape = tuple(obj["shape"]) if "shape" in obj else None
-        return Pmf(obj["masses"], shape=shape)
-    if kind == "product":
-        return ProductDistribution([Pmf(f) for f in obj["factors"]])
-    if kind == "circuit":
-        return SamplingCircuit(obj["inputs"],
-                               tuple(tuple(g) for g in obj["gates"]),
-                               tuple(obj["outputs"]))
-    raise ValueError(f"unknown distribution kind {kind!r}")

@@ -14,17 +14,17 @@ import json
 import math
 import random
 from fractions import Fraction
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from typing import NamedTuple, Optional
 
 from .field import InputTensor, PrimeField, lagrange_basis, lde_eval, uniform_draws
 from .tensors import (DEFAULT_ENUM_BUDGET, INF, PvalInstance, coset, dist, pval_min_distance,
                       solve_affine)
-from .distributions import (CIRCUIT_INPUT_BUDGET, Pmf, SamplingCircuit, distribution_from_json,
+from .distributions import (CIRCUIT_INPUT_BUDGET, Pmf, ProductDistribution, SamplingCircuit,
                             dispersion_rho, granularise, marginal_first, tv_distance)
-from .session import (ACCEPT, TRAILER_FIELDS, OracleHandles, ProverStrategy, ReplayProver,
-                      RunResult, Verdict, amplify, dump_transcript, has_fields, load_transcript,
-                      run_session)
+from .session import (ACCEPT, TRAILER_FIELDS, CostLedger, OracleHandles, ProverStrategy,
+                      ReplayProver, RunResult, Verdict, amplify, dump_transcript, has_fields,
+                      load_transcript, run_session)
 from .protocols import (DEFAULT_HAM_C, DEFAULT_NC_R, BadSumHamProver, ClaimGenerator,
                         HonestFoldProver, HonestHamProver, NullProver, RandomLieFoldProver,
                         RowTamperFoldProver, ScriptedClaimsProver, blr_linearity_ipp,
@@ -33,12 +33,13 @@ from .protocols import (DEFAULT_HAM_C, DEFAULT_NC_R, BadSumHamProver, ClaimGener
                         hadamard_corrector, project_points, run_df_ipp_nc,
                         run_dispersed_ipp_nc, run_fin_ipp, run_ham_ipp, run_poly_fold,
                         run_rlcc_transform, run_symmetric_ipp)
-from .product import (DEFAULT_TAU, HonestSlbProver, MarginalClaim, WhiteboxFoldProver,
-                      check_product_dpl, exceeds_one, gen_product_fixture, run_set_lower_bound,
-                      run_whitebox_product_ipp)
+from .product import (DEFAULT_TAU, FIXTURE_PROFILES, HonestSlbProver, MarginalClaim,
+                      WhiteboxFoldProver, check_product_dpl, exceeds_one, gen_product_fixture,
+                      run_set_lower_bound, run_whitebox_product_ipp)
 
-CSV_COLUMNS = ["protocol", "n", "k", "m", "r", "eps", "rho", "field", "queries",
-               "samples", "comm_bits", "messages", "accepted", "reject_reason", "seed"]
+_LEDGER = [f.name for f in fields(CostLedger)]
+CSV_COLUMNS = ["protocol", "n", "k", "m", "r", "eps", "rho", "field", *_LEDGER,
+               "accepted", "reject_reason", "seed"]
 
 EXIT_PASS = 0
 EXIT_STAT_FAIL = 1
@@ -198,13 +199,14 @@ _NC_CLAIMS = Modes("mode", "honest", {
 })
 _DISTRIBUTION = Modes("kind", None, {
     # masses read through _frac, as every rational key: 0.1 is 1/10, not its binary value
-    "explicit": ({"masses": [_mass]}, {"shape": [POSITIVE]},
-                 lambda s: distribution_from_json({**s, "masses": list(map(_frac, s["masses"]))})),
-    "product": ({"factors": [[_mass]]}, {}, lambda s: distribution_from_json(
-        {**s, "factors": [list(map(_frac, f)) for f in s["factors"]]})),
+    "explicit": ({"masses": [_mass]}, {"shape": [POSITIVE]}, lambda s: Pmf(
+        list(map(_frac, s["masses"])), shape=tuple(s["shape"]) if "shape" in s else None)),
+    "product": ({"factors": [[_mass]]}, {}, lambda s: ProductDistribution(
+        [Pmf(list(map(_frac, f))) for f in s["factors"]])),
     # at most the inputs that circuit_pmf and HonestSlbProver enumerate
     "circuit": ({"inputs": range(0, CIRCUIT_INPUT_BUDGET + 1), "gates": [list],
-                 "outputs": [int]}, {}, distribution_from_json),
+                 "outputs": [int]}, {}, lambda s: SamplingCircuit(
+        s["inputs"], tuple(map(tuple, s["gates"])), tuple(s["outputs"]))),
 })
 
 
@@ -249,12 +251,10 @@ def _bucket_bits(config: dict, ell: int) -> Optional[int]:
     return b
 
 
-def _fold_meta(X: InputTensor, **fields) -> dict:
-    return {"n": X.n, "k": X.k, "m": X.m, "field": X.field.modulus, **fields}
-
-
-def _rho(D) -> Fraction:
-    return dispersion_rho(D).rho if isinstance(D, Pmf) else Fraction(1)
+def _fold_meta(X: InputTensor, D=None, **fields) -> dict:
+    """Report fields of a fold protocol on X; rho is D's dispersion in X's shape."""
+    rho = {} if D is None else {"rho": str(dispersion_rho(D, (X.k, X.m)).rho)}
+    return {"n": X.n, "k": X.k, "m": X.m, "field": X.field.modulus, **rho, **fields}
 
 
 def _run_echo(config: dict, rng: random.Random, seed: int, prover):
@@ -306,16 +306,16 @@ def _run_fin_ipp(config: dict, rng: random.Random, seed: int, prover):
     X, inst = _tensor_and_instance(config, rng)
     eps = _frac(config["eps"])
     D = _distribution(config, X.n, shape=(inst.k, inst.m))
-    rho = _rho(D)
     prover = prover or _FOLD_PROVERS.build(config.get("prover", {}), X, rng)
-    result = run_fin_ipp(X, inst, D, eps, rho, config["r"], prover, seed,
+    result = run_fin_ipp(X, inst, D, eps, config["r"], prover, seed,
                          kappa_override=config.get("kappa_override"),
                          **({"dist_mode": config["dist_mode"]} if "dist_mode" in config else {}))
-    return result, _fold_meta(X, r=config["r"], eps=str(eps), rho=str(rho))
+    return result, _fold_meta(X, D, r=config["r"], eps=str(eps))
 
 
-def _nc_setup(config: dict, rng: random.Random, prover):
-    """Tensor, distribution, claim generator, prover and rounds shared by the NC df-IPPs."""
+def _nc_setup(config: dict, rng: random.Random, seed: int, prover):
+    """The arguments of both NC df-IPP runners, (X, D, eps, gen, prover, seed, r,
+    kappa_override), and the report row fields."""
     X = _tensor(config, rng)
     eps = _frac(config["eps"])
     D = _distribution(config, X.n, shape=(X.k, X.m))
@@ -324,21 +324,19 @@ def _nc_setup(config: dict, rng: random.Random, prover):
         prover = _FOLD_PROVERS.build(config.get("prover", {}), X, rng)
         if values is not None:
             prover = ScriptedClaimsProver(prover, values, X.field.bits)
-    rho, r = _rho(D), config.get("r", DEFAULT_NC_R)
-    meta = _fold_meta(X, r=r, eps=str(eps), rho=str(rho))
-    return X, D, eps, gen, prover, rho, r, meta
+    r = config.get("r", DEFAULT_NC_R)
+    return ((X, D, eps, gen, prover, seed, r, config.get("kappa_override")),
+            _fold_meta(X, D, r=r, eps=str(eps)))
 
 
 def _run_df_ipp_nc(config: dict, rng: random.Random, seed: int, prover):
-    X, D, eps, gen, prover, _, r, meta = _nc_setup(config, rng, prover)
-    return run_df_ipp_nc(X, D, eps, gen, prover, seed, r=r,
-                         kappa_override=config.get("kappa_override")), meta
+    args, meta = _nc_setup(config, rng, seed, prover)
+    return run_df_ipp_nc(*args), meta
 
 
 def _run_dispersed_ipp_nc(config: dict, rng: random.Random, seed: int, prover):
-    X, D, eps, gen, prover, rho, r, meta = _nc_setup(config, rng, prover)
-    return run_dispersed_ipp_nc(X, D, eps, gen, rho, r, prover, seed,
-                                kappa_override=config.get("kappa_override")), meta
+    args, meta = _nc_setup(config, rng, seed, prover)
+    return run_dispersed_ipp_nc(*args), meta
 
 
 def _run_whitebox_product(config: dict, rng: random.Random, seed: int, prover):
@@ -353,7 +351,7 @@ def _run_whitebox_product(config: dict, rng: random.Random, seed: int, prover):
         tau=_frac(config.get("tau", DEFAULT_TAU)),
         kappa_override=config.get("kappa_override"),
         bucket_bits=_bucket_bits(config, circuit.n_inputs))
-    return result, _fold_meta(X, r=config["r"], eps=str(eps), rho=str(_rho(D.joint_pmf())))
+    return result, _fold_meta(X, D, r=config["r"], eps=str(eps))
 
 
 def _run_rlcc(config: dict, rng: random.Random, seed: int, prover):
@@ -411,7 +409,7 @@ _PROTOCOLS = {
     "dispersed_ipp_nc": ({**_TENSOR, "eps": _positive}, _NC, _run_dispersed_ipp_nc),
     "whitebox_product": ({**_TENSOR, "r": POSITIVE, "eps": _positive},
                          {**_CLAIMED, "kappa_override": POSITIVE, "tau": _unit,
-                          "profile": frozenset({"uniform", "row-concentrated", "dyadic-random"}),
+                          "profile": frozenset(FIXTURE_PROFILES),
                           "bucket_bits": int, "prover": _WHITEBOX_COMMITS},
                          _run_whitebox_product),
     "rlcc": ({"bits": POSITIVE, "eps": _positive},
@@ -492,15 +490,13 @@ def cmd_run(config: dict, out_prefix: Optional[str] = None) -> dict:
     rows = []
     tallies = {"accepted": 0}
     reasons: dict[str, int] = {}
-    agg = {key: [] for key in ("queries", "samples", "comm_bits", "messages")}
+    agg = {key: [] for key in _LEDGER}
     clamps: list[str] = []
     for _ in range(config["trials"]):
         trial_seed = seeder.getrandbits(63)
         result, meta = run_protocol(config, trial_seed)
-        led = result.ledger
-        rows.append({**meta, "queries": led.queries, "samples": led.samples,
-                     "comm_bits": led.comm_bits, "messages": led.messages,
-                     "accepted": int(result.verdict.accepted),
+        counts = asdict(result.ledger)
+        rows.append({**meta, **counts, "accepted": int(result.verdict.accepted),
                      "reject_reason": result.verdict.reject_reason or "",
                      "seed": trial_seed})
         if result.verdict.accepted:
@@ -508,8 +504,8 @@ def cmd_run(config: dict, out_prefix: Optional[str] = None) -> dict:
         else:
             reasons[result.verdict.reject_reason] = \
                 reasons.get(result.verdict.reject_reason, 0) + 1
-        for key in agg:
-            agg[key].append(getattr(led, key))
+        for key, vals in agg.items():
+            vals.append(counts[key])
         for note in result.notes:
             if note not in clamps:
                 clamps.append(note)
@@ -560,8 +556,7 @@ def cmd_replay(path: str) -> dict:
     got = result.transcript
     divergence = next((idx for idx, (a, b) in enumerate(zip(got, messages)) if a != b),
                       None if len(got) == len(messages) else min(len(got), len(messages)))
-    ledger_match = all(trailer[key] == getattr(result.ledger, key)
-                       for key in ("queries", "samples", "comm_bits", "messages"))
+    ledger_match = all(trailer[key] == v for key, v in asdict(result.ledger).items())
     verdict_match = (trailer["accepted"] == result.verdict.accepted
                      and trailer["reject_reason"] == result.verdict.reject_reason)
     return {

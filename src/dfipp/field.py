@@ -140,8 +140,7 @@ def lagrange_basis(p: int, k: int, t: int) -> tuple[int, ...]:
 
 def lagrange_eval_univariate(field: PrimeField, values: Sequence[int], t: int) -> int:
     """Evaluate the unique degree-(k-1) polynomial through {(i, values[i])} at t."""
-    basis = lagrange_basis(field.modulus, len(values), t)
-    return sum(b * v for b, v in zip(basis, values)) % field.modulus
+    return sum(map(mul, lagrange_basis(field.modulus, len(values), t), values)) % field.modulus
 
 
 @dataclass(frozen=True)

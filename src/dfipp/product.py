@@ -74,14 +74,13 @@ def _hash_zero(rows: Sequence[int], c: int, x: int) -> bool:
 
 
 def slb_verify(session: Session, circuit: SamplingCircuit, claim: MarginalClaim,
-               symbol_of: Callable[[int], int], n_symbols: int,
-               bucket_bits: Optional[int] = None) -> Verdict:
+               symbol_of: Callable[[int], int], bucket_bits: Optional[int] = None) -> Verdict:
     """One parallel set-lower-bound interactive proof.
 
-    For each symbol i with claimed probability p_i > 0, the verifier draws a
-    random affine GF(2) hash, the prover returns every preimage of i hashed
-    to zero, and the verifier re-evaluates each witness.  Accepts iff every
-    estimated preimage count clears (1 - tau/2) * p_i * 2^ell.
+    For each symbol i < len(claim.probs) with claimed probability p_i > 0,
+    the verifier draws a random affine GF(2) hash, the prover returns every
+    preimage of i hashed to zero, and the verifier re-evaluates each witness.
+    Accepts iff every estimated preimage count clears (1 - tau/2) * p_i * 2^ell.
 
     Completeness >= 1-delta when the true masses dominate the claims;
     soundness <= delta when some claim overstates by 1/(1-tau).
@@ -89,7 +88,7 @@ def slb_verify(session: Session, circuit: SamplingCircuit, claim: MarginalClaim,
     ell, tau = circuit.n_inputs, claim.tau
     size, width, getrandbits = 1 << ell, max(ell, 1), session.rng.getrandbits
     masses = [(p.numerator, p.denominator) for p in claim.probs]
-    active = [i for i in range(n_symbols) if masses[i][0] > 0]
+    active = [i for i, (num, _) in enumerate(masses) if num > 0]
     if not active:
         return ACCEPT
     delta_sym = claim.delta / len(active)
@@ -163,11 +162,9 @@ class HonestSlbProver(ProverStrategy):
 def run_set_lower_bound(circuit: SamplingCircuit, claim: MarginalClaim,
                         prover: ProverStrategy, seed: int,
                         symbol_of: Optional[Callable[[int], int]] = None,
-                        n_symbols: Optional[int] = None,
                         bucket_bits: Optional[int] = None) -> RunResult:
     symbol_of = symbol_of or (lambda y: y)
-    n_symbols = n_symbols or len(claim.probs)
-    return run_session(lambda s: slb_verify(s, circuit, claim, symbol_of, n_symbols, bucket_bits),
+    return run_session(lambda s: slb_verify(s, circuit, claim, symbol_of, bucket_bits),
                        prover, OracleHandles(()), seed)
 
 
@@ -213,7 +210,7 @@ def whitebox_verifier(session: Session, X: InputTensor, inst: PvalInstance,
         claim = MarginalClaim(probs, tau, delta)
         verdict = slb_verify(session, circuit, claim,
                              symbol_of=lambda y, d=rnd: cell_coord(y, k, m, d),
-                             n_symbols=k, bucket_bits=bucket_bits)
+                             bucket_bits=bucket_bits)
         if not verdict.accepted:
             return Verdict(False, "learner")
         live, verdict = extended_fold_phase(session, live, k, field, kappa,
@@ -414,14 +411,14 @@ def aborting_learner(session: Session):
 
 # --- fixtures -----------------------------------------------------------------------
 
-def _dyadic_factor(k: int, profile: str, rng) -> Pmf:
-    if profile == "uniform":
-        return Pmf.uniform(k)
-    if profile == "point":
-        return Pmf.point_mass(0, k)
-    if profile == "dyadic-random":
-        return Pmf.random_grains(k, 16, rng)  # 16 grains of mass 1/16: dyadic masses
-    raise ValueError(f"unknown factor profile {profile!r}")
+# profile -> the m factors over [k] of a product fixture; a random profile draws
+# them from rng in factor order
+FIXTURE_PROFILES = {
+    "uniform": lambda k, m, rng: [Pmf.uniform(k)] * m,
+    "row-concentrated": lambda k, m, rng: [Pmf.point_mass(0, k)] + [Pmf.uniform(k)] * (m - 1),
+    # 16 grains of mass 1/16: dyadic masses
+    "dyadic-random": lambda k, m, rng: [Pmf.random_grains(k, 16, rng) for _ in range(m)],
+}
 
 
 def _factor_circuit(factor: Pmf, out_bits: int) -> SamplingCircuit:
@@ -462,23 +459,17 @@ def _concat_circuits(circuits: Sequence[SamplingCircuit]) -> SamplingCircuit:
 def gen_product_fixture(k: int, m: int, profile: str, rng=None):
     """(ProductDistribution, SamplingCircuit) pairs with exactly matching laws.
 
-    profile: "uniform" | "row-concentrated" | "dyadic-random".  Masses are
-    dyadic and k must be a power of two so a circuit realizes the
-    distribution exactly (circuit_pmf round-trips).
+    profile: a key of FIXTURE_PROFILES.  Masses are dyadic and k must be a
+    power of two so a circuit realizes the distribution exactly (circuit_pmf
+    round-trips).
     """
     if k & (k - 1):
         raise ValueError("k must be a power of two for exact circuit samplers")
-    out_bits = k.bit_length() - 1
-    if profile == "uniform":
-        profiles = ["uniform"] * m
-    elif profile == "row-concentrated":
-        profiles = ["point"] + ["uniform"] * (m - 1)
-    elif profile == "dyadic-random":
-        if rng is None:
-            raise ValueError("dyadic-random needs an rng")
-        profiles = ["dyadic-random"] * m
-    else:
+    if profile not in FIXTURE_PROFILES:
         raise ValueError(f"unknown profile {profile!r}")
-    factors = [_dyadic_factor(k, pr, rng) for pr in profiles]
+    if profile == "dyadic-random" and rng is None:
+        raise ValueError("dyadic-random needs an rng")
+    factors = FIXTURE_PROFILES[profile](k, m, rng)
+    out_bits = k.bit_length() - 1
     circuit = _concat_circuits([_factor_circuit(f, out_bits) for f in factors])
     return ProductDistribution(factors), circuit

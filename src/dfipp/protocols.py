@@ -15,7 +15,7 @@ from operator import mul
 from typing import Callable, Optional, Sequence
 
 from .field import (InputTensor, PrimeField, cell_coords, cell_index, lagrange_basis,
-                    lde_eval_batch, uniform_draws)
+                    lagrange_eval_univariate, lde_eval_batch, uniform_draws)
 from .tensors import (DEFAULT_ENUM_BUDGET, INF, PvalInstance, dist_to_pval_bruteforce,
                       metric_fn, span)
 from .distributions import Pmf, dispersion_rho, extend_rows, marginal_first
@@ -458,12 +458,13 @@ def _fin_core(session: Session, X: InputTensor, inst: PvalInstance, eps: Fractio
     return _leaf_phase(session, X, live, r, eps, 4 * rho, draw)
 
 
-def run_fin_ipp(X: InputTensor, inst: PvalInstance, D, eps: Fraction,
-                rho: Fraction, r: int, prover: ProverStrategy, seed: int,
-                dist_mode: str = "oracle",
+def run_fin_ipp(X: InputTensor, inst: PvalInstance, D, eps: Fraction, r: int,
+                prover: ProverStrategy, seed: int, dist_mode: str = "oracle",
                 kappa_override: Optional[int] = None) -> RunResult:
+    """FinIPP against D, of any kind, at D's dispersion rho in the claim's shape (k, m)."""
     if dist_mode not in ("oracle", "uniform"):
         raise ValueError(f"unknown dist_mode {dist_mode!r}")
+    rho = dispersion_rho(D, (inst.k, inst.m)).rho
     oracles = OracleHandles(X.data, dist=D)
     return run_session(lambda s: _fin_core(s, X, inst, eps, rho, r, dist_mode, kappa_override),
                        prover, oracles, seed)
@@ -526,10 +527,12 @@ def run_df_ipp_nc(X: InputTensor, D, eps: Fraction, gen: ClaimGenerator,
                        prover, oracles, seed)
 
 
-def run_dispersed_ipp_nc(X: InputTensor, D: Pmf, eps: Fraction, gen: ClaimGenerator,
-                         rho: Fraction, r: int, prover: ProverStrategy, seed: int,
+def run_dispersed_ipp_nc(X: InputTensor, D, eps: Fraction, gen: ClaimGenerator,
+                         prover: ProverStrategy, seed: int, r: int = DEFAULT_NC_R,
                          kappa_override: Optional[int] = None) -> RunResult:
-    """Claims, then FinIPP against the true distribution (hybrid soundness)."""
+    """Claims, then FinIPP against the true distribution (hybrid soundness) at
+    D's dispersion rho in X's shape."""
+    rho = dispersion_rho(D, (X.k, X.m)).rho
 
     def verifier(session: Session) -> Verdict:
         inst = generate_pval_claims(session, gen, X.field, X.k, X.m, eps)
@@ -655,9 +658,8 @@ class HonestFoldProver(ProverStrategy):
     def reply(self, tag: str, payload):
         fb = self.field.bits
         if tag == "claims/values":
-            p = self.field.modulus
             cols = self._columns([pt[1:] for pt in payload])
-            return [(tuple(sum(map(mul, lagrange_basis(p, self.k, pt[0]), col)) % p
+            return [(tuple(lagrange_eval_univariate(self.field, col, pt[0])
                            for pt, col in zip(payload, cols)), fb)]
         if tag == "fold/matrix":
             return self._matrices(*payload)

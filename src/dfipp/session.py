@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from operator import itemgetter
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -93,10 +93,8 @@ class CostLedger:
         return (self.messages + 1) // 2
 
     def merge(self, other: "CostLedger") -> None:
-        self.queries += other.queries
-        self.samples += other.samples
-        self.comm_bits += other.comm_bits
-        self.messages += other.messages
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 @dataclass(frozen=True)
@@ -278,8 +276,8 @@ def amplify(run_once: Callable[[int], tuple], repetitions: int, rule: str, seed:
 # the keys of a transcript record, each with the exact types its value may have
 _MESSAGE_FIELDS = {"sender": (str,), "tag": (str,), "sections": (list,)}
 _SECTION_FIELDS = {"hex": (str,), "n": (int,), "w": (int,)}
-TRAILER_FIELDS = {"accepted": (bool,), "reject_reason": (str, type(None)), "queries": (int,),
-                  "samples": (int,), "comm_bits": (int,), "messages": (int,)}
+TRAILER_FIELDS = {"accepted": (bool,), "reject_reason": (str, type(None)),
+                  **{f.name: (int,) for f in fields(CostLedger)}}
 
 
 def has_fields(rec, fields: dict) -> bool:
@@ -301,9 +299,7 @@ def dump_transcript(path: str, header: dict, transcript: Sequence[Message],
             }, sort_keys=True) + "\n")
         fh.write(json.dumps({"trailer": {
             "accepted": verdict.accepted, "reject_reason": verdict.reject_reason,
-            "queries": ledger.queries, "samples": ledger.samples,
-            "comm_bits": ledger.comm_bits, "messages": ledger.messages,
-        }}, sort_keys=True) + "\n")
+            **asdict(ledger)}}, sort_keys=True) + "\n")
 
 
 def load_transcript(path: str):

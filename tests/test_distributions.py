@@ -10,10 +10,9 @@ import pytest
 from _oracles import (circuit_eval, factor_circuit_table, fraction_dispersion, fraction_dist,
                       fraction_granularise, fraction_sampler_table, fraction_tv_distance)
 from dfipp.distributions import (GranularitySet, Pmf, ProductDistribution, SamplingCircuit,
-                                 circuit_pmf, dispersion_rho, distribution_from_json,
-                                 extend_rows, extension_row_map, granularise, marginal_first,
-                                 tv_distance)
-from dfipp.experiments import _setup_rng
+                                 circuit_pmf, dispersion_rho, extend_rows, extension_row_map,
+                                 granularise, marginal_first, tv_distance)
+from dfipp.experiments import _DISTRIBUTION, _check, _setup_rng
 from dfipp.product import (ExtensionEchoProver, _factor_circuit, exact_learner,
                            gen_product_fixture, run_learnable_ipp)
 from dfipp.session import ACCEPT
@@ -21,7 +20,7 @@ from dfipp.tensors import dist, hybrid_dist
 
 
 def distribution_to_json(D) -> dict:
-    """The config-file object that distribution_from_json reads back as D."""
+    """The config-file object that distribution_from_config builds back into D."""
     if isinstance(D, Pmf):
         out = {"kind": "explicit", "masses": [str(v) for v in D.masses]}
         if D.shape is not None:
@@ -34,6 +33,12 @@ def distribution_to_json(D) -> dict:
         return {"kind": "circuit", "inputs": D.n_inputs,
                 "gates": [list(g) for g in D.gates], "outputs": list(D.outputs)}
     raise TypeError(f"not a distribution: {D!r}")
+
+
+def distribution_from_config(obj: dict):
+    """The distribution that a config's checked `distribution` object builds."""
+    _check(obj, _DISTRIBUTION, "distribution")
+    return _DISTRIBUTION.build(obj)
 
 
 def test_pmf_validation():
@@ -102,6 +107,21 @@ def test_dispersion_simple_ratio():
     report = dispersion_rho(D)
     assert report.rho == Fraction(3, 2)
     assert report.cell == (0,)
+
+
+def test_dispersion_reads_every_kind_of_distribution_in_a_shape():
+    shaped = Pmf(["1/2", 0, "1/2", 0], shape=(2, 2))
+    unshaped = Pmf(shaped.masses)
+    product = ProductDistribution([Pmf(["1/2", "1/2"]), Pmf([1, 0])])
+    circuit = SamplingCircuit(1, (("XOR", 0, 0),), (1, 0))  # y = 2 * input bit
+    report = dispersion_rho(shaped)
+    assert report.rho == 2
+    for D in (shaped, unshaped, product, circuit):
+        assert dispersion_rho(D, (2, 2)) == report
+    assert dispersion_rho(product) == report  # a product has a shape of its own
+    for D, shape in ((unshaped, None), (circuit, None), (shaped, (2, 3)), (unshaped, (3, 2))):
+        with pytest.raises(ValueError, match="^dispersion needs a shape of 4 cells"):
+            dispersion_rho(D, shape)
 
 
 def test_marginal_first_examples():
@@ -175,10 +195,10 @@ def test_circuit_rejects_malformed_wiring(n_inputs, gates, outputs):
 
 def test_circuit_json_round_trip():
     C = SamplingCircuit(2, (("AND", 0, 1), ("XOR", 0, 2)), (3, 1))
-    back = distribution_from_json(distribution_to_json(C))
+    back = distribution_from_config(distribution_to_json(C))
     assert back == C
     D = Pmf([Fraction(1, 3), Fraction(2, 3)], shape=(2, 1))
-    back_d = distribution_from_json(distribution_to_json(D))
+    back_d = distribution_from_config(distribution_to_json(D))
     assert back_d.masses == D.masses and back_d.shape == D.shape
 
 
@@ -352,7 +372,7 @@ def test_from_weights_json_round_trip_is_byte_identical():
     D = Pmf.from_weights([2, 0, 4, 2], 8, shape=(2, 2))
     wire = json.dumps(distribution_to_json(D))
     assert wire == json.dumps(distribution_to_json(Pmf(["1/4", 0, "1/2", "1/4"], shape=(2, 2))))
-    back = distribution_from_json(json.loads(wire))
+    back = distribution_from_config(json.loads(wire))
     assert back == D and back.shape == D.shape
     assert json.dumps(distribution_to_json(back)) == wire
 

@@ -1,3 +1,4 @@
+import csv
 import json
 from fractions import Fraction
 
@@ -525,3 +526,40 @@ def test_cli_run_refuses_a_config_that_is_not_an_object(config, argv, tmp_path, 
     errors = [line for line in capsys.readouterr().err.splitlines()
               if line.startswith("dfipp: error: ")]
     assert errors == [f"dfipp: error: config has a bad type or value: {config!r}"]
+
+
+# One law over [2]^2, mass 1/2 on cells (0, 0) and (1, 0), in every form a config can
+# write it.  Its dispersion is 2: along the second axis, 1/2 sits against a line mean of
+# 1/4.  Every sampled cell has the tail (0,), so the point set of df_ipp_nc, and with it
+# the ledger, does not depend on how each kind of sampler spends the verifier's coins.
+SAME_LAW = {
+    "explicit-shaped": {"kind": "explicit", "masses": ["1/2", 0, "1/2", 0], "shape": [2, 2]},
+    "explicit-unshaped": {"kind": "explicit", "masses": ["1/2", 0, "1/2", 0]},
+    "product": {"kind": "product", "factors": [["1/2", "1/2"], [1, 0]]},
+    # output bit 0 is the constant wire 1, output bit 1 the input bit
+    "circuit": {"kind": "circuit", "inputs": 1, "gates": [["XOR", 0, 0]], "outputs": [1, 0]},
+}
+# per trial: (rho, queries, samples, comm_bits, messages, accepted), from the explicit
+# shaped law, which the runners read at its dispersion before rho was derived from D
+SAME_LAW_ROWS = {
+    "fin_ipp": [("2", "480", "120", "60", "3", "1")] * 3,
+    "dispersed_ipp_nc": [("2", "480", "120", "370", "5", "1"), ("2", "480", "120", "400", "5", "1"),
+                         ("2", "480", "120", "360", "5", "1")],
+    "df_ipp_nc": [("2", "240", "6", "412", "6", "1"), ("2", "240", "6", "442", "6", "1"),
+                  ("2", "240", "6", "412", "6", "1")],
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(SAME_LAW_ROWS))
+@pytest.mark.parametrize("form", sorted(SAME_LAW))
+def test_every_form_of_one_law_runs_alike(protocol, form, tmp_path):
+    config = {"protocol": protocol, "trials": 3, "seed": 3, "field_modulus": 17, "k": 2,
+              "m": 2, "r": 1, "eps": "1/2", "distribution": SAME_LAW[form]}
+    out = str(tmp_path / "run")
+    record = cmd_run(config, out_prefix=out)
+    with open(out + ".csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [tuple(row[key] for key in ("rho", "queries", "samples", "comm_bits", "messages",
+                                       "accepted")) for row in rows] == SAME_LAW_ROWS[protocol]
+    shaped = cmd_run({**config, "distribution": SAME_LAW["explicit-shaped"]})
+    assert {**record, "config_hash": None} == {**shaped, "config_hash": None}

@@ -11,12 +11,12 @@ from dfipp.field import InputTensor, PrimeField, lde_eval
 from dfipp.tensors import INF, PvalInstance, dist_to_pval_bruteforce, pval_member
 from dfipp.distributions import (Pmf, SamplingCircuit, circuit_pmf, dispersion_rho,
                                  extend_rows, extension_row_map, granularise)
-from dfipp.experiments import run_protocol
+from dfipp.experiments import _PROTOCOLS, run_protocol
 from dfipp.session import CostLedger, OracleHandles, ProverStrategy, Verdict, dump_transcript
 from dfipp.protocols import (HonestFoldProver, _run_fold_round, check_distance_preservation,
                              fold_rows, folded_eval)
-from dfipp.product import (ExtensionEchoProver, FixedStringProver, HonestSlbProver,
-                           MarginalClaim, WhiteboxFoldProver, aborting_learner,
+from dfipp.product import (FIXTURE_PROFILES, ExtensionEchoProver, FixedStringProver,
+                           HonestSlbProver, MarginalClaim, WhiteboxFoldProver, aborting_learner,
                            check_product_dpl, exact_learner, explicit_set_uniform_ipp,
                            extension_member, gen_product_fixture, run_learnable_ipp,
                            run_set_lower_bound, run_whitebox_product_ipp, wb_fold_kappa,
@@ -229,7 +229,7 @@ def _lower_bound_verdict(ell, p, tau, b, count):
     prover = CountingSlbProver(ell, count)
     res = run_set_lower_bound(SamplingCircuit.identity(ell),
                               MarginalClaim((p,), tau, Fraction(1, 20)), prover, 0,
-                              symbol_of=lambda y: 0, n_symbols=1, bucket_bits=b)
+                              symbol_of=lambda y: 0, bucket_bits=b)
     return res.verdict, prover.sent
 
 
@@ -286,7 +286,7 @@ def test_slb_mixed_mass_claims_pinned(probs, verdict, comm_bits, sha, tmp_path):
     assert [_bucket_bits(p * 1024, 10, claim.tau, claim.delta / 4) for p in probs[:3]] == \
         [2, 1, 0]
     res = run_set_lower_bound(circuit, claim, HonestSlbProver(circuit, _top_symbol), 0,
-                              symbol_of=_top_symbol, n_symbols=5)
+                              symbol_of=_top_symbol)
     assert res.verdict == verdict
     assert res.ledger == CostLedger(queries=0, samples=0, comm_bits=comm_bits, messages=2)
     path = tmp_path / "slb.jsonl"
@@ -304,7 +304,7 @@ def _slb_grouped():
     circuit, symbol_of = SamplingCircuit.identity(8), (lambda y: y >> 6)
     claim = MarginalClaim((Fraction(1, 4),) * 4, Fraction(1, 2), Fraction(1, 20))
     return run_set_lower_bound(circuit, claim, HonestSlbProver(circuit, symbol_of), 0,
-                               symbol_of=symbol_of, n_symbols=4, bucket_bits=2)
+                               symbol_of=symbol_of, bucket_bits=2)
 
 
 # Pinned at the commit before the prover and verifier skipped the hash test of a
@@ -680,6 +680,40 @@ def test_fixture_dyadic_random_round_trip():
         assert circuit_pmf(circuit).masses == D.joint_pmf().masses
 
 
+# sha256 of (factor weights and denominators, circuit inputs, gates, outputs, the next
+# 32 bits of the rng) per (profile, k, m, rng seed), pinned before the profile table
+FIXTURE_DIGESTS = {
+    ("uniform", 1, 2, None): "6bb90598bd585dcd",
+    ("uniform", 2, 3, None): "e7d947ccb41e1fac",
+    ("uniform", 4, 2, None): "c86bccc52a837a0c",
+    ("row-concentrated", 2, 2, None): "47c9a0330270a664",
+    ("row-concentrated", 4, 3, None): "aa9612e6d7580bf4",
+    ("row-concentrated", 8, 1, None): "d4a5a65634f1e9c4",
+    ("dyadic-random", 2, 3, 1): "fb00ed9babf57160",
+    ("dyadic-random", 4, 2, 2): "cfa2197b2b229264",
+    ("dyadic-random", 8, 2, 3): "46ca1f0ea3a660c8",
+}
+
+
+@pytest.mark.parametrize("profile,k,m,seed", sorted(FIXTURE_DIGESTS, key=str))
+def test_fixture_profiles_are_pinned(profile, k, m, seed):
+    rng = None if seed is None else random.Random(seed)
+    D, C = gen_product_fixture(k, m, profile, rng=rng)
+    record = ([(f.weights, f.denom) for f in D.factors], C.n_inputs, C.gates, C.outputs,
+              None if rng is None else rng.getrandbits(32))
+    assert hashlib.sha256(repr(record).encode()).hexdigest()[:16] == \
+        FIXTURE_DIGESTS[(profile, k, m, seed)]
+
+
+def test_fixture_profiles_are_the_table_and_the_config_schema():
+    assert {key[0] for key in FIXTURE_DIGESTS} == set(FIXTURE_PROFILES)
+    assert _PROTOCOLS["whitebox_product"][1]["profile"] == frozenset(FIXTURE_PROFILES)
+    for profile, rng, message in (("point", None, "unknown profile 'point'"),
+                                  ("dyadic-random", None, "dyadic-random needs an rng")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            gen_product_fixture(2, 2, profile, rng=rng)
+
+
 def test_fixture_rejects_non_power_of_two():
     with pytest.raises(ValueError):
         gen_product_fixture(3, 2, "uniform")
@@ -703,7 +737,7 @@ def test_learner_chain_inequality_on_accepted_claims():
         claim = MarginalClaim(tuple(claims), tau, Fraction(1, 20))
         prover = HonestSlbProver(circuit, lambda y: y >> 1)  # first factor bit
         res = run_set_lower_bound(circuit, claim, prover, rng.getrandbits(32),
-                                  symbol_of=lambda y: y >> 1, n_symbols=2)
+                                  symbol_of=lambda y: y >> 1)
         assert res.verdict.accepted
         for p_claim, p_true in zip(claims, true):
             assert p_claim >= (1 - tau) * p_true
@@ -737,7 +771,7 @@ def test_slb_probabilistic_hash_completeness_with_slack():
     trials = 100
     for seed in range(trials):
         res = run_set_lower_bound(circuit, claim, prover, seed, symbol_of=top_bit,
-                                  n_symbols=2, bucket_bits=3)
+                                  bucket_bits=3)
         accepted += res.verdict.accepted
     assert accepted / trials >= 0.9
 
