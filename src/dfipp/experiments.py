@@ -18,8 +18,8 @@ from dataclasses import asdict, fields, replace
 from typing import NamedTuple, Optional
 
 from .field import InputTensor, PrimeField, lagrange_basis, lde_eval, uniform_draws
-from .tensors import (DEFAULT_ENUM_BUDGET, INF, PvalInstance, coset, dist, pval_min_distance,
-                      solve_affine)
+from .tensors import (DEFAULT_ENUM_BUDGET, INF, BudgetExceeded, PvalInstance, coset, dist,
+                      pval_min_distance, solve_affine)
 from .distributions import (CIRCUIT_INPUT_BUDGET, Pmf, ProductDistribution, SamplingCircuit,
                             dispersion_rho, granularise, marginal_first, tv_distance)
 from .session import (ACCEPT, TRAILER_FIELDS, CostLedger, OracleHandles, ProverStrategy,
@@ -97,6 +97,10 @@ def _mass(value) -> bool:
     return _rational(value) >= 0
 
 
+def _probability(value) -> bool:
+    return type(value) in (int, float) and 0 <= value <= 1  # NaN compares False
+
+
 def _sized(values: list, n: int, key: str) -> tuple:
     """values as a tuple; a ValueError names the config key unless there are n of them."""
     if len(values) != n:
@@ -159,7 +163,7 @@ _FOLD_PROVERS = Modes("mode", "honest", {
         replace(X, data=tuple(s["alt"])))),
     "row-tamper": ({}, {"row": int, "col": int, "delta": int}, lambda s, X, rng:
                    RowTamperFoldProver(X, s.get("row", 0), s.get("col", 0), s.get("delta", 1))),
-    "random-lie": ({}, {"prob": float}, lambda s, X, rng: RandomLieFoldProver(
+    "random-lie": ({}, {"prob": _probability}, lambda s, X, rng: RandomLieFoldProver(
         X, float(s.get("prob", 0.1)), random.Random(rng.getrandbits(63)))),
 })
 _HAM_PROVERS = Modes("mode", "honest", {
@@ -371,6 +375,8 @@ def _run_rlcc(config: dict, rng: random.Random, seed: int, prover):
 
 def _run_set_lower_bound(config: dict, rng: random.Random, seed: int, prover):
     ell = config["ell"]
+    if ell > CIRCUIT_INPUT_BUDGET:  # before any of the 2^ell default claims is built
+        raise BudgetExceeded("honest prover enumeration over budget")
     circuit = SamplingCircuit.identity(ell)
     n_sym = 1 << ell
     claims = _sized(config.get("claims", (Fraction(1, n_sym),) * n_sym), n_sym, "claims")
@@ -429,27 +435,22 @@ def run_protocol(config: dict, seed: int, prover_override=None):
     """Execute one trial; returns (RunResult, meta row fields).
 
     A config-level "repetitions" (with "rule": all-accept | majority) wraps
-    the trial in standard soundness amplification: independent sessions on
-    derived seeds, verdicts combined, ledgers summed, transcripts concatenated
-    in order (one prover_override answers every repetition in turn), and the
-    notes "amplified xN" followed by every repetition's notes in order.
+    the trial in standard soundness amplification (session.amplify); one
+    prover_override answers every repetition in turn, and the first
+    repetition's meta is the trial's.
     """
     reps = config.get("repetitions", 1)
     if reps > 1:
         inner = {k: v for k, v in config.items() if k not in ("repetitions", "rule")}
-        meta_holder = {}
-        transcript = []
-        notes = [f"amplified x{reps}"]
+        metas = []
 
         def once(s):
             result, meta = run_protocol(inner, s, prover_override)
-            meta_holder.setdefault("meta", meta)
-            transcript.extend(result.transcript)
-            notes.extend(result.notes)
-            return result.verdict, result.ledger
+            metas.append(meta)
+            return result
 
-        verdict, ledger = amplify(once, reps, config.get("rule", "all-accept"), seed)
-        return RunResult(verdict, ledger, transcript, notes), meta_holder["meta"]
+        result = amplify(once, reps, config.get("rule", "all-accept"), seed)
+        return result, metas[0]
 
     protocol = config["protocol"]
     if protocol not in _PROTOCOLS:
@@ -660,6 +661,12 @@ def ham_distance_exact(x: tuple[int, ...], D: Pmf, w: int) -> Fraction:
 
 # --- lemma checks ------------------------------------------------------------------
 
+# A suite is suite(trials, rng, budget) -> report, registered in LEMMA_CHECKS;
+# cmd_check_lemma makes its one seeded rng.  Each suite checks its lemma at one
+# desk-scale size, named in its docstring; the tensor suites work over F_5.
+_F5 = PrimeField(5)
+
+
 def _random_shaped_pmf(k: int, m: int, rng: random.Random) -> Pmf:
     return Pmf.random_grains(k ** m, 4 * k ** m, rng, shape=(k, m))
 
@@ -690,38 +697,6 @@ def _consistent_matrix(field: PrimeField, k: int, inst: PvalInstance,
     return [[matrix_cols[c][i] for c in range(len(j2))] for i in range(k)], j2
 
 
-def _certified_tally(trials: int, draw) -> dict:
-    """Tally draw() outcomes until `trials` substantive instances are checked.
-
-    draw() returns (vacuous, holds), or None for a draw that yields no
-    instance.  Member draws and empty-PVAL draws are vacuous: they do not
-    count toward the quota, and 100 * trials of them end the search.
-    """
-    violations = 0
-    checked = 0
-    vacuous = 0
-    while checked < trials and vacuous < 100 * trials:
-        outcome = draw()
-        if outcome is None:
-            continue
-        if outcome[0]:
-            vacuous += 1
-            continue
-        checked += 1
-        if not outcome[1]:
-            violations += 1
-    status = "pass" if violations == 0 else "exact-fail"
-    return {"status": status, "checked": checked, "vacuous": vacuous,
-            "violations": violations}
-
-
-def _fixed_tally(trials: int, violated) -> dict:
-    """Run violated() `trials` times; each True is one exact violation."""
-    violations = sum(1 for _ in range(trials) if violated())
-    return {"status": "pass" if violations == 0 else "exact-fail",
-            "checked": trials, "violations": violations}
-
-
 def _claimed_instance(field: PrimeField, k: int, m: int, max_t: int, rng: random.Random):
     """(X, (J, v), Y): t in [1, max_t) random points whose values are P_X(J) one
     time in four and uniform otherwise, and a matrix Y passing the step-1
@@ -738,149 +713,146 @@ def _claimed_instance(field: PrimeField, k: int, m: int, max_t: int, rng: random
     return X, inst, None if got is None else got[0]
 
 
-def check_lemma_epsilons(trials: int, seed: int, modulus: int = 5, k: int = 2,
-                         m: int = 2, budget: int = DEFAULT_ENUM_BUDGET) -> dict:
-    """Randomized instances of the row distance-preservation inequality."""
-    rng = random.Random(seed)
-    field = PrimeField(modulus)
+def _certified(draw):
+    """The suite that tallies draw(rng, budget) until `trials` substantive
+    instances are checked.
 
-    def draw():
-        X, inst, Y = _claimed_instance(field, k, m, 4, rng)
-        if Y is None:
-            return None
-        D = _random_shaped_pmf(k, m, rng)
-        report = check_distance_preservation(X, D, Y, inst, budget=budget)
-        return report.vacuous, report.holds
+    draw returns (vacuous, holds), or None for a draw that yields no
+    instance.  Member draws and empty-PVAL draws are vacuous: they do not
+    count toward the quota, and 100 * trials of them end the search.
+    """
+    def suite(trials: int, rng: random.Random, budget: int) -> dict:
+        violations = checked = vacuous = 0
+        while checked < trials and vacuous < 100 * trials:
+            outcome = draw(rng, budget)
+            if outcome is None:
+                continue
+            if outcome[0]:
+                vacuous += 1
+                continue
+            checked += 1
+            if not outcome[1]:
+                violations += 1
+        status = "pass" if violations == 0 else "exact-fail"
+        return {"status": status, "checked": checked, "vacuous": vacuous,
+                "violations": violations}
+    return suite
 
-    return _certified_tally(trials, draw)
+
+def _fixed(violated):
+    """The suite that runs violated(rng) `trials` times; each True is one exact violation."""
+    def suite(trials: int, rng: random.Random, budget: int) -> dict:
+        violations = sum(1 for _ in range(trials) if violated(rng))
+        return {"status": "pass" if violations == 0 else "exact-fail",
+                "checked": trials, "violations": violations}
+    return suite
 
 
-def check_lemma_dpl_product(trials: int, seed: int, modulus: int = 5, k: int = 2,
-                            m: int = 2, budget: int = DEFAULT_ENUM_BUDGET) -> dict:
-    """Randomized instances of the product distance-preservation inequality.
+@_certified
+def _epsilons(rng: random.Random, budget: int):
+    """Randomized instances of the row distance-preservation inequality, k = m = 2."""
+    X, inst, Y = _claimed_instance(_F5, 2, 2, 4, rng)
+    if Y is None:
+        return None
+    D = _random_shaped_pmf(2, 2, rng)
+    report = check_distance_preservation(X, D, Y, inst, budget=budget)
+    return report.vacuous, report.holds
+
+
+@_certified
+def _dpl_product(rng: random.Random, budget: int):
+    """Randomized instances of the product distance-preservation inequality, k = m = 2.
 
     Claims are drawn from the certified band p~ >= (1-tau) * true, the set
     of claims the accepted-learner guarantee covers, at the white-box
     protocol's default tau.
     """
-    rng = random.Random(seed)
-    field = PrimeField(modulus)
-    tau = DEFAULT_TAU
-
-    def draw():
-        D, _circ = gen_product_fixture(k, m, "dyadic-random", rng=rng)
-        X, inst, Y = _claimed_instance(field, k, m, 3, rng)
-        if Y is None:
-            return None
-        true = list(D.factors[0].masses)
-        claims = list(true)
-        if rng.getrandbits(1):
-            i, j = rng.sample(range(k), 2)
-            if true[i] > 0 and true[j] > 0:
-                shift = min(true[i], true[j]) * tau / 2
-                claims[i] += shift
-                claims[j] -= shift
-        B = granularise(Pmf(claims))
-        report = check_product_dpl(X, list(D.factors), Y, B, inst, tau, budget=budget)
-        return report.vacuous, report.holds
-
-    return _certified_tally(trials, draw)
+    D, _circ = gen_product_fixture(2, 2, "dyadic-random", rng=rng)
+    X, inst, Y = _claimed_instance(_F5, 2, 2, 3, rng)
+    if Y is None:
+        return None
+    true = list(D.factors[0].masses)
+    claims = list(true)
+    if rng.getrandbits(1):
+        i, j = rng.sample(range(2), 2)
+        if true[i] > 0 and true[j] > 0:
+            shift = min(true[i], true[j]) * DEFAULT_TAU / 2
+            claims[i] += shift
+            claims[j] -= shift
+    B = granularise(Pmf(claims))
+    report = check_product_dpl(X, list(D.factors), Y, B, inst, DEFAULT_TAU, budget=budget)
+    return report.vacuous, report.holds
 
 
-def check_lemma_linsub(trials: int, seed: int, modulus: int = 5, n: int = 4) -> dict:
-    """Certified instances of the two-subspace lemma, exact fractions."""
-    rng = random.Random(seed)
-    field = PrimeField(modulus)
-    p = modulus
-
-    def draw():
-        S_basis = [uniform_draws(rng, p, n) for _ in range(2)]
-        t_rows = rng.randrange(1, 3)
-        T_basis = [uniform_draws(rng, p, n) for _ in range(t_rows)]
-        D = Pmf.random_grains(n, 64, rng)
-        report = check_subspace_lemma(field, S_basis, T_basis, ("hybrid", D, Pmf.uniform(n)))
-        return report["vacuous"], report.get("holds")
-
-    return _certified_tally(trials, draw)
+@_certified
+def _linsub(rng: random.Random, budget: int):
+    """Certified instances of the two-subspace lemma over F_5^4, exact fractions."""
+    S_basis = [uniform_draws(rng, 5, 4) for _ in range(2)]
+    t_rows = rng.randrange(1, 3)
+    T_basis = [uniform_draws(rng, 5, 4) for _ in range(t_rows)]
+    D = Pmf.random_grains(4, 64, rng)
+    report = check_subspace_lemma(_F5, S_basis, T_basis, ("hybrid", D, Pmf.uniform(4)))
+    return report["vacuous"], report.get("holds")
 
 
-def check_lemma_grainer(trials: int, seed: int, max_n: int = 16) -> dict:
-    """Granularisation invariants: sum a_i = 8n and a_i/8n >= p_i/2, exactly.
+@_fixed
+def _grainer(rng: random.Random) -> bool:
+    """Granularisation invariants for n <= 16: sum a_i = 8n and a_i/8n >= p_i/2, exactly.
 
     With p_i = w_i/denom, a_i/8n < p_i/2 is a_i * denom < 4n * w_i.
     """
-    rng = random.Random(seed)
-
-    def violated():
-        n = rng.randrange(1, max_n + 1)
-        pmf = Pmf.random_grains(n, 64, rng)
-        grains = granularise(pmf)
-        return sum(grains.counts) != 8 * n or any(
-            a * pmf.denom < 4 * n * w for a, w in zip(grains.counts[:-1], pmf.weights))
-
-    return _fixed_tally(trials, violated)
+    n = rng.randrange(1, 17)
+    pmf = Pmf.random_grains(n, 64, rng)
+    grains = granularise(pmf)
+    return sum(grains.counts) != 8 * n or any(
+        a * pmf.denom < 4 * n * w for a, w in zip(grains.counts[:-1], pmf.weights))
 
 
-def check_lemma_grainer_distance(trials: int, seed: int, max_n: int = 12) -> dict:
-    """Distance preservation of granularisation: d_D'(gcat x, gcat y) >= d_p(x,y)/2."""
-    rng = random.Random(seed)
-
-    def violated():
-        n = rng.randrange(2, max_n + 1)
-        pmf = Pmf.random_grains(n, 64, rng)
-        x = [rng.getrandbits(1) for _ in range(n)]
-        y = [rng.getrandbits(1) for _ in range(n)]
-        return dist(x + [0], y + [0], granularise(pmf).pmf()) < dist(x, y, pmf) / 2
-
-    return _fixed_tally(trials, violated)
+@_fixed
+def _grainer_distance(rng: random.Random) -> bool:
+    """Distance preservation of granularisation for n <= 12:
+    d_D'(gcat x, gcat y) >= d_p(x,y)/2."""
+    n = rng.randrange(2, 13)
+    pmf = Pmf.random_grains(n, 64, rng)
+    x = [rng.getrandbits(1) for _ in range(n)]
+    y = [rng.getrandbits(1) for _ in range(n)]
+    return dist(x + [0], y + [0], granularise(pmf).pmf()) < dist(x, y, pmf) / 2
 
 
-def check_lemma_fold_dispersed(trials: int, seed: int, max_km: int = 4) -> dict:
-    """Marginalising the first coordinate never increases dispersion."""
-    rng = random.Random(seed)
-
-    def violated():
-        k = rng.randrange(2, max_km + 1)
-        m = rng.randrange(2, max_km + 1)
-        D = _random_shaped_pmf(k, m, rng)
-        return dispersion_rho(marginal_first(D)).rho > dispersion_rho(D).rho
-
-    return _fixed_tally(trials, violated)
+@_fixed
+def _fold_dispersed(rng: random.Random) -> bool:
+    """Marginalising the first coordinate never increases dispersion, for k, m <= 4."""
+    k = rng.randrange(2, 5)
+    m = rng.randrange(2, 5)
+    D = _random_shaped_pmf(k, m, rng)
+    return dispersion_rho(marginal_first(D)).rho > dispersion_rho(D).rho
 
 
-def check_lemma_tvineq(trials: int, seed: int, max_n: int = 12) -> dict:
-    """d_D(x,y) <= d_TV(D,D') + d_D'(x,y) with the L1 form of d_TV."""
-    rng = random.Random(seed)
-
-    def violated():
-        n = rng.randrange(2, max_n + 1)
-        D = Pmf.random_grains(n, 64, rng)
-        D2 = Pmf.random_grains(n, 64, rng)
-        x = [rng.getrandbits(1) for _ in range(n)]
-        y = [rng.getrandbits(1) for _ in range(n)]
-        return dist(x, y, D) > tv_distance(D, D2) + dist(x, y, D2)
-
-    return _fixed_tally(trials, violated)
+@_fixed
+def _tvineq(rng: random.Random) -> bool:
+    """d_D(x,y) <= d_TV(D,D') + d_D'(x,y) with the L1 form of d_TV, for n <= 12."""
+    n = rng.randrange(2, 13)
+    D = Pmf.random_grains(n, 64, rng)
+    D2 = Pmf.random_grains(n, 64, rng)
+    x = [rng.getrandbits(1) for _ in range(n)]
+    y = [rng.getrandbits(1) for _ in range(n)]
+    return dist(x, y, D) > tv_distance(D, D2) + dist(x, y, D2)
 
 
-def check_lemma_min_distance(draws: int, seed: int, modulus: int = 5, k: int = 2,
-                             m: int = 2, eps: Fraction = Fraction(1, 4),
-                             budget: int = DEFAULT_ENUM_BUDGET) -> dict:
-    """Random-J minimum-distance events at tiny scale.
+def _min_distance(draws: int, rng: random.Random, budget: int) -> dict:
+    """Random-J minimum-distance events over F_5 with k = m = 2 and eps = 1/4.
 
     With t >= 2 eps n (log2 n + log2 |F|) + 4 uniform points, the frequency
     of a PVAL minimum distance below 2 eps n is at most 1/10 (+3 sigma).
     """
-    rng = random.Random(seed)
-    field = PrimeField(modulus)
-    n = k ** m
-    t = math.ceil(2 * eps * n * (math.log2(n) + math.log2(modulus)) + 4)
+    eps, n = Fraction(1, 4), 4
+    t = math.ceil(2 * eps * n * (math.log2(n) + math.log2(5)) + 4)
     events = 0
     for _ in range(draws):
-        X = InputTensor.random(field, k, m, rng)
-        points = tuple(field.rand_point(m, rng) for _ in range(t))
+        X = InputTensor.random(_F5, 2, 2, rng)
+        points = tuple(_F5.rand_point(2, rng) for _ in range(t))
         values = tuple(lde_eval(X, pt) for pt in points)
-        inst = PvalInstance(field, k, m, points, values)
+        inst = PvalInstance(_F5, 2, 2, points, values)
         dmin = pval_min_distance(inst, budget=budget)
         if dmin != INF and dmin < 2 * eps:
             events += 1
@@ -890,31 +862,26 @@ def check_lemma_min_distance(draws: int, seed: int, modulus: int = 5, k: int = 2
             "draws": draws, "frequency": freq, "bound": bound}
 
 
-def check_lemma_appendix_a(trials: int, seed: int, modulus: int = 5, k: int = 2,
-                           m: int = 2, budget: int = DEFAULT_ENUM_BUDGET) -> dict:
-    """Appendix folding claims on certified-far instances."""
-    rng = random.Random(seed)
-    field = PrimeField(modulus)
-    kappa = fold_kappa(2, k)
-    failures = 0
-    reports = []
-    attempts = 0
-    while len(reports) < 3 and attempts < 200:
-        attempts += 1
-        X = InputTensor.random(field, k, m, rng)
-        points = tuple(field.rand_point(m, rng) for _ in range(2))
-        values = tuple(uniform_draws(rng, modulus, 2))
-        inst = PvalInstance(field, k, m, points, values)
-        got = _consistent_matrix(field, k, inst, rng)
+def _appendix_a(trials: int, rng: random.Random, budget: int) -> dict:
+    """Appendix folding claims on three certified-far instances, k = m = 2."""
+    kappa = fold_kappa(2, 2)
+    failures = instances = 0
+    for _ in range(200):
+        if instances == 3:
+            break
+        X = InputTensor.random(_F5, 2, 2, rng)
+        points = tuple(_F5.rand_point(2, rng) for _ in range(2))
+        values = tuple(uniform_draws(rng, 5, 2))
+        inst = PvalInstance(_F5, 2, 2, points, values)
+        got = _consistent_matrix(_F5, 2, inst, rng)
         if got is None:
             continue
-        Y, _ = got
-        D = _random_shaped_pmf(k, m, rng)
-        rep = check_appendix_claims(X, D, Y, inst, kappa, trials, rng.getrandbits(63),
+        D = _random_shaped_pmf(2, 2, rng)
+        rep = check_appendix_claims(X, D, got[0], inst, kappa, trials, rng.getrandbits(63),
                                     budget=budget)
         if rep["sum_eps"].get("vacuous"):
             continue
-        reports.append(rep)
+        instances += 1
         if not rep["sum_eps"]["holds"]:
             failures += 1
         for key, rate in (("support_hit", "miss_rate"), ("folded_far", "fail_rate")):
@@ -922,19 +889,19 @@ def check_lemma_appendix_a(trials: int, seed: int, modulus: int = 5, k: int = 2,
             if rep[key][rate] > bound + 3 * math.sqrt(max(bound, 0.01) / trials):
                 failures += 1
     return {"status": "pass" if failures == 0 else "stat-fail",
-            "instances": len(reports), "failures": failures}
+            "instances": instances, "failures": failures}
 
 
 LEMMA_CHECKS = {
-    "epsilons": lambda trials, seed, budget: check_lemma_epsilons(trials, seed, budget=budget),
-    "dpl_product": lambda trials, seed, budget: check_lemma_dpl_product(trials, seed, budget=budget),
-    "linSub": lambda trials, seed, budget: check_lemma_linsub(trials, seed),
-    "grainer-claim": lambda trials, seed, budget: check_lemma_grainer(trials, seed),
-    "grainer-distance": lambda trials, seed, budget: check_lemma_grainer_distance(trials, seed),
-    "fold_dispersed": lambda trials, seed, budget: check_lemma_fold_dispersed(trials, seed),
-    "tvineq": lambda trials, seed, budget: check_lemma_tvineq(trials, seed),
-    "rr20_min_dist": lambda trials, seed, budget: check_lemma_min_distance(trials, seed, budget=budget),
-    "appendix-a": lambda trials, seed, budget: check_lemma_appendix_a(trials, seed, budget=budget),
+    "epsilons": _epsilons,
+    "dpl_product": _dpl_product,
+    "linSub": _linsub,
+    "grainer-claim": _grainer,
+    "grainer-distance": _grainer_distance,
+    "fold_dispersed": _fold_dispersed,
+    "tvineq": _tvineq,
+    "rr20_min_dist": _min_distance,
+    "appendix-a": _appendix_a,
 }
 
 
@@ -942,7 +909,7 @@ def cmd_check_lemma(lemma: str, trials: int, seed: int,
                     budget: int = DEFAULT_ENUM_BUDGET) -> dict:
     if lemma not in LEMMA_CHECKS:
         raise ValueError(f"unknown lemma id {lemma!r}; known: {sorted(LEMMA_CHECKS)}")
-    report = LEMMA_CHECKS[lemma](trials, seed, budget)
+    report = LEMMA_CHECKS[lemma](trials, random.Random(seed), budget)
     report["lemma"] = lemma
     return report
 

@@ -245,30 +245,26 @@ def run_session(verifier: Callable[[Session], Verdict], prover: ProverStrategy,
     return RunResult(verdict, session.ledger, session.transcript, session.notes)
 
 
-def amplify(run_once: Callable[[int], tuple], repetitions: int, rule: str, seed: int):
-    """Independent sessions with derived seeds; verdicts combined per rule."""
+def amplify(run_once: Callable[[int], RunResult], repetitions: int, rule: str,
+            seed: int) -> RunResult:
+    """Independent sessions with derived seeds, verdicts combined per rule (a
+    rejection is the first rejecting session's verdict): the ledgers summed, the
+    transcripts concatenated in order, and the notes "amplified xN" followed by
+    every repetition's notes in order."""
     if repetitions < 1:
         raise ValueError("repetitions >= 1")
     if rule not in ("all-accept", "majority"):
         raise ValueError(f"unknown rule {rule!r}")
     seeder = random.Random(seed)
+    results = [run_once(seeder.getrandbits(63)) for _ in range(repetitions)]
     total = CostLedger()
-    accepts = 0
-    first_reject = None
-    for _ in range(repetitions):
-        result = run_once(seeder.getrandbits(63))
-        verdict, ledger = result[0], result[1]
-        total.merge(ledger)
-        if verdict.accepted:
-            accepts += 1
-        elif first_reject is None:
-            first_reject = verdict
-    if rule == "all-accept":
-        verdict = ACCEPT if accepts == repetitions else first_reject
-    else:
-        verdict = ACCEPT if 2 * accepts > repetitions else \
-            (first_reject or Verdict(False, "majority"))
-    return verdict, total
+    for result in results:
+        total.merge(result.ledger)
+    rejects = [r.verdict for r in results if not r.verdict.accepted]
+    accepted = not rejects if rule == "all-accept" else 2 * len(rejects) < repetitions
+    return RunResult(ACCEPT if accepted else rejects[0], total,
+                     [msg for r in results for msg in r.transcript],
+                     [f"amplified x{repetitions}", *(note for r in results for note in r.notes)])
 
 
 # --- transcript dump / replay ------------------------------------------------

@@ -22,10 +22,7 @@ from dfipp.protocols import (ClaimGenerator, HonestFoldProver, HonestHamProver, 
 from dfipp.product import (HonestSlbProver, MarginalClaim, WhiteboxFoldProver,
                            gen_product_fixture, run_set_lower_bound,
                            run_whitebox_product_ipp)
-from dfipp.experiments import (check_lemma_dpl_product, check_lemma_epsilons,
-                               check_lemma_fold_dispersed, check_lemma_grainer,
-                               check_lemma_grainer_distance, check_lemma_linsub,
-                               check_lemma_min_distance, gen_ham_lb_fixture)
+from dfipp.experiments import cmd_check_lemma, gen_ham_lb_fixture
 from dfipp.session import amplify
 
 from _oracles import vandermonde_lde_eval
@@ -141,12 +138,12 @@ def test_criterion_2_lde_oracle_equivalence():
 
 def test_criterion_3_epsilons_and_dpl():
     started = time.time()
-    rep1 = check_lemma_epsilons(1000, seed=3)
+    rep1 = cmd_check_lemma("epsilons", 1000, 3)
     ok1 = rep1["status"] == "pass"
     _report("criterion 3a (distance preservation, 10^3 instances)", ok1, started, 600,
             f"checked={rep1['checked']} vacuous={rep1['vacuous']} violations={rep1['violations']}")
     started2 = time.time()
-    rep2 = check_lemma_dpl_product(500, seed=4)
+    rep2 = cmd_check_lemma("dpl_product", 500, 4)
     ok2 = rep2["status"] == "pass"
     _report("criterion 3b (product distance preservation, 500 instances)", ok2,
             started2, 600,
@@ -155,8 +152,8 @@ def test_criterion_3_epsilons_and_dpl():
 
 def test_criterion_4_granularisation():
     started = time.time()
-    rep1 = check_lemma_grainer(10 ** 4, seed=5)
-    rep2 = check_lemma_grainer_distance(10 ** 3, seed=6)
+    rep1 = cmd_check_lemma("grainer-claim", 10 ** 4, 5)
+    rep2 = cmd_check_lemma("grainer-distance", 10 ** 3, 6)
     ok = rep1["status"] == "pass" and rep2["status"] == "pass"
     _report("criterion 4 (granularisation invariants + distance factor 1/2)", ok,
             started, 120,
@@ -165,14 +162,14 @@ def test_criterion_4_granularisation():
 
 def test_criterion_5_fold_dispersed():
     started = time.time()
-    rep = check_lemma_fold_dispersed(10 ** 4, seed=7)
+    rep = cmd_check_lemma("fold_dispersed", 10 ** 4, 7)
     _report("criterion 5 (marginal dispersion never increases, 10^4 PMFs)",
             rep["status"] == "pass", started, 120, f"violations={rep['violations']}")
 
 
 def test_criterion_6_subspace_lemma():
     started = time.time()
-    rep = check_lemma_linsub(1000, seed=8)
+    rep = cmd_check_lemma("linSub", 1000, 8)
     _report("criterion 6 (two-subspace lemma, 10^3 certified instances)",
             rep["status"] == "pass", started, 300,
             f"checked={rep['checked']} vacuous={rep['vacuous']} violations={rep['violations']}")
@@ -213,11 +210,9 @@ def test_criterion_7_soundness_monte_carlo():
     trials_h = 200
     rejects_h = 0
     for t in range(trials_h):
-        verdict, _ = amplify(
-            lambda s: (lambda r: (r.verdict, r.ledger))(
-                run_ham_ipp(x, D1, w, eps_h, committed, s)),
-            3, "all-accept", seed=t)
-        if not verdict.accepted:
+        result = amplify(lambda s: run_ham_ipp(x, D1, w, eps_h, committed, s),
+                         3, "all-accept", seed=t)
+        if not result.verdict.accepted:
             rejects_h += 1
     sigma_h = math.sqrt((2 / 3) * (1 / 3) / trials_h)
     ok_ham = rejects_h / trials_h >= 2 / 3 - 3 * sigma_h
@@ -303,7 +298,7 @@ def test_criterion_8_ledger_laws():
 
 def test_criterion_9_min_distance_events():
     started = time.time()
-    rep = check_lemma_min_distance(500, seed=11)
+    rep = cmd_check_lemma("rr20_min_dist", 500, 11)
     _report("criterion 9 (random-J PVAL minimum distance events, 500 draws)",
             rep["status"] == "pass", started, 600,
             f"t={rep['t']} freq={rep['frequency']:.4f} bound={rep['bound']:.4f}")

@@ -359,6 +359,9 @@ def _drop(config, key):
     ({"protocol": "set_lower_bound", "trials": 1, "seed": 1, "ell": 4, "delta": 1}, None,
      "'delta'"),
     ({**FIN, "protocol": "whitebox_product", "tau": 1.5}, None, "'tau'"),
+    ({**FIN, "prover": {"mode": "random-lie", "prob": 1.5}}, None, "'prover.prob'"),
+    ({**FIN, "prover": {"mode": "random-lie", "prob": -3}}, None, "'prover.prob'"),
+    ({**FIN, "prover": {"mode": "random-lie", "prob": float("nan")}}, None, "'prover.prob'"),
 ], ids=["fin_ipp-bogus-mode", "whitebox-row-tamper", "unknown-lemma", "fin_ipp-str-k",
         "fin_ipp-no-eps", "ham-no-eps", "fin_ipp-str-prover", "ham-eps-0", "ham-eps-1/0",
         "trials-true", "fin_ipp-bogus-dist_mode", "echo-prover", "rlcc-prover",
@@ -372,7 +375,8 @@ def _drop(config, key):
         "df_ipp_nc-claims-count-mismatch", "dispersed_ipp_nc-claim-point-not-in-F^m",
         "poly_fold-count-mismatch", "fin_ipp-point-not-in-F^m", "set_lower_bound-mass-over-1",
         "set_lower_bound-tau-5/2", "set_lower_bound-tau-1", "set_lower_bound-tau-1000",
-        "set_lower_bound-delta-1", "whitebox_product-tau-3/2"])
+        "set_lower_bound-delta-1", "whitebox_product-tau-3/2", "random-lie-prob-1.5",
+        "random-lie-prob--3", "random-lie-prob-nan"])
 def test_cli_bad_input_is_a_usage_error(config, argv, message, tmp_path, capsys):
     if config is not None:
         path = tmp_path / "c.json"
@@ -385,6 +389,19 @@ def test_cli_bad_input_is_a_usage_error(config, argv, message, tmp_path, capsys)
     assert captured.out == ""
     last = captured.err.splitlines()[-1]
     assert last.startswith("dfipp: error: ") and message in last
+
+
+@pytest.mark.parametrize("ell", [21, 64])
+def test_set_lower_bound_over_the_input_budget_is_refused(ell, tmp_path, capsys):
+    # refused before any of the 2^ell default claims is built, so at once even at ell = 64
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"protocol": "set_lower_bound", "trials": 1, "seed": 1,
+                                "ell": ell}))
+    assert cli_main(["run", "--config", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ('{"status": "refused", "reason": '
+                            '"honest prover enumeration over budget"}\n')
 
 
 @pytest.mark.parametrize("eps", [2, 0.25, "1/4"])

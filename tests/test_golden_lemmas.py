@@ -2,8 +2,8 @@
 
 Every lemma suite draws its instances from a seeded rng, so a change that
 claims to alter no report must leave these sha256 digests alone.  Each of
-the nine suites is pinned at a small trial count and two seeds; one budget
-refusal pins exit code 3 and its stderr line; each demo script is run as a
+the nine suites is pinned at a small trial count and two seeds; budget
+refusals pin exit code 3 and the stderr line; each demo script is run as a
 subprocess and its stdout pinned.  The suite reports only print counts, so
 the exact sides of the preservation inequalities and the full folding-claim
 reports are pinned too, over a fixed stream of instances.
@@ -22,7 +22,7 @@ import pytest
 
 from dfipp.cli import main
 from dfipp.distributions import Pmf, granularise
-from dfipp.experiments import _consistent_matrix, _random_shaped_pmf
+from dfipp.experiments import LEMMA_CHECKS, _consistent_matrix, _random_shaped_pmf
 from dfipp.field import InputTensor, PrimeField
 from dfipp.product import check_product_dpl, gen_product_fixture
 from dfipp.protocols import check_appendix_claims, check_distance_preservation, fold_kappa
@@ -128,6 +128,18 @@ def test_golden_budget_refusal():
     assert out == ""
     assert err == ('{"status": "refused", "reason": '
                    '"|F|^(k^m) = 5^4 exceeds enumeration budget 10"}\n')
+
+
+@pytest.mark.parametrize("lemma", ["dpl_product", "rr20_min_dist", "appendix-a"])
+def test_budget_refusal_before_any_output(lemma):
+    code, out, err = _cli(["check-lemma", lemma, "--trials", "5", "--budget", "10"])
+    assert (code, out) == (3, "")
+    assert err == ('{"status": "refused", "reason": '
+                   '"|F|^(k^m) = 5^4 exceeds enumeration budget 10"}\n')
+
+
+def test_every_suite_has_a_golden_pin():
+    assert set(TRIALS) == set(LEMMA_CHECKS)
 
 
 @pytest.mark.parametrize("demo", sorted(GOLDEN_DEMOS))

@@ -225,12 +225,14 @@ def coin_protocol(p_reject: float):
 
 
 def test_amplify_single_repetition_identity():
-    verdict, ledger = amplify(coin_protocol(0.0), 1, "all-accept", seed=3)
-    assert verdict.accepted
+    result = amplify(coin_protocol(0.0), 1, "all-accept", seed=3)
+    plain = coin_protocol(0.0)(random.Random(3).getrandbits(63))
+    assert result.verdict.accepted
+    assert result[1:] == (plain.ledger, plain.transcript, ["amplified x1", *plain.notes])
 
 
 def test_amplify_preserves_perfect_completeness():
-    verdict, _ = amplify(coin_protocol(0.0), 25, "all-accept", seed=4)
+    verdict = amplify(coin_protocol(0.0), 25, "all-accept", seed=4).verdict
     assert verdict.accepted
 
 
@@ -238,7 +240,7 @@ def test_amplify_all_accept_reject_rate():
     p, reps, trials = 0.3, 4, 1000
     rejected = 0
     for t in range(trials):
-        verdict, _ = amplify(coin_protocol(p), reps, "all-accept", seed=t)
+        verdict = amplify(coin_protocol(p), reps, "all-accept", seed=t).verdict
         if not verdict.accepted:
             rejected += 1
     target = 1 - (1 - p) ** reps
@@ -247,9 +249,9 @@ def test_amplify_all_accept_reject_rate():
 
 
 def test_amplify_majority():
-    verdict, _ = amplify(coin_protocol(1.0), 5, "majority", seed=0)
+    verdict = amplify(coin_protocol(1.0), 5, "majority", seed=0).verdict
     assert not verdict.accepted
-    verdict, _ = amplify(coin_protocol(0.0), 5, "majority", seed=0)
+    verdict = amplify(coin_protocol(0.0), 5, "majority", seed=0).verdict
     assert verdict.accepted
 
 
