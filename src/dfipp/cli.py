@@ -9,6 +9,7 @@ exits 2, through argparse.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -58,7 +59,9 @@ def _jsonable(obj):
     return obj
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(prog="dfipp",
                                      description="protocol simulator and lemma checker")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -85,7 +88,11 @@ def main(argv=None) -> int:
 
     p_rep = sub.add_parser("replay", help="re-verify a recorded transcript")
     p_rep.add_argument("transcript")
+    return parser
 
+
+def main(argv=None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
 
     try:

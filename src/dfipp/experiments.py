@@ -15,6 +15,7 @@ import math
 import random
 from fractions import Fraction
 from dataclasses import asdict, fields, replace
+from functools import partial
 from typing import NamedTuple, Optional
 
 from .field import InputTensor, PrimeField, lagrange_basis, lde_eval, uniform_draws
@@ -157,14 +158,17 @@ def validate_config(config: dict) -> None:
 
 
 _ALT = {"alt": [int]}
+# a fold prover object builds a factory of fresh provers; random-lie seeds each one's coins
+# with one setup-rng draw, the last of its set-up
 _FOLD_PROVERS = Modes("mode", "honest", {
-    "honest": ({}, {}, lambda s, X, rng: HonestFoldProver(X)),
-    "fixed-alternative": (_ALT, {}, lambda s, X, rng: HonestFoldProver(
+    "honest": ({}, {}, lambda s, X, rng: partial(HonestFoldProver, X)),
+    "fixed-alternative": (_ALT, {}, lambda s, X, rng: lambda: HonestFoldProver(
         replace(X, data=tuple(s["alt"])))),
-    "row-tamper": ({}, {"row": int, "col": int, "delta": int}, lambda s, X, rng:
-                   RowTamperFoldProver(X, s.get("row", 0), s.get("col", 0), s.get("delta", 1))),
-    "random-lie": ({}, {"prob": _probability}, lambda s, X, rng: RandomLieFoldProver(
-        X, float(s.get("prob", 0.1)), random.Random(rng.getrandbits(63)))),
+    "row-tamper": ({}, {"row": int, "col": int, "delta": int}, lambda s, X, rng: partial(
+        RowTamperFoldProver, X, s.get("row", 0), s.get("col", 0), s.get("delta", 1))),
+    "random-lie": ({}, {"prob": _probability}, lambda s, X, rng: partial(
+        lambda seed: RandomLieFoldProver(X, float(s.get("prob", 0.1)), random.Random(seed)),
+        rng.getrandbits(63))),
 })
 _HAM_PROVERS = Modes("mode", "honest", {
     "honest": ({}, {}, lambda s, x: HonestHamProver(x)),
@@ -229,7 +233,7 @@ def _tensor_and_instance(config: dict, rng: random.Random):
     if "points" in config:
         points, values = _claimed(config["points"], config["values"], X.m)
     else:
-        points = tuple(X.field.rand_point(X.m, rng) for _ in range(config.get("t", 2)))
+        points = X.field.rand_points(config.get("t", 2), X.m, rng)
         values = tuple(lde_eval(X, pt) for pt in points)
     return X, PvalInstance(X.field, X.k, X.m, points, values)
 
@@ -261,7 +265,7 @@ def _fold_meta(X: InputTensor, D=None, **fields) -> dict:
     return {"n": X.n, "k": X.k, "m": X.m, "field": X.field.modulus, **rho, **fields}
 
 
-def _run_echo(config: dict, rng: random.Random, seed: int, prover):
+def _run_echo(config: dict, rng: random.Random):
     bits = config.get("bits", 16)
 
     def verifier(session):
@@ -270,95 +274,89 @@ def _run_echo(config: dict, rng: random.Random, seed: int, prover):
         msg = session.ask("echo/reply", None, expect=[(bits, 1)])
         return ACCEPT if msg.values() == x else Verdict(False, "echo-mismatch")
 
-    return run_session(verifier, prover or EchoProver(), OracleHandles(()), seed), {"n": bits}
+    return (lambda seed, prover: run_session(verifier, prover or EchoProver(), OracleHandles(()),
+                                             seed)), {"n": bits}
 
 
-def _ham_setup(config: dict, rng: random.Random, prover):
-    """Input bits, distribution, eps and prover shared by ham and symmetric."""
+def _ham_setup(config: dict, rng: random.Random):
+    """Input bits, distribution, eps, prover factory and row fields of ham and symmetric."""
     n = config["n"]
     eps = _frac(config["eps"])
     x = _sized(config["x"], n, "x") if "x" in config else \
         tuple(rng.getrandbits(1) for _ in range(n))
     D = _distribution(config, n)
-    if prover is None:
-        prover = _HAM_PROVERS.build(config.get("prover", {}), x)
-    return x, D, eps, prover, {"n": n, "eps": str(eps)}
+    make = partial(_HAM_PROVERS.build, config.get("prover", {}), x)
+    return x, D, eps, make, {"n": n, "eps": str(eps)}
 
 
-def _run_ham(config: dict, rng: random.Random, seed: int, prover):
-    x, D, eps, prover, meta = _ham_setup(config, rng, prover)
-    w = config.get("w", sum(x))
-    return run_ham_ipp(x, D, w, eps, prover, seed, c=config.get("c", DEFAULT_HAM_C)), meta
+def _run_ham(config: dict, rng: random.Random):
+    x, D, eps, make, meta = _ham_setup(config, rng)
+    w, c = config.get("w", sum(x)), config.get("c", DEFAULT_HAM_C)
+    return lambda seed, prover: run_ham_ipp(x, D, w, eps, prover or make(), seed, c=c), meta
 
 
-def _run_symmetric(config: dict, rng: random.Random, seed: int, prover):
-    x, D, eps, prover, meta = _ham_setup(config, rng, prover)
-    pred_mod = config.get("predicate", 2)
-    return run_symmetric_ipp(x, D, lambda v: v % pred_mod == 0, eps, prover, seed,
-                             c=config.get("c", DEFAULT_HAM_C)), meta
+def _run_symmetric(config: dict, rng: random.Random):
+    x, D, eps, make, meta = _ham_setup(config, rng)
+    pred_mod, c = config.get("predicate", 2), config.get("c", DEFAULT_HAM_C)
+    return (lambda seed, prover: run_symmetric_ipp(x, D, lambda v: v % pred_mod == 0, eps,
+                                                   prover or make(), seed, c=c)), meta
 
 
-def _run_poly_fold(config: dict, rng: random.Random, seed: int, prover):
+def _run_poly_fold(config: dict, rng: random.Random):
     X, inst = _tensor_and_instance(config, rng)
     kappa = config.get("kappa", fold_kappa(1, inst.k))
-    prover = prover or _FOLD_PROVERS.build(config.get("prover", {}), X, rng)
-    result, _outputs = run_poly_fold(X, inst, kappa, prover, seed)
-    return result, _fold_meta(X)
+    make = _FOLD_PROVERS.build(config.get("prover", {}), X, rng)
+    return (lambda seed, prover: run_poly_fold(X, inst, kappa, prover or make(), seed)[0]), \
+        _fold_meta(X)
 
 
-def _run_fin_ipp(config: dict, rng: random.Random, seed: int, prover):
+def _run_fin_ipp(config: dict, rng: random.Random):
     X, inst = _tensor_and_instance(config, rng)
     eps = _frac(config["eps"])
     D = _distribution(config, X.n, shape=(inst.k, inst.m))
-    prover = prover or _FOLD_PROVERS.build(config.get("prover", {}), X, rng)
-    result = run_fin_ipp(X, inst, D, eps, config["r"], prover, seed,
-                         kappa_override=config.get("kappa_override"),
-                         **({"dist_mode": config["dist_mode"]} if "dist_mode" in config else {}))
-    return result, _fold_meta(X, D, r=config["r"], eps=str(eps))
+    make = _FOLD_PROVERS.build(config.get("prover", {}), X, rng)
+    options = {"kappa_override": config.get("kappa_override"),
+               **({"dist_mode": config["dist_mode"]} if "dist_mode" in config else {})}
+    return (lambda seed, prover: run_fin_ipp(X, inst, D, eps, config["r"], prover or make(),
+                                             seed, **options)), \
+        _fold_meta(X, D, r=config["r"], eps=str(eps))
 
 
-def _nc_setup(config: dict, rng: random.Random, seed: int, prover):
-    """The arguments of both NC df-IPP runners, (X, D, eps, gen, prover, seed, r,
-    kappa_override), and the report row fields."""
-    X = _tensor(config, rng)
-    eps = _frac(config["eps"])
-    D = _distribution(config, X.n, shape=(X.k, X.m))
-    gen, values = _NC_CLAIMS.build(config.get("claims", {}), X)
-    if prover is None:  # a prover_override (a replay) answers claims/values itself
-        prover = _FOLD_PROVERS.build(config.get("prover", {}), X, rng)
-        if values is not None:
-            prover = ScriptedClaimsProver(prover, values, X.field.bits)
-    r = config.get("r", DEFAULT_NC_R)
-    return ((X, D, eps, gen, prover, seed, r, config.get("kappa_override")),
-            _fold_meta(X, D, r=r, eps=str(eps)))
+def _nc(runner):
+    """The builder of an NC df-IPP that runner(X, D, eps, gen, prover, seed, r,
+    kappa_override) runs."""
+    def build(config: dict, rng: random.Random):
+        X = _tensor(config, rng)
+        eps = _frac(config["eps"])
+        D = _distribution(config, X.n, shape=(X.k, X.m))
+        gen, values = _NC_CLAIMS.build(config.get("claims", {}), X)
+        fold = _FOLD_PROVERS.build(config.get("prover", {}), X, rng)
+        # a prover_override (a replay) answers claims/values itself
+        make = fold if values is None else \
+            lambda: ScriptedClaimsProver(fold(), values, X.field.bits)
+        r, kappa_override = config.get("r", DEFAULT_NC_R), config.get("kappa_override")
+        return (lambda seed, prover: runner(X, D, eps, gen, prover or make(), seed, r,
+                                            kappa_override)), \
+            _fold_meta(X, D, r=r, eps=str(eps))
+    return build
 
 
-def _run_df_ipp_nc(config: dict, rng: random.Random, seed: int, prover):
-    args, meta = _nc_setup(config, rng, seed, prover)
-    return run_df_ipp_nc(*args), meta
-
-
-def _run_dispersed_ipp_nc(config: dict, rng: random.Random, seed: int, prover):
-    args, meta = _nc_setup(config, rng, seed, prover)
-    return run_dispersed_ipp_nc(*args), meta
-
-
-def _run_whitebox_product(config: dict, rng: random.Random, seed: int, prover):
+def _run_whitebox_product(config: dict, rng: random.Random):
     D, circuit = gen_product_fixture(config["k"], config["m"],
                                      config.get("profile", "uniform"), rng=rng)
     X, inst = _tensor_and_instance(config, rng)
     eps = _frac(config["eps"])
     committed = _WHITEBOX_COMMITS.build(config.get("prover", {}), X)
-    prover = prover or WhiteboxFoldProver(committed, D.factors, circuit)
-    result = run_whitebox_product_ipp(
-        X, inst, eps, circuit, config["r"], prover, seed,
-        tau=_frac(config.get("tau", DEFAULT_TAU)),
+    tau = _frac(config.get("tau", DEFAULT_TAU))
+    return (lambda seed, prover: run_whitebox_product_ipp(
+        X, inst, eps, circuit, config["r"],
+        prover or WhiteboxFoldProver(committed, D.factors, circuit), seed, tau=tau,
         kappa_override=config.get("kappa_override"),
-        bucket_bits=_bucket_bits(config, circuit.n_inputs))
-    return result, _fold_meta(X, D, r=config["r"], eps=str(eps))
+        bucket_bits=_bucket_bits(config, circuit.n_inputs))), \
+        _fold_meta(X, D, r=config["r"], eps=str(eps))
 
 
-def _run_rlcc(config: dict, rng: random.Random, seed: int, prover):
+def _run_rlcc(config: dict, rng: random.Random):
     bits = config["bits"]
     n = 1 << bits
     eps = _frac(config["eps"])
@@ -367,13 +365,15 @@ def _run_rlcc(config: dict, rng: random.Random, seed: int, prover):
         if not 0 <= i < n:
             raise ValueError(f"config key 'corruptions' must index the {n} codeword bits")
         x[i] ^= 1
+    x = tuple(x)
     D = _distribution(config, n)
-    result = run_rlcc_transform(tuple(x), D, blr_linearity_ipp(eps, bits),
-                                hadamard_corrector(bits), eps, prover or NullProver(), seed)
-    return result, {"n": n, "eps": str(eps)}
+    ipp, corrector = blr_linearity_ipp(eps, bits), hadamard_corrector(bits)
+    return (lambda seed, prover: run_rlcc_transform(x, D, ipp, corrector, eps,
+                                                    prover or NullProver(), seed)), \
+        {"n": n, "eps": str(eps)}
 
 
-def _run_set_lower_bound(config: dict, rng: random.Random, seed: int, prover):
+def _run_set_lower_bound(config: dict, rng: random.Random):
     ell = config["ell"]
     if ell > CIRCUIT_INPUT_BUDGET:  # before any of the 2^ell default claims is built
         raise BudgetExceeded("honest prover enumeration over budget")
@@ -385,15 +385,15 @@ def _run_set_lower_bound(config: dict, rng: random.Random, seed: int, prover):
         raise ValueError("config key 'claims' must sum to at most 1")
     claim = MarginalClaim(probs, _frac(config.get("tau", DEFAULT_TAU)),
                           _frac(config.get("delta", "1/20")))
-    prover = prover or HonestSlbProver(circuit, lambda y: y)
-    result = run_set_lower_bound(circuit, claim, prover, seed,
-                                 bucket_bits=_bucket_bits(config, ell))
-    return result, {"n": n_sym}
+    bucket_bits = _bucket_bits(config, ell)
+    return (lambda seed, prover: run_set_lower_bound(
+        circuit, claim, prover or HonestSlbProver(circuit, lambda y: y), seed,
+        bucket_bits=bucket_bits)), {"n": n_sym}
 
 
 # protocol name -> (required key specs, optional key specs, builder); a builder
-# takes (config, setup rng, trial seed, prover or None) and returns (RunResult,
-# report row fields)
+# sets a config up from the setup rng and returns (trial, report row fields), where
+# trial(seed, prover or None) runs one session with a fresh prover unless given one
 _TENSOR = {"field_modulus": int, "k": POSITIVE, "m": POSITIVE}
 _CLAIMED = {"x": [int], "points": [[int]], "values": [int]}
 _HAM = {"x": [int], "distribution": _DISTRIBUTION, "c": POSITIVE, "prover": _HAM_PROVERS}
@@ -411,8 +411,8 @@ _PROTOCOLS = {
                  "distribution": _DISTRIBUTION, "dist_mode": frozenset({"oracle", "uniform"}),
                  "prover": _FOLD_PROVERS},
                 _run_fin_ipp),
-    "df_ipp_nc": ({**_TENSOR, "eps": _positive}, _NC, _run_df_ipp_nc),
-    "dispersed_ipp_nc": ({**_TENSOR, "eps": _positive}, _NC, _run_dispersed_ipp_nc),
+    "df_ipp_nc": ({**_TENSOR, "eps": _positive}, _NC, _nc(run_df_ipp_nc)),
+    "dispersed_ipp_nc": ({**_TENSOR, "eps": _positive}, _NC, _nc(run_dispersed_ipp_nc)),
     "whitebox_product": ({**_TENSOR, "r": POSITIVE, "eps": _positive},
                          {**_CLAIMED, "kappa_override": POSITIVE, "tau": _unit,
                           "profile": frozenset(FIXTURE_PROFILES),
@@ -431,36 +431,26 @@ _CONFIG = Modes("protocol", None, {name: (
      **optional}, build) for name, (required, optional, build) in _PROTOCOLS.items()})
 
 
-def run_protocol(config: dict, seed: int, prover_override=None):
-    """Execute one trial; returns (RunResult, meta row fields).
-
-    A config-level "repetitions" (with "rule": all-accept | majority) wraps
-    the trial in standard soundness amplification (session.amplify); one
-    prover_override answers every repetition in turn, and the first
-    repetition's meta is the trial's.
-    """
-    reps = config.get("repetitions", 1)
-    if reps > 1:
-        inner = {k: v for k, v in config.items() if k not in ("repetitions", "rule")}
-        metas = []
-
-        def once(s):
-            result, meta = run_protocol(inner, s, prover_override)
-            metas.append(meta)
-            return result
-
-        result = amplify(once, reps, config.get("rule", "all-accept"), seed)
-        return result, metas[0]
-
+def _setup(config: dict):
+    """Set config up once: (trial(seed, prover_override) -> RunResult, meta row fields).
+    A config-level "repetitions" (with "rule": all-accept | majority) amplifies each
+    trial (session.amplify) over the one set-up; one prover_override answers them all."""
     protocol = config["protocol"]
     if protocol not in _PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
+    once, fields = _PROTOCOLS[protocol][2](config, _setup_rng(config["seed"]))
     meta = {"protocol": protocol, "n": "", "k": "", "m": "", "r": "", "eps": "",
-            "rho": "", "field": ""}
-    result, fields = _PROTOCOLS[protocol][2](config, _setup_rng(config["seed"]), seed,
-                                             prover_override)
-    meta.update(fields)
-    return result, meta
+            "rho": "", "field": "", **fields}
+    reps, rule = config.get("repetitions", 1), config.get("rule", "all-accept")
+    if reps > 1:
+        return (lambda seed, prover: amplify(lambda s: once(s, prover), reps, rule, seed)), meta
+    return once, meta
+
+
+def run_protocol(config: dict, seed: int, prover_override=None):
+    """Set config up and execute one trial; returns (RunResult, meta row fields)."""
+    trial, meta = _setup(config)
+    return trial(seed, prover_override), meta
 
 
 class EchoProver(ProverStrategy):
@@ -493,9 +483,10 @@ def cmd_run(config: dict, out_prefix: Optional[str] = None) -> dict:
     reasons: dict[str, int] = {}
     agg = {key: [] for key in _LEDGER}
     clamps: list[str] = []
+    trial, meta = _setup(config)
     for _ in range(config["trials"]):
         trial_seed = seeder.getrandbits(63)
-        result, meta = run_protocol(config, trial_seed)
+        result = trial(trial_seed, None)
         counts = asdict(result.ledger)
         rows.append({**meta, **counts, "accepted": int(result.verdict.accepted),
                      "reject_reason": result.verdict.reject_reason or "",
@@ -703,7 +694,7 @@ def _claimed_instance(field: PrimeField, k: int, m: int, max_t: int, rng: random
     column checks, or None in place of Y when no such matrix exists."""
     X = InputTensor.random(field, k, m, rng)
     t = rng.randrange(1, max_t)
-    points = tuple(field.rand_point(m, rng) for _ in range(t))
+    points = field.rand_points(t, m, rng)
     if rng.randrange(4) == 0:
         values = tuple(lde_eval(X, pt) for pt in points)
     else:
@@ -850,7 +841,7 @@ def _min_distance(draws: int, rng: random.Random, budget: int) -> dict:
     events = 0
     for _ in range(draws):
         X = InputTensor.random(_F5, 2, 2, rng)
-        points = tuple(_F5.rand_point(2, rng) for _ in range(t))
+        points = _F5.rand_points(t, 2, rng)
         values = tuple(lde_eval(X, pt) for pt in points)
         inst = PvalInstance(_F5, 2, 2, points, values)
         dmin = pval_min_distance(inst, budget=budget)
@@ -870,7 +861,7 @@ def _appendix_a(trials: int, rng: random.Random, budget: int) -> dict:
         if instances == 3:
             break
         X = InputTensor.random(_F5, 2, 2, rng)
-        points = tuple(_F5.rand_point(2, rng) for _ in range(2))
+        points = _F5.rand_points(2, 2, rng)
         values = tuple(uniform_draws(rng, 5, 2))
         inst = PvalInstance(_F5, 2, 2, points, values)
         got = _consistent_matrix(_F5, 2, inst, rng)

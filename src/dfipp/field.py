@@ -85,6 +85,11 @@ class PrimeField:
     def rand_point(self, m: int, rng) -> tuple[int, ...]:
         return tuple(uniform_draws(rng, self.modulus, m))
 
+    def rand_points(self, t: int, m: int, rng) -> tuple[tuple[int, ...], ...]:
+        """t rand_point(m, rng) calls in one draw: the same points, then the same state."""
+        flat = uniform_draws(rng, self.modulus, t * m)
+        return tuple(tuple(flat[i * m:(i + 1) * m]) for i in range(t))
+
 
 def cell_index(coords: Iterable[int], k: int) -> int:
     """Flat index of a cell of [k]^m; the first coordinate is the most significant."""

@@ -381,7 +381,7 @@ def generate_pval_claims(session: Session, gen: ClaimGenerator, field: PrimeFiel
         n, t = k ** m, gen.t
         if t is None:
             t = max(1, math.ceil(4 * eps * n * math.log2(n))) if n > 1 else 1
-        points = tuple(field.rand_point(m, session.rng) for _ in range(t))
+        points = field.rand_points(t, m, session.rng)
     fb = field.bits
     session.tell("claims/points", [(tuple(c for pt in points for c in pt), fb)])
     msg = session.ask("claims/values", points, expect=[(len(points), fb)])

@@ -185,18 +185,22 @@ class Session:
     def _record(self, sender: str, tag: str, sections) -> Message:
         """Append one message; each (values, width) pair that is not a Section yet
         is validated by becoming one."""
-        sections = tuple(s if type(s) is Section else Section(*s) for s in sections)
-        msg = Message(sender, tag, sections)
+        checked, bits = [], 0
+        for s in sections:
+            s = s if type(s) is Section else Section(*s)
+            checked.append(s)
+            bits += len(s[0]) * s[1]
+        msg = Message(sender, tag, tuple(checked))
         self.transcript.append(msg)
         self.ledger.messages += 1
-        self.ledger.comm_bits += sum(len(values) * width for values, width in sections)
+        self.ledger.comm_bits += bits
         return msg
 
     def tell(self, tag: str, sections) -> Message:
         """Record a verifier -> prover message and deliver it to the prover."""
         msg = self._record(VERIFIER, tag, sections)
         try:
-            self.prover.observe(tag, [s.values for s in msg.sections])
+            self.prover.observe(tag, [s[0] for s in msg.sections])
         except Exception as exc:  # an adversarial strategy raised
             raise ProtocolViolation(str(exc))
         return msg

@@ -580,3 +580,81 @@ def test_every_form_of_one_law_runs_alike(protocol, form, tmp_path):
                                        "accepted")) for row in rows] == SAME_LAW_ROWS[protocol]
     shaped = cmd_run({**config, "distribution": SAME_LAW["explicit-shaped"]})
     assert {**record, "config_hash": None} == {**shaped, "config_hash": None}
+
+
+# --- one set-up per cmd_run ------------------------------------------------------
+
+_FIN17 = {"protocol": "fin_ipp", "trials": 3, "seed": 12, "field_modulus": 17, "k": 2, "m": 4,
+          "r": 1, "eps": "1/2"}
+SETUP_ONCE = {
+    "fin-random-lie": {**_FIN17, "prover": {"mode": "random-lie", "prob": 0.2}},
+    "fin-row-tamper": {**_FIN17, "prover": {"mode": "row-tamper", "row": 1, "delta": 3}},
+    "fin-fixed-alternative": {**_FIN17, "prover": {"mode": "fixed-alternative",
+                                                   "alt": [(5 * i + 1) % 17 for i in range(16)]}},
+    "ham-bad-sum": {"protocol": "ham", "trials": 3, "seed": 4, "n": 8, "eps": "1/4",
+                    "prover": {"mode": "bad-sum"}},
+    "whitebox-dyadic-random": {"protocol": "whitebox_product", "trials": 3, "seed": 8,
+                               "field_modulus": 17, "k": 2, "m": 3, "r": 1, "eps": "1/2",
+                               "profile": "dyadic-random"},
+    "nc-adversarial-claims": {"protocol": "df_ipp_nc", "trials": 3, "seed": 5,
+                              "field_modulus": 17, "k": 2, "m": 2, "eps": "1/2",
+                              "claims": {"mode": "adversarial", "points": [[1, 2], [3, 4]],
+                                         "values": [5, 6]}},
+    "amplified-all-accept": {**_FIN17, "repetitions": 3, "rule": "all-accept",
+                             "prover": {"mode": "random-lie", "prob": 0.05}},
+    "amplified-majority": {"protocol": "dispersed_ipp_nc", "trials": 3, "seed": 2,
+                           "field_modulus": 17, "k": 2, "m": 3, "eps": "1/2",
+                           "repetitions": 3, "rule": "majority",
+                           "prover": {"mode": "random-lie", "prob": 0.02}},
+}
+
+
+@pytest.mark.parametrize("config", SETUP_ONCE.values(), ids=SETUP_ONCE)
+def test_cmd_run_sets_up_once_and_each_trial_is_a_lone_run(config, tmp_path, monkeypatch):
+    # one setup rng per cmd_run, whatever the trials and repetitions; and every
+    # trial (verdict, ledger, notes, transcript, CSV row) is run_protocol at its seed
+    from dfipp import experiments
+    seeds, trials = [], []
+    real_rng, real_setup = experiments._setup_rng, experiments._setup
+
+    def setup(cfg):
+        trial, meta = real_setup(cfg)
+        return (lambda seed, prover: trials.append((seed, trial(seed, prover)))
+                or trials[-1][1]), meta
+
+    monkeypatch.setattr(experiments, "_setup_rng", lambda s: seeds.append(s) or real_rng(s))
+    monkeypatch.setattr(experiments, "_setup", setup)
+    out = str(tmp_path / "run")
+    record = cmd_run(dict(config), out_prefix=out)
+    assert seeds == [config["seed"]]
+    monkeypatch.undo()
+
+    with open(out + ".csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(row["seed"]) for row in rows] == [seed for seed, _ in trials]
+    assert len(rows) == 3
+    notes = []
+    for row, (seed, got) in zip(rows, trials):
+        want, meta = run_protocol(config, seed)
+        assert got == want
+        assert row == {key: str(value) for key, value in {
+            **meta, **vars(want.ledger), "accepted": int(want.verdict.accepted),
+            "reject_reason": want.verdict.reject_reason or "", "seed": seed}.items()}
+        notes.extend(want.notes)
+    assert record["parameter_notes"] == list(dict.fromkeys(notes))
+    if "repetitions" in config:
+        assert all(r.notes[0] == f"amplified x{config['repetitions']}" for _, r in trials)
+
+
+def test_setup_once_cases_accept_and_reject():
+    # the cases above are not all of one outcome: the cheating provers are caught
+    reasons = {name: cmd_run(dict(config))["reject_reasons"]
+               for name, config in SETUP_ONCE.items()}
+    assert reasons == {"fin-random-lie": {"fold-consistency": 3},
+                       "fin-row-tamper": {"fold-consistency": 3},
+                       "fin-fixed-alternative": {"fold-consistency": 3},
+                       "ham-bad-sum": {"sum": 3},
+                       "whitebox-dyadic-random": {},
+                       "nc-adversarial-claims": {"fold-consistency": 3},
+                       "amplified-all-accept": {},
+                       "amplified-majority": {"fold-consistency": 3}}

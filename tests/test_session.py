@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from dfipp.session import (ACCEPT, CostLedger, OracleHandles, ProtocolViolation, ProverStrategy,
-                           ReplayProver, Section, Verdict, amplify, dump_transcript,
-                           load_transcript, run_session)
+from dfipp.session import (ACCEPT, PROVER, VERIFIER, CostLedger, Message, OracleHandles,
+                           ProtocolViolation, ProverStrategy, ReplayProver, Section, Session,
+                           Verdict, amplify, dump_transcript, load_transcript, run_session)
 from dfipp.distributions import Pmf
 
 
@@ -120,6 +120,47 @@ def test_section_names_the_first_value_that_does_not_fit():
         Section((0, 7, 3, 8, 9), 3)
     with pytest.raises(ProtocolViolation, match=r"^value -1 does not fit in 2 bits$"):
         Section((0, 3, 1, -1, 4), 2)
+
+
+class ObservingProver(ProverStrategy):
+    def __init__(self):
+        self.seen = []
+
+    def observe(self, tag, sections):
+        self.seen.append((tag, sections))
+
+
+MIXED = [Section((1, 2), 3), ((5, 0, 7), 4), Section((), 2), ([1], 1), ((6, 6), 3)]
+MIXED_MESSAGE = (Section((1, 2), 3), Section((5, 0, 7), 4), Section((), 2), Section((1,), 1),
+                 Section((6, 6), 3))
+
+
+def test_record_mixes_sections_and_raw_pairs():
+    session = Session(ObservingProver(), OracleHandles(()), 0)
+    msg = session._record(PROVER, "mixed", MIXED)
+    assert msg == Message(PROVER, "mixed", MIXED_MESSAGE)
+    assert [type(s) for s in msg.sections] == [Section] * 5
+    assert msg.sections[0] is MIXED[0]  # a Section is kept, not rebuilt
+    assert session.transcript == [msg]
+    assert session.ledger == CostLedger(comm_bits=2 * 3 + 3 * 4 + 0 + 1 + 2 * 3, messages=1)
+    assert session.ledger.comm_bits == msg.bits
+
+
+def test_tell_records_a_mixed_message_and_delivers_its_values():
+    prover = ObservingProver()
+    session = Session(prover, OracleHandles(()), 0)
+    msg = session.tell("mixed", MIXED)
+    assert msg == Message(VERIFIER, "mixed", MIXED_MESSAGE)
+    assert prover.seen == [("mixed", [(1, 2), (5, 0, 7), (), (1,), (6, 6)])]
+    assert session.ledger == CostLedger(comm_bits=25, messages=1)
+
+
+def test_record_names_a_bad_value_in_the_second_section_and_records_nothing():
+    session = Session(ObservingProver(), OracleHandles(()), 0)
+    with pytest.raises(ProtocolViolation, match=r"^value 8 does not fit in 3 bits$"):
+        session._record(PROVER, "bad", [Section((1,), 2), ((0, 7, 3, 8, 9), 3), ((0,), 1)])
+    assert session.transcript == []
+    assert session.ledger == CostLedger()
 
 
 @pytest.mark.parametrize("values,width,text", [

@@ -1,10 +1,11 @@
-"""uniform_draws is the randrange comprehension: the same values, then the same state."""
+"""uniform_draws is the randrange comprehension: the same values, then the same state;
+rand_points is the rand_point loop in one such draw."""
 
 import random
 
 import pytest
 
-from dfipp.field import uniform_draws
+from dfipp.field import PrimeField, uniform_draws
 
 RANGES = [1, 2, 3, 5, 16, 17, 2 ** 31, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1, 2 ** 61 - 1,
           2 ** 100 + 7]
@@ -27,3 +28,13 @@ def test_empty_range_raises(n, count):
     with pytest.raises(ValueError):
         uniform_draws(rng, n, count)
     assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("p", [2, 5, 17, 97, 2 ** 61 - 1])
+@pytest.mark.parametrize("t,m", [(0, 3), (1, 1), (1, 4), (7, 2), (320, 5)])
+def test_rand_points_is_the_per_point_loop(p, t, m):
+    field = PrimeField(p)
+    for seed in (0, 3, 20230817):
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert field.rand_points(t, m, rng) == tuple(field.rand_point(m, ref) for _ in range(t))
+        assert rng.getstate() == ref.getstate()
