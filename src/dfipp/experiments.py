@@ -158,8 +158,8 @@ def validate_config(config: dict) -> None:
 
 
 _ALT = {"alt": [int]}
-# a fold prover object builds a factory of fresh provers; random-lie seeds each one's coins
-# with one setup-rng draw, the last of its set-up
+# a prover object builds a factory of fresh provers, which checks "alt" as it builds one;
+# random-lie seeds each one's coins with one setup-rng draw, the last of its set-up
 _FOLD_PROVERS = Modes("mode", "honest", {
     "honest": ({}, {}, lambda s, X, rng: partial(HonestFoldProver, X)),
     "fixed-alternative": (_ALT, {}, lambda s, X, rng: lambda: HonestFoldProver(
@@ -171,14 +171,15 @@ _FOLD_PROVERS = Modes("mode", "honest", {
         rng.getrandbits(63))),
 })
 _HAM_PROVERS = Modes("mode", "honest", {
-    "honest": ({}, {}, lambda s, x: HonestHamProver(x)),
-    "committed": (_ALT, {}, lambda s, x: HonestHamProver(
+    "honest": ({}, {}, lambda s, x: partial(HonestHamProver, x)),
+    "committed": (_ALT, {}, lambda s, x: lambda: HonestHamProver(
         _sized(s["alt"], len(x), "prover.alt"))),
-    "bad-sum": ({}, {}, lambda s, x: BadSumHamProver(x)),
+    "bad-sum": ({}, {}, lambda s, x: partial(BadSumHamProver, x)),
 })
-_WHITEBOX_COMMITS = Modes("mode", "honest", {
-    "honest": ({}, {}, lambda s, X: X),
-    "fixed-alternative": (_ALT, {}, lambda s, X: replace(X, data=tuple(s["alt"]))),
+_WHITEBOX_PROVERS = Modes("mode", "honest", {
+    "honest": ({}, {}, lambda s, X, D, C: partial(WhiteboxFoldProver, X, D.factors, C)),
+    "fixed-alternative": (_ALT, {}, lambda s, X, D, C: lambda: WhiteboxFoldProver(
+        replace(X, data=tuple(s["alt"])), D.factors, C)),
 })
 
 
@@ -274,8 +275,8 @@ def _run_echo(config: dict, rng: random.Random):
         msg = session.ask("echo/reply", None, expect=[(bits, 1)])
         return ACCEPT if msg.values() == x else Verdict(False, "echo-mismatch")
 
-    return (lambda seed, prover: run_session(verifier, prover or EchoProver(), OracleHandles(()),
-                                             seed)), {"n": bits}
+    return (lambda prover, seed: run_session(verifier, prover, OracleHandles(()), seed)), \
+        EchoProver, {"n": bits}
 
 
 def _ham_setup(config: dict, rng: random.Random):
@@ -285,28 +286,27 @@ def _ham_setup(config: dict, rng: random.Random):
     x = _sized(config["x"], n, "x") if "x" in config else \
         tuple(rng.getrandbits(1) for _ in range(n))
     D = _distribution(config, n)
-    make = partial(_HAM_PROVERS.build, config.get("prover", {}), x)
+    make = _HAM_PROVERS.build(config.get("prover", {}), x)
     return x, D, eps, make, {"n": n, "eps": str(eps)}
 
 
 def _run_ham(config: dict, rng: random.Random):
     x, D, eps, make, meta = _ham_setup(config, rng)
     w, c = config.get("w", sum(x)), config.get("c", DEFAULT_HAM_C)
-    return lambda seed, prover: run_ham_ipp(x, D, w, eps, prover or make(), seed, c=c), meta
+    return partial(run_ham_ipp, x, D, w, eps, c=c), make, meta
 
 
 def _run_symmetric(config: dict, rng: random.Random):
     x, D, eps, make, meta = _ham_setup(config, rng)
     pred_mod, c = config.get("predicate", 2), config.get("c", DEFAULT_HAM_C)
-    return (lambda seed, prover: run_symmetric_ipp(x, D, lambda v: v % pred_mod == 0, eps,
-                                                   prover or make(), seed, c=c)), meta
+    return partial(run_symmetric_ipp, x, D, lambda v: v % pred_mod == 0, eps, c=c), make, meta
 
 
 def _run_poly_fold(config: dict, rng: random.Random):
     X, inst = _tensor_and_instance(config, rng)
     kappa = config.get("kappa", fold_kappa(1, inst.k))
     make = _FOLD_PROVERS.build(config.get("prover", {}), X, rng)
-    return (lambda seed, prover: run_poly_fold(X, inst, kappa, prover or make(), seed)[0]), \
+    return (lambda prover, seed: run_poly_fold(X, inst, kappa, prover, seed)[0]), make, \
         _fold_meta(X)
 
 
@@ -315,30 +315,25 @@ def _run_fin_ipp(config: dict, rng: random.Random):
     eps = _frac(config["eps"])
     D = _distribution(config, X.n, shape=(inst.k, inst.m))
     make = _FOLD_PROVERS.build(config.get("prover", {}), X, rng)
-    options = {"kappa_override": config.get("kappa_override"),
-               **({"dist_mode": config["dist_mode"]} if "dist_mode" in config else {})}
-    return (lambda seed, prover: run_fin_ipp(X, inst, D, eps, config["r"], prover or make(),
-                                             seed, **options)), \
+    return partial(run_fin_ipp, X, inst, D, eps, config["r"],
+                   dist_mode=config.get("dist_mode", "oracle"),
+                   kappa_override=config.get("kappa_override")), make, \
         _fold_meta(X, D, r=config["r"], eps=str(eps))
 
 
-def _nc(runner):
-    """The builder of an NC df-IPP that runner(X, D, eps, gen, prover, seed, r,
+def _nc(config: dict, rng: random.Random, runner):
+    """The set-up of an NC df-IPP that runner(X, D, eps, gen, prover, seed, r,
     kappa_override) runs."""
-    def build(config: dict, rng: random.Random):
-        X = _tensor(config, rng)
-        eps = _frac(config["eps"])
-        D = _distribution(config, X.n, shape=(X.k, X.m))
-        gen, values = _NC_CLAIMS.build(config.get("claims", {}), X)
-        fold = _FOLD_PROVERS.build(config.get("prover", {}), X, rng)
-        # a prover_override (a replay) answers claims/values itself
-        make = fold if values is None else \
-            lambda: ScriptedClaimsProver(fold(), values, X.field.bits)
-        r, kappa_override = config.get("r", DEFAULT_NC_R), config.get("kappa_override")
-        return (lambda seed, prover: runner(X, D, eps, gen, prover or make(), seed, r,
-                                            kappa_override)), \
-            _fold_meta(X, D, r=r, eps=str(eps))
-    return build
+    X = _tensor(config, rng)
+    eps = _frac(config["eps"])
+    D = _distribution(config, X.n, shape=(X.k, X.m))
+    gen, values = _NC_CLAIMS.build(config.get("claims", {}), X)
+    fold = _FOLD_PROVERS.build(config.get("prover", {}), X, rng)
+    # a prover_override (a replay) answers claims/values itself
+    make = fold if values is None else lambda: ScriptedClaimsProver(fold(), values, X.field.bits)
+    r = config.get("r", DEFAULT_NC_R)
+    return partial(runner, X, D, eps, gen, r=r, kappa_override=config.get("kappa_override")), \
+        make, _fold_meta(X, D, r=r, eps=str(eps))
 
 
 def _run_whitebox_product(config: dict, rng: random.Random):
@@ -346,13 +341,11 @@ def _run_whitebox_product(config: dict, rng: random.Random):
                                      config.get("profile", "uniform"), rng=rng)
     X, inst = _tensor_and_instance(config, rng)
     eps = _frac(config["eps"])
-    committed = _WHITEBOX_COMMITS.build(config.get("prover", {}), X)
-    tau = _frac(config.get("tau", DEFAULT_TAU))
-    return (lambda seed, prover: run_whitebox_product_ipp(
-        X, inst, eps, circuit, config["r"],
-        prover or WhiteboxFoldProver(committed, D.factors, circuit), seed, tau=tau,
-        kappa_override=config.get("kappa_override"),
-        bucket_bits=_bucket_bits(config, circuit.n_inputs))), \
+    make = _WHITEBOX_PROVERS.build(config.get("prover", {}), X, D, circuit)
+    return partial(run_whitebox_product_ipp, X, inst, eps, circuit, config["r"],
+                   tau=_frac(config.get("tau", DEFAULT_TAU)),
+                   kappa_override=config.get("kappa_override"),
+                   bucket_bits=_bucket_bits(config, circuit.n_inputs)), make, \
         _fold_meta(X, D, r=config["r"], eps=str(eps))
 
 
@@ -365,12 +358,9 @@ def _run_rlcc(config: dict, rng: random.Random):
         if not 0 <= i < n:
             raise ValueError(f"config key 'corruptions' must index the {n} codeword bits")
         x[i] ^= 1
-    x = tuple(x)
     D = _distribution(config, n)
-    ipp, corrector = blr_linearity_ipp(eps, bits), hadamard_corrector(bits)
-    return (lambda seed, prover: run_rlcc_transform(x, D, ipp, corrector, eps,
-                                                    prover or NullProver(), seed)), \
-        {"n": n, "eps": str(eps)}
+    return partial(run_rlcc_transform, tuple(x), D, blr_linearity_ipp(eps, bits),
+                   hadamard_corrector(bits), eps), NullProver, {"n": n, "eps": str(eps)}
 
 
 def _run_set_lower_bound(config: dict, rng: random.Random):
@@ -385,15 +375,13 @@ def _run_set_lower_bound(config: dict, rng: random.Random):
         raise ValueError("config key 'claims' must sum to at most 1")
     claim = MarginalClaim(probs, _frac(config.get("tau", DEFAULT_TAU)),
                           _frac(config.get("delta", "1/20")))
-    bucket_bits = _bucket_bits(config, ell)
-    return (lambda seed, prover: run_set_lower_bound(
-        circuit, claim, prover or HonestSlbProver(circuit, lambda y: y), seed,
-        bucket_bits=bucket_bits)), {"n": n_sym}
+    return partial(run_set_lower_bound, circuit, claim, bucket_bits=_bucket_bits(config, ell)), \
+        partial(HonestSlbProver, circuit, lambda y: y), {"n": n_sym}
 
 
-# protocol name -> (required key specs, optional key specs, builder); a builder
-# sets a config up from the setup rng and returns (trial, report row fields), where
-# trial(seed, prover or None) runs one session with a fresh prover unless given one
+# protocol name -> (required key specs, optional key specs, builder); a builder sets a config
+# up from the setup rng and returns (run, make, report row fields): run(prover, seed) is the
+# runner, read from this module at set-up, with its arguments bound; make() builds a prover
 _TENSOR = {"field_modulus": int, "k": POSITIVE, "m": POSITIVE}
 _CLAIMED = {"x": [int], "points": [[int]], "values": [int]}
 _HAM = {"x": [int], "distribution": _DISTRIBUTION, "c": POSITIVE, "prover": _HAM_PROVERS}
@@ -411,12 +399,14 @@ _PROTOCOLS = {
                  "distribution": _DISTRIBUTION, "dist_mode": frozenset({"oracle", "uniform"}),
                  "prover": _FOLD_PROVERS},
                 _run_fin_ipp),
-    "df_ipp_nc": ({**_TENSOR, "eps": _positive}, _NC, _nc(run_df_ipp_nc)),
-    "dispersed_ipp_nc": ({**_TENSOR, "eps": _positive}, _NC, _nc(run_dispersed_ipp_nc)),
+    "df_ipp_nc": ({**_TENSOR, "eps": _positive}, _NC,
+                  lambda config, rng: _nc(config, rng, run_df_ipp_nc)),
+    "dispersed_ipp_nc": ({**_TENSOR, "eps": _positive}, _NC,
+                         lambda config, rng: _nc(config, rng, run_dispersed_ipp_nc)),
     "whitebox_product": ({**_TENSOR, "r": POSITIVE, "eps": _positive},
                          {**_CLAIMED, "kappa_override": POSITIVE, "tau": _unit,
                           "profile": frozenset(FIXTURE_PROFILES),
-                          "bucket_bits": int, "prover": _WHITEBOX_COMMITS},
+                          "bucket_bits": int, "prover": _WHITEBOX_PROVERS},
                          _run_whitebox_product),
     "rlcc": ({"bits": POSITIVE, "eps": _positive},
              {"message": int, "corruptions": [int], "distribution": _DISTRIBUTION}, _run_rlcc),
@@ -438,9 +428,13 @@ def _setup(config: dict):
     protocol = config["protocol"]
     if protocol not in _PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
-    once, fields = _PROTOCOLS[protocol][2](config, _setup_rng(config["seed"]))
+    run, make, fields = _PROTOCOLS[protocol][2](config, _setup_rng(config["seed"]))
     meta = {"protocol": protocol, "n": "", "k": "", "m": "", "r": "", "eps": "",
             "rho": "", "field": "", **fields}
+
+    def once(seed: int, prover) -> RunResult:
+        return run(prover or make(), seed)
+
     reps, rule = config.get("repetitions", 1), config.get("rule", "all-accept")
     if reps > 1:
         return (lambda seed, prover: amplify(lambda s: once(s, prover), reps, rule, seed)), meta
@@ -564,13 +558,18 @@ def cmd_replay(path: str) -> dict:
 # --- HAM lower-bound fixture ------------------------------------------------------
 
 def _floor_pow(n: int, expo: Fraction) -> int:
-    """floor(n^expo) computed exactly for rational expo."""
+    """floor(n^expo), exact for rational expo = p/q and n >= 1: a^q <= n^p is read off
+    q ln a - p ln n, and the two powers are built only when those nearly tie."""
     p, q = expo.numerator, expo.denominator
-    target = n ** p
+
+    def at_most(a: int) -> bool:  # a^q <= n^p
+        lhs, rhs = q * math.log(a), p * math.log(n)
+        return lhs < rhs if abs(lhs - rhs) > 1e-9 * (abs(lhs) + abs(rhs)) else a ** q <= n ** p
+
     a = int(round(n ** (p / q)))
-    while (a + 1) ** q <= target:
+    while at_most(a + 1):
         a += 1
-    while a > 0 and a ** q > target:
+    while a > 0 and not at_most(a):
         a -= 1
     return a
 

@@ -218,14 +218,11 @@ def whitebox_verifier(session: Session, X: InputTensor, inst: PvalInstance,
         if verdict is not None:
             return verdict
 
-    # truncated-product draws via the sampling device: a full index from C,
-    # first r coordinates dropped (y % k^(m-r)) -- the suffix of a product is
-    # the product of the remaining factors
-    leaf_n = k ** (m - r)
-
+    # truncated-product draws via the sampling device: a full index from C, whose
+    # first r coordinates _leaf_phase drops -- the suffix of a product is the
+    # product of the remaining factors
     def draw(nq):
-        xs = [session.rng.getrandbits(circuit.n_inputs) for _ in range(nq)]
-        return [y % leaf_n for y in circuit.eval_many(xs)]
+        return circuit.eval_many([session.rng.getrandbits(circuit.n_inputs) for _ in range(nq)])
 
     return _leaf_phase(session, X, live, r, eps, Fraction(16), draw)
 

@@ -24,6 +24,7 @@ from .session import (ACCEPT, OracleHandles, ProtocolViolation, ProverStrategy, 
 
 DEFAULT_HAM_C = 2  # the weight protocol samples ceil(c/eps) leaves
 DEFAULT_NC_R = 1  # folding rounds of the NC df-IPPs
+RLCC_ROUNDS = 4  # rounds of ceil(1/eps) sampled corrector spot checks after the uniform IPP
 _HAM_DIR = ((Section((0,), 1),), (Section((1,), 1),))  # the two constant ham/dir payloads
 
 
@@ -234,15 +235,16 @@ def _leaf_phase(session: Session, X: InputTensor, live: list[FoldState], r: int,
     the tuple gets nq = ceil(10 / eps_r) spot checks per batch.  A spot-check
     cell is a flat index into the leaf [k]^(m-r): the prover's leaf tensor is
     read there and compared with folded_eval at the same index.  draw(nq)
-    returns nq distribution-batch cells; since the first coordinate is the
-    most significant, a full cell i of [k]^m drops its first r coordinates as
-    i % k^(m-r).  Both batches are drawn before either is checked.
+    returns nq distribution-batch cells of [k]^m (or of the leaf); since the
+    first coordinate is the most significant, a cell i keeps its last m - r
+    coordinates as i % k^(m-r).  Both batches are drawn before either is checked.
 
     Cells are checked in draw order; the first mismatch rejects.  A tuple folds
     each distinct cell once; a repeat passed before and is only charged again.
     """
     field, k, leaf_m = X.field, X.k, X.m - r
-    msg = session.ask("fin/leaves", r, expect=[(k ** leaf_m, field.bits)] * len(live))
+    leaf_n = k ** leaf_m
+    msg = session.ask("fin/leaves", r, expect=[(leaf_n, field.bits)] * len(live))
     leaves = [InputTensor(field, k, leaf_m, sec.values) for sec in msg.sections]
     assert all(st.points == live[0].points for st in live), "live tuples share their points"
     evals = lde_eval_batch(field, k, leaf_m, [leaf.data for leaf in leaves], live[0].points)
@@ -257,7 +259,7 @@ def _leaf_phase(session: Session, X: InputTensor, live: list[FoldState], r: int,
         session.note(f"leaf weights={'.'.join(map(str, st.weights))} "
                      f"tau={st.tau} nq={nq} eps_r={eps_r}")
         checked, reads = set(), len(st.terms(k, X.m)[0])
-        for cell in _uniform_cells(session.rng, k, leaf_m, nq) + draw(nq):
+        for cell in _uniform_cells(session.rng, k, leaf_m, nq) + [y % leaf_n for y in draw(nq)]:
             if cell in checked:  # passed before: charge the same reads, fold nothing
                 session.oracles.charge(reads)
             elif leaf.data[cell] != folded_eval(session.oracles, X, st, cell):
@@ -448,10 +450,9 @@ def _fin_core(session: Session, X: InputTensor, inst: PvalInstance, eps: Fractio
         if verdict is not None:
             return verdict
 
-    leaf_n = k ** (m - r)
     if dist_mode == "oracle":
         def draw(nq):
-            return [session.oracles.sample()[0] % leaf_n for _ in range(nq)]
+            return [session.oracles.sample()[0] for _ in range(nq)]
     else:
         def draw(nq):
             return _uniform_cells(session.rng, k, m - r, nq)
@@ -559,9 +560,8 @@ class CorrectorHandle:
 
 def run_rlcc_transform(x_bits: Sequence[int], D, uniform_ipp: Callable[[Session], Verdict],
                        corrector: CorrectorHandle, eps: Fraction,
-                       prover: ProverStrategy, seed: int,
-                       repetitions: int = 4) -> RunResult:
-    """Uniform IPP, then sampled corrector spot checks.
+                       prover: ProverStrategy, seed: int) -> RunResult:
+    """Uniform IPP, then RLCC_ROUNDS rounds of sampled corrector spot checks.
 
     A corrector abort (None) is no evidence and never rejects by itself;
     only a returned value different from the sampled label rejects.
@@ -574,7 +574,7 @@ def run_rlcc_transform(x_bits: Sequence[int], D, uniform_ipp: Callable[[Session]
         inner = uniform_ipp(session)
         if not inner.accepted:
             return Verdict(False, "uniform-ipp")
-        for _ in range(repetitions):
+        for _ in range(RLCC_ROUNDS):
             picks = [session.oracles.sample() for _ in range(per_round)]
             for i, xi in picks:
                 got = corrector.fn(session.oracles.query, i, session.rng)

@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from dfipp.experiments import (CSV_COLUMNS, cmd_check_lemma, cmd_replay, cmd_run
                                record_transcript, run_protocol, validate_config)
 from dfipp.distributions import Pmf
 from dfipp.cli import main as cli_main
+from test_config_sweep import CONFIGS as SWEEP
 
 
 def test_validate_config_rejects_unknown_keys():
@@ -123,6 +125,30 @@ def test_fixture_degenerate_inputs_rejected():
         gen_ham_lb_fixture(4096, Fraction(1, 10))  # 20*eps >= 1: masses invalid
     with pytest.raises(ValueError):
         gen_ham_lb_fixture(64, Fraction(1, 100), e3=Fraction(1, 12))  # |I3| < 6
+
+
+def test_floor_pow_is_the_largest_a_with_a_to_the_q_at_most_n_to_the_p():
+    from dfipp.experiments import _floor_pow
+    for n in [*range(1, 70), 3 ** 8, 4096, 65536]:  # perfect powers tie exactly
+        for expo in {Fraction(p, q) for q in range(1, 9) for p in range(-1, 2 * q + 1)}:
+            p, q = expo.numerator, expo.denominator
+            lo, hi = 0, n ** 2  # bisect on a^q * n^-p <= 1, in integers
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                lo, hi = (mid, hi) if mid ** q * n ** max(-p, 0) <= n ** max(p, 0) else \
+                    (lo, mid - 1)
+            assert _floor_pow(n, expo) == lo, (n, expo)
+
+
+def test_a_long_exponent_numerator_ends_within_a_second(capsys):
+    # n^999999 has 16.6 M bits at n = 100000; the floor needs no such power
+    from dfipp.experiments import _floor_pow
+    start = time.perf_counter()
+    assert _floor_pow(100000, Fraction(999999, 1000000)) == 99998
+    with pytest.raises(SystemExit) as exc:  # |I2| fills [n]: a usage error, not a hang
+        cli_main(["gen-fixture", "--n", "4096", "--e2", "999999/1000000"])
+    assert time.perf_counter() - start < 1
+    assert exc.value.code == 2 and "I1 empty" in capsys.readouterr().err
 
 
 def test_ham_distance_exact_greedy():
@@ -658,3 +684,55 @@ def test_setup_once_cases_accept_and_reject():
                        "nc-adversarial-claims": {"fold-consistency": 3},
                        "amplified-all-accept": {},
                        "amplified-majority": {"fold-consistency": 3}}
+
+
+# --- one trial shape: a bound runner and a prover factory per set-up ----------------
+
+# the public runner that each protocol's set-up binds, by its name on dfipp.experiments
+RUNNERS = {"echo": "run_session", "ham": "run_ham_ipp", "symmetric": "run_symmetric_ipp",
+           "poly_fold": "run_poly_fold", "fin_ipp": "run_fin_ipp",
+           "df_ipp_nc": "run_df_ipp_nc", "dispersed_ipp_nc": "run_dispersed_ipp_nc",
+           "whitebox_product": "run_whitebox_product_ipp", "rlcc": "run_rlcc_transform",
+           "set_lower_bound": "run_set_lower_bound"}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP))
+@pytest.mark.parametrize("reps", [1, 3])
+def test_every_runner_is_seen_by_a_tracer_that_rebinds_it(name, reps, monkeypatch):
+    # as perfbench/tracing.py does: rebind the module name, then every session calls
+    # the wrapper, so no set-up may hold the runner it read at import
+    from dfipp import experiments
+    config = {**SWEEP[name], "repetitions": reps}
+    runner = RUNNERS[config["protocol"]]
+    real, calls = getattr(experiments, runner), []
+    monkeypatch.setattr(experiments, runner,
+                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    run_protocol(config, 7)
+    assert len(calls) == reps
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP))
+@pytest.mark.parametrize("reps", [1, 3])
+def test_setup_picks_the_prover_of_every_session(name, reps, monkeypatch):
+    # cmd_run makes one distinct prover per trial and per repetition, and runs each
+    # once; an override is never made and answers every repetition
+    from dfipp import experiments
+    from dfipp.protocols import NullProver
+    config = {**SWEEP[name], "trials": 2, "repetitions": reps}
+    required, optional, build = experiments._PROTOCOLS[config["protocol"]]
+    made, ran = [], []
+
+    def counted(cfg, rng):
+        run, make, meta = build(cfg, rng)
+        return (lambda prover, seed: ran.append(prover) or run(prover, seed)), \
+            (lambda: made.append(make()) or made[-1]), meta
+
+    monkeypatch.setitem(experiments._PROTOCOLS, config["protocol"], (required, optional, counted))
+    cmd_run(dict(config))
+    assert len(made) == 2 * reps and ran == made
+    assert len(set(map(id, made))) == len(made)
+    made.clear()
+    ran.clear()
+    override = NullProver()
+    run_protocol(config, 5, prover_override=override)
+    assert made == [] and ran == [override] * reps

@@ -514,8 +514,7 @@ def test_rlcc_query_accounting():
     x = hadamard_codeword(0b0110, bits)
     eps = Fraction(1, 8)
     res = run_rlcc_transform(x, Pmf.uniform(16), blr_linearity_ipp(eps, bits),
-                             hadamard_corrector(bits), eps, NullProver(), 0,
-                             repetitions=4)
+                             hadamard_corrector(bits), eps, NullProver(), 0)
     assert res.verdict.accepted
     blr_queries = 3 * math.ceil(2 / eps)
     corrector_queries = 4 * math.ceil(1 / eps) * 2
