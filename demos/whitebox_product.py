@@ -11,8 +11,8 @@ from fractions import Fraction
 from dfipp import InputTensor, Pmf, PrimeField, PvalInstance, circuit_pmf, \
     dispersion_rho, granularise, lde_eval
 from dfipp.product import (HonestSlbProver, MarginalClaim, WhiteboxFoldProver,
-                           gen_product_fixture, run_set_lower_bound,
-                           run_whitebox_product_ipp)
+                           coordinate_preimages, gen_product_fixture, run_set_lower_bound,
+                           run_whitebox_product_ipp, slb_preimages)
 
 rng = random.Random(2)
 F17 = PrimeField(17)
@@ -29,11 +29,12 @@ print()
 print("== the set lower bound certifies claimed marginals against the circuit ==")
 honest = MarginalClaim((Fraction(1, 4),) * 4, Fraction(1, 1000), Fraction(1, 20))
 c4 = gen_product_fixture(4, 1, "uniform")[1]
-res = run_set_lower_bound(c4, honest, HonestSlbProver(c4, lambda y: y), seed=0)
+preimages = slb_preimages(c4, lambda y: y)  # one table for every prover of this circuit
+res = run_set_lower_bound(c4, honest, HonestSlbProver(preimages), seed=0)
 print("honest uniform claims accepted:", res.verdict.accepted)
 inflated = MarginalClaim((Fraction(1, 2), Fraction(0), Fraction(1, 4), Fraction(1, 4)),
                          Fraction(1, 1000), Fraction(1, 20))
-res = run_set_lower_bound(c4, inflated, HonestSlbProver(c4, lambda y: y), seed=0)
+res = run_set_lower_bound(c4, inflated, HonestSlbProver(preimages), seed=0)
 print("inflated claim rejected:       ", not res.verdict.accepted,
       f"({res.verdict.reject_reason})")
 
@@ -49,7 +50,7 @@ print("== the full white-box protocol: zero sample-oracle calls ==")
 X = InputTensor.random(F17, 2, 4, rng)
 pts = tuple(F17.rand_point(4, rng) for _ in range(2))
 inst = PvalInstance(F17, 2, 4, pts, tuple(lde_eval(X, p) for p in pts))
-prover = WhiteboxFoldProver(X, D.factors, circuit)
+prover = WhiteboxFoldProver(X, D.factors, coordinate_preimages(circuit, X.k, X.m))
 res = run_whitebox_product_ipp(X, inst, Fraction(1, 2), circuit, 1, prover, seed=0)
 print(f"accepted={res.verdict.accepted}, queries={res.ledger.queries}, "
       f"samples={res.ledger.samples}, messages={res.ledger.messages}")

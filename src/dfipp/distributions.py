@@ -33,9 +33,19 @@ _CHAR_BITS = tuple(bytes.maketrans(b"01", bytes((0, 1 << b))) for b in range(8))
 
 def _bit_planes(xs: Sequence[int], ell: int) -> list[int]:
     """Plane j, for j < ell, is the int whose bit i is bit j of xs[i]."""
+    size = 1 << ell
+    if xs == range(size):  # all inputs in order: plane j repeats 2^j zeros, 2^j ones
+        planes = []
+        for j in range(ell):
+            half = 1 << j
+            plane, period = ((1 << half) - 1) << half, 2 * half
+            while period < size:
+                plane |= plane << period
+                period *= 2
+            planes.append(plane)
+        return planes
     width = (ell + 7) // 8
-    mask = (1 << ell) - 1
-    raw = b"".join([(x & mask).to_bytes(width, "little") for x in xs])
+    raw = b"".join([(x & (size - 1)).to_bytes(width, "little") for x in xs])
     # one byte per x, as "0"/"1" text with xs[-1] first
     return [int(raw[j >> 3::width].translate(_BIT_CHARS[j & 7])[::-1], 2) for j in range(ell)]
 

@@ -35,8 +35,9 @@ from .protocols import (DEFAULT_HAM_C, DEFAULT_NC_R, BadSumHamProver, ClaimGener
                         run_dispersed_ipp_nc, run_fin_ipp, run_ham_ipp, run_poly_fold,
                         run_rlcc_transform, run_symmetric_ipp)
 from .product import (DEFAULT_TAU, FIXTURE_PROFILES, HonestSlbProver, MarginalClaim,
-                      WhiteboxFoldProver, check_product_dpl, exceeds_one, gen_product_fixture,
-                      run_set_lower_bound, run_whitebox_product_ipp)
+                      WhiteboxFoldProver, check_product_dpl, coordinate_preimages, exceeds_one,
+                      gen_product_fixture, run_set_lower_bound, run_whitebox_product_ipp,
+                      slb_preimages)
 
 _LEDGER = [f.name for f in fields(CostLedger)]
 CSV_COLUMNS = ["protocol", "n", "k", "m", "r", "eps", "rho", "field", *_LEDGER,
@@ -177,9 +178,9 @@ _HAM_PROVERS = Modes("mode", "honest", {
     "bad-sum": ({}, {}, lambda s, x: partial(BadSumHamProver, x)),
 })
 _WHITEBOX_PROVERS = Modes("mode", "honest", {
-    "honest": ({}, {}, lambda s, X, D, C: partial(WhiteboxFoldProver, X, D.factors, C)),
-    "fixed-alternative": (_ALT, {}, lambda s, X, D, C: lambda: WhiteboxFoldProver(
-        replace(X, data=tuple(s["alt"])), D.factors, C)),
+    "honest": ({}, {}, lambda s, X, D, P: partial(WhiteboxFoldProver, X, D.factors, P)),
+    "fixed-alternative": (_ALT, {}, lambda s, X, D, P: lambda: WhiteboxFoldProver(
+        replace(X, data=tuple(s["alt"])), D.factors, P)),
 })
 
 
@@ -341,12 +342,14 @@ def _run_whitebox_product(config: dict, rng: random.Random):
                                      config.get("profile", "uniform"), rng=rng)
     X, inst = _tensor_and_instance(config, rng)
     eps = _frac(config["eps"])
-    make = _WHITEBOX_PROVERS.build(config.get("prover", {}), X, D, circuit)
-    return partial(run_whitebox_product_ipp, X, inst, eps, circuit, config["r"],
-                   tau=_frac(config.get("tau", DEFAULT_TAU)),
-                   kappa_override=config.get("kappa_override"),
-                   bucket_bits=_bucket_bits(config, circuit.n_inputs)), make, \
-        _fold_meta(X, D, r=config["r"], eps=str(eps))
+    run = partial(run_whitebox_product_ipp, X, inst, eps, circuit, config["r"],
+                  tau=_frac(config.get("tau", DEFAULT_TAU)),
+                  kappa_override=config.get("kappa_override"),
+                  bucket_bits=_bucket_bits(config, circuit.n_inputs))
+    meta = _fold_meta(X, D, r=config["r"], eps=str(eps))
+    # one preimage table per dimension, shared by every prover of the set-up
+    preimages = coordinate_preimages(circuit, config["k"], config["m"])
+    return run, _WHITEBOX_PROVERS.build(config.get("prover", {}), X, D, preimages), meta
 
 
 def _run_rlcc(config: dict, rng: random.Random):
@@ -376,7 +379,7 @@ def _run_set_lower_bound(config: dict, rng: random.Random):
     claim = MarginalClaim(probs, _frac(config.get("tau", DEFAULT_TAU)),
                           _frac(config.get("delta", "1/20")))
     return partial(run_set_lower_bound, circuit, claim, bucket_bits=_bucket_bits(config, ell)), \
-        partial(HonestSlbProver, circuit, lambda y: y), {"n": n_sym}
+        partial(HonestSlbProver, slb_preimages(circuit, lambda y: y)), {"n": n_sym}
 
 
 # protocol name -> (required key specs, optional key specs, builder); a builder sets a config
@@ -587,6 +590,10 @@ def gen_ham_lb_fixture(n: int, eps: Fraction,
     """
     if eps <= 0 or 20 * eps >= 1:
         raise ValueError("need 0 < eps < 1/20 for valid masses")
+    # |I2| = n^e2 >= n leaves I1 empty, and |I3| past n is capped below |I2| anyway;
+    # refused before _floor_pow, whose float guess overflows at a large exponent
+    if e2 >= 1 or e3 > 1:
+        raise ValueError(f"need exponents e2 < 1 and e3 <= 1, got e2 = {e2}, e3 = {e3}")
     size2 = 6 * (_floor_pow(n, e2) // 6)
     size3 = 6 * (_floor_pow(n, e3) // 6)
     if size3 >= size2:

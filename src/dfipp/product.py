@@ -11,9 +11,10 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from functools import partial
+from typing import Callable, NamedTuple, Optional, Sequence
 
-from .field import InputTensor, PrimeField, cell_coord, cell_coords
+from .field import InputTensor, PrimeField, cell_coord
 from .tensors import DEFAULT_ENUM_BUDGET, BudgetExceeded, PvalInstance
 from .distributions import (CIRCUIT_INPUT_BUDGET, GranularitySet, Pmf, ProductDistribution,
                             SamplingCircuit, extend_rows, extension_row_map, granularise)
@@ -109,54 +110,96 @@ def slb_verify(session: Session, circuit: SamplingCircuit, claim: MarginalClaim,
     msg = session.ask("slb/witness", list(hashes))
     if len(msg.sections) != len(active):
         raise ProtocolViolation("one witness list per active symbol required")
-    # every in-range witness of every section, evaluated in one pass
-    inputs = sorted({x for sec in msg.sections for x in sec.values if x < size})
-    out = dict(zip(inputs, circuit.eval_many(inputs)))
+    # every in-range witness of every section, evaluated in one pass; a union that
+    # covers all 2^ell inputs is the range, whose outputs are indexed by input
+    values = [sec.values for sec in msg.sections]
+    union = set().union(*values)
+    full = len(union) == size and max(union) < size
+    inputs = range(size) if full else sorted(x for x in union if x < size)
+    outs = circuit.eval_many(inputs)
+    symbols = {y: symbol_of(y) for y in set(outs)}  # once per distinct output
+    symbol = list(map(symbols.__getitem__, outs))
+    if not full:
+        symbol = dict(zip(inputs, symbol))
+    # one pass over all witnesses: if none repeats or lies out of range and each has its
+    # section's symbol, only the hash test is left per section; else each section is
+    # checked in full, in order, so the first bad section still decides the verdict
+    chain = itertools.chain.from_iterable
+    flat = list(chain(values))
+    clean = (len(flat) == len(union) and (full or max(flat, default=0) < size)
+             and list(map(symbol.__getitem__, flat))
+             == list(chain(map(itertools.repeat, active, map(len, values)))))
     for (i, b, rows, c), sec in zip(hashes, msg.sections):
         witnesses = sec.values
         if sec.width != width or len(witnesses) > size:
             raise ProtocolViolation("witness section malformed")
-        seen = set()
-        for x in witnesses:
-            if (x in seen or x >= size or (b and not _hash_zero(rows, c, x))
-                    or symbol_of(out[x]) != i):
-                return Verdict(False, "witness")
-            seen.add(x)
+        if witnesses and ((b and not all(_hash_zero(rows, c, x) for x in witnesses)) or (
+                not clean and (len(set(witnesses)) < len(witnesses) or max(witnesses) >= size
+                               or set(map(symbol.__getitem__, witnesses)) != {i}))):
+            return Verdict(False, "witness")
         # |w| * 2^b < (1 - tau/2) * p_i * 2^ell, times slack_d * denominator(p_i)
         if (len(witnesses) * slack_d * masses[i][1]) << b < (slack_n * masses[i][0]) << ell:
             return Verdict(False, "lower-bound")
     return ACCEPT
 
 
-def _witness_sections(preimages: dict[int, list[int]], payload, ell: int):
-    """Per hash request (i, b, rows, c): the preimages of i that hash to zero
-    (all of them when b = 0, where there is no hash row)."""
-    return [(tuple(x for x in preimages.get(i, ()) if _hash_zero(rows, c, x)) if b
-             else tuple(preimages.get(i, ())), max(ell, 1)) for i, b, rows, c in payload]
+class Preimages(NamedTuple):
+    """An honest prover's set-lower-bound answers over a circuit of ell inputs:
+    symbol -> every input with that symbol, ascending.  It depends only on the
+    circuit and the symbol map, so a set-up builds it once for all its provers."""
+
+    ell: int
+    inputs: dict[int, tuple[int, ...]]
+
+    def witness_sections(self, payload) -> list:
+        """Per hash request (i, b, rows, c): the preimages of i that hash to zero
+        (all of them when b = 0, where there is no hash row)."""
+        width = max(self.ell, 1)
+        return [(tuple(x for x in self.inputs.get(i, ()) if _hash_zero(rows, c, x)) if b
+                 else self.inputs.get(i, ()), width) for i, b, rows, c in payload]
 
 
-def _preimages(circuit: SamplingCircuit, symbol_of: Callable[[int], int]) -> dict[int, list[int]]:
-    """symbol_of(output) -> every circuit input with that symbol, ascending, from one
-    enumeration of all 2^ell inputs; refused over CIRCUIT_INPUT_BUDGET inputs."""
-    if circuit.n_inputs > CIRCUIT_INPUT_BUDGET:
+def _preimage_tables(circuit: SamplingCircuit,
+                     symbol_maps: Sequence[Callable[[int], int]]) -> tuple[Preimages, ...]:
+    """One Preimages per symbol map, from one enumeration of all 2^ell inputs grouped
+    by output: each map is called once per distinct output.  Refused over
+    CIRCUIT_INPUT_BUDGET inputs."""
+    ell = circuit.n_inputs
+    if ell > CIRCUIT_INPUT_BUDGET:
         raise BudgetExceeded("honest prover enumeration over budget")
-    out: dict[int, list[int]] = {}
-    for x, y in enumerate(circuit.eval_many(range(1 << circuit.n_inputs))):
-        out.setdefault(symbol_of(y), []).append(x)
-    return out
+    by_output: dict[int, list[int]] = {}
+    for x, y in enumerate(circuit.eval_many(range(1 << ell))):
+        by_output.setdefault(y, []).append(x)
+    tables = []
+    for symbol_of in symbol_maps:
+        table: dict[int, list[int]] = {}
+        for y, xs in by_output.items():
+            table.setdefault(symbol_of(y), []).extend(xs)
+        tables.append(Preimages(ell, {i: tuple(sorted(xs)) for i, xs in table.items()}))
+    return tuple(tables)
+
+
+def slb_preimages(circuit: SamplingCircuit, symbol_of: Callable[[int], int]) -> Preimages:
+    """The Preimages of one symbol map: an HonestSlbProver's answers."""
+    return _preimage_tables(circuit, [symbol_of])[0]
+
+
+def coordinate_preimages(circuit: SamplingCircuit, k: int, m: int) -> tuple[Preimages, ...]:
+    """Per dimension d of [k]^m, the Preimages of the symbol map output -> its
+    coordinate d: the white-box prover's answers in round d."""
+    return _preimage_tables(circuit, [partial(cell_coord, k=k, m=m, d=d) for d in range(m)])
 
 
 class HonestSlbProver(ProverStrategy):
-    """Enumerates all 2^ell circuit inputs and answers hash rounds exactly."""
+    """Answers hash rounds exactly from the preimage table of its set-up."""
 
-    def __init__(self, circuit: SamplingCircuit, symbol_of: Callable[[int], int]):
-        self.ell = circuit.n_inputs
-        self._preimages = _preimages(circuit, symbol_of)
+    def __init__(self, preimages: Preimages):
+        self.preimages = preimages
 
     def reply(self, tag, payload):
         if tag != "slb/witness":
             raise ProtocolViolation(f"unexpected tag {tag}")
-        return _witness_sections(self._preimages, payload, self.ell)
+        return self.preimages.witness_sections(payload)
 
 
 def run_set_lower_bound(circuit: SamplingCircuit, claim: MarginalClaim,
@@ -250,24 +293,18 @@ class WhiteboxFoldProver(HonestFoldProver):
 
     Sends the true factor marginals (an honest learner never trips the set
     lower bound) and answers folding and leaf requests on its committed
-    tensor through the row map each fold request carries.  Commit to a tensor
-    other than X to get the fixed-alternative adversary; override marginal()
-    for distribution-lying strategies.
+    tensor through the row map each fold request carries.  Its witnesses in
+    round d come from preimages[d] (coordinate_preimages of the circuit), which
+    the provers of a set-up share.  Commit to a tensor other than X to get the
+    fixed-alternative adversary; override marginal() for distribution-lying
+    strategies.
     """
 
     def __init__(self, tensor: InputTensor, factors: Sequence[Pmf],
-                 circuit: SamplingCircuit):
+                 preimages: Sequence[Preimages]):
         super().__init__(tensor)
         self.factors = tuple(factors)
-        self.ell = circuit.n_inputs
-        # per dimension d: coordinate value -> circuit inputs, ascending
-        self._dim_preimages: list[dict[int, list[int]]] = [{} for _ in range(tensor.m)]
-        for y, xs in _preimages(circuit, lambda y: y).items():
-            for table, c in zip(self._dim_preimages, cell_coords(y, self.k, tensor.m)):
-                table.setdefault(c, []).extend(xs)
-        for table in self._dim_preimages:
-            for xs in table.values():
-                xs.sort()
+        self.preimages = tuple(preimages)  # per dimension: see coordinate_preimages
         self.round = -1
 
     def marginal(self, rnd: int) -> tuple[Fraction, ...]:
@@ -279,7 +316,7 @@ class WhiteboxFoldProver(HonestFoldProver):
             return [(tuple(v for p in self.marginal(payload) for v in _encode_fraction(p)),
                      _RATIONAL_BITS)]
         if tag == "slb/witness":
-            return _witness_sections(self._dim_preimages[self.round], payload, self.ell)
+            return self.preimages[self.round].witness_sections(payload)
         return super().reply(tag, payload)
 
 

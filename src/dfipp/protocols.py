@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 from .field import (InputTensor, PrimeField, cell_coords, cell_index, lagrange_basis,
                     lagrange_eval_univariate, lde_eval_batch, uniform_draws)
 from .tensors import (DEFAULT_ENUM_BUDGET, INF, PvalInstance, dist_to_pval_bruteforce,
-                      metric_fn, span)
+                      metric_key, span)
 from .distributions import Pmf, dispersion_rho, extend_rows, marginal_first
 from .session import (ACCEPT, OracleHandles, ProtocolViolation, ProverStrategy, RunResult,
                       Section, Session, Verdict, run_session)
@@ -826,18 +826,18 @@ def check_subspace_lemma(field: PrimeField, S_basis, T_basis, metric) -> dict:
     reported fraction has no sampling error; the strict < on the close side
     matches the one-point-per-line counting in the proof.
     """
-    d = metric_fn(metric)
+    key, denom = metric_key(metric)
     S = span(field, S_basis)
     T = span(field, T_basis)
-    dist_to_T = [min(d(s, t) for t in T) for s in S]
+    dist_to_T = [min(key(s, t) for t in T) for s in S]  # each distance times denom
     eps_max = max(dist_to_T)
     if eps_max == 0:
         return {"vacuous": True, "fraction": None, "bound": None}
-    close = sum(1 for v in dist_to_T if v < eps_max / 2)
+    close = sum(1 for v in dist_to_T if 2 * v < eps_max)
     fraction = Fraction(close, len(S))
     bound = Fraction(1, field.modulus - 1)
-    return {"vacuous": False, "eps": eps_max, "fraction": fraction, "bound": bound,
-            "holds": fraction <= bound}
+    return {"vacuous": False, "eps": Fraction(eps_max, denom), "fraction": fraction,
+            "bound": bound, "holds": fraction <= bound}
 
 
 def check_appendix_claims(X: InputTensor, D: Pmf, Y: Sequence[Sequence[int]],

@@ -82,12 +82,15 @@ def hybrid_dist(x: Sequence[int], y: Sequence[int], D1: "Pmf", D2: "Pmf") -> Fra
     return Fraction(a, D1.denom) if a * D2.denom >= b * D1.denom else Fraction(b, D2.denom)
 
 
-def metric_fn(metric) -> Callable[[Sequence[int], Sequence[int]], Fraction]:
-    """Normalize a metric selector: a Pmf, or a ("hybrid", D1, D2) tuple."""
+def metric_key(metric) -> tuple[Callable[[Sequence[int], Sequence[int]], int], int]:
+    """(key, denom) of a metric selector, a Pmf or a ("hybrid", D1, D2) tuple: the
+    distance of x and y is key(x, y) / denom, so integer keys order distances."""
     if isinstance(metric, tuple) and metric and metric[0] == "hybrid":
         _, d1, d2 = metric
-        return lambda x, y: hybrid_dist(x, y, d1, d2)
-    return lambda x, y: dist(x, y, metric)
+        den1, den2 = d1.denom, d2.denom
+        return (lambda x, y: max(_diff_weight(x, y, d1) * den2,
+                                 _diff_weight(x, y, d2) * den1)), den1 * den2
+    return (lambda x, y: _diff_weight(x, y, metric)), metric.denom
 
 
 def _check_budget(field: PrimeField, k: int, m: int, budget: int) -> None:
@@ -190,14 +193,19 @@ def enumerate_pval(inst: PvalInstance,
 
 def dist_to_pval_bruteforce(X: InputTensor, inst: PvalInstance, metric,
                             budget: int = DEFAULT_ENUM_BUDGET):
-    """min over W in PVAL(J, v) of the metric distance; inf if PVAL is empty."""
-    d = metric_fn(metric)
-    best = INF
+    """min over W in PVAL(J, v) of the metric distance; inf if PVAL is empty.
+
+    The scan compares integer keys (metric_key) and builds one Fraction at the end.
+    """
+    key, denom = metric_key(metric)
+    best = None
     for w in enumerate_pval(inst, budget=budget):
-        best = min(best, d(X.data, w))
-        if best == 0:
-            break
-    return best
+        k = key(X.data, w)
+        if best is None or k < best:
+            best = k
+            if best == 0:
+                break
+    return INF if best is None else Fraction(best, denom)
 
 
 def pval_min_distance(inst: PvalInstance, budget: int = DEFAULT_ENUM_BUDGET):

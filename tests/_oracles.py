@@ -150,6 +150,26 @@ def circuit_eval(circuit, x):
     return out
 
 
+def slb_witness_reason(circuit, symbol_of, probs, tau, payload, sections):
+    """The set lower bound's verdict on a witness reply, one witness at a time: the
+    reject reason of the first section that is malformed, holds a repeated,
+    out-of-range, nonzero-hash or wrong-symbol witness, or has too few witnesses
+    for (1 - tau/2) * p_i * 2^ell, in section order; None when every one passes."""
+    size, width = 1 << circuit.n_inputs, max(circuit.n_inputs, 1)
+    for (i, b, rows, c), (values, w) in zip(payload, sections):
+        if w != width or len(values) > size:
+            return "malformed"
+        seen = set()
+        for x in values:
+            if x in seen or x >= size or symbol_of(circuit_eval(circuit, x)) != i or any(
+                    bin(row & x).count("1") % 2 != (c >> j) & 1 for j, row in enumerate(rows)):
+                return "witness"
+            seen.add(x)
+        if Fraction(len(values) << b) < (1 - tau / 2) * probs[i] * size:
+            return "lower-bound"
+    return None
+
+
 def bucket_bits_loop(N, ell, tau, delta_sym):
     """Largest b with 2^b <= delta*tau^2*N^2 / (4*2^ell), by exact Fraction search."""
     cap = delta_sym * tau * tau * N * N / (4 * (1 << ell))

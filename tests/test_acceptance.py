@@ -20,8 +20,8 @@ from dfipp.protocols import (ClaimGenerator, HonestFoldProver, HonestHamProver, 
                              hadamard_corrector, run_df_ipp_nc, run_dispersed_ipp_nc,
                              run_fin_ipp, run_ham_ipp, run_poly_fold, run_rlcc_transform)
 from dfipp.product import (HonestSlbProver, MarginalClaim, WhiteboxFoldProver,
-                           gen_product_fixture, run_set_lower_bound,
-                           run_whitebox_product_ipp)
+                           coordinate_preimages, gen_product_fixture, run_set_lower_bound,
+                           run_whitebox_product_ipp, slb_preimages)
 from dfipp.experiments import cmd_check_lemma, gen_ham_lb_fixture
 from dfipp.session import amplify
 
@@ -89,6 +89,7 @@ def test_criterion_1_perfect_completeness():
         code = hadamard_codeword(1, bits)
         eps_rlcc = Fraction(1, 8)
         Dprod, circuit = gen_product_fixture(k, m, "uniform")
+        preimages = coordinate_preimages(circuit, k, m)
         gen = ClaimGenerator()
         X, inst = member_instance(field, k, m, rng)
 
@@ -103,7 +104,7 @@ def test_criterion_1_perfect_completeness():
                 X, D_disp, EPS, gen, HonestFoldProver(X), s, r=1),
             "whitebox": lambda s: run_whitebox_product_ipp(
                 X, inst, EPS, circuit, 1,
-                WhiteboxFoldProver(X, Dprod.factors, circuit), s),
+                WhiteboxFoldProver(X, Dprod.factors, preimages), s),
             "rlcc_transform": lambda s: run_rlcc_transform(
                 code, Pmf.uniform(n), blr_linearity_ipp(eps_rlcc, bits),
                 hadamard_corrector(bits), eps_rlcc, NullProver(), s),
@@ -231,7 +232,7 @@ def test_criterion_7_soundness_monte_carlo():
         inflated_probs[1] = Fraction(0)
         inflated = MarginalClaim(tuple(inflated_probs),
                                  Fraction(1, 1000), Fraction(1, 20))
-        prover = HonestSlbProver(circuit_id, lambda y: y)
+        prover = HonestSlbProver(slb_preimages(circuit_id, lambda y: y))
         t7 = 200
         acc_honest = sum(
             1 for seed in range(t7)
@@ -286,8 +287,9 @@ def test_criterion_8_ledger_laws():
 
     # the white-box path records zero sample-oracle calls
     Dp, circuit = gen_product_fixture(2, 4, "uniform")
-    res = run_whitebox_product_ipp(Xb, instb, EPS, circuit, 1,
-                                   WhiteboxFoldProver(Xb, Dp.factors, circuit), 3)
+    res = run_whitebox_product_ipp(
+        Xb, instb, EPS, circuit, 1,
+        WhiteboxFoldProver(Xb, Dp.factors, coordinate_preimages(circuit, 2, 4)), 3)
     ok_wb = res.verdict.accepted and res.ledger.samples == 0
 
     ok = ok_tau and ok_samples and ok_messages and ok_wb

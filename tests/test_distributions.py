@@ -10,8 +10,8 @@ import pytest
 from _oracles import (circuit_eval, factor_circuit_table, fraction_dispersion, fraction_dist,
                       fraction_granularise, fraction_sampler_table, fraction_tv_distance)
 from dfipp.distributions import (GranularitySet, Pmf, ProductDistribution, SamplingCircuit,
-                                 circuit_pmf, dispersion_rho, extend_rows, extension_row_map,
-                                 granularise, marginal_first, tv_distance)
+                                 _bit_planes, circuit_pmf, dispersion_rho, extend_rows,
+                                 extension_row_map, granularise, marginal_first, tv_distance)
 from dfipp.experiments import _DISTRIBUTION, _check, _setup_rng
 from dfipp.product import (ExtensionEchoProver, _factor_circuit, exact_learner,
                            gen_product_fixture, run_learnable_ipp)
@@ -305,8 +305,17 @@ def test_eval_many_on_identity(n_bits):
 @pytest.mark.parametrize("config_seed", [1, 2, 6, 9, 57])
 def test_eval_many_on_dyadic_product_fixtures(config_seed):
     _, C = gen_product_fixture(2, 4, "dyadic-random", rng=_setup_rng(config_seed))
-    xs = range(1 << C.n_inputs)
-    assert C.eval_many(xs) == [circuit_eval(C, x) for x in xs]
+    xs = range(1 << C.n_inputs)  # every input: the closed-form input planes
+    assert C.eval_many(xs) == C.eval_many(list(xs)) == [circuit_eval(C, x) for x in xs]
+
+
+def test_bit_planes_of_every_input_match_the_transpose():
+    for ell in range(15):
+        xs = range(1 << ell)
+        assert _bit_planes(xs, ell) == _bit_planes(list(xs), ell), ell
+        # any other range is transposed, wider ones masked to the low ell bits
+        for other in (range(1, 1 << ell), range(1 << (ell + 1)), range(0, 1 << ell, 2)):
+            assert _bit_planes(other, ell) == _bit_planes(list(other), ell), (ell, other)
 
 
 def test_eval_many_edge_inputs():

@@ -127,6 +127,15 @@ def test_fixture_degenerate_inputs_rejected():
         gen_ham_lb_fixture(64, Fraction(1, 100), e3=Fraction(1, 12))  # |I3| < 6
 
 
+def test_fixture_exponent_bounds_are_inclusive_for_e3_only():
+    # e3 = 1 is the largest exponent kept: |I3| is capped just below |I2|
+    iv = gen_ham_lb_fixture(4096, Fraction(1, 100), e3=Fraction(1))["report"]["intervals"]
+    assert iv["I3"] == iv["I2"] - 6 and iv["I1"] == 4096 - iv["I2"] - iv["I3"]
+    for e2, e3 in ((Fraction(1), Fraction(1, 2)), (Fraction(2, 3), Fraction(1001, 1000))):
+        with pytest.raises(ValueError, match="need exponents e2 < 1 and e3 <= 1"):
+            gen_ham_lb_fixture(4096, Fraction(1, 100), e2=e2, e3=e3)
+
+
 def test_floor_pow_is_the_largest_a_with_a_to_the_q_at_most_n_to_the_p():
     from dfipp.experiments import _floor_pow
     for n in [*range(1, 70), 3 ** 8, 4096, 65536]:  # perfect powers tie exactly
@@ -430,6 +439,40 @@ def test_set_lower_bound_over_the_input_budget_is_refused(ell, tmp_path, capsys)
                             '"honest prover enumeration over budget"}\n')
 
 
+def test_whitebox_over_the_input_budget_is_refused_before_the_first_trial(tmp_path, capsys,
+                                                                          monkeypatch):
+    # the dyadic-random fixture of m = 6 at config seed 2 has a 22-input circuit
+    from dfipp import product
+    sessions = []
+    monkeypatch.setattr(product, "run_session", lambda *args: sessions.append(args))
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"protocol": "whitebox_product", "trials": 3, "seed": 2,
+                                "field_modulus": 17, "k": 2, "m": 6, "r": 1, "eps": "1/2",
+                                "profile": "dyadic-random"}))
+    assert cli_main(["run", "--config", str(path)]) == 3
+    assert sessions == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ('{"status": "refused", "reason": '
+                            '"honest prover enumeration over budget"}\n')
+
+
+@pytest.mark.parametrize("config", [
+    {"protocol": "whitebox_product", "trials": 3, "seed": 6, "field_modulus": 17, "k": 2,
+     "m": 4, "r": 2, "eps": "1/2", "profile": "dyadic-random"},
+    {"protocol": "set_lower_bound", "trials": 3, "seed": 1, "ell": 6},
+], ids=["whitebox_product", "set_lower_bound"])
+def test_preimage_tables_are_built_once_per_run(config, monkeypatch):
+    # the tables depend only on the circuit, so the three trials' provers share one build
+    from dfipp import product
+    real, built = product._preimage_tables, []
+    monkeypatch.setattr(product, "_preimage_tables",
+                        lambda *args: built.append(args) or real(*args))
+    record = cmd_run(dict(config))
+    assert record["accepted"] == 3
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize("eps", [2, 0.25, "1/4"])
 def test_config_rationals_accept_int_float_and_fraction_strings(eps):
     validate_config({**HAM, "eps": eps})
@@ -546,8 +589,12 @@ def test_cli_replay_of_a_malformed_transcript_is_a_usage_error(lines, message, t
     (["gen-fixture", "--n", "64", "--out", "{tmp}/missing/f.json"], "No such file"),
     (["run", "--config", "{tmp}/missing.json"], "No such file"),
     (["replay", "{tmp}/missing.jsonl"], "No such file"),
+    # n^e2 and n^e3 would overflow a float; an e2 of 1 always left I1 empty
+    (["gen-fixture", "--n", "4096", "--e2", "1000"], "need exponents e2 < 1 and e3 <= 1"),
+    (["gen-fixture", "--n", "4096", "--e2", "1"], "need exponents e2 < 1 and e3 <= 1"),
+    (["gen-fixture", "--n", "4096", "--e3", "1000"], "need exponents e2 < 1 and e3 <= 1"),
 ], ids=["negative-n", "eps-over-zero", "e2-over-zero", "e3-over-zero", "unwritable-out",
-        "missing-config", "missing-transcript"])
+        "missing-config", "missing-transcript", "e2-overflows", "e2-one", "e3-overflows"])
 def test_cli_bad_numbers_and_paths_are_usage_errors(argv, message, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli_main([arg.format(tmp=tmp_path) for arg in argv])

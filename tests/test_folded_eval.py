@@ -11,7 +11,8 @@ from _oracles import materialised_fold_value
 from dfipp import protocols
 from dfipp.distributions import extension_row_map, granularise
 from dfipp.field import InputTensor, PrimeField, cell_index, lde_eval
-from dfipp.product import WhiteboxFoldProver, gen_product_fixture, run_whitebox_product_ipp
+from dfipp.product import (WhiteboxFoldProver, coordinate_preimages, gen_product_fixture,
+                           run_whitebox_product_ipp)
 from dfipp.protocols import FoldState, _leaf_phase, folded_eval
 from dfipp.session import CostLedger, OracleHandles, ProverStrategy, Session
 from dfipp.tensors import PvalInstance
@@ -132,8 +133,8 @@ def _spot_checks(notes):
 def test_leaf_phase_honest_r2_folds_each_cell_once_and_charges_every_check(monkeypatch):
     D, circuit = gen_product_fixture(2, 5, "uniform")
     X, inst = _member(F17, 2, 5, random.Random(21))
-    res, calls = _counted_whitebox(monkeypatch, X, inst, circuit, 2,
-                                   WhiteboxFoldProver(X, D.factors, circuit), 3)
+    prover = WhiteboxFoldProver(X, D.factors, coordinate_preimages(circuit, 2, 5))
+    res, calls = _counted_whitebox(monkeypatch, X, inst, circuit, 2, prover, 3)
     assert res.verdict.accepted
     assert (res.ledger.queries, res.ledger.comm_bits) == (1474560, 1552)
     checks, charge = _spot_checks(res.notes)
@@ -146,8 +147,8 @@ def test_leaf_phase_fixed_alternative_rejects_at_its_first_check(monkeypatch):
     D, circuit = gen_product_fixture(2, 4, "uniform")
     W, inst = _member(F17, 2, 4, random.Random(22))
     X = InputTensor(F17, 2, 4, [(v + 1) % 17 for v in W.data])  # differs from W everywhere
-    res, calls = _counted_whitebox(monkeypatch, X, inst, circuit, 2,
-                                   WhiteboxFoldProver(W, D.factors, circuit), 4)
+    prover = WhiteboxFoldProver(W, D.factors, coordinate_preimages(circuit, 2, 4))
+    res, calls = _counted_whitebox(monkeypatch, X, inst, circuit, 2, prover, 4)
     assert res.verdict.reject_reason == "leaf-sample"
     assert (res.ledger.queries, res.ledger.comm_bits) == (256, 1276)
     assert calls == 1
@@ -158,8 +159,8 @@ def test_leaf_phase_extended_fold_charges_below_tau_on_zero_rows(monkeypatch):
     D, circuit = gen_product_fixture(2, 3, "dyadic-random", rng=rng)
     assert granularise(D.factors[0]).counts[-1] > 0  # the extension has a zero row
     X, inst = _member(F17, 2, 3, rng)
-    res, calls = _counted_whitebox(monkeypatch, X, inst, circuit, 1,
-                                   WhiteboxFoldProver(X, D.factors, circuit), 5)
+    prover = WhiteboxFoldProver(X, D.factors, coordinate_preimages(circuit, 2, 3))
+    res, calls = _counted_whitebox(monkeypatch, X, inst, circuit, 1, prover, 5)
     assert res.verdict.accepted
     assert (res.ledger.queries, res.ledger.comm_bits) == (7200, 10736)
     checks, charge = _spot_checks(res.notes)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import bucket_bits_loop
+from _oracles import bucket_bits_loop, slb_witness_reason
 from dfipp.field import InputTensor, PrimeField, lde_eval
 from dfipp.tensors import INF, PvalInstance, dist_to_pval_bruteforce, pval_member
 from dfipp.distributions import (Pmf, SamplingCircuit, circuit_pmf, dispersion_rho,
@@ -17,10 +17,10 @@ from dfipp.protocols import (HonestFoldProver, _run_fold_round, check_distance_p
                              fold_rows, folded_eval)
 from dfipp.product import (FIXTURE_PROFILES, ExtensionEchoProver, FixedStringProver,
                            HonestSlbProver, MarginalClaim, WhiteboxFoldProver, aborting_learner,
-                           check_product_dpl, exact_learner, explicit_set_uniform_ipp,
-                           extension_member, gen_product_fixture, run_learnable_ipp,
-                           run_set_lower_bound, run_whitebox_product_ipp, wb_fold_kappa,
-                           _bucket_bits, _hash_zero)
+                           check_product_dpl, coordinate_preimages, exact_learner,
+                           explicit_set_uniform_ipp, extension_member, gen_product_fixture,
+                           run_learnable_ipp, run_set_lower_bound, run_whitebox_product_ipp,
+                           slb_preimages, wb_fold_kappa, _bucket_bits, _hash_zero)
 
 F5 = PrimeField(5)
 F17 = PrimeField(17)
@@ -44,7 +44,7 @@ def identity_claim(ell, tau=Fraction(1, 1000), delta=Fraction(1, 20)):
 def test_slb_identity_completeness(ell):
     circuit = SamplingCircuit.identity(ell)
     claim = identity_claim(ell)
-    prover = HonestSlbProver(circuit, lambda y: y)
+    prover = HonestSlbProver(slb_preimages(circuit, lambda y: y))
     accepted = 0
     trials = 100
     for seed in range(trials):
@@ -63,7 +63,7 @@ def test_slb_inflated_claim_soundness(ell):
     probs[1] = Fraction(0)
     claim = MarginalClaim(tuple(probs), Fraction(1, 1000), Fraction(1, 20))
     circuit = SamplingCircuit.identity(ell)
-    prover = HonestSlbProver(circuit, lambda y: y)
+    prover = HonestSlbProver(slb_preimages(circuit, lambda y: y))
     accepted = 0
     trials = 100
     for seed in range(trials):
@@ -76,7 +76,8 @@ def test_slb_inflated_claim_soundness(ell):
 def test_slb_all_zero_claims_trivially_accept():
     circuit = SamplingCircuit.identity(2)
     claim = MarginalClaim((Fraction(0),) * 4, Fraction(1, 1000), Fraction(1, 20))
-    res = run_set_lower_bound(circuit, claim, HonestSlbProver(circuit, lambda y: y), 0)
+    res = run_set_lower_bound(circuit, claim,
+                              HonestSlbProver(slb_preimages(circuit, lambda y: y)), 0)
     assert res.verdict.accepted
     assert res.ledger.messages == 0  # nothing to verify
 
@@ -91,7 +92,7 @@ def test_slb_bad_witness_rejected():
             values, width = out[0]
             return [(((values[0] + 1) % 4,) + values[1:], width)] + out[1:]
 
-    res = run_set_lower_bound(circuit, claim, LyingProver(circuit, lambda y: y), 1)
+    res = run_set_lower_bound(circuit, claim, LyingProver(slb_preimages(circuit, lambda y: y)), 1)
     assert not res.verdict.accepted
     assert res.verdict.reject_reason in ("witness", "lower-bound")
 
@@ -103,7 +104,7 @@ def test_slb_probabilistic_hash_path():
     circuit = SamplingCircuit.identity(ell)
     claim = MarginalClaim((Fraction(1, 2), Fraction(1, 4)) + (Fraction(0),) * 254,
                           Fraction(1, 2), Fraction(1, 10))
-    prover = HonestSlbProver(circuit, lambda y: y % 2 if y < 2 else y)
+    prover = HonestSlbProver(slb_preimages(circuit, lambda y: y % 2 if y < 2 else y))
 
     class FirstTwoSymbols(HonestSlbProver):
         pass
@@ -114,7 +115,7 @@ def test_slb_probabilistic_hash_path():
         res = run_set_lower_bound(circuit,
                                   MarginalClaim((Fraction(1, 4),) + (Fraction(0),) * 255,
                                                 Fraction(1, 2), Fraction(1, 10)),
-                                  HonestSlbProver(circuit, lambda y: y), seed,
+                                  HonestSlbProver(slb_preimages(circuit, lambda y: y)), seed,
                                   bucket_bits=3)
         accepted += res.verdict.accepted
     # claim 1/4 but true mass 1/256: must essentially always reject
@@ -152,10 +153,107 @@ class ScriptedSlbProver(ProverStrategy):
     (2, [((0, 0), 2), ((1,), 2), ((2,), 2), ((3,), 2)], "witness"),
     # section 0 fails its lower bound before section 1's witnesses are read
     (2, [((), 2), ((0,), 2), ((2,), 2), ((3,), 2)], "lower-bound"),
+    # a duplicate across sections: input 0 is no preimage of symbol 1
+    (2, [((0,), 2), ((1, 0), 2), ((2,), 2), ((3,), 2)], "witness"),
+    # with ell = 0 two values are more than the one input: a duplicate is malformed
+    (0, [((0, 0), 1)], "malformed"),
+    # section 1's lower bound fails before section 2's wrong symbol is read
+    (2, [((0,), 2), ((), 2), ((3,), 2), ((3,), 2)], "lower-bound"),
+    # empty sections evaluate nothing and fail their lower bounds
+    (2, [((), 2)] * 4, "lower-bound"),
+    (0, [((), 1)], "lower-bound"),
+    # a bad witness in section 1 is found before section 2's bad width ...
+    (2, [((0,), 2), ((1, 1), 2), ((2,), 3), ((3,), 2)], "witness"),
+    # ... but a bad width comes first when its section does
+    (2, [((0,), 2), ((1,), 3), ((0, 0), 2), ((3,), 2)], "malformed"),
+    # the witnesses cover every input, yet section 0 holds a wrong symbol
+    (2, [((0, 1), 2), ((1,), 2), ((2,), 2), ((3,), 2)], "witness"),
 ])
 def test_slb_verdict_order_on_hostile_witnesses(ell, sections, reason):
     circuit = SamplingCircuit.identity(ell)
     res = run_set_lower_bound(circuit, identity_claim(ell), ScriptedSlbProver(sections), 0)
+    assert res.verdict == Verdict(False, reason)
+
+
+@pytest.mark.parametrize("sections", [[((1,), 1), ((1,), 1)], [((1,), 1), ((0,), 1)],
+                                      [((0,), 1), ((0,), 1)]])
+def test_slb_out_of_range_witness_and_duplicates_across_sections(sections):
+    # ell = 0 with two symbols of mass 1/2 over its one input: a 1-bit slot can name
+    # input 1, past it, and section 1 can repeat section 0's witness
+    claim = MarginalClaim((Fraction(1, 2),) * 2, Fraction(1, 1000), Fraction(1, 20))
+    res = run_set_lower_bound(SamplingCircuit.identity(0), claim, ScriptedSlbProver(sections),
+                              0, symbol_of=lambda y: 0)
+    assert res.verdict == Verdict(False, "witness")
+
+
+class MutatingSlbProver(ProverStrategy):
+    """Answers with the honest sections after random edits, and keeps the request."""
+
+    def __init__(self, preimages, rng):
+        self.preimages, self.rng, self.payload, self.sent = preimages, rng, None, None
+
+    def reply(self, tag, payload):
+        rng, ell = self.rng, self.preimages.ell
+        sections = [list(values) for values, _ in self.preimages.witness_sections(payload)]
+        for _ in range(rng.randrange(3)):
+            j = rng.randrange(len(sections))
+            edit = rng.randrange(5)
+            if edit == 0 and sections[j]:  # drop a witness
+                sections[j].pop(rng.randrange(len(sections[j])))
+            elif edit == 1 and sections[j]:  # repeat one
+                sections[j].insert(rng.randrange(len(sections[j]) + 1), rng.choice(sections[j]))
+            elif edit == 2:  # any value the slot can hold, in range or not
+                sections[j].append(rng.randrange(1 << max(ell, 1)))
+            elif edit == 3:  # move a witness to another section
+                k = rng.randrange(len(sections))
+                if sections[k]:
+                    sections[j].append(sections[k].pop())
+            else:
+                sections[j] = []
+        widths = [max(ell, 1) + (rng.random() < 0.03) for _ in sections]
+        self.payload, self.sent = payload, [(tuple(v), w) for v, w in zip(sections, widths)]
+        return self.sent
+
+
+def test_slb_verdicts_match_a_witness_by_witness_oracle():
+    rng = random.Random(2402)
+    reasons = {}
+    for trial in range(300):
+        ell = rng.randrange(0, 7)
+        circuit = SamplingCircuit.from_table(
+            ell, [rng.getrandbits(3) for _ in range(1 << ell)], 3) if ell else \
+            SamplingCircuit.identity(0)
+        n_sym = rng.choice((1, 2, 4))
+        symbol_of = lambda y, n_sym=n_sym: y % n_sym
+        masses = circuit_pmf(circuit).weights
+        probs = [Fraction(sum(masses[y] for y in range(len(masses)) if symbol_of(y) == i),
+                          1 << ell) for i in range(n_sym)]
+        probs = [p * Fraction(rng.choice((1, 1, 3)), rng.choice((1, 2, 4))) for p in probs]
+        if sum(probs) > 1:
+            probs = [p / sum(probs) for p in probs]
+        claim = MarginalClaim(tuple(probs), Fraction(1, rng.choice((2, 1000))), Fraction(1, 20))
+        prover = MutatingSlbProver(slb_preimages(circuit, symbol_of), rng)
+        res = run_set_lower_bound(circuit, claim, prover, trial, symbol_of=symbol_of,
+                                  bucket_bits=rng.choice((None, *range(min(ell, 2) + 1))))
+        if prover.payload is None:  # no active symbol: nothing was asked
+            assert res.verdict.accepted
+            continue
+        want = slb_witness_reason(circuit, symbol_of, probs, claim.tau, prover.payload,
+                                  prover.sent)
+        assert res.verdict == (Verdict(True) if want is None else Verdict(False, want)), trial
+        reasons[want] = reasons.get(want, 0) + 1
+    assert set(reasons) == {None, "malformed", "witness", "lower-bound"}, reasons
+
+
+@pytest.mark.parametrize("witnesses,reason", [
+    (tuple(range(256)), "witness"),  # every input has the symbol, but not every one hashes to 0
+    ((), "lower-bound"),
+])
+def test_slb_hash_test_still_runs_on_well_formed_witnesses(witnesses, reason):
+    claim = MarginalClaim((Fraction(1),), Fraction(1, 1000), Fraction(1, 20))
+    res = run_set_lower_bound(SamplingCircuit.identity(8), claim,
+                              ScriptedSlbProver([(witnesses, 8)]), 0, symbol_of=lambda y: 0,
+                              bucket_bits=2)
     assert res.verdict == Verdict(False, reason)
 
 
@@ -164,6 +262,54 @@ def test_slb_scripted_honest_sections_accept():
     res = run_set_lower_bound(SamplingCircuit.identity(2), identity_claim(2),
                               ScriptedSlbProver(sections), 0)
     assert res.verdict.accepted
+
+
+class CountingSymbols:
+    """A symbol map that counts its calls per output."""
+
+    def __init__(self, symbol_of):
+        self.symbol_of, self.calls = symbol_of, {}
+
+    def __call__(self, y):
+        self.calls[y] = self.calls.get(y, 0) + 1
+        return self.symbol_of(y)
+
+
+@pytest.mark.parametrize("bucket_bits", [None, 2])
+def test_slb_maps_each_distinct_output_to_its_symbol_once(bucket_bits):
+    # 2^10 inputs, 16 outputs (the top four bits), 4 symbols: the verifier checks every
+    # witness against the symbol of its output, but names each output's symbol once
+    circuit = SamplingCircuit(10, (), tuple(range(6, 10)))
+    claim = MarginalClaim((Fraction(1, 4),) * 4, Fraction(1, 2), Fraction(1, 20))
+    prover_map, verifier_map = CountingSymbols(lambda y: y >> 2), CountingSymbols(lambda y: y >> 2)
+    prover = HonestSlbProver(slb_preimages(circuit, prover_map))
+    assert prover_map.calls == dict.fromkeys(range(16), 1)
+    for seed in range(3):
+        verifier_map.calls.clear()
+        res = run_set_lower_bound(circuit, claim, prover, seed, symbol_of=verifier_map,
+                                  bucket_bits=bucket_bits)
+        assert res.verdict.accepted
+        assert set(verifier_map.calls.values()) == {1}
+        if bucket_bits is None:  # b = 0: the witnesses are all inputs, of all 16 outputs
+            assert len(verifier_map.calls) == 16
+
+
+def test_whitebox_tables_map_each_output_once_per_dimension(monkeypatch):
+    from dfipp import product
+    calls = []
+    real = product.cell_coord
+    monkeypatch.setattr(product, "cell_coord", lambda y, k, m, d: calls.append((y, d)) or
+                        real(y, k, m, d))
+    D, circuit = gen_product_fixture(2, 4, "dyadic-random", rng=random.Random(6))
+    tables = coordinate_preimages(circuit, 2, 4)
+    outputs = set(circuit.eval_many(range(1 << circuit.n_inputs)))
+    assert sorted(calls) == sorted((y, d) for y in outputs for d in range(4))
+    for d, table in enumerate(tables):  # every input, ascending, under its coordinate
+        assert sorted(x for xs in table.inputs.values() for x in xs) == \
+            list(range(1 << circuit.n_inputs))
+        for c, xs in table.inputs.items():
+            assert list(xs) == sorted(xs)
+            assert {real(circuit.eval(x), 2, 4, d) for x in xs} == {c}
 
 
 def test_bucket_bits_matches_fraction_search():
@@ -285,7 +431,8 @@ def test_slb_mixed_mass_claims_pinned(probs, verdict, comm_bits, sha, tmp_path):
     claim = MarginalClaim(probs, Fraction(3, 4), Fraction(3, 4))
     assert [_bucket_bits(p * 1024, 10, claim.tau, claim.delta / 4) for p in probs[:3]] == \
         [2, 1, 0]
-    res = run_set_lower_bound(circuit, claim, HonestSlbProver(circuit, _top_symbol), 0,
+    res = run_set_lower_bound(circuit, claim,
+                              HonestSlbProver(slb_preimages(circuit, _top_symbol)), 0,
                               symbol_of=_top_symbol)
     assert res.verdict == verdict
     assert res.ledger == CostLedger(queries=0, samples=0, comm_bits=comm_bits, messages=2)
@@ -303,7 +450,8 @@ def _slb_grouped():
     """Four symbols of 64 inputs each over 2^8 inputs, two hash rows per symbol."""
     circuit, symbol_of = SamplingCircuit.identity(8), (lambda y: y >> 6)
     claim = MarginalClaim((Fraction(1, 4),) * 4, Fraction(1, 2), Fraction(1, 20))
-    return run_set_lower_bound(circuit, claim, HonestSlbProver(circuit, symbol_of), 0,
+    return run_set_lower_bound(circuit, claim,
+                               HonestSlbProver(slb_preimages(circuit, symbol_of)), 0,
                                symbol_of=symbol_of, bucket_bits=2)
 
 
@@ -362,7 +510,7 @@ def test_extended_fold_honest_outputs_are_members():
     X, inst = member_instance(F5, 2, 2, rng)
     B = granularise(Pmf([Fraction(1, 2), Fraction(1, 2)]))
     prover = WhiteboxFoldProver(X, [Pmf.uniform(2), Pmf.uniform(2)],
-                                SamplingCircuit.identity(2))
+                                coordinate_preimages(SamplingCircuit.identity(2), 2, 2))
     rowmap = extension_row_map(B.counts)
     result, outputs = _run_fold_round(X, inst, wb_fold_kappa(1, 2), rowmap, prover, seed=0)
     assert result.verdict.accepted
@@ -388,7 +536,7 @@ def test_extended_fold_degenerate_B_reduces_to_plain_fold():
     kappa = 4
     _res_plain, plain = run_poly_fold(X, inst, kappa, HonestFoldProver(X), seed=9)
     prover = WhiteboxFoldProver(X, [Pmf.uniform(2), Pmf.uniform(2)],
-                                SamplingCircuit.identity(2))
+                                coordinate_preimages(SamplingCircuit.identity(2), 2, 2))
     _res_ext, ext = _run_fold_round(X, inst, kappa, extension_row_map((1, 1, 0)), prover, seed=9)
     assert [(st.points, st.values, st.zs) for st in plain] == \
         [(st.points, st.values, st.zs) for st in ext]
@@ -402,7 +550,8 @@ def test_extended_fold_locality_bounded_and_zero_rows_free():
     pmf = Pmf([Fraction(7, 8), Fraction(1, 8)])
     B = granularise(pmf)
     assert B.counts[-1] > 0
-    prover = WhiteboxFoldProver(X, [pmf, Pmf.uniform(2)], SamplingCircuit.identity(2))
+    prover = WhiteboxFoldProver(X, [pmf, Pmf.uniform(2)],
+                                coordinate_preimages(SamplingCircuit.identity(2), 2, 2))
     rowmap = extension_row_map(B.counts)
     result, outputs = _run_fold_round(X, inst, wb_fold_kappa(1, 2), rowmap, prover, seed=5)
     assert result.verdict.accepted
@@ -424,7 +573,8 @@ def test_fold_prover_folds_through_the_requested_row_map(white_box):
     X, inst = member_instance(F5, 2, 2, rng)
     pmf = Pmf([Fraction(7, 8), Fraction(1, 8)])
     B = granularise(pmf)
-    prover = WhiteboxFoldProver(X, [pmf, Pmf.uniform(2)], SamplingCircuit.identity(2)) \
+    prover = WhiteboxFoldProver(X, [pmf, Pmf.uniform(2)],
+                                coordinate_preimages(SamplingCircuit.identity(2), 2, 2)) \
         if white_box else HonestFoldProver(X)
     rowmap = extension_row_map(B.counts)
     result, outputs = _run_fold_round(X, inst, wb_fold_kappa(1, 2), rowmap, prover, seed=5)
@@ -441,7 +591,7 @@ def test_whitebox_honest_completeness_both_configs():
         D, circuit = gen_product_fixture(k, m, "uniform")
         for seed in range(40):
             X, inst = member_instance(field, k, m, rng)
-            prover = WhiteboxFoldProver(X, D.factors, circuit)
+            prover = WhiteboxFoldProver(X, D.factors, coordinate_preimages(circuit, X.k, X.m))
             res = run_whitebox_product_ipp(X, inst, Fraction(1, 2), circuit, 1,
                                            prover, seed)
             assert res.verdict.accepted
@@ -451,7 +601,7 @@ def test_whitebox_round_count_is_checked_first():
     # r = 0 is the same ValueError as fin_ipp's, not a ZeroDivisionError from delta
     D, circuit = gen_product_fixture(2, 3, "uniform")
     X, inst = member_instance(F17, 2, 3, random.Random(5))
-    prover = WhiteboxFoldProver(X, D.factors, circuit)
+    prover = WhiteboxFoldProver(X, D.factors, coordinate_preimages(circuit, X.k, X.m))
     with pytest.raises(ValueError, match="1 <= r <= m-1"):
         run_whitebox_product_ipp(X, inst, Fraction(1, 2), circuit, 0, prover, 0)
 
@@ -460,7 +610,7 @@ def test_whitebox_zero_sample_calls_and_message_count():
     rng = random.Random(5)
     D, circuit = gen_product_fixture(2, 4, "uniform")
     X, inst = member_instance(F17, 2, 4, rng)
-    prover = WhiteboxFoldProver(X, D.factors, circuit)
+    prover = WhiteboxFoldProver(X, D.factors, coordinate_preimages(circuit, X.k, X.m))
     res = run_whitebox_product_ipp(X, inst, Fraction(1, 2), circuit, 1, prover, 0)
     assert res.verdict.accepted
     assert res.ledger.samples == 0
@@ -498,7 +648,7 @@ def test_whitebox_soundness_row_concentrated():
     trials = 150
     rejects = 0
     for seed in range(trials):
-        prover = WhiteboxFoldProver(W, D.factors, circuit)
+        prover = WhiteboxFoldProver(W, D.factors, coordinate_preimages(circuit, W.k, W.m))
         res = run_whitebox_product_ipp(X, inst, eps, circuit, 1, prover, seed)
         if not res.verdict.accepted:
             rejects += 1
@@ -515,7 +665,8 @@ def test_whitebox_rejects_non_pmf_marginal():
             return (Fraction(1, 4), Fraction(1, 4))
 
     res = run_whitebox_product_ipp(X, inst, Fraction(1, 2), circuit, 1,
-                                   ShortClaimProver(X, D.factors, circuit), 0)
+                                   ShortClaimProver(X, D.factors,
+                                                    coordinate_preimages(circuit, 2, 2)), 0)
     assert res.verdict == Verdict(False, "marginal")
 
 
@@ -536,7 +687,8 @@ def test_whitebox_rejects_non_canonical_marginal(profile, pairs):
             return super().reply(tag, payload)
 
     res = run_whitebox_product_ipp(X, inst, Fraction(1, 2), circuit, 1,
-                                   RawPairsProver(X, D.factors, circuit), 0)
+                                   RawPairsProver(X, D.factors,
+                                                  coordinate_preimages(circuit, 2, 2)), 0)
     assert res.verdict == Verdict(False, "marginal")
 
 
@@ -552,10 +704,11 @@ def test_whitebox_learner_catches_distribution_lie():
                 return (Fraction(1, 2), Fraction(1, 2))  # truth is (1, 0)
             return tuple(self.factors[rnd].masses)
 
+    preimages = coordinate_preimages(circuit, 2, 2)
     rejects = 0
     for seed in range(50):
         res = run_whitebox_product_ipp(X, inst, Fraction(1, 2), circuit, 1,
-                                       LyingMarginalProver(X, D.factors, circuit), seed)
+                                       LyingMarginalProver(X, D.factors, preimages), seed)
         if not res.verdict.accepted:
             rejects += 1
             assert res.verdict.reject_reason == "learner"
@@ -735,7 +888,7 @@ def test_learner_chain_inequality_on_accepted_claims():
             claims[i] += shift
             claims[j] -= shift
         claim = MarginalClaim(tuple(claims), tau, Fraction(1, 20))
-        prover = HonestSlbProver(circuit, lambda y: y >> 1)  # first factor bit
+        prover = HonestSlbProver(slb_preimages(circuit, lambda y: y >> 1))  # first factor bit
         res = run_set_lower_bound(circuit, claim, prover, rng.getrandbits(32),
                                   symbol_of=lambda y: y >> 1)
         assert res.verdict.accepted
@@ -751,7 +904,7 @@ def test_whitebox_two_rounds_message_count():
     rng = random.Random(13)
     D, circuit = gen_product_fixture(2, 4, "uniform")
     X, inst = member_instance(F17, 2, 4, rng)
-    prover = WhiteboxFoldProver(X, D.factors, circuit)
+    prover = WhiteboxFoldProver(X, D.factors, coordinate_preimages(circuit, X.k, X.m))
     res = run_whitebox_product_ipp(X, inst, Fraction(9, 10), circuit, 2, prover, 0)
     assert res.verdict.accepted
     assert res.ledger.messages == 5 * 2 + 1
@@ -766,7 +919,7 @@ def test_slb_probabilistic_hash_completeness_with_slack():
     claim = MarginalClaim((Fraction(1, 4), Fraction(0)), Fraction(1, 2),
                           Fraction(1, 10))
     top_bit = lambda y: y >> 7  # true mass of symbol 0 is 1/2
-    prover = HonestSlbProver(circuit, top_bit)
+    prover = HonestSlbProver(slb_preimages(circuit, top_bit))
     accepted = 0
     trials = 100
     for seed in range(trials):
@@ -787,7 +940,7 @@ def test_whitebox_completeness_with_nonuniform_factors():
         B = granularise(D.factors[0])
         found_zero_row = found_zero_row or B.counts[-1] > 0
         for seed in range(10):
-            prover = WhiteboxFoldProver(X, D.factors, circuit)
+            prover = WhiteboxFoldProver(X, D.factors, coordinate_preimages(circuit, X.k, X.m))
             res = run_whitebox_product_ipp(X, inst, Fraction(1, 2), circuit, 1,
                                            prover, seed)
             assert res.verdict.accepted, (trial, seed, res.verdict)

@@ -8,7 +8,7 @@ from dfipp.tensors import (BudgetExceeded, INF, PvalInstance, dist, dist_to_pval
                            enumerate_pval, hybrid_dist, pval_member, pval_min_distance)
 from dfipp.distributions import Pmf
 
-from _oracles import exhaustive_hybrid_distance
+from _oracles import exhaustive_hybrid_distance, fraction_dist, scan_pval
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -106,6 +106,31 @@ def test_bruteforce_matches_independent_enumeration():
             assert got == want
         else:
             assert got == INF
+
+
+@pytest.mark.parametrize("hybrid", [False, True], ids=["pmf", "hybrid"])
+def test_bruteforce_integer_scan_matches_a_fraction_scan(hybrid):
+    # members from the independent candidate scan, distances summed as Fractions
+    rng = random.Random(2401 + hybrid)
+    empty = zero = 0
+    for _ in range(30):
+        X = InputTensor.random(F5, 2, 2, rng)
+        points = tuple(F5.rand_point(2, rng) for _ in range(rng.randrange(3)))
+        values = tuple(rng.randrange(5) for _ in points)
+        inst = PvalInstance(F5, 2, 2, points, values)
+        laws = [Pmf.from_weights(w, sum(w)) for w in
+                ([rng.randrange(4) for _ in range(3)] + [1 + rng.randrange(9)] for _ in "12")]
+        metric = ("hybrid", *laws) if hybrid else laws[0]
+        members = scan_pval(2, 2, points, values, 5)
+        if hybrid:
+            want = exhaustive_hybrid_distance(X.data, members, laws[0].masses, laws[1].masses)
+        else:
+            want = min((fraction_dist(X.data, w, laws[0].masses) for w in members), default=None)
+        got = dist_to_pval_bruteforce(X, inst, metric)
+        assert got == (INF if want is None else want), (X, inst, metric)
+        assert got is INF or type(got) is Fraction
+        empty, zero = empty + (want is None), zero + (want == 0)
+    assert empty and zero  # both the INF return and the stop at 0 are exercised
 
 
 def test_budget_refusal():
