@@ -48,7 +48,7 @@ print()
 print("== the full recursion: r rounds, 2r+1 messages, then leaf checks ==")
 U = Pmf.uniform(16, shape=(2, 4))
 for r in (1, 2, 3):
-    res = run_fin_ipp(X, inst, U, Fraction(1, 2), r, HonestFoldProver(X), seed=5)
+    res = run_fin_ipp(X, inst, U, 1, Fraction(1, 2), r, HonestFoldProver(X), seed=5)
     print(f"r={r}: accepted={res.verdict.accepted}, messages={res.ledger.messages}, "
           f"queries={res.ledger.queries}, samples={res.ledger.samples}")
     for note in res.notes:

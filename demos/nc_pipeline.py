@@ -31,8 +31,8 @@ print("== a skewed but smooth distribution: the dispersed pipeline ==")
 D = Pmf([Fraction(3, 32) if i % 2 else Fraction(1, 32) for i in range(16)],
         shape=(2, 4))
 print("dispersion rho =", dispersion_rho(D).rho)
-res = run_dispersed_ipp_nc(X, D, Fraction(1, 2), ClaimGenerator(), HonestFoldProver(X),
-                           seed=0, r=1)
+res = run_dispersed_ipp_nc(X, D, dispersion_rho(D).rho, Fraction(1, 2), ClaimGenerator(),
+                           HonestFoldProver(X), seed=0, r=1)
 print(f"accepted={res.verdict.accepted}; {res.notes[0]}")
 
 print()

@@ -15,7 +15,7 @@ import math
 import random
 from fractions import Fraction
 from dataclasses import asdict, fields, replace
-from functools import partial
+from functools import cache, partial
 from typing import NamedTuple, Optional
 
 from .field import InputTensor, PrimeField, lagrange_basis, lde_eval, uniform_draws
@@ -177,10 +177,12 @@ _HAM_PROVERS = Modes("mode", "honest", {
         _sized(s["alt"], len(x), "prover.alt"))),
     "bad-sum": ({}, {}, lambda s, x: partial(BadSumHamProver, x)),
 })
+# tables() gives the preimage tables of the set-up
 _WHITEBOX_PROVERS = Modes("mode", "honest", {
-    "honest": ({}, {}, lambda s, X, D, P: partial(WhiteboxFoldProver, X, D.factors, P)),
-    "fixed-alternative": (_ALT, {}, lambda s, X, D, P: lambda: WhiteboxFoldProver(
-        replace(X, data=tuple(s["alt"])), D.factors, P)),
+    "honest": ({}, {}, lambda s, X, D, tables: lambda: WhiteboxFoldProver(
+        X, D.factors, tables())),
+    "fixed-alternative": (_ALT, {}, lambda s, X, D, tables: lambda: WhiteboxFoldProver(
+        replace(X, data=tuple(s["alt"])), D.factors, tables())),
 })
 
 
@@ -261,10 +263,9 @@ def _bucket_bits(config: dict, ell: int) -> Optional[int]:
     return b
 
 
-def _fold_meta(X: InputTensor, D=None, **fields) -> dict:
-    """Report fields of a fold protocol on X; rho is D's dispersion in X's shape."""
-    rho = {} if D is None else {"rho": str(dispersion_rho(D, (X.k, X.m)).rho)}
-    return {"n": X.n, "k": X.k, "m": X.m, "field": X.field.modulus, **rho, **fields}
+def _fold_meta(X: InputTensor, **fields) -> dict:
+    """Report fields of a fold protocol on X."""
+    return {"n": X.n, "k": X.k, "m": X.m, "field": X.field.modulus, **fields}
 
 
 def _run_echo(config: dict, rng: random.Random):
@@ -315,26 +316,28 @@ def _run_fin_ipp(config: dict, rng: random.Random):
     X, inst = _tensor_and_instance(config, rng)
     eps = _frac(config["eps"])
     D = _distribution(config, X.n, shape=(inst.k, inst.m))
+    rho = dispersion_rho(D, (X.k, X.m)).rho
     make = _FOLD_PROVERS.build(config.get("prover", {}), X, rng)
-    return partial(run_fin_ipp, X, inst, D, eps, config["r"],
+    return partial(run_fin_ipp, X, inst, D, rho, eps, config["r"],
                    dist_mode=config.get("dist_mode", "oracle"),
                    kappa_override=config.get("kappa_override")), make, \
-        _fold_meta(X, D, r=config["r"], eps=str(eps))
+        _fold_meta(X, r=config["r"], eps=str(eps), rho=str(rho))
 
 
-def _nc(config: dict, rng: random.Random, runner):
-    """The set-up of an NC df-IPP that runner(X, D, eps, gen, prover, seed, r,
-    kappa_override) runs."""
+def _nc(config: dict, rng: random.Random, bind):
+    """The set-up of an NC df-IPP; bind(X, D, rho) is its runner with those bound,
+    to be called as (eps, gen, prover, seed, r=, kappa_override=)."""
     X = _tensor(config, rng)
     eps = _frac(config["eps"])
     D = _distribution(config, X.n, shape=(X.k, X.m))
+    rho = dispersion_rho(D, (X.k, X.m)).rho
     gen, values = _NC_CLAIMS.build(config.get("claims", {}), X)
     fold = _FOLD_PROVERS.build(config.get("prover", {}), X, rng)
     # a prover_override (a replay) answers claims/values itself
     make = fold if values is None else lambda: ScriptedClaimsProver(fold(), values, X.field.bits)
     r = config.get("r", DEFAULT_NC_R)
-    return partial(runner, X, D, eps, gen, r=r, kappa_override=config.get("kappa_override")), \
-        make, _fold_meta(X, D, r=r, eps=str(eps))
+    return partial(bind(X, D, rho), eps, gen, r=r, kappa_override=config.get("kappa_override")), \
+        make, _fold_meta(X, r=r, eps=str(eps), rho=str(rho))
 
 
 def _run_whitebox_product(config: dict, rng: random.Random):
@@ -346,10 +349,14 @@ def _run_whitebox_product(config: dict, rng: random.Random):
                   tau=_frac(config.get("tau", DEFAULT_TAU)),
                   kappa_override=config.get("kappa_override"),
                   bucket_bits=_bucket_bits(config, circuit.n_inputs))
-    meta = _fold_meta(X, D, r=config["r"], eps=str(eps))
-    # one preimage table per dimension, shared by every prover of the set-up
-    preimages = coordinate_preimages(circuit, config["k"], config["m"])
-    return run, _WHITEBOX_PROVERS.build(config.get("prover", {}), X, D, preimages), meta
+    meta = _fold_meta(X, r=config["r"], eps=str(eps),
+                      rho=str(dispersion_rho(D, (X.k, X.m)).rho))
+    if circuit.n_inputs > CIRCUIT_INPUT_BUDGET:  # refused before the first trial
+        raise BudgetExceeded("honest prover enumeration over budget")
+    # one preimage table per dimension, built by the first make() (a replay makes no
+    # prover) and shared by every later one
+    tables = cache(partial(coordinate_preimages, circuit, config["k"], config["m"]))
+    return run, _WHITEBOX_PROVERS.build(config.get("prover", {}), X, D, tables), meta
 
 
 def _run_rlcc(config: dict, rng: random.Random):
@@ -378,8 +385,9 @@ def _run_set_lower_bound(config: dict, rng: random.Random):
         raise ValueError("config key 'claims' must sum to at most 1")
     claim = MarginalClaim(probs, _frac(config.get("tau", DEFAULT_TAU)),
                           _frac(config.get("delta", "1/20")))
+    tables = cache(partial(slb_preimages, circuit, lambda y: y))  # on the first make()
     return partial(run_set_lower_bound, circuit, claim, bucket_bits=_bucket_bits(config, ell)), \
-        partial(HonestSlbProver, slb_preimages(circuit, lambda y: y)), {"n": n_sym}
+        lambda: HonestSlbProver(tables()), {"n": n_sym}
 
 
 # protocol name -> (required key specs, optional key specs, builder); a builder sets a config
@@ -402,10 +410,10 @@ _PROTOCOLS = {
                  "distribution": _DISTRIBUTION, "dist_mode": frozenset({"oracle", "uniform"}),
                  "prover": _FOLD_PROVERS},
                 _run_fin_ipp),
-    "df_ipp_nc": ({**_TENSOR, "eps": _positive}, _NC,
-                  lambda config, rng: _nc(config, rng, run_df_ipp_nc)),
-    "dispersed_ipp_nc": ({**_TENSOR, "eps": _positive}, _NC,
-                         lambda config, rng: _nc(config, rng, run_dispersed_ipp_nc)),
+    "df_ipp_nc": ({**_TENSOR, "eps": _positive}, _NC, lambda config, rng: _nc(
+        config, rng, lambda X, D, rho: partial(run_df_ipp_nc, X, D))),
+    "dispersed_ipp_nc": ({**_TENSOR, "eps": _positive}, _NC, lambda config, rng: _nc(
+        config, rng, lambda X, D, rho: partial(run_dispersed_ipp_nc, X, D, rho))),
     "whitebox_product": ({**_TENSOR, "r": POSITIVE, "eps": _positive},
                          {**_CLAIMED, "kappa_override": POSITIVE, "tau": _unit,
                           "profile": frozenset(FIXTURE_PROFILES),

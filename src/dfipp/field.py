@@ -191,15 +191,21 @@ def basis_row(field: PrimeField, k: int, m: int, point: Sequence[int]) -> tuple[
 
     The Kronecker product of the per-coordinate Lagrange basis vectors in cell
     order: every LDE evaluation, and every enumeration-oracle test, is one dot.
+    Built suffix first, row(pt) = L(pt[0]) (x) row(pt[1:]), and memoised on
+    (p, k, point): the row at a point also keeps the rows at its tails, which
+    are the points of the later fold rounds and of the leaf checks.
     """
     if len(point) != m:
         raise ValueError(f"point has {len(point)} coordinates, tensor has {m}")
-    p = field.modulus
-    row = [1]
-    for t in point:
-        basis = lagrange_basis(p, k, t)
-        row = [r * b % p for r in row for b in basis]
-    return tuple(row)
+    return _kron_row(field.modulus, k, tuple(point))
+
+
+@lru_cache(maxsize=1024)  # about one session's rows at F17, k = 2, m = 5
+def _kron_row(p: int, k: int, point: tuple[int, ...]) -> tuple[int, ...]:
+    if not point:
+        return (1,)
+    tail = _kron_row(p, k, point[1:])
+    return tuple([b * r % p for b in lagrange_basis(p, k, point[0]) for r in tail])
 
 
 def lde_eval(X: InputTensor, point: Sequence[int]) -> int:
@@ -211,8 +217,8 @@ def lde_eval_batch(field: PrimeField, k: int, m: int, tensors: Sequence[Sequence
                    points: Iterable[Sequence[int]]) -> list[list[int]]:
     """out[d][j] = P_{tensors[d]}(points[j]) for flat tensors of F^(k^m).
 
-    Streams the points: each point's basis row is built once, dotted with
-    every tensor and dropped, so at most one row is held at a time.
+    Streams the points: each point's basis row, from basis_row's bounded memo,
+    is dotted with every tensor; the batch itself keeps no row.
     """
     if any(len(data) != k ** m for data in tensors):
         raise ValueError(f"every tensor needs {k ** m} cells")

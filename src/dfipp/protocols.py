@@ -459,13 +459,13 @@ def _fin_core(session: Session, X: InputTensor, inst: PvalInstance, eps: Fractio
     return _leaf_phase(session, X, live, r, eps, 4 * rho, draw)
 
 
-def run_fin_ipp(X: InputTensor, inst: PvalInstance, D, eps: Fraction, r: int,
+def run_fin_ipp(X: InputTensor, inst: PvalInstance, D, rho: Fraction, eps: Fraction, r: int,
                 prover: ProverStrategy, seed: int, dist_mode: str = "oracle",
                 kappa_override: Optional[int] = None) -> RunResult:
-    """FinIPP against D, of any kind, at D's dispersion rho in the claim's shape (k, m)."""
+    """FinIPP against D, of any kind, whose dispersion in the claim's shape (k, m) is
+    rho = dispersion_rho(D, (k, m)).rho, measured once per D by the caller."""
     if dist_mode not in ("oracle", "uniform"):
         raise ValueError(f"unknown dist_mode {dist_mode!r}")
-    rho = dispersion_rho(D, (inst.k, inst.m)).rho
     oracles = OracleHandles(X.data, dist=D)
     return run_session(lambda s: _fin_core(s, X, inst, eps, rho, r, dist_mode, kappa_override),
                        prover, oracles, seed)
@@ -528,12 +528,11 @@ def run_df_ipp_nc(X: InputTensor, D, eps: Fraction, gen: ClaimGenerator,
                        prover, oracles, seed)
 
 
-def run_dispersed_ipp_nc(X: InputTensor, D, eps: Fraction, gen: ClaimGenerator,
+def run_dispersed_ipp_nc(X: InputTensor, D, rho: Fraction, eps: Fraction, gen: ClaimGenerator,
                          prover: ProverStrategy, seed: int, r: int = DEFAULT_NC_R,
                          kappa_override: Optional[int] = None) -> RunResult:
-    """Claims, then FinIPP against the true distribution (hybrid soundness) at
-    D's dispersion rho in X's shape."""
-    rho = dispersion_rho(D, (X.k, X.m)).rho
+    """Claims, then FinIPP against the true distribution (hybrid soundness) at rho =
+    dispersion_rho(D, (X.k, X.m)).rho, measured once per D by the caller."""
 
     def verifier(session: Session) -> Verdict:
         inst = generate_pval_claims(session, gen, X.field, X.k, X.m, eps)

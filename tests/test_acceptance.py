@@ -13,7 +13,7 @@ from itertools import product as iproduct
 from dfipp.field import InputTensor, PrimeField, lde_eval
 from dfipp.tensors import INF, PvalInstance, dist_to_pval_bruteforce, enumerate_pval, \
     hybrid_dist
-from dfipp.distributions import Pmf
+from dfipp.distributions import Pmf, dispersion_rho
 from dfipp.session import CostLedger, OracleHandles
 from dfipp.protocols import (ClaimGenerator, HonestFoldProver, HonestHamProver, NullProver,
                              blr_linearity_ipp, fold_kappa, folded_eval, hadamard_codeword,
@@ -97,11 +97,12 @@ def test_criterion_1_perfect_completeness():
             "ham_ipp": lambda s: run_ham_ipp(x_bits, U, w, EPS, HonestHamProver(x_bits), s),
             "poly_fold": lambda s: run_poly_fold(X, inst, fold_kappa(1, k),
                                                  HonestFoldProver(X), s)[0],
-            "fin_ipp": lambda s: run_fin_ipp(X, inst, U, EPS, 1,
+            "fin_ipp": lambda s: run_fin_ipp(X, inst, U, 1, EPS, 1,
                                              HonestFoldProver(X), s),
             "df_ipp_nc": lambda s: run_df_ipp_nc(X, U, EPS, gen, HonestFoldProver(X), s),
             "dispersed_ipp_nc": lambda s: run_dispersed_ipp_nc(
-                X, D_disp, EPS, gen, HonestFoldProver(X), s, r=1),
+                X, D_disp, dispersion_rho(D_disp).rho, EPS, gen, HonestFoldProver(X), s,
+                r=1),
             "whitebox": lambda s: run_whitebox_product_ipp(
                 X, inst, EPS, circuit, 1,
                 WhiteboxFoldProver(X, Dprod.factors, preimages), s),
@@ -189,7 +190,7 @@ def test_criterion_7_soundness_monte_carlo():
     trials = 500
     rejects = sum(
         1 for seed in range(trials)
-        if not run_fin_ipp(X, inst, U, eps, 1,
+        if not run_fin_ipp(X, inst, U, 1, eps, 1,
                            HonestFoldProver(W), seed).verdict.accepted)
     sigma = math.sqrt(0.25 / trials)
     ok_fin = rejects / trials >= 0.5 - 3 * sigma
@@ -280,7 +281,7 @@ def test_criterion_8_ledger_laws():
     # fin_ipp exchanges exactly 2r + 1 messages
     ok_messages = True
     for r in (1, 2, 3):
-        res = run_fin_ipp(Xb, instb, Pmf.uniform(16, shape=(2, 4)), EPS,
+        res = run_fin_ipp(Xb, instb, Pmf.uniform(16, shape=(2, 4)), 1, EPS,
                           r, HonestFoldProver(Xb), 2)
         if not res.verdict.accepted or res.ledger.messages != 2 * r + 1:
             ok_messages = False

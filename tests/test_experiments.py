@@ -473,6 +473,44 @@ def test_preimage_tables_are_built_once_per_run(config, monkeypatch):
     assert len(built) == 1
 
 
+@pytest.mark.parametrize("config", [
+    {"protocol": "whitebox_product", "trials": 1, "seed": 6, "field_modulus": 17, "k": 2,
+     "m": 4, "r": 2, "eps": "1/2", "profile": "dyadic-random"},
+    {"protocol": "set_lower_bound", "trials": 1, "seed": 1, "ell": 6},
+], ids=["whitebox_product", "set_lower_bound"])
+def test_replay_builds_no_preimage_table(config, tmp_path, monkeypatch):
+    # the replay prover answers from the transcript, so no honest prover is made
+    from dfipp import product
+    path = str(tmp_path / "t.jsonl")
+    record_transcript(config, 42, path)
+    real, built = product._preimage_tables, []
+    monkeypatch.setattr(product, "_preimage_tables",
+                        lambda *args: built.append(args) or real(*args))
+    assert cmd_replay(path)["match"]
+    assert built == []
+
+
+@pytest.mark.parametrize("config", [
+    {"protocol": "fin_ipp", "field_modulus": 17, "k": 2, "m": 2, "r": 1, "eps": "1/2",
+     "distribution": {"kind": "explicit", "masses": ["5/16", "3/16", "5/16", "3/16"]}},
+    {"protocol": "df_ipp_nc", "field_modulus": 17, "k": 2, "m": 3, "r": 1, "eps": "1/2"},
+    {"protocol": "dispersed_ipp_nc", "field_modulus": 17, "k": 2, "m": 2, "r": 1,
+     "eps": "1/2", "distribution": {"kind": "product", "factors": [["1/4", "3/4"]] * 2}},
+    {"protocol": "whitebox_product", "field_modulus": 17, "k": 2, "m": 3, "r": 1,
+     "eps": "1/2", "profile": "dyadic-random"},
+], ids=["fin_ipp", "df_ipp_nc", "dispersed_ipp_nc", "whitebox_product"])
+def test_dispersion_rho_is_measured_once_per_run(config, monkeypatch):
+    # the rho column and every trial's FinIPP read one measurement of the set-up
+    from dfipp import experiments, protocols
+    real, calls = experiments.dispersion_rho, []
+    for module in (experiments, protocols):
+        monkeypatch.setattr(module, "dispersion_rho",
+                            lambda *args: calls.append(args) or real(*args))
+    record = cmd_run({**config, "trials": 3, "seed": 4})
+    assert record["accepted"] == 3
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("eps", [2, 0.25, "1/4"])
 def test_config_rationals_accept_int_float_and_fraction_strings(eps):
     validate_config({**HAM, "eps": eps})

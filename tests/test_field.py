@@ -3,8 +3,9 @@ from itertools import product
 
 import pytest
 
-from dfipp.field import (InputTensor, PrimeField, cell_coord, cell_coords, lagrange_basis,
-                         lagrange_eval_univariate, lde_eval, lde_eval_batch)
+from dfipp import field as field_module
+from dfipp.field import (InputTensor, PrimeField, basis_row, cell_coord, cell_coords,
+                         lagrange_basis, lagrange_eval_univariate, lde_eval, lde_eval_batch)
 
 from _oracles import poly_eval, vandermonde_coeffs, vandermonde_lde_eval
 
@@ -124,6 +125,48 @@ def test_lde_batch_matches_lde_eval_per_tensor():
         lde_eval_batch(field, 3, 2, [datas[0][:-1]], points)
     with pytest.raises(ValueError):
         lde_eval_batch(field, 3, 2, datas, [(1, 2, 3)])
+
+
+def _kronecker_reference(p, k, point):
+    """The basis row left to right: row <- row (x) L(t) per coordinate t, each
+    L_i(t) = prod_{j != i} (t - j) / (i - j) with a Fermat inverse."""
+    row = [1]
+    for t in point:
+        basis = []
+        for i in range(k):
+            num = den = 1
+            for j in range(k):
+                if j != i:
+                    num, den = num * (t - j) % p, den * (i - j) % p
+            basis.append(num * pow(den, p - 2, p) % p)
+        row = [r * b % p for r in row for b in basis]
+    return tuple(row)
+
+
+@pytest.mark.parametrize("modulus", [17, 97, (1 << 61) - 1])
+@pytest.mark.parametrize("k", [2, 3])
+def test_basis_row_matches_a_left_to_right_kronecker_reference(modulus, k):
+    # each point also under a second (p, k), whose memoised rows must not be mixed up
+    # with the first's; coordinates run past p; a cold pass, then a warm one
+    second = (17 if modulus != 17 else 97, 5 - k)
+    rng = random.Random(modulus + k)
+    points = [tuple(rng.randrange(3 * modulus) for _ in range(m))
+              for m in range(6) for _ in range(4)]
+    field_module._kron_row.cache_clear()
+    for warm in (False, True):
+        misses = field_module._kron_row.cache_info().misses
+        for pt in points:
+            for p, k_ in ((modulus, k), second):
+                want = _kronecker_reference(p, k_, pt)
+                assert basis_row(PrimeField(p), k_, len(pt), pt) == want
+                assert basis_row(PrimeField(p), k_, len(pt), list(pt)) == want
+        assert (field_module._kron_row.cache_info().misses == misses) == warm
+    with pytest.raises(ValueError, match="coordinates"):
+        basis_row(PrimeField(modulus), k, 3, (1, 2))
+
+
+def test_basis_row_cache_is_bounded():
+    assert field_module._kron_row.cache_info().maxsize is not None
 
 
 def test_lde_linearity():

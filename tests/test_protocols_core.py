@@ -7,7 +7,7 @@ import pytest
 from dfipp.field import InputTensor, PrimeField, lde_eval
 from dfipp.tensors import INF, PvalInstance, dist_to_pval_bruteforce, enumerate_pval, \
     pval_member
-from dfipp.distributions import Pmf
+from dfipp.distributions import Pmf, dispersion_rho
 from dfipp.session import OracleHandles, Verdict
 from dfipp.protocols import (BadSumHamProver, ClaimGenerator, CorrectorHandle,
                              HonestFoldProver, HonestHamProver, RandomLieFoldProver,
@@ -314,7 +314,7 @@ def test_fin_ipp_perfect_completeness_both_configs():
         D = Pmf.uniform(k ** m, shape=(k, m))
         for seed in range(100):
             X, inst = member_instance(field, k, m, rng)
-            res = run_fin_ipp(X, inst, D, Fraction(1, 2), 1,
+            res = run_fin_ipp(X, inst, D, 1, Fraction(1, 2), 1,
                               HonestFoldProver(X), seed)
             assert res.verdict.accepted
 
@@ -324,7 +324,7 @@ def test_fin_ipp_message_count_is_2r_plus_1():
     X, inst = member_instance(F17, 2, 4, rng)
     D = Pmf.uniform(16, shape=(2, 4))
     for r in (1, 2, 3):
-        res = run_fin_ipp(X, inst, D, Fraction(1, 2), r,
+        res = run_fin_ipp(X, inst, D, 1, Fraction(1, 2), r,
                           HonestFoldProver(X), 0)
         assert res.verdict.accepted
         assert res.ledger.messages == 2 * r + 1
@@ -334,7 +334,7 @@ def test_fin_ipp_query_count_matches_leaf_formula():
     rng = random.Random(9)
     X, inst = member_instance(F17, 2, 4, rng)
     D = Pmf.uniform(16, shape=(2, 4))
-    res = run_fin_ipp(X, inst, D, Fraction(1, 2), 2,
+    res = run_fin_ipp(X, inst, D, 1, Fraction(1, 2), 2,
                       HonestFoldProver(X), 5)
     assert res.verdict.accepted
     expected = 0
@@ -350,7 +350,7 @@ def test_fin_ipp_sample_accounting_oracle_mode():
     rng = random.Random(10)
     X, inst = member_instance(F5, 2, 2, rng)
     D = Pmf.uniform(4, shape=(2, 2))
-    res = run_fin_ipp(X, inst, D, Fraction(1, 2), 1,
+    res = run_fin_ipp(X, inst, D, 1, Fraction(1, 2), 1,
                       HonestFoldProver(X), 3)
     assert res.verdict.accepted
     total_nq = sum(int(dict(part.split("=") for part in note.split()[1:])["nq"])
@@ -367,7 +367,7 @@ def test_fin_ipp_soundness_fixed_alternative():
     trials = 200
     rejects = 0
     for seed in range(trials):
-        res = run_fin_ipp(X, inst, D, eps, 1, HonestFoldProver(W), seed)
+        res = run_fin_ipp(X, inst, D, 1, eps, 1, HonestFoldProver(W), seed)
         if not res.verdict.accepted:
             rejects += 1
     sigma = math.sqrt(0.25 / trials)
@@ -381,7 +381,7 @@ def test_fin_ipp_random_lie_prover_rejected():
     rejects = 0
     for seed in range(50):
         prover = RandomLieFoldProver(X, 0.5, random.Random(seed + 1000))
-        res = run_fin_ipp(X, inst, D, Fraction(1, 2), 1, prover, seed)
+        res = run_fin_ipp(X, inst, D, 1, Fraction(1, 2), 1, prover, seed)
         if not res.verdict.accepted:
             rejects += 1
     assert rejects >= 40
@@ -404,7 +404,7 @@ def test_fin_ipp_leaf_pval_verdicts_keep_tuple_order():
     # rejected; ledger and notes are those of the per-tuple leaf loop
     rng = random.Random(31)
     X, inst = member_instance(F17, 2, 4, rng)
-    res = run_fin_ipp(X, inst, Pmf.uniform(16, shape=(2, 4)), Fraction(1, 2), 1,
+    res = run_fin_ipp(X, inst, Pmf.uniform(16, shape=(2, 4)), 1, Fraction(1, 2), 1,
                       SecondLeafCorrupter(X), 4)
     assert res.verdict == Verdict(False, "leaf-pval")
     assert (res.ledger.queries, res.ledger.samples) == (160, 40)
@@ -469,10 +469,12 @@ def nonuniform_dispersed_pmf():
 def test_dispersed_ipp_nc_completeness_and_no_early_queries():
     rng = random.Random(16)
     D = nonuniform_dispersed_pmf()
+    rho = dispersion_rho(D).rho
     gen = ClaimGenerator()
     for seed in range(60):
         X = InputTensor.random(F5, 2, 2, rng)
-        res = run_dispersed_ipp_nc(X, D, Fraction(1, 2), gen, HonestFoldProver(X), seed, r=1)
+        res = run_dispersed_ipp_nc(X, D, rho, Fraction(1, 2), gen, HonestFoldProver(X), seed,
+                                   r=1)
         assert res.verdict.accepted
         assert "queries before fin leaf phase: 0" in res.notes
 
@@ -480,6 +482,7 @@ def test_dispersed_ipp_nc_completeness_and_no_early_queries():
 def test_dispersed_ipp_nc_adversarial_rejected():
     rng = random.Random(17)
     D = nonuniform_dispersed_pmf()
+    rho = dispersion_rho(D).rho
     X, inst, mu = certified_far_instance(F5, 2, 2, rng, D)
     eps = mu * Fraction(99, 100)
     gen = ClaimGenerator(points=inst.points)
@@ -487,7 +490,7 @@ def test_dispersed_ipp_nc_adversarial_rejected():
     trials = 200
     rejects = 0
     for seed in range(trials):
-        res = run_dispersed_ipp_nc(X, D, eps, gen,
+        res = run_dispersed_ipp_nc(X, D, rho, eps, gen,
                                    ScriptedClaimsProver(HonestFoldProver(W), inst.values, F5.bits),
                                    seed, r=1)
         if not res.verdict.accepted:
@@ -697,7 +700,7 @@ def test_fin_ipp_empty_claim_set_runs():
     rng = random.Random(24)
     X = InputTensor.random(F5, 2, 2, rng)
     inst = PvalInstance(F5, 2, 2, (), ())
-    res = run_fin_ipp(X, inst, Pmf.uniform(4, shape=(2, 2)), Fraction(1, 2),
+    res = run_fin_ipp(X, inst, Pmf.uniform(4, shape=(2, 2)), 1, Fraction(1, 2),
                       1, HonestFoldProver(X), 0)
     assert res.verdict.accepted
     assert res.ledger.queries > 0
