@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from dataclasses import asdict, fields, replace
 from functools import cache, partial
@@ -40,8 +41,8 @@ from .product import (DEFAULT_TAU, FIXTURE_PROFILES, HonestSlbProver, MarginalCl
                       slb_preimages)
 
 _LEDGER = [f.name for f in fields(CostLedger)]
-CSV_COLUMNS = ["protocol", "n", "k", "m", "r", "eps", "rho", "field", *_LEDGER,
-               "accepted", "reject_reason", "seed"]
+_META = ["protocol", "n", "k", "m", "r", "eps", "rho", "field"]  # a set-up's row fields
+CSV_COLUMNS = [*_META, *_LEDGER, "accepted", "reject_reason", "seed"]
 
 EXIT_PASS = 0
 EXIT_STAT_FAIL = 1
@@ -110,6 +111,13 @@ def _sized(values: list, n: int, key: str) -> tuple:
     return tuple(values)
 
 
+def _cells(values: list, field: PrimeField, n: int, key: str) -> tuple:
+    """values as a tuple; a ValueError names the config key unless they are n field elements."""
+    if not all(0 <= v < field.modulus for v in values):
+        raise ValueError(f"config key {key!r} must hold field elements in [0, {field.modulus})")
+    return _sized(values, n, key)
+
+
 def _error(key: Optional[str], problem: str) -> ValueError:
     return ValueError(("config " if key is None else f"config key {key!r} ") + problem)
 
@@ -159,12 +167,20 @@ def validate_config(config: dict) -> None:
 
 
 _ALT = {"alt": [int]}
-# a prover object builds a factory of fresh provers, which checks "alt" as it builds one;
-# random-lie seeds each one's coins with one setup-rng draw, the last of its set-up
+_BITS = [range(2)]
+
+
+def _alternative(spec: dict, X: InputTensor) -> InputTensor:
+    """X with the cells of spec's "alt", which must be X.n field elements."""
+    return replace(X, data=_cells(spec["alt"], X.field, X.n, "prover.alt"))
+
+
+# a prover object builds a factory of fresh provers; random-lie seeds each one's coins
+# with one setup-rng draw, the last of its set-up
 _FOLD_PROVERS = Modes("mode", "honest", {
     "honest": ({}, {}, lambda s, X, rng: partial(HonestFoldProver, X)),
-    "fixed-alternative": (_ALT, {}, lambda s, X, rng: lambda: HonestFoldProver(
-        replace(X, data=tuple(s["alt"])))),
+    "fixed-alternative": (_ALT, {}, lambda s, X, rng: partial(
+        HonestFoldProver, _alternative(s, X))),
     "row-tamper": ({}, {"row": int, "col": int, "delta": int}, lambda s, X, rng: partial(
         RowTamperFoldProver, X, s.get("row", 0), s.get("col", 0), s.get("delta", 1))),
     "random-lie": ({}, {"prob": _probability}, lambda s, X, rng: partial(
@@ -173,41 +189,29 @@ _FOLD_PROVERS = Modes("mode", "honest", {
 })
 _HAM_PROVERS = Modes("mode", "honest", {
     "honest": ({}, {}, lambda s, x: partial(HonestHamProver, x)),
-    "committed": (_ALT, {}, lambda s, x: lambda: HonestHamProver(
-        _sized(s["alt"], len(x), "prover.alt"))),
+    "committed": ({"alt": _BITS}, {}, lambda s, x: partial(
+        HonestHamProver, _sized(s["alt"], len(x), "prover.alt"))),
     "bad-sum": ({}, {}, lambda s, x: partial(BadSumHamProver, x)),
 })
-# tables() gives the preimage tables of the set-up
+# a white-box prover object builds the tensor that the prover commits to
 _WHITEBOX_PROVERS = Modes("mode", "honest", {
-    "honest": ({}, {}, lambda s, X, D, tables: lambda: WhiteboxFoldProver(
-        X, D.factors, tables())),
-    "fixed-alternative": (_ALT, {}, lambda s, X, D, tables: lambda: WhiteboxFoldProver(
-        replace(X, data=tuple(s["alt"])), D.factors, tables())),
+    "honest": ({}, {}, lambda s, X: X),
+    "fixed-alternative": (_ALT, {}, _alternative),
 })
 
 
-def _claimed(points: list, values: list, m: int, key: str = "") -> tuple:
-    """(J, v) as tuples; a ValueError names the key unless J lies in F^m and |J| = |v|."""
-    J = tuple(map(tuple, points))
-    if any(len(pt) != m for pt in J):
-        raise ValueError(f"config key '{key}points' must hold points of {m} coordinates")
-    return J, _sized(values, len(J), key + "values")
+def _claimed(spec: dict, field: PrimeField, m: int, key: str = "") -> tuple:
+    """(J, v) of spec's "points" and "values" as tuples; a ValueError names the key
+    unless J lies in F^m, v in F and |J| = |v|."""
+    J = tuple(_cells(pt, field, m, key + "points") for pt in spec["points"])
+    return J, _cells(spec["values"], field, len(J), key + "values")
 
 
-def _adversarial_claims(spec: dict, X: InputTensor) -> tuple:
-    """The generator that fixes the J of spec, and its v for a scripted reply; a
-    ValueError names the key unless every coordinate and value is a field element."""
-    J, v = _claimed(spec["points"], spec["values"], X.m, "claims.")
-    p = X.field.modulus
-    if not all(0 <= c < p for c in [*v, *(c for pt in J for c in pt)]):
-        raise ValueError(f"config key 'claims' must hold field elements in [0, {p})")
-    return ClaimGenerator(points=J), v
-
-
-# a claims object builds (ClaimGenerator, the values a scripted prover answers or None)
+# a claims object builds the J it fixes and the v a scripted prover answers, or two Nones
 _NC_CLAIMS = Modes("mode", "honest", {
-    "honest": ({}, {"t": POSITIVE}, lambda s, X: (ClaimGenerator(t=s.get("t")), None)),
-    "adversarial": ({"points": [[int]], "values": [int]}, {}, _adversarial_claims),
+    "honest": ({}, {"t": POSITIVE}, lambda s, X: (None, None)),
+    "adversarial": ({"points": [[int]], "values": [int]}, {},
+                    lambda s, X: _claimed(s, X.field, X.m, "claims.")),
 })
 _DISTRIBUTION = Modes("kind", None, {
     # masses read through _frac, as every rational key: 0.1 is 1/10, not its binary value
@@ -227,7 +231,7 @@ def _tensor(config: dict, rng: random.Random) -> InputTensor:
     field = PrimeField(config["field_modulus"])
     k, m = config["k"], config["m"]
     if "x" in config:
-        return InputTensor(field, k, m, tuple(config["x"]))
+        return InputTensor(field, k, m, _cells(config["x"], field, k ** m, "x"))
     return InputTensor.random(field, k, m, rng)
 
 
@@ -235,7 +239,7 @@ def _tensor_and_instance(config: dict, rng: random.Random):
     """Shared setup for the PVAL-based protocols: tensor + (J, v)."""
     X = _tensor(config, rng)
     if "points" in config:
-        points, values = _claimed(config["points"], config["values"], X.m)
+        points, values = _claimed(config, X.field, X.m)
     else:
         points = X.field.rand_points(config.get("t", 2), X.m, rng)
         values = tuple(lde_eval(X, pt) for pt in points)
@@ -331,7 +335,9 @@ def _nc(config: dict, rng: random.Random, bind):
     eps = _frac(config["eps"])
     D = _distribution(config, X.n, shape=(X.k, X.m))
     rho = dispersion_rho(D, (X.k, X.m)).rho
-    gen, values = _NC_CLAIMS.build(config.get("claims", {}), X)
+    claims = config.get("claims", {})
+    points, values = _NC_CLAIMS.build(claims, X)
+    gen = ClaimGenerator(t=claims.get("t"), points=points)
     fold = _FOLD_PROVERS.build(config.get("prover", {}), X, rng)
     # a prover_override (a replay) answers claims/values itself
     make = fold if values is None else lambda: ScriptedClaimsProver(fold(), values, X.field.bits)
@@ -356,14 +362,20 @@ def _run_whitebox_product(config: dict, rng: random.Random):
     # one preimage table per dimension, built by the first make() (a replay makes no
     # prover) and shared by every later one
     tables = cache(partial(coordinate_preimages, circuit, config["k"], config["m"]))
-    return run, _WHITEBOX_PROVERS.build(config.get("prover", {}), X, D, tables), meta
+    W = _WHITEBOX_PROVERS.build(config.get("prover", {}), X)
+    return run, lambda: WhiteboxFoldProver(W, D.factors, tables()), meta
 
 
 def _run_rlcc(config: dict, rng: random.Random):
     bits = config["bits"]
+    if bits > CIRCUIT_INPUT_BUDGET:  # before the 2^bits-bit codeword is built
+        raise BudgetExceeded("Hadamard codeword over budget")
     n = 1 << bits
     eps = _frac(config["eps"])
-    x = list(hadamard_codeword(config.get("message", 5 % n), bits))
+    message = config.get("message", 5 % n)
+    if not 0 <= message < n:
+        raise ValueError(f"config key 'message' must be in [0, {n})")
+    x = list(hadamard_codeword(message, bits))
     for i in config.get("corruptions", []):
         if not 0 <= i < n:
             raise ValueError(f"config key 'corruptions' must index the {n} codeword bits")
@@ -395,7 +407,7 @@ def _run_set_lower_bound(config: dict, rng: random.Random):
 # runner, read from this module at set-up, with its arguments bound; make() builds a prover
 _TENSOR = {"field_modulus": int, "k": POSITIVE, "m": POSITIVE}
 _CLAIMED = {"x": [int], "points": [[int]], "values": [int]}
-_HAM = {"x": [int], "distribution": _DISTRIBUTION, "c": POSITIVE, "prover": _HAM_PROVERS}
+_HAM = {"x": _BITS, "distribution": _DISTRIBUTION, "c": POSITIVE, "prover": _HAM_PROVERS}
 _NC = {"r": POSITIVE, "kappa_override": POSITIVE, "x": [int], "distribution": _DISTRIBUTION,
        "claims": _NC_CLAIMS, "prover": _FOLD_PROVERS}
 _PROTOCOLS = {
@@ -433,15 +445,13 @@ _CONFIG = Modes("protocol", None, {name: (
 
 
 def _setup(config: dict):
-    """Set config up once: (trial(seed, prover_override) -> RunResult, meta row fields).
-    A config-level "repetitions" (with "rule": all-accept | majority) amplifies each
-    trial (session.amplify) over the one set-up; one prover_override answers them all."""
+    """Validate config and set it up once: (trial(seed, prover_override) -> RunResult,
+    meta row fields).  Its "repetitions" (with "rule": all-accept | majority) amplify
+    each trial (session.amplify) over the one set-up; one prover_override answers all."""
+    validate_config(config)
     protocol = config["protocol"]
-    if protocol not in _PROTOCOLS:
-        raise ValueError(f"unknown protocol {protocol!r}")
     run, make, fields = _PROTOCOLS[protocol][2](config, _setup_rng(config["seed"]))
-    meta = {"protocol": protocol, "n": "", "k": "", "m": "", "r": "", "eps": "",
-            "rho": "", "field": "", **fields}
+    meta = {**dict.fromkeys(_META, ""), "protocol": protocol, **fields}
 
     def once(seed: int, prover) -> RunResult:
         return run(prover or make(), seed)
@@ -480,45 +490,31 @@ def config_hash(config: dict) -> str:
 
 def cmd_run(config: dict, out_prefix: Optional[str] = None) -> dict:
     """Run config["trials"] sessions; emit one CSV row per trial + aggregate JSON."""
-    validate_config(config)
-    out_prefix = out_prefix or config.get("out")
-    seeder = random.Random(config["seed"])
-    rows = []
-    tallies = {"accepted": 0}
-    reasons: dict[str, int] = {}
-    agg = {key: [] for key in _LEDGER}
-    clamps: list[str] = []
     trial, meta = _setup(config)
+    seeder = random.Random(config["seed"])
+    rows, notes = [], {}
     for _ in range(config["trials"]):
         trial_seed = seeder.getrandbits(63)
         result = trial(trial_seed, None)
-        counts = asdict(result.ledger)
-        rows.append({**meta, **counts, "accepted": int(result.verdict.accepted),
-                     "reject_reason": result.verdict.reject_reason or "",
-                     "seed": trial_seed})
-        if result.verdict.accepted:
-            tallies["accepted"] += 1
-        else:
-            reasons[result.verdict.reject_reason] = \
-                reasons.get(result.verdict.reject_reason, 0) + 1
-        for key, vals in agg.items():
-            vals.append(counts[key])
-        for note in result.notes:
-            if note not in clamps:
-                clamps.append(note)
+        rows.append({**meta, **asdict(result.ledger), "accepted": int(result.verdict.accepted),
+                     "reject_reason": result.verdict.reject_reason or "", "seed": trial_seed})
+        notes.update(dict.fromkeys(result.notes))  # first-seen order
 
-    trials = config["trials"]
+    trials, accepted = len(rows), sum(row["accepted"] for row in rows)
+    reasons = Counter(row["reject_reason"] for row in rows if not row["accepted"])
     record = {
         "config_hash": config_hash(config),
         "protocol": config["protocol"],
         "trials": trials,
-        "accepted": tallies["accepted"],
-        "rejected": trials - tallies["accepted"],
+        "accepted": accepted,
+        "rejected": trials - accepted,
         "reject_reasons": dict(sorted(reasons.items())),
         "ledger": {key: {"min": min(vals), "mean": str(Fraction(sum(vals), trials)),
-                         "max": max(vals)} for key, vals in agg.items()},
-        "parameter_notes": clamps,
+                         "max": max(vals)}
+                   for key in _LEDGER for vals in [[row[key] for row in rows]]},
+        "parameter_notes": list(notes),
     }
+    out_prefix = out_prefix or config.get("out")
     if out_prefix:
         with open(out_prefix + ".csv", "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
@@ -532,7 +528,6 @@ def cmd_run(config: dict, out_prefix: Optional[str] = None) -> dict:
 
 def record_transcript(config: dict, seed: int, path: str) -> RunResult:
     """Run one trial and dump its transcript for later replay."""
-    validate_config(config)
     result, _meta = run_protocol(config, seed)
     dump_transcript(path, {"config": config, "seed": seed}, result.transcript,
                     result.verdict, result.ledger)
@@ -548,7 +543,6 @@ def cmd_replay(path: str) -> dict:
     if not has_fields(trailer, TRAILER_FIELDS):
         raise ValueError(f"transcript {path!r} trailer line needs {', '.join(TRAILER_FIELDS)}")
     config, seed = header["config"], header["seed"]
-    validate_config(config)
     result, _meta = run_protocol(config, seed, prover_override=ReplayProver(messages))
     got = result.transcript
     divergence = next((idx for idx, (a, b) in enumerate(zip(got, messages)) if a != b),

@@ -19,8 +19,8 @@ from .field import (InputTensor, PrimeField, cell_coords, cell_index, lagrange_b
 from .tensors import (DEFAULT_ENUM_BUDGET, INF, PvalInstance, dist_to_pval_bruteforce,
                       metric_key, span)
 from .distributions import Pmf, dispersion_rho, extend_rows, marginal_first
-from .session import (ACCEPT, OracleHandles, ProtocolViolation, ProverStrategy, RunResult,
-                      Section, Session, Verdict, run_session)
+from .session import (ACCEPT, Message, OracleHandles, ProtocolViolation, ProverStrategy,
+                      RunResult, Section, Session, Verdict, run_session)
 
 DEFAULT_HAM_C = 2  # the weight protocol samples ceil(c/eps) leaves
 DEFAULT_NC_R = 1  # folding rounds of the NC df-IPPs
@@ -161,6 +161,16 @@ def _columns_consistent(p: int, bases: Sequence[Sequence[int]], values,
     return all(map(lambda b, c, v: sum(map(mul, b, columns[c])) % p == v, bases, cols, values))
 
 
+def _ask_elements(session: Session, field: PrimeField, tag: str, payload, counts) -> Message:
+    """Ask for one section of field.bits-wide values per count; a ProtocolViolation
+    unless every value is a field element, since that width also holds v + p for v < p."""
+    msg = session.ask(tag, payload, expect=[(count, field.bits) for count in counts])
+    top = max((max(sec.values, default=0) for sec in msg.sections), default=0)
+    if top >= field.modulus:
+        raise ProtocolViolation(f"{tag}: {top} is not an element of F_{field.modulus}")
+    return msg
+
+
 def _fold_phase(session: Session, live: list[FoldState], k: int, field: PrimeField,
                 kappa: int, rowmap: tuple[int, ...]):
     """One parallel polynomial-folding round over every live tuple.
@@ -181,8 +191,8 @@ def _fold_phase(session: Session, live: list[FoldState], k: int, field: PrimeFie
     points = live[0].points
     j2, cols = project_points(points)
     j2, t2 = tuple(j2), len(j2)
-    msg = session.ask("fold/matrix", (len(live[0].zs), rowmap, points),
-                      expect=[(k * t2, fb)] * len(live))
+    msg = _ask_elements(session, field, "fold/matrix", (len(live[0].zs), rowmap, points),
+                        [k * t2] * len(live))
     matrices = [[sec.values[i * t2:(i + 1) * t2] for i in range(k)] for sec in msg.sections]
     bases = [lagrange_basis(p, k, pt[0]) for pt in points]
     if not all(_columns_consistent(p, bases, st.values, Y, cols)
@@ -244,10 +254,10 @@ def _leaf_phase(session: Session, X: InputTensor, live: list[FoldState], r: int,
     """
     field, k, leaf_m = X.field, X.k, X.m - r
     leaf_n = k ** leaf_m
-    msg = session.ask("fin/leaves", r, expect=[(leaf_n, field.bits)] * len(live))
-    leaves = [InputTensor(field, k, leaf_m, sec.values) for sec in msg.sections]
+    leaves = [sec.values for sec in _ask_elements(session, field, "fin/leaves", r,
+                                                  [leaf_n] * len(live)).sections]
     assert all(st.points == live[0].points for st in live), "live tuples share their points"
-    evals = lde_eval_batch(field, k, leaf_m, [leaf.data for leaf in leaves], live[0].points)
+    evals = lde_eval_batch(field, k, leaf_m, leaves, live[0].points)
     # tuple i's verdict is read only after tuples 0..i-1 made their spot checks
     for st, leaf, got in zip(live, leaves, evals):
         if got != list(st.values):
@@ -262,7 +272,7 @@ def _leaf_phase(session: Session, X: InputTensor, live: list[FoldState], r: int,
         for cell in _uniform_cells(session.rng, k, leaf_m, nq) + [y % leaf_n for y in draw(nq)]:
             if cell in checked:  # passed before: charge the same reads, fold nothing
                 session.oracles.charge(reads)
-            elif leaf.data[cell] != folded_eval(session.oracles, X, st, cell):
+            elif leaf[cell] != folded_eval(session.oracles, X, st, cell):
                 return Verdict(False, "leaf-sample")
             else:
                 checked.add(cell)
@@ -384,9 +394,8 @@ def generate_pval_claims(session: Session, gen: ClaimGenerator, field: PrimeFiel
         if t is None:
             t = max(1, math.ceil(4 * eps * n * math.log2(n))) if n > 1 else 1
         points = field.rand_points(t, m, session.rng)
-    fb = field.bits
-    session.tell("claims/points", [(tuple(c for pt in points for c in pt), fb)])
-    msg = session.ask("claims/values", points, expect=[(len(points), fb)])
+    session.tell("claims/points", [(tuple(c for pt in points for c in pt), field.bits)])
+    msg = _ask_elements(session, field, "claims/values", points, [len(points)])
     return PvalInstance(field, k, m, points, msg.values())
 
 
@@ -548,11 +557,9 @@ def run_dispersed_ipp_nc(X: InputTensor, D, rho: Fraction, eps: Fraction, gen: C
 class CorrectorHandle:
     """Local corrector: fn(query_fn, i, rng) -> corrected value, or None to abort.
 
-    Must issue exactly query_budget oracle queries per invocation; on true
-    codewords it returns X_i with probability 1.
+    On true codewords it returns X_i with probability 1.
     """
 
-    query_budget: int
     radius: Fraction
     fn: Callable
 
@@ -597,7 +604,7 @@ def hadamard_corrector(bits: int) -> CorrectorHandle:
         return query(i ^ r) ^ query(r)
 
     # relative distance of the code is 1/2; stay well inside delta/2
-    return CorrectorHandle(query_budget=2, radius=Fraction(1, 8), fn=fn)
+    return CorrectorHandle(radius=Fraction(1, 8), fn=fn)
 
 
 def blr_linearity_ipp(eps: Fraction, bits: int) -> Callable[[Session], Verdict]:

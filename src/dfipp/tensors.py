@@ -78,8 +78,8 @@ def dist(x: Sequence[int], y: Sequence[int], D: "Pmf") -> Fraction:
 
 def hybrid_dist(x: Sequence[int], y: Sequence[int], D1: "Pmf", D2: "Pmf") -> Fraction:
     """mu_{D1,D2}(x, y) = max(d_D1, d_D2); the max of two metrics is a metric."""
-    a, b = _diff_weight(x, y, D1), _diff_weight(x, y, D2)
-    return Fraction(a, D1.denom) if a * D2.denom >= b * D1.denom else Fraction(b, D2.denom)
+    key, denom = metric_key(("hybrid", D1, D2))
+    return Fraction(key(x, y), denom)
 
 
 def metric_key(metric) -> tuple[Callable[[Sequence[int], Sequence[int]], int], int]:

@@ -9,6 +9,7 @@ from dfipp.experiments import (CSV_COLUMNS, cmd_check_lemma, cmd_replay, cmd_run
                                config_hash, gen_ham_lb_fixture, ham_distance_exact,
                                record_transcript, run_protocol, validate_config)
 from dfipp.distributions import Pmf
+from dfipp.session import ProverStrategy, Verdict
 from dfipp.cli import main as cli_main
 from test_config_sweep import CONFIGS as SWEEP
 
@@ -397,6 +398,31 @@ def _drop(config, key):
     ({**FIN, "prover": {"mode": "random-lie", "prob": 1.5}}, None, "'prover.prob'"),
     ({**FIN, "prover": {"mode": "random-lie", "prob": -3}}, None, "'prover.prob'"),
     ({**FIN, "prover": {"mode": "random-lie", "prob": float("nan")}}, None, "'prover.prob'"),
+    # a bit string holds bits, and a tensor or a claim holds field elements: none is
+    # reduced, masked or left for the honest prover's reply to break
+    ({**HAM, "n": 2, "x": [2, 5]}, None, "'x'"),
+    ({**HAM, "protocol": "symmetric", "n": 2, "x": [2, 5]}, None, "'x'"),
+    ({**HAM, "n": 2, "x": [1, 0], "prover": {"mode": "committed", "alt": [3, 4]}}, None,
+     "'prover.alt'"),
+    ({**FIN, "x": [17] + [0] * 7}, None, "'x'"),
+    ({**FIN, "x": [-1] + [0] * 7}, None, "'x'"),
+    ({**FIN, "x": [0] * 7}, None, "'x'"),
+    ({**FIN, "prover": {"mode": "fixed-alternative", "alt": [20] + [0] * 7}}, None,
+     "'prover.alt'"),
+    ({**FIN, "prover": {"mode": "fixed-alternative", "alt": [1]}}, None, "'prover.alt'"),
+    ({**FIN, "protocol": "whitebox_product", "prover": {"mode": "fixed-alternative",
+                                                        "alt": [1]}}, None, "'prover.alt'"),
+    ({"protocol": "rlcc", "trials": 1, "seed": 1, "bits": 3, "eps": "1/8", "message": 99},
+     None, "'message'"),
+    ({"protocol": "rlcc", "trials": 1, "seed": 1, "bits": 3, "eps": "1/8", "message": -1},
+     None, "'message'"),
+    ({"protocol": "poly_fold", "trials": 1, "seed": 1, "field_modulus": 17, "k": 2, "m": 2,
+      "points": [[99, -4]], "values": [1000]}, None, "'points'"),
+    ({"protocol": "poly_fold", "trials": 1, "seed": 1, "field_modulus": 17, "k": 2, "m": 2,
+      "points": [[1, 2]], "values": [1000]}, None, "'values'"),
+    ({"protocol": "df_ipp_nc", "trials": 1, "seed": 1, "field_modulus": 17, "k": 2, "m": 3,
+      "eps": "1/2", "claims": {"mode": "adversarial", "points": [[1, 2, 3]], "values": [17]}},
+     None, "'claims.values'"),
 ], ids=["fin_ipp-bogus-mode", "whitebox-row-tamper", "unknown-lemma", "fin_ipp-str-k",
         "fin_ipp-no-eps", "ham-no-eps", "fin_ipp-str-prover", "ham-eps-0", "ham-eps-1/0",
         "trials-true", "fin_ipp-bogus-dist_mode", "echo-prover", "rlcc-prover",
@@ -411,7 +437,11 @@ def _drop(config, key):
         "poly_fold-count-mismatch", "fin_ipp-point-not-in-F^m", "set_lower_bound-mass-over-1",
         "set_lower_bound-tau-5/2", "set_lower_bound-tau-1", "set_lower_bound-tau-1000",
         "set_lower_bound-delta-1", "whitebox_product-tau-3/2", "random-lie-prob-1.5",
-        "random-lie-prob--3", "random-lie-prob-nan"])
+        "random-lie-prob--3", "random-lie-prob-nan", "ham-x-not-bits", "symmetric-x-not-bits",
+        "ham-alt-not-bits", "fin_ipp-x-at-p", "fin_ipp-x-negative", "fin_ipp-short-x",
+        "fin_ipp-alt-past-p", "fin_ipp-short-alt", "whitebox-short-alt", "rlcc-message-99",
+        "rlcc-message-negative", "poly_fold-claim-point-past-p", "poly_fold-claim-value-past-p",
+        "df_ipp_nc-claim-value-at-p"])
 def test_cli_bad_input_is_a_usage_error(config, argv, message, tmp_path, capsys):
     if config is not None:
         path = tmp_path / "c.json"
@@ -437,6 +467,18 @@ def test_set_lower_bound_over_the_input_budget_is_refused(ell, tmp_path, capsys)
     assert captured.out == ""
     assert captured.err == ('{"status": "refused", "reason": '
                             '"honest prover enumeration over budget"}\n')
+
+
+@pytest.mark.parametrize("bits", [21, 64])
+def test_rlcc_over_the_input_budget_is_refused(bits, tmp_path, capsys):
+    # refused before the 2^bits-bit codeword is built, so at once even at bits = 64
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"protocol": "rlcc", "trials": 1, "seed": 1, "bits": bits,
+                                "eps": "1/8"}))
+    assert cli_main(["run", "--config", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == '{"status": "refused", "reason": "Hadamard codeword over budget"}\n'
 
 
 def test_whitebox_over_the_input_budget_is_refused_before_the_first_trial(tmp_path, capsys,
@@ -821,3 +863,50 @@ def test_setup_picks_the_prover_of_every_session(name, reps, monkeypatch):
     override = NullProver()
     run_protocol(config, 5, prover_override=override)
     assert made == [] and ran == [override] * reps
+
+
+# --- field elements in prover replies ----------------------------------------------
+
+class _Aliasing(ProverStrategy):
+    """The inner prover, with p added to every value of the tagged replies that
+    still fits its width: at F_17, 5 bits also hold v + 17 for v < 15."""
+
+    def __init__(self, inner, p, tags):
+        self.inner, self.p, self.tags = inner, p, tags
+
+    def reply(self, tag, payload):
+        sections = self.inner.reply(tag, payload)
+        if tag not in self.tags:
+            return sections
+        return [(tuple(v + self.p if (v + self.p) >> width == 0 else v for v in values), width)
+                for values, width in sections]
+
+    def observe(self, tag, sections):
+        self.inner.observe(tag, sections)
+
+
+F17_FOLD = {"trials": 1, "seed": 1, "field_modulus": 17, "k": 2, "eps": "1/2"}
+
+
+@pytest.mark.parametrize("config,tags", [
+    ({**F17_FOLD, "protocol": "fin_ipp", "m": 3, "r": 1}, {"fold/matrix", "fin/leaves"}),
+    ({**F17_FOLD, "protocol": "fin_ipp", "m": 3, "r": 1}, {"fin/leaves"}),
+    ({**F17_FOLD, "protocol": "df_ipp_nc", "m": 3, "r": 1}, {"claims/values"}),
+    ({**F17_FOLD, "protocol": "df_ipp_nc", "m": 3, "r": 1}, {"fold/matrix", "fin/leaves"}),
+    ({**F17_FOLD, "protocol": "whitebox_product", "m": 4, "r": 1},
+     {"fold/matrix", "fin/leaves"}),
+    ({**F17_FOLD, "protocol": "whitebox_product", "m": 4, "r": 1}, {"fin/leaves"}),
+], ids=["fin_ipp", "fin_ipp-leaves", "df_ipp_nc-claims", "df_ipp_nc", "whitebox_product",
+        "whitebox_product-leaves"])
+def test_field_aliases_in_replies_are_malformed(config, tags):
+    # the honest prover with its replies' values moved to their aliases v + p: a width of
+    # field.bits holds them, so only the field-element check refuses them
+    from dfipp import experiments
+    run, make, _meta = experiments._PROTOCOLS[config["protocol"]][2](
+        config, experiments._setup_rng(config["seed"]))
+    for seed in range(20):
+        assert run(make(), seed).verdict.accepted
+        result = run(_Aliasing(make(), 17, tags), seed)
+        assert result.verdict == Verdict(False, "malformed")
+        assert any(note.startswith("malformed: ") and "is not an element of F_17" in note
+                   for note in result.notes)

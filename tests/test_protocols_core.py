@@ -553,7 +553,7 @@ def test_rlcc_abort_is_no_evidence():
     bits = 3
     x = hadamard_codeword(0b101, bits)
     x = x[:1] + (1 - x[1],) + x[2:]  # corrupt a coordinate
-    aborting = CorrectorHandle(query_budget=0, radius=Fraction(1, 8),
+    aborting = CorrectorHandle(radius=Fraction(1, 8),
                                fn=lambda q, i, rng: None)
     res = run_rlcc_transform(x, Pmf.point_mass(1, 8),
                              lambda session: Verdict(True),
