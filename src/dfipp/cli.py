@@ -46,18 +46,6 @@ def _fraction(name: str, text: str) -> Fraction:
         raise ValueError(f"{name} must be a fraction, got {text!r}") from None
 
 
-def _jsonable(obj):
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, float) and obj == float("inf"):
-        return "inf"
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argparse tree, built on the first call and shared by every later one."""
@@ -102,13 +90,13 @@ def main(argv=None) -> int:
             if type(config) is dict:  # anything else is refused by cmd_run's set-up
                 config.update((key, v) for key, v in overrides.items() if v is not None)
             record = cmd_run(config, out_prefix=args.out)
-            print(json.dumps(_jsonable(record), sort_keys=True, indent=2))
+            print(json.dumps(record, sort_keys=True, indent=2, default=str))
             return EXIT_PASS
 
         if args.command == "check-lemma":
             report = cmd_check_lemma(args.lemma, _positive("--trials", args.trials), args.seed,
                                      budget=_budget(args.budget))
-            print(json.dumps(_jsonable(report), sort_keys=True, indent=2))
+            print(json.dumps(report, sort_keys=True, indent=2, default=str))
             return exit_code_for(report)
 
         if args.command == "gen-fixture":
@@ -122,18 +110,18 @@ def main(argv=None) -> int:
                 "y": list(fixture["y"]),
                 "d1_masses": [str(v) for v in fixture["d1"].masses],
                 "d2_masses": [str(v) for v in fixture["d2"].masses],
-                "report": _jsonable(fixture["report"]),
+                "report": fixture["report"],
             }
             if args.out:
                 with open(args.out, "w") as fh:
-                    json.dump(payload, fh, sort_keys=True, indent=2)
+                    json.dump(payload, fh, sort_keys=True, indent=2, default=str)
                     fh.write("\n")
-            print(json.dumps(_jsonable(fixture["report"]), sort_keys=True, indent=2))
+            print(json.dumps(fixture["report"], sort_keys=True, indent=2, default=str))
             return EXIT_PASS if fixture["report"]["identity_holds"] else EXIT_EXACT_FAIL
 
         if args.command == "replay":
             report = cmd_replay(args.transcript)
-            print(json.dumps(_jsonable(report), sort_keys=True, indent=2))
+            print(json.dumps(report, sort_keys=True, indent=2, default=str))
             return EXIT_PASS if report["match"] else EXIT_EXACT_FAIL
     except BudgetExceeded as exc:
         print(json.dumps({"status": "refused", "reason": str(exc)}), file=sys.stderr)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Optional, Sequence
@@ -277,42 +277,40 @@ class SamplingCircuit:
         return SamplingCircuit(n_bits, (), tuple(range(n_bits)))
 
     @staticmethod
-    def from_table(n_inputs: int, table: Sequence[int], n_outputs: int) -> "SamplingCircuit":
-        """Synthesize gates for an arbitrary truth table f: {0,1}^l -> [2^b].
+    def from_tables(tables: Sequence[tuple[int, Sequence[int]]],
+                    n_outputs: int) -> "SamplingCircuit":
+        """Synthesize gates for truth tables f_t: {0,1}^l_t -> [2^b], side by side.
 
-        Each output bit is the XOR of its minterms (minterms are disjoint,
-        so XOR == OR); each minterm is an AND tree over the input literals.
+        Table t reads its own l_t >= 1 inputs, after those of earlier tables,
+        and its b output bits lie above those of every later table.  Each
+        output bit is the XOR of its minterms (minterms are disjoint, so
+        XOR == OR); each minterm is an AND tree over the input literals.
         """
+        n_inputs = sum(ell for ell, _ in tables)
         gates: list[tuple] = []
-        n_wires = n_inputs
 
         def emit(gate) -> int:
-            nonlocal n_wires
             gates.append(gate)
-            n_wires += 1
-            return n_wires - 1
+            return n_inputs + len(gates) - 1
 
-        literal_neg = [emit(("NOT", i)) for i in range(n_inputs)]
-        minterm_wire: dict[int, int] = {}
-
-        def minterm(x: int) -> int:
-            if x not in minterm_wire:
+        outputs: list[int] = []
+        offset = 0
+        for ell, table in tables:
+            neg = [emit(("NOT", offset + i)) for i in range(ell)]
+            zero = emit(("AND", offset, neg[0]))  # constant 0
+            minterm: dict[int, int] = {}
+            group = []
+            for j in range(n_outputs):
                 acc = None
-                for i in range(n_inputs):
-                    lit = i if (x >> i) & 1 else literal_neg[i]
-                    acc = lit if acc is None else emit(("AND", acc, lit))
-                minterm_wire[x] = acc
-            return minterm_wire[x]
-
-        outputs = []
-        zero = emit(("AND", 0, literal_neg[0]))  # constant 0
-        for j in range(n_outputs):
-            acc = None
-            for x in range(2 ** n_inputs):
-                if (table[x] >> j) & 1:
-                    w = minterm(x)
-                    acc = w if acc is None else emit(("XOR", acc, w))
-            outputs.append(zero if acc is None else acc)
+                for x in range(1 << ell):
+                    if (table[x] >> j) & 1:
+                        if x not in minterm:
+                            lits = [offset + i if (x >> i) & 1 else neg[i] for i in range(ell)]
+                            minterm[x] = reduce(lambda a, b: emit(("AND", a, b)), lits)
+                        acc = minterm[x] if acc is None else emit(("XOR", acc, minterm[x]))
+                group.append(zero if acc is None else acc)
+            outputs[:0] = group
+            offset += ell
         return SamplingCircuit(n_inputs, tuple(gates), tuple(outputs))
 
 

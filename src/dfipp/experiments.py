@@ -111,6 +111,13 @@ def _sized(values: list, n: int, key: str) -> tuple:
     return tuple(values)
 
 
+def _within(value: int, lo: int, hi: int, key: str) -> int:
+    """value; a ValueError names the config key unless lo <= value < hi."""
+    if not lo <= value < hi:
+        raise ValueError(f"config key {key!r} must lie in [{lo}, {hi}), not {value}")
+    return value
+
+
 def _cells(values: list, field: PrimeField, n: int, key: str) -> tuple:
     """values as a tuple; a ValueError names the config key unless they are n field elements."""
     if not all(0 <= v < field.modulus for v in values):
@@ -181,8 +188,11 @@ _FOLD_PROVERS = Modes("mode", "honest", {
     "honest": ({}, {}, lambda s, X, rng: partial(HonestFoldProver, X)),
     "fixed-alternative": (_ALT, {}, lambda s, X, rng: partial(
         HonestFoldProver, _alternative(s, X))),
-    "row-tamper": ({}, {"row": int, "col": int, "delta": int}, lambda s, X, rng: partial(
-        RowTamperFoldProver, X, s.get("row", 0), s.get("col", 0), s.get("delta", 1))),
+    # a col past the columns the verifier asks for in a round ends the session malformed
+    "row-tamper": ({}, {"row": int, "col": range(1 << 63), "delta": int}, lambda s, X, rng:
+                   partial(RowTamperFoldProver, X, _within(s.get("row", 0), 0, X.k, "prover.row"),
+                           s.get("col", 0),
+                           _within(s.get("delta", 1), 1, X.field.modulus, "prover.delta"))),
     "random-lie": ({}, {"prob": _probability}, lambda s, X, rng: partial(
         lambda seed: RandomLieFoldProver(X, float(s.get("prob", 0.1)), random.Random(seed)),
         rng.getrandbits(63))),

@@ -168,7 +168,7 @@ class InputTensor:
         if len(self.data) != self.k ** self.m:
             raise ValueError(f"expected {self.k ** self.m} cells, got {len(self.data)}")
         if any(not 0 <= v < self.field.modulus for v in self.data):
-            object.__setattr__(self, "data", tuple(v % self.field.modulus for v in self.data))
+            raise ValueError(f"cells must be field elements in [0, {self.field.modulus})")
 
     @property
     def n(self) -> int:

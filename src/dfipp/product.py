@@ -455,7 +455,8 @@ FIXTURE_PROFILES = {
 }
 
 
-def _factor_circuit(factor: Pmf, out_bits: int) -> SamplingCircuit:
+def _factor_table(factor: Pmf) -> tuple[int, list[int]]:
+    """(d, table): input u of d bits samples symbol table[u] with factor's law."""
     denom = factor.denom  # the lcm of the reduced masses' denominators
     if denom & (denom - 1):
         raise ValueError("factor masses must be dyadic")
@@ -463,31 +464,7 @@ def _factor_circuit(factor: Pmf, out_bits: int) -> SamplingCircuit:
     # denom divides 2^d, so each bound cum * 2^d / denom is an integer;
     # input u samples the first symbol whose bound exceeds u
     bounds = [(cum << d) // denom for cum in itertools.accumulate(factor.weights)]
-    table = [bisect_right(bounds, u) for u in range(1 << d)]
-    return SamplingCircuit.from_table(d, table, out_bits)
-
-
-def _concat_circuits(circuits: Sequence[SamplingCircuit]) -> SamplingCircuit:
-    """Independent inputs side by side; factor 1's output lands in the top bits."""
-    total_inputs = sum(c.n_inputs for c in circuits)
-    gates: list[tuple] = []
-    in_off = 0
-    out_groups = []
-    for c in circuits:
-        gate_off = total_inputs + len(gates)
-
-        def remap(w, in_off=in_off, gate_off=gate_off, c=c):
-            return in_off + w if w < c.n_inputs else gate_off + (w - c.n_inputs)
-
-        for g in c.gates:
-            gates.append((g[0],) + tuple(remap(w) for w in g[1:]))
-        out_groups.append([remap(w) for w in c.outputs])
-        in_off += c.n_inputs
-    # flat cell index = sum_t i_t * k^(m-t): factor m occupies the low bits
-    outputs: list[int] = []
-    for grp in reversed(out_groups):
-        outputs.extend(grp)
-    return SamplingCircuit(total_inputs, tuple(gates), tuple(outputs))
+    return d, [bisect_right(bounds, u) for u in range(1 << d)]
 
 
 def gen_product_fixture(k: int, m: int, profile: str, rng=None):
@@ -504,6 +481,7 @@ def gen_product_fixture(k: int, m: int, profile: str, rng=None):
     if profile == "dyadic-random" and rng is None:
         raise ValueError("dyadic-random needs an rng")
     factors = FIXTURE_PROFILES[profile](k, m, rng)
-    out_bits = k.bit_length() - 1
-    circuit = _concat_circuits([_factor_circuit(f, out_bits) for f in factors])
+    # flat cell index = sum_t i_t * k^(m-t): factor 1's output lands in the top bits
+    circuit = SamplingCircuit.from_tables([_factor_table(f) for f in factors],
+                                          k.bit_length() - 1)
     return ProductDistribution(factors), circuit

@@ -11,8 +11,6 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from dfipp.field import InputTensor, PrimeField, lde_eval
-from dfipp.tensors import INF, PvalInstance, dist_to_pval_bruteforce, enumerate_pval, \
-    hybrid_dist
 from dfipp.distributions import Pmf, dispersion_rho
 from dfipp.session import CostLedger, OracleHandles
 from dfipp.protocols import (ClaimGenerator, HonestFoldProver, HonestHamProver, NullProver,
@@ -25,6 +23,7 @@ from dfipp.product import (HonestSlbProver, MarginalClaim, WhiteboxFoldProver,
 from dfipp.experiments import cmd_check_lemma, gen_ham_lb_fixture
 from dfipp.session import amplify
 
+from _instances import certified_far_instance, closest_member, member_instance
 from _oracles import vandermonde_lde_eval
 
 F5 = PrimeField(5)
@@ -43,35 +42,6 @@ def _report(criterion: str, ok: bool, started: float, budget: float, detail: str
     print(line, flush=True)
     assert ok, line
     assert elapsed < budget, f"{criterion} exceeded its runtime budget: {line}"
-
-
-def member_instance(field, k, m, rng, t=2):
-    X = InputTensor.random(field, k, m, rng)
-    points = tuple(field.rand_point(m, rng) for _ in range(t))
-    return X, PvalInstance(field, k, m, points,
-                           tuple(lde_eval(X, pt) for pt in points))
-
-
-def certified_far_instance(field, k, m, rng, D, min_mu=Fraction(2, 5)):
-    U = Pmf.uniform(k ** m, shape=(k, m))
-    while True:
-        X = InputTensor.random(field, k, m, rng)
-        points = tuple(field.rand_point(m, rng) for _ in range(2))
-        values = tuple(rng.randrange(field.modulus) for _ in range(2))
-        inst = PvalInstance(field, k, m, points, values)
-        mu = dist_to_pval_bruteforce(X, inst, ("hybrid", D, U))
-        if mu != INF and mu >= min_mu:
-            return X, inst, mu
-
-
-def closest_member(X, inst, D):
-    U = Pmf.uniform(X.n, shape=(X.k, X.m))
-    best, best_d = None, None
-    for w in enumerate_pval(inst):
-        d = hybrid_dist(X.data, w, D, U)
-        if best_d is None or d < best_d:
-            best, best_d = w, d
-    return InputTensor(X.field, X.k, X.m, best)
 
 
 def test_criterion_1_perfect_completeness():

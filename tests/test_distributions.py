@@ -13,7 +13,7 @@ from dfipp.distributions import (GranularitySet, Pmf, ProductDistribution, Sampl
                                  _bit_planes, circuit_pmf, dispersion_rho, extend_rows,
                                  extension_row_map, granularise, marginal_first, tv_distance)
 from dfipp.experiments import _DISTRIBUTION, _check, _setup_rng
-from dfipp.product import (ExtensionEchoProver, _factor_circuit, exact_learner,
+from dfipp.product import (ExtensionEchoProver, _factor_table, exact_learner,
                            gen_product_fixture, run_learnable_ipp)
 from dfipp.session import ACCEPT
 from dfipp.tensors import dist, hybrid_dist
@@ -282,7 +282,7 @@ def test_sample_dispatch():
 
 def _random_table_circuit(n_inputs, n_outputs, rng):
     table = [rng.getrandbits(n_outputs) for _ in range(1 << n_inputs)]
-    return SamplingCircuit.from_table(n_inputs, table, n_outputs)
+    return SamplingCircuit.from_tables([(n_inputs, table)], n_outputs)
 
 
 @pytest.mark.parametrize("n_outputs", [0, 1, 4, 9, 12])
@@ -293,6 +293,27 @@ def test_eval_many_matches_gate_loop_on_random_tables(n_inputs, n_outputs):
     xs = list(range(1 << n_inputs))
     rng.shuffle(xs)
     assert C.eval_many(xs) == [circuit_eval(C, x) for x in xs]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_from_tables_lays_the_tables_side_by_side(seed):
+    # table t reads its slice of x's bits from a running offset, and its value,
+    # masked to n_outputs bits, lands above the groups of every later table
+    rng = random.Random(seed)
+    n_outputs = 1 + seed % 3
+    widths = [1] + [rng.randrange(1, 4) for _ in range(1 + rng.randrange(2))]
+    rng.shuffle(widths)
+    tables = [(d, [rng.getrandbits(n_outputs + 2) for _ in range(1 << d)]) for d in widths]
+    n_inputs = sum(widths)
+    C = SamplingCircuit.from_tables(tables, n_outputs)
+    assert (C.n_inputs, len(C.outputs)) == (n_inputs, n_outputs * len(tables))
+    ys = C.eval_many(range(1 << n_inputs))
+    for x in range(1 << n_inputs):
+        want, offset = 0, 0
+        for d, table in tables:
+            want = want << n_outputs | table[x >> offset & ((1 << d) - 1)] & ((1 << n_outputs) - 1)
+            offset += d
+        assert ys[x] == want
 
 
 @pytest.mark.parametrize("n_bits", [0, 1, 3, 8, 9, 17])
@@ -472,9 +493,6 @@ def test_sampler_table_matches_fraction_table_on_random_grains():
 @pytest.mark.parametrize("config_seed", [1, 2, 6, 9, 57])
 def test_factor_circuit_matches_fraction_bounds(config_seed):
     D, _ = gen_product_fixture(2, 4, "dyadic-random", rng=_setup_rng(config_seed))
-    for factor in D.factors:
-        d, table = factor_circuit_table(factor.masses)
-        assert _factor_circuit(factor, 1) == SamplingCircuit.from_table(d, table, 1)
-    for factor in [Pmf.point_mass(0, 2), Pmf.uniform(4), Pmf(["1/8", "3/8", "1/4", "1/4"])]:
-        d, table = factor_circuit_table(factor.masses)
-        assert _factor_circuit(factor, 2) == SamplingCircuit.from_table(d, table, 2)
+    for factor in [*D.factors, Pmf.point_mass(0, 2), Pmf.uniform(4),
+                   Pmf(["1/8", "3/8", "1/4", "1/4"])]:
+        assert _factor_table(factor) == factor_circuit_table(factor.masses)

@@ -423,6 +423,13 @@ def _drop(config, key):
     ({"protocol": "df_ipp_nc", "trials": 1, "seed": 1, "field_modulus": 17, "k": 2, "m": 3,
       "eps": "1/2", "claims": {"mode": "adversarial", "points": [[1, 2, 3]], "values": [17]}},
      None, "'claims.values'"),
+    # a tampered cell lies in the k rows of the fold matrix and moves by a nonzero field
+    # element: nothing is read mod p or through a negative index
+    ({**FIN, "prover": {"mode": "row-tamper", "row": -1}}, None, "'prover.row'"),
+    ({**FIN, "prover": {"mode": "row-tamper", "row": 5}}, None, "'prover.row'"),
+    ({**FIN, "prover": {"mode": "row-tamper", "delta": 17}}, None, "'prover.delta'"),
+    ({**FIN, "prover": {"mode": "row-tamper", "delta": 0}}, None, "'prover.delta'"),
+    ({**FIN, "prover": {"mode": "row-tamper", "col": -1}}, None, "'prover.col'"),
 ], ids=["fin_ipp-bogus-mode", "whitebox-row-tamper", "unknown-lemma", "fin_ipp-str-k",
         "fin_ipp-no-eps", "ham-no-eps", "fin_ipp-str-prover", "ham-eps-0", "ham-eps-1/0",
         "trials-true", "fin_ipp-bogus-dist_mode", "echo-prover", "rlcc-prover",
@@ -441,7 +448,8 @@ def _drop(config, key):
         "ham-alt-not-bits", "fin_ipp-x-at-p", "fin_ipp-x-negative", "fin_ipp-short-x",
         "fin_ipp-alt-past-p", "fin_ipp-short-alt", "whitebox-short-alt", "rlcc-message-99",
         "rlcc-message-negative", "poly_fold-claim-point-past-p", "poly_fold-claim-value-past-p",
-        "df_ipp_nc-claim-value-at-p"])
+        "df_ipp_nc-claim-value-at-p", "row-tamper-row--1", "row-tamper-row-5",
+        "row-tamper-delta-17", "row-tamper-delta-0", "row-tamper-col--1"])
 def test_cli_bad_input_is_a_usage_error(config, argv, message, tmp_path, capsys):
     if config is not None:
         path = tmp_path / "c.json"

@@ -192,6 +192,13 @@ def test_tensor_requires_k_at_most_modulus():
         InputTensor(PrimeField(3), 4, 1, (0, 1, 2, 0))
 
 
+@pytest.mark.parametrize("cell", [7, -1, 8, -7])
+def test_tensor_cells_outside_the_field_are_refused(cell):
+    # an alias of a field element is refused, not reduced mod p
+    with pytest.raises(ValueError, match=r"^cells must be field elements in \[0, 7\)$"):
+        InputTensor(F7, 2, 2, (1, cell, 3, 4))
+
+
 @pytest.mark.parametrize("k,m", [(2, 1), (2, 5), (3, 3), (4, 2), (5, 4)])
 def test_cell_coord_reads_one_coordinate(k, m):
     for d in range(m):

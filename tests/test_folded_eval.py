@@ -7,15 +7,15 @@ from fractions import Fraction
 
 import pytest
 
+from _instances import member_instance
 from _oracles import materialised_fold_value
 from dfipp import protocols
 from dfipp.distributions import extension_row_map, granularise
-from dfipp.field import InputTensor, PrimeField, cell_index, lde_eval
+from dfipp.field import InputTensor, PrimeField, cell_index
 from dfipp.product import (WhiteboxFoldProver, coordinate_preimages, gen_product_fixture,
                            run_whitebox_product_ipp)
 from dfipp.protocols import FoldState, _leaf_phase, folded_eval
 from dfipp.session import CostLedger, OracleHandles, ProverStrategy, Session
-from dfipp.tensors import PvalInstance
 
 F17 = PrimeField(17)
 M61 = PrimeField((1 << 61) - 1)
@@ -96,12 +96,6 @@ def test_term_table_cache_keeps_equality_and_hash():
 
 # --- leaf phase: spot checks --------------------------------------------------------
 
-def _member(field, k, m, rng, t=2):
-    X = InputTensor.random(field, k, m, rng)
-    points = tuple(field.rand_point(m, rng) for _ in range(t))
-    return X, PvalInstance(field, k, m, points, tuple(lde_eval(X, pt) for pt in points))
-
-
 def _counted_whitebox(monkeypatch, X, inst, circuit, r, prover, seed):
     """(result, folded_eval calls) of one white-box session at eps = 1/2."""
     calls = []
@@ -132,7 +126,7 @@ def _spot_checks(notes):
 
 def test_leaf_phase_honest_r2_folds_each_cell_once_and_charges_every_check(monkeypatch):
     D, circuit = gen_product_fixture(2, 5, "uniform")
-    X, inst = _member(F17, 2, 5, random.Random(21))
+    X, inst = member_instance(F17, 2, 5, random.Random(21))
     prover = WhiteboxFoldProver(X, D.factors, coordinate_preimages(circuit, 2, 5))
     res, calls = _counted_whitebox(monkeypatch, X, inst, circuit, 2, prover, 3)
     assert res.verdict.accepted
@@ -145,7 +139,7 @@ def test_leaf_phase_honest_r2_folds_each_cell_once_and_charges_every_check(monke
 
 def test_leaf_phase_fixed_alternative_rejects_at_its_first_check(monkeypatch):
     D, circuit = gen_product_fixture(2, 4, "uniform")
-    W, inst = _member(F17, 2, 4, random.Random(22))
+    W, inst = member_instance(F17, 2, 4, random.Random(22))
     X = InputTensor(F17, 2, 4, [(v + 1) % 17 for v in W.data])  # differs from W everywhere
     prover = WhiteboxFoldProver(W, D.factors, coordinate_preimages(circuit, 2, 4))
     res, calls = _counted_whitebox(monkeypatch, X, inst, circuit, 2, prover, 4)
@@ -158,7 +152,7 @@ def test_leaf_phase_extended_fold_charges_below_tau_on_zero_rows(monkeypatch):
     rng = random.Random(101)
     D, circuit = gen_product_fixture(2, 3, "dyadic-random", rng=rng)
     assert granularise(D.factors[0]).counts[-1] > 0  # the extension has a zero row
-    X, inst = _member(F17, 2, 3, rng)
+    X, inst = member_instance(F17, 2, 3, rng)
     prover = WhiteboxFoldProver(X, D.factors, coordinate_preimages(circuit, 2, 3))
     res, calls = _counted_whitebox(monkeypatch, X, inst, circuit, 1, prover, 5)
     assert res.verdict.accepted

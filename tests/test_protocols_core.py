@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from _instances import certified_far_instance, closest_member, member_instance
 from dfipp.field import InputTensor, PrimeField, lde_eval
-from dfipp.tensors import INF, PvalInstance, dist_to_pval_bruteforce, enumerate_pval, \
+from dfipp.tensors import PvalInstance, dist_to_pval_bruteforce, enumerate_pval, \
     pval_member
 from dfipp.distributions import Pmf, dispersion_rho
 from dfipp.session import OracleHandles, Verdict
@@ -24,39 +25,6 @@ from dfipp.session import run_session
 F5 = PrimeField(5)
 F17 = PrimeField(17)
 U4 = Pmf.uniform(4)
-
-
-def member_instance(field, k, m, rng, t=2):
-    X = InputTensor.random(field, k, m, rng)
-    points = tuple(field.rand_point(m, rng) for _ in range(t))
-    values = tuple(lde_eval(X, pt) for pt in points)
-    return X, PvalInstance(field, k, m, points, values)
-
-
-def certified_far_instance(field, k, m, rng, D, min_mu=Fraction(2, 5), attempts=200):
-    """(X, inst, mu) with mu_{D,U}(X, PVAL) certified by brute force."""
-    n = k ** m
-    U = Pmf.uniform(n, shape=(k, m))
-    for _ in range(attempts):
-        X = InputTensor.random(field, k, m, rng)
-        points = tuple(field.rand_point(m, rng) for _ in range(2))
-        values = tuple(rng.randrange(field.modulus) for _ in range(2))
-        inst = PvalInstance(field, k, m, points, values)
-        mu = dist_to_pval_bruteforce(X, inst, ("hybrid", D, U))
-        if mu != INF and mu >= min_mu:
-            return X, inst, mu
-    raise AssertionError("no far instance found")
-
-
-def closest_member(X, inst, D):
-    U = Pmf.uniform(X.n, shape=(X.k, X.m))
-    best, best_d = None, None
-    from dfipp.tensors import hybrid_dist
-    for w in enumerate_pval(inst):
-        d = hybrid_dist(X.data, w, D, U)
-        if best_d is None or d < best_d:
-            best, best_d = w, d
-    return InputTensor(X.field, X.k, X.m, best)
 
 
 # --- HAM -----------------------------------------------------------------------

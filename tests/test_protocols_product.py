@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from _instances import member_instance
 from _oracles import bucket_bits_loop, slb_witness_reason
 from dfipp.field import InputTensor, PrimeField, lde_eval
 from dfipp.tensors import INF, PvalInstance, dist_to_pval_bruteforce, pval_member
@@ -24,13 +25,6 @@ from dfipp.product import (FIXTURE_PROFILES, ExtensionEchoProver, FixedStringPro
 
 F5 = PrimeField(5)
 F17 = PrimeField(17)
-
-
-def member_instance(field, k, m, rng, t=2):
-    X = InputTensor.random(field, k, m, rng)
-    points = tuple(field.rand_point(m, rng) for _ in range(t))
-    values = tuple(lde_eval(X, pt) for pt in points)
-    return X, PvalInstance(field, k, m, points, values)
 
 
 # --- set lower bound ---------------------------------------------------------------
@@ -220,8 +214,8 @@ def test_slb_verdicts_match_a_witness_by_witness_oracle():
     reasons = {}
     for trial in range(300):
         ell = rng.randrange(0, 7)
-        circuit = SamplingCircuit.from_table(
-            ell, [rng.getrandbits(3) for _ in range(1 << ell)], 3) if ell else \
+        circuit = SamplingCircuit.from_tables(
+            [(ell, [rng.getrandbits(3) for _ in range(1 << ell)])], 3) if ell else \
             SamplingCircuit.identity(0)
         n_sym = rng.choice((1, 2, 4))
         symbol_of = lambda y, n_sym=n_sym: y % n_sym
