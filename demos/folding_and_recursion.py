@@ -7,7 +7,7 @@ Run:  python3 demos/folding_and_recursion.py
 import random
 from fractions import Fraction
 
-from dfipp import CostLedger, InputTensor, OracleHandles, Pmf, PrimeField, PvalInstance, \
+from dfipp import InputTensor, Pmf, PrimeField, ProverStrategy, PvalInstance, Session, \
     lde_eval, pval_member
 from dfipp.protocols import (HonestFoldProver, RowTamperFoldProver, folded_eval,
                              run_fin_ipp, run_poly_fold)
@@ -33,11 +33,9 @@ for st in outputs:
 print()
 print("== bounded locality: one folded coordinate costs exactly tau queries ==")
 st = outputs[0]
-oracles = OracleHandles(X.data)
-ledger = CostLedger()
-oracles.bind(ledger, random.Random(0))
-folded_eval(oracles, X, st, 0)
-print(f"queries issued: {ledger.queries} (tau = {st.tau})")
+session = Session(ProverStrategy(), 0, X.data)
+folded_eval(session, X, st, 0)
+print(f"queries issued: {session.ledger.queries} (tau = {st.tau})")
 
 print()
 print("== tampering with one matrix entry trips the column consistency check ==")

@@ -11,8 +11,8 @@ from .tensors import (BudgetExceeded, INF, PvalInstance, dist, dist_to_pval_brut
 from .distributions import (GranularitySet, Pmf, ProductDistribution, SamplingCircuit,
                             circuit_pmf, dispersion_rho, granularise, marginal_first,
                             tv_distance)
-from .session import (CostLedger, Message, OracleHandles, ProverStrategy, Section,
-                      Verdict, amplify, run_session)
+from .session import (CostLedger, Message, ProverStrategy, Section, Session, Verdict,
+                      amplify, run_session)
 from .protocols import (ClaimGenerator, CorrectorHandle, FoldState, HonestFoldProver,
                         HonestHamProver, RunResult, check_appendix_claims,
                         check_distance_preservation, check_subspace_lemma, fold_kappa,

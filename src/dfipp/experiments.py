@@ -24,9 +24,9 @@ from .tensors import (DEFAULT_ENUM_BUDGET, INF, BudgetExceeded, PvalInstance, co
                       pval_min_distance, solve_affine)
 from .distributions import (CIRCUIT_INPUT_BUDGET, Pmf, ProductDistribution, SamplingCircuit,
                             dispersion_rho, granularise, marginal_first, tv_distance)
-from .session import (ACCEPT, TRAILER_FIELDS, CostLedger, OracleHandles, ProverStrategy,
-                      ReplayProver, RunResult, Verdict, amplify, dump_transcript, has_fields,
-                      load_transcript, run_session)
+from .session import (ACCEPT, TRAILER_FIELDS, CostLedger, ProverStrategy, ReplayProver,
+                      RunResult, Verdict, amplify, dump_transcript, has_fields, load_transcript,
+                      run_session)
 from .protocols import (DEFAULT_HAM_C, DEFAULT_NC_R, BadSumHamProver, ClaimGenerator,
                         HonestFoldProver, HonestHamProver, NullProver, RandomLieFoldProver,
                         RowTamperFoldProver, ScriptedClaimsProver, blr_linearity_ipp,
@@ -291,7 +291,7 @@ def _run_echo(config: dict, rng: random.Random):
         msg = session.ask("echo/reply", None, expect=[(bits, 1)])
         return ACCEPT if msg.values() == x else Verdict(False, "echo-mismatch")
 
-    return (lambda prover, seed: run_session(verifier, prover, OracleHandles(()), seed)), \
+    return (lambda prover, seed: run_session(verifier, prover, seed)), \
         EchoProver, {"n": bits}
 
 
@@ -338,8 +338,8 @@ def _run_fin_ipp(config: dict, rng: random.Random):
         _fold_meta(X, r=config["r"], eps=str(eps), rho=str(rho))
 
 
-def _nc(config: dict, rng: random.Random, bind):
-    """The set-up of an NC df-IPP; bind(X, D, rho) is its runner with those bound,
+def _nc(config: dict, rng: random.Random, runner):
+    """The set-up of an NC df-IPP; runner(X, D, rho) is its runner with those bound,
     to be called as (eps, gen, prover, seed, r=, kappa_override=)."""
     X = _tensor(config, rng)
     eps = _frac(config["eps"])
@@ -352,7 +352,7 @@ def _nc(config: dict, rng: random.Random, bind):
     # a prover_override (a replay) answers claims/values itself
     make = fold if values is None else lambda: ScriptedClaimsProver(fold(), values, X.field.bits)
     r = config.get("r", DEFAULT_NC_R)
-    return partial(bind(X, D, rho), eps, gen, r=r, kappa_override=config.get("kappa_override")), \
+    return partial(runner(X, D, rho), eps, gen, r=r, kappa_override=config.get("kappa_override")), \
         make, _fold_meta(X, r=r, eps=str(eps), rho=str(rho))
 
 
@@ -684,9 +684,9 @@ def _consistent_matrix(field: PrimeField, k: int, inst: PvalInstance,
                        rng: random.Random):
     """A k x |J2| matrix passing the step-1 column checks, or None.
 
-    Columns carrying constraints are drawn uniformly from the solution set
-    of their Lagrange-basis rows, listed in lexicographic order over F^k;
-    free columns are uniform.
+    Every column of J2 carries the constraints of the points projecting to
+    it and is drawn uniformly from the solution set of their Lagrange-basis
+    rows, listed in lexicographic order over F^k.
     """
     j2, cols = project_points(inst.points)
     p = field.modulus
@@ -695,9 +695,6 @@ def _consistent_matrix(field: PrimeField, k: int, inst: PvalInstance,
         constraints.setdefault(c, []).append((lagrange_basis(p, k, pt[0]), v))
     matrix_cols = []
     for c in range(len(j2)):
-        if c not in constraints:
-            matrix_cols.append(tuple(uniform_draws(rng, p, k)))
-            continue
         solved = solve_affine(p, k, *zip(*constraints[c]))
         if solved is None:
             return None

@@ -18,8 +18,8 @@ from .field import InputTensor, PrimeField, cell_coord
 from .tensors import DEFAULT_ENUM_BUDGET, BudgetExceeded, PvalInstance
 from .distributions import (CIRCUIT_INPUT_BUDGET, GranularitySet, Pmf, ProductDistribution,
                             SamplingCircuit, extend_rows, extension_row_map, granularise)
-from .session import (ACCEPT, OracleHandles, ProtocolViolation, ProverStrategy, RunResult,
-                      Session, Verdict, run_session)
+from .session import (ACCEPT, ProtocolViolation, ProverStrategy, RunResult, Session, Verdict,
+                      run_session)
 from .protocols import (FoldState, HonestFoldProver, InequalityReport, _fold_phase, _leaf_phase,
                         _preservation_report, _round_kappa)
 
@@ -208,7 +208,7 @@ def run_set_lower_bound(circuit: SamplingCircuit, claim: MarginalClaim,
                         bucket_bits: Optional[int] = None) -> RunResult:
     symbol_of = symbol_of or (lambda y: y)
     return run_session(lambda s: slb_verify(s, circuit, claim, symbol_of, bucket_bits),
-                       prover, OracleHandles(()), seed)
+                       prover, seed)
 
 
 # --- extended polynomial folding -------------------------------------------------
@@ -284,7 +284,7 @@ def run_whitebox_product_ipp(X: InputTensor, inst: PvalInstance, eps: Fraction,
     """
     return run_session(lambda s: whitebox_verifier(s, X, inst, eps, circuit, r, tau,
                                                    kappa_override, bucket_bits),
-                       prover, OracleHandles(X.data), seed)
+                       prover, seed, X.data)
 
 
 class WhiteboxFoldProver(HonestFoldProver):
@@ -362,9 +362,9 @@ def run_learnable_ipp(x_bits: Sequence[int], D, eps: Fraction,
         Q = extension_row_map(granularise(learned).counts)
         session.tell("learn/q", [(Q, max(1, n.bit_length()))])
         inner = uniform_ipp_factory(Q, eps / 4)
-        return inner(session, lambda j: 0 if Q[j] == learned.n else session.oracles.query(Q[j]))
+        return inner(session, lambda j: 0 if Q[j] == learned.n else session.query(Q[j]))
 
-    return run_session(verifier, prover, OracleHandles(x_bits, dist=D), seed)
+    return run_session(verifier, prover, seed, x_bits, D)
 
 
 def extension_member(base_language: Callable[[tuple], bool], Q: Sequence[int],
@@ -418,19 +418,6 @@ class ExtensionEchoProver(ProverStrategy):
     def reply(self, tag, payload):
         if tag == "set/member":
             return [(tuple(extend_rows(self.bits, self.Q, 0)), 1)]
-        raise ProtocolViolation(f"unexpected tag {tag}")
-
-
-class FixedStringProver(ProverStrategy):
-    """Sends a fixed virtual string (the optimal cheating strategy commits
-    to the closest member of the extended language)."""
-
-    def __init__(self, virt_bits: Sequence[int]):
-        self.virt = tuple(virt_bits)
-
-    def reply(self, tag, payload):
-        if tag == "set/member":
-            return [(self.virt, 1)]
         raise ProtocolViolation(f"unexpected tag {tag}")
 
 

@@ -19,8 +19,8 @@ from .field import (InputTensor, PrimeField, cell_coords, cell_index, lagrange_b
 from .tensors import (DEFAULT_ENUM_BUDGET, INF, PvalInstance, dist_to_pval_bruteforce,
                       metric_key, span)
 from .distributions import Pmf, dispersion_rho, extend_rows, marginal_first
-from .session import (ACCEPT, Message, OracleHandles, ProtocolViolation, ProverStrategy,
-                      RunResult, Section, Session, Verdict, run_session)
+from .session import (ACCEPT, Message, ProtocolViolation, ProverStrategy, RunResult, Section,
+                      Session, Verdict, run_session)
 
 DEFAULT_HAM_C = 2  # the weight protocol samples ceil(c/eps) leaves
 DEFAULT_NC_R = 1  # folding rounds of the NC df-IPPs
@@ -45,17 +45,10 @@ def _class_exponent(k: int, kappa: int) -> int:
     return e
 
 
-def weight_classes(k: int, kappa: int, notes: Optional[list] = None) -> list[tuple[int, int]]:
-    """(a, weight) pairs: a in 1..max(1, ceil(log2(k/kappa)))+1, weights clamped to [1,k]."""
+def weight_classes(k: int, kappa: int) -> list[tuple[int, int]]:
+    """(a, min(2^a * kappa, k)) for a in 1..max(1, ceil(log2(k/kappa)))+1."""
     count = max(1, _class_exponent(k, kappa)) + 1
-    out = []
-    for a in range(1, count + 1):
-        target = (1 << a) * kappa
-        weight = min(max(target, 1), k)
-        if weight != target and notes is not None:
-            notes.append(f"clamp: weight class a={a} target {target} clamped to {weight} (k={k})")
-        out.append((a, weight))
-    return out
+    return [(a, min(kappa << a, k)) for a in range(1, count + 1)]
 
 
 @dataclass(frozen=True)
@@ -129,7 +122,7 @@ def project_points(points: Sequence[tuple[int, ...]]):
     return j2, cols
 
 
-def folded_eval(oracles: OracleHandles, base: InputTensor, st: FoldState, leaf: int) -> int:
+def folded_eval(session: Session, base: InputTensor, st: FoldState, leaf: int) -> int:
     """Evaluate one coordinate of z_s . (... (z_1 . X)) through the query oracle.
 
     leaf is the coordinate's flat cell index in the leaf [k]^(m-s).  One
@@ -139,7 +132,7 @@ def folded_eval(oracles: OracleHandles, base: InputTensor, st: FoldState, leaf: 
     cell of a live tuple and charges a repeated cell len(offsets) queries.
     """
     offsets, coeffs = st.terms(base.k, base.m)
-    values = oracles.read(leaf, offsets)
+    values = session.read(leaf, offsets)
     return sum(map(mul, values, coeffs)) % base.field.modulus
 
 
@@ -200,7 +193,11 @@ def _fold_phase(session: Session, live: list[FoldState], k: int, field: PrimeFie
         return None, Verdict(False, "fold-consistency")
 
     n_rows = len(rowmap)
-    classes = weight_classes(n_rows, kappa, session.notes)
+    classes = weight_classes(n_rows, kappa)
+    for a, weight in classes:
+        if weight != kappa << a:
+            session.note(f"clamp: weight class a={a} target {kappa << a} clamped to {weight} "
+                         f"(k={n_rows})")
     children: list[FoldState] = []
     z_sections = []
     for st, Y in zip(live, matrices):
@@ -271,8 +268,8 @@ def _leaf_phase(session: Session, X: InputTensor, live: list[FoldState], r: int,
         checked, reads = set(), len(st.terms(k, X.m)[0])
         for cell in _uniform_cells(session.rng, k, leaf_m, nq) + [y % leaf_n for y in draw(nq)]:
             if cell in checked:  # passed before: charge the same reads, fold nothing
-                session.oracles.charge(reads)
-            elif leaf[cell] != folded_eval(session.oracles, X, st, cell):
+                session.charge(reads)
+            elif leaf[cell] != folded_eval(session, X, st, cell):
                 return Verdict(False, "leaf-sample")
             else:
                 checked.add(cell)
@@ -285,7 +282,7 @@ def _ham_body(session: Session, n: int, w: int, eps: Fraction, c: int) -> Verdic
     width = max(1, n.bit_length())
     iterations = math.ceil(Fraction(c) / eps)
     for _ in range(iterations):
-        i0, xi = session.oracles.sample()
+        i0, xi = session.sample()
         i = i0 + 1  # the binary split runs on 1-based inclusive intervals
         lo, hi, v = 1, n, w
         path: tuple[int, ...] = ()
@@ -313,8 +310,7 @@ def run_ham_ipp(x_bits: Sequence[int], D, w: int, eps: Fraction,
                 prover: ProverStrategy, seed: int, c: int = DEFAULT_HAM_C) -> RunResult:
     """df-IPP for the weight-w language; samples only, no input queries."""
     n = len(x_bits)
-    oracles = OracleHandles(x_bits, dist=D)
-    return run_session(lambda s: _ham_body(s, n, w, eps, c), prover, oracles, seed)
+    return run_session(lambda s: _ham_body(s, n, w, eps, c), prover, seed, x_bits, D)
 
 
 def run_symmetric_ipp(x_bits: Sequence[int], D, predicate: Callable[[int], bool],
@@ -332,7 +328,7 @@ def run_symmetric_ipp(x_bits: Sequence[int], D, predicate: Callable[[int], bool]
             return Verdict(False, "predicate")
         return _ham_body(session, n, w, eps, c)
 
-    return run_session(verifier, prover, OracleHandles(x_bits, dist=D), seed)
+    return run_session(verifier, prover, seed, x_bits, D)
 
 
 class HonestHamProver(ProverStrategy):
@@ -461,7 +457,7 @@ def _fin_core(session: Session, X: InputTensor, inst: PvalInstance, eps: Fractio
 
     if dist_mode == "oracle":
         def draw(nq):
-            return [session.oracles.sample()[0] for _ in range(nq)]
+            return [session.sample()[0] for _ in range(nq)]
     else:
         def draw(nq):
             return _uniform_cells(session.rng, k, m - r, nq)
@@ -475,9 +471,8 @@ def run_fin_ipp(X: InputTensor, inst: PvalInstance, D, rho: Fraction, eps: Fract
     rho = dispersion_rho(D, (k, m)).rho, measured once per D by the caller."""
     if dist_mode not in ("oracle", "uniform"):
         raise ValueError(f"unknown dist_mode {dist_mode!r}")
-    oracles = OracleHandles(X.data, dist=D)
     return run_session(lambda s: _fin_core(s, X, inst, eps, rho, r, dist_mode, kappa_override),
-                       prover, oracles, seed)
+                       prover, seed, X.data, D)
 
 
 def _run_fold_round(X: InputTensor, inst: PvalInstance, kappa: int, rowmap: tuple[int, ...],
@@ -494,7 +489,7 @@ def _run_fold_round(X: InputTensor, inst: PvalInstance, kappa: int, rowmap: tupl
         holder["children"] = children
         return ACCEPT
 
-    result = run_session(verifier, prover, OracleHandles(X.data), seed)
+    result = run_session(verifier, prover, seed, X.data)
     return result, holder.get("children")
 
 
@@ -517,7 +512,7 @@ def _df_nc_verifier(session: Session, X: InputTensor, eps: Fraction,
     idx_width = max(1, (X.n - 1).bit_length())
     indices, labels = [], []
     for _ in range(T):
-        i, xi = session.oracles.sample()
+        i, xi = session.sample()
         indices.append(i)
         labels.append(xi)
     session.tell("nc/samples", [(tuple(indices), idx_width), (tuple(labels), field.bits)])
@@ -532,9 +527,8 @@ def run_df_ipp_nc(X: InputTensor, D, eps: Fraction, gen: ClaimGenerator,
                   prover: ProverStrategy, seed: int, r: int = DEFAULT_NC_R,
                   kappa_override: Optional[int] = None) -> RunResult:
     """NC df-IPP: claims, T = ceil(3/eps) fresh samples, uniform PVAL IPP."""
-    oracles = OracleHandles(X.data, dist=D)
     return run_session(lambda s: _df_nc_verifier(s, X, eps, gen, r, kappa_override),
-                       prover, oracles, seed)
+                       prover, seed, X.data, D)
 
 
 def run_dispersed_ipp_nc(X: InputTensor, D, rho: Fraction, eps: Fraction, gen: ClaimGenerator,
@@ -548,7 +542,7 @@ def run_dispersed_ipp_nc(X: InputTensor, D, rho: Fraction, eps: Fraction, gen: C
         session.note(f"queries before fin leaf phase: {session.ledger.queries}")
         return _fin_core(session, X, inst, eps, rho, r, "oracle", kappa_override)
 
-    return run_session(verifier, prover, OracleHandles(X.data, dist=D), seed)
+    return run_session(verifier, prover, seed, X.data, D)
 
 
 # --- RLCC transformation ---------------------------------------------------------
@@ -581,14 +575,14 @@ def run_rlcc_transform(x_bits: Sequence[int], D, uniform_ipp: Callable[[Session]
         if not inner.accepted:
             return Verdict(False, "uniform-ipp")
         for _ in range(RLCC_ROUNDS):
-            picks = [session.oracles.sample() for _ in range(per_round)]
+            picks = [session.sample() for _ in range(per_round)]
             for i, xi in picks:
-                got = corrector.fn(session.oracles.query, i, session.rng)
+                got = corrector.fn(session.query, i, session.rng)
                 if got is not None and got != xi:
                     return Verdict(False, "corrector")
         return ACCEPT
 
-    return run_session(verifier, prover, OracleHandles(x_bits, dist=D), seed)
+    return run_session(verifier, prover, seed, x_bits, D)
 
 
 def hadamard_codeword(message: int, bits: int) -> tuple[int, ...]:
@@ -616,7 +610,7 @@ def blr_linearity_ipp(eps: Fraction, bits: int) -> Callable[[Session], Verdict]:
         for _ in range(trials):
             x = session.rng.randrange(n)
             y = session.rng.randrange(n)
-            q = session.oracles.query
+            q = session.query
             if q(x) ^ q(y) != q(x ^ y):
                 return Verdict(False, "uniform-ipp")
         return ACCEPT

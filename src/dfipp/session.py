@@ -3,7 +3,7 @@
 A protocol is a verifier function driving a Session; the prover is a
 strategy object answering typed requests.  The prover strategy receives
 only the explicit inputs, the full input X, the distribution description,
-and the verifier's messages -- never the oracle handles or the verifier's
+and the verifier's messages -- never the session with its oracles and
 rng.  Every payload crossing between the parties is recorded as a Message
 whose bit length uses a canonical fixed-width encoding (field elements are
 ceil(log2 p) bits wide), so comm_bits is reproducible from the transcript.
@@ -112,23 +112,38 @@ class Verdict:
 ACCEPT = Verdict(True)
 
 
-class OracleHandles:
-    """Query oracle i -> X_i and sample oracle -> (i, X_i).
+class ProverStrategy:
+    """Base class: concrete strategies implement reply(tag, payload) -> sections.
 
-    Queries and samples increment the session ledger; the prover never sees
-    these handles.  `dist` may be a Pmf, ProductDistribution, or None (the
+    payload carries only values already shared (explicit inputs or prior
+    verifier messages); replies are lists of (values, width) pairs.  The
+    harness delivers every verifier message through observe().
+    """
+
+    def reply(self, tag: str, payload) -> list[tuple[Sequence[int], int]]:
+        raise NotImplementedError
+
+    def observe(self, tag: str, sections) -> None:
+        pass
+
+
+class Session:
+    """One deterministic protocol execution: rng, transcript, ledger, and the
+    verifier's oracles on the input `values` and the law `dist`.
+
+    query/read/charge and sample charge the ledger; the prover never holds
+    the session.  `dist` may be a Pmf, ProductDistribution, or None (the
     white-box setting, where the verifier evaluates its sampling circuit).
     """
 
-    def __init__(self, values: Sequence[int], dist=None):
+    def __init__(self, prover: ProverStrategy, seed: int, values: Sequence[int] = (), dist=None):
+        self.prover = prover
         self.values = values
         self.dist = dist
-        self.ledger: Optional[CostLedger] = None
-        self._rng: Optional[random.Random] = None
-
-    def bind(self, ledger: CostLedger, rng: random.Random) -> None:
-        self.ledger = ledger
-        self._rng = rng
+        self.rng = random.Random(seed)
+        self.ledger = CostLedger()
+        self.transcript: list[Message] = []
+        self.notes: list[str] = []
 
     def query(self, i: int) -> int:
         self.ledger.queries += 1
@@ -148,36 +163,8 @@ class OracleHandles:
         if self.dist is None:
             raise ProtocolViolation("no sample oracle bound (white-box session?)")
         self.ledger.samples += 1
-        i = self.dist.sample(self._rng)
+        i = self.dist.sample(self.rng)
         return i, self.values[i]
-
-
-class ProverStrategy:
-    """Base class: concrete strategies implement reply(tag, payload) -> sections.
-
-    payload carries only values already shared (explicit inputs or prior
-    verifier messages); replies are lists of (values, width) pairs.  The
-    harness delivers every verifier message through observe().
-    """
-
-    def reply(self, tag: str, payload) -> list[tuple[Sequence[int], int]]:
-        raise NotImplementedError
-
-    def observe(self, tag: str, sections) -> None:
-        pass
-
-
-class Session:
-    """One deterministic protocol execution: rng, oracles, transcript, ledger."""
-
-    def __init__(self, prover: ProverStrategy, oracles: OracleHandles, seed: int):
-        self.prover = prover
-        self.oracles = oracles
-        self.rng = random.Random(seed)
-        self.ledger = CostLedger()
-        self.transcript: list[Message] = []
-        self.notes: list[str] = []
-        oracles.bind(self.ledger, self.rng)
 
     def note(self, text: str) -> None:
         self.notes.append(text)
@@ -237,10 +224,10 @@ class RunResult(NamedTuple):
     notes: list[str]
 
 
-def run_session(verifier: Callable[[Session], Verdict], prover: ProverStrategy,
-                oracles: OracleHandles, seed: int) -> RunResult:
+def run_session(verifier: Callable[[Session], Verdict], prover: ProverStrategy, seed: int,
+                values: Sequence[int] = (), dist=None) -> RunResult:
     """Drive the interaction to completion; deterministic given the seed."""
-    session = Session(prover, oracles, seed)
+    session = Session(prover, seed, values, dist)
     try:
         verdict = verifier(session)
     except ProtocolViolation as exc:

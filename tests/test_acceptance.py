@@ -12,7 +12,7 @@ from itertools import product as iproduct
 
 from dfipp.field import InputTensor, PrimeField, lde_eval
 from dfipp.distributions import Pmf, dispersion_rho
-from dfipp.session import CostLedger, OracleHandles
+from dfipp.session import ProverStrategy, Session
 from dfipp.protocols import (ClaimGenerator, HonestFoldProver, HonestHamProver, NullProver,
                              blr_linearity_ipp, fold_kappa, folded_eval, hadamard_codeword,
                              hadamard_corrector, run_df_ipp_nc, run_dispersed_ipp_nc,
@@ -232,11 +232,9 @@ def test_criterion_8_ledger_laws():
     for st in outputs:
         target = 2 ** st.weights[0] * 1
         expected = min(max(target, 1), 4)
-        oracles = OracleHandles(X.data)
-        ledger = CostLedger()
-        oracles.bind(ledger, random.Random(0))
-        folded_eval(oracles, X, st, 0)
-        if ledger.queries != expected or st.tau != expected:
+        session = Session(ProverStrategy(), 0, X.data)
+        folded_eval(session, X, st, 0)
+        if session.ledger.queries != expected or st.tau != expected:
             ok_tau = False
 
     # df_ipp_nc draws exactly ceil(3/eps) samples per repetition

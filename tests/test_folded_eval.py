@@ -15,7 +15,7 @@ from dfipp.field import InputTensor, PrimeField, cell_index
 from dfipp.product import (WhiteboxFoldProver, coordinate_preimages, gen_product_fixture,
                            run_whitebox_product_ipp)
 from dfipp.protocols import FoldState, _leaf_phase, folded_eval
-from dfipp.session import CostLedger, OracleHandles, ProverStrategy, Session
+from dfipp.session import ProverStrategy, Session
 
 F17 = PrimeField(17)
 M61 = PrimeField((1 << 61) - 1)
@@ -23,10 +23,8 @@ M61 = PrimeField((1 << 61) - 1)
 
 def _charged(X, st, coords):
     """(folded value, queries charged) on a fresh ledger."""
-    oracles = OracleHandles(X.data)
-    ledger = CostLedger()
-    oracles.bind(ledger, random.Random(0))
-    return folded_eval(oracles, X, st, cell_index(coords, X.k)), ledger.queries
+    session = Session(ProverStrategy(), 0, X.data)
+    return folded_eval(session, X, st, cell_index(coords, X.k)), session.ledger.queries
 
 
 def _random_level(rng, k, p, extended):
@@ -183,8 +181,7 @@ def test_leaf_phase_keeps_one_fold_memo_per_tuple(tamper):
     assert leaves[0][0] != leaves[1][0]
     if tamper:
         leaves[1][0] = leaves[0][0]
-    oracles = OracleHandles(X.data)
-    session = Session(_LeafProver(leaves, F17.bits), oracles, 0)
+    session = Session(_LeafProver(leaves, F17.bits), 0, X.data)
     # eps_r = 2, so nq = 5 uniform cells, then 5 distribution cells that are all 0
     verdict = _leaf_phase(session, X, states, 1, Fraction(1), Fraction(1),
                           lambda nq: [0] * nq)

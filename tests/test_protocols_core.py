@@ -9,7 +9,7 @@ from dfipp.field import InputTensor, PrimeField, lde_eval
 from dfipp.tensors import PvalInstance, dist_to_pval_bruteforce, enumerate_pval, \
     pval_member
 from dfipp.distributions import Pmf, dispersion_rho
-from dfipp.session import OracleHandles, Verdict
+from dfipp.session import ProverStrategy, Session, Verdict
 from dfipp.protocols import (BadSumHamProver, ClaimGenerator, CorrectorHandle,
                              HonestFoldProver, HonestHamProver, RandomLieFoldProver,
                              RowTamperFoldProver, ScriptedClaimsProver, blr_linearity_ipp,
@@ -158,7 +158,7 @@ def run_claims(gen, X, eps, seed, prover=None):
         return ACCEPT
 
     verdict, ledger, transcript, notes = run_session(
-        verifier, prover or HonestFoldProver(X), OracleHandles(X.data), seed)
+        verifier, prover or HonestFoldProver(X), seed, X.data)
     return holder["inst"], ledger, transcript
 
 
@@ -238,10 +238,7 @@ def test_poly_fold_tamper_rejected():
 
 def test_weight_classes_formula_and_clamps():
     # k=4, kappa=1: ceil(log2(4)) = 2 classes + 1
-    notes = []
-    classes = weight_classes(4, 1, notes)
-    assert classes == [(1, 2), (2, 4), (3, 4)]
-    assert any("clamp" in n for n in notes)
+    assert weight_classes(4, 1) == [(1, 2), (2, 4), (3, 4)]
     # kappa >= k degenerates to two full-weight classes
     assert weight_classes(2, 8) == [(1, 2), (2, 2)]
 
@@ -266,12 +263,9 @@ def test_bounded_locality_exact():
         target = 2 ** a * 1
         expected = min(max(target, 1), 4)
         assert len(st.supports[0]) == expected == st.tau
-        oracles = OracleHandles(X.data)
-        from dfipp.session import CostLedger
-        ledger = CostLedger()
-        oracles.bind(ledger, random.Random(0))
-        folded_eval(oracles, X, st, 0)
-        assert ledger.queries == st.tau
+        session = Session(ProverStrategy(), 0, X.data)
+        folded_eval(session, X, st, 0)
+        assert session.ledger.queries == st.tau
 
 
 # --- FinIPP ---------------------------------------------------------------------
@@ -547,6 +541,19 @@ def test_distance_preservation_member_vacuous():
     D = nonuniform_dispersed_pmf()
     report = check_distance_preservation(X, D, Y, inst)
     assert report.vacuous and report.holds
+
+
+def test_distance_preservation_refuses_a_Y_failing_step_1():
+    rng = random.Random(18)
+    X, inst = member_instance(F5, 2, 2, rng)
+    j2 = list(dict.fromkeys(pt[1:] for pt in inst.points))
+    Y = [[lde_eval(InputTensor(F5, 2, 1, X.row(i)), pt) for pt in j2] for i in range(2)]
+    # the Lagrange basis at any point sums to 1, so adding 1 down a column moves
+    # every claim on it by 1
+    Y = [[(y + (c == 0)) % 5 for c, y in enumerate(row)] for row in Y]
+    report = check_distance_preservation(X, nonuniform_dispersed_pmf(), Y, inst)
+    assert (report.holds, report.lhs, report.rhs, report.detail) == \
+        (False, None, None, "step-1 check fails")
 
 
 def test_subspace_lemma_vacuous_when_T_equals_S():

@@ -13,11 +13,11 @@ from dfipp.tensors import INF, PvalInstance, dist_to_pval_bruteforce, pval_membe
 from dfipp.distributions import (Pmf, SamplingCircuit, circuit_pmf, dispersion_rho,
                                  extend_rows, extension_row_map, granularise)
 from dfipp.experiments import _PROTOCOLS, run_protocol
-from dfipp.session import CostLedger, OracleHandles, ProverStrategy, Verdict, dump_transcript
+from dfipp.session import CostLedger, ProverStrategy, Session, Verdict, dump_transcript
 from dfipp.protocols import (HonestFoldProver, _run_fold_round, check_distance_preservation,
                              fold_rows, folded_eval)
-from dfipp.product import (FIXTURE_PROFILES, ExtensionEchoProver, FixedStringProver,
-                           HonestSlbProver, MarginalClaim, WhiteboxFoldProver, aborting_learner,
+from dfipp.product import (FIXTURE_PROFILES, ExtensionEchoProver, HonestSlbProver,
+                           MarginalClaim, WhiteboxFoldProver, aborting_learner,
                            check_product_dpl, coordinate_preimages, exact_learner,
                            explicit_set_uniform_ipp, extension_member, gen_product_fixture,
                            run_learnable_ipp, run_set_lower_bound, run_whitebox_product_ipp,
@@ -162,6 +162,9 @@ class ScriptedSlbProver(ProverStrategy):
     (2, [((0,), 2), ((1,), 3), ((0, 0), 2), ((3,), 2)], "malformed"),
     # the witnesses cover every input, yet section 0 holds a wrong symbol
     (2, [((0, 1), 2), ((1,), 2), ((2,), 2), ((3,), 2)], "witness"),
+    # one section per claimed symbol, no fewer and no more, even if each is honest
+    (2, [((0,), 2), ((1,), 2), ((2,), 2)], "malformed"),
+    (2, [((0,), 2), ((1,), 2), ((2,), 2), ((3,), 2), ((), 2)], "malformed"),
 ])
 def test_slb_verdict_order_on_hostile_witnesses(ell, sections, reason):
     circuit = SamplingCircuit.identity(ell)
@@ -550,13 +553,11 @@ def test_extended_fold_locality_bounded_and_zero_rows_free():
     result, outputs = _run_fold_round(X, inst, wb_fold_kappa(1, 2), rowmap, prover, seed=5)
     assert result.verdict.accepted
     for st in outputs:
-        oracles = OracleHandles(X.data)
-        ledger = CostLedger()
-        oracles.bind(ledger, random.Random(0))
-        folded_eval(oracles, X, st, 0)
+        session = Session(ProverStrategy(), 0, X.data)
+        folded_eval(session, X, st, 0)
         zero_hits = sum(1 for i in st.supports[0] if rowmap[i] == 2)
-        assert ledger.queries == len(st.supports[0]) - zero_hits
-        assert ledger.queries <= st.tau
+        assert session.ledger.queries == len(st.supports[0]) - zero_hits
+        assert session.ledger.queries <= st.tau
 
 
 @pytest.mark.parametrize("white_box", [False, True], ids=["honest", "whitebox"])
@@ -772,6 +773,16 @@ def test_learnable_abort_rejects():
     assert res.verdict == Verdict(False, "learner-abort")
 
 
+def test_learnable_non_member_echo_is_rejected_before_any_query():
+    n = 4
+    D = Pmf.uniform(n)
+    res = run_learnable_ipp((1,) * n, D, Fraction(1, 2), exact_learner(D),
+                            explicit_set_uniform_ipp(ALL_ONES, n),
+                            ExtensionEchoProver((0, 1, 1, 1)), 0)
+    assert res.verdict == Verdict(False, "not-member")
+    assert res.ledger.queries == 0
+
+
 def test_learnable_far_input_rejected_and_distance_certified():
     n = 4
     x = (0, 0, 0, 0)
@@ -779,6 +790,7 @@ def test_learnable_far_input_rejected_and_distance_certified():
     # certify d_U(X', L'_Q) on the virtual strings by direct computation
     Q = extension_row_map(granularise(D).counts)
     member_virt = tuple(1 if src != n else 0 for src in Q)
+    assert tuple(extend_rows((1,) * n, Q, 0)) == member_virt  # what the all-ones echo sends
     assert extension_member(ALL_ONES, Q, n, member_virt)
     assert not extension_member(ALL_ONES, Q, n, member_virt + (1,))  # no extra trailing slot
     x_virt = tuple(0 for _ in Q)
@@ -788,7 +800,7 @@ def test_learnable_far_input_rejected_and_distance_certified():
     factory = explicit_set_uniform_ipp(ALL_ONES, n)
     for seed in range(50):
         res = run_learnable_ipp(x, D, eps, exact_learner(D), factory,
-                                FixedStringProver(member_virt), seed)
+                                ExtensionEchoProver((1,) * n), seed)
         assert not res.verdict.accepted
 
 

@@ -15,7 +15,7 @@ USERS = ("demos", "perfbench")
 # The learnable-distribution pipeline stays in src/ unreached until it is
 # registered as a protocol (ROADMAP item 5).
 UNREGISTERED = ("run_learnable_ipp", "explicit_set_uniform_ipp", "ExtensionEchoProver",
-                "FixedStringProver", "exact_learner", "aborting_learner")
+                "exact_learner", "aborting_learner")
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 

@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from dfipp.session import (ACCEPT, PROVER, VERIFIER, CostLedger, Message, OracleHandles,
-                           ProtocolViolation, ProverStrategy, ReplayProver, Section, Session,
-                           Verdict, amplify, dump_transcript, load_transcript, run_session)
+from dfipp.session import (ACCEPT, PROVER, VERIFIER, CostLedger, Message, ProtocolViolation,
+                           ProverStrategy, ReplayProver, Section, Session, Verdict, amplify,
+                           dump_transcript, load_transcript, run_session)
 from dfipp.distributions import Pmf
 
 
@@ -26,6 +26,11 @@ class WrongArityProver(EchoProver):
         return [(self.x[:-1], 1)]
 
 
+class ExtraSectionProver(EchoProver):
+    def reply(self, tag, payload):
+        return [(self.x, 1), ((), 1)]
+
+
 def echo_verifier(bits):
     def verifier(session):
         x = tuple(session.rng.getrandbits(1) for _ in range(bits))
@@ -37,8 +42,7 @@ def echo_verifier(bits):
 
 def test_echo_accounting():
     bits = 16
-    verdict, ledger, transcript, _ = run_session(echo_verifier(bits), EchoProver(),
-                                                 OracleHandles(()), seed=1)
+    verdict, ledger, transcript, _ = run_session(echo_verifier(bits), EchoProver(), seed=1)
     assert verdict.accepted
     assert ledger.comm_bits == 2 * bits
     assert ledger.messages == 2
@@ -47,9 +51,12 @@ def test_echo_accounting():
 
 
 def test_wrong_arity_is_malformed():
-    verdict, *_ = run_session(echo_verifier(8), WrongArityProver(), OracleHandles(()), 1)
-    assert not verdict.accepted
-    assert verdict.reject_reason == "malformed"
+    for prover, note in [
+            (WrongArityProver(), "echo/reply: expected 8 values of width 1, got 7 of width 1"),
+            (ExtraSectionProver(), "echo/reply: expected 1 sections, got 2")]:
+        verdict, _, _, notes = run_session(echo_verifier(8), prover, 1)
+        assert verdict == Verdict(False, "malformed")
+        assert notes == [f"malformed: {note}"]
 
 
 def test_raising_prover_is_malformed():
@@ -57,8 +64,7 @@ def test_raising_prover_is_malformed():
         def reply(self, tag, payload):
             return [({}[tag], 1)]
 
-    verdict, ledger, transcript, notes = run_session(echo_verifier(8), RaisingProver(),
-                                                     OracleHandles(()), 1)
+    verdict, ledger, transcript, notes = run_session(echo_verifier(8), RaisingProver(), 1)
     assert verdict == Verdict(False, "malformed")
     assert notes == ["malformed: 'echo/reply'"]
     assert ledger.messages == len(transcript) == 1
@@ -69,15 +75,14 @@ def test_raising_observer_is_malformed():
         def observe(self, tag, sections):
             raise ValueError(f"cannot take {tag}")
 
-    verdict, ledger, _transcript, notes = run_session(echo_verifier(8), RaisingObserver(),
-                                                      OracleHandles(()), 1)
+    verdict, ledger, _transcript, notes = run_session(echo_verifier(8), RaisingObserver(), 1)
     assert verdict == Verdict(False, "malformed")
     assert notes == ["malformed: cannot take echo/x"]
     assert ledger.messages == 1
 
 
 def test_same_seed_same_everything():
-    runs = [run_session(echo_verifier(32), EchoProver(), OracleHandles(()), seed=99)
+    runs = [run_session(echo_verifier(32), EchoProver(), seed=99)
             for _ in range(2)]
     (v1, l1, t1, _), (v2, l2, t2, _) = runs
     assert v1 == v2
@@ -87,24 +92,33 @@ def test_same_seed_same_everything():
 
 
 def test_ledger_conservation():
-    _, ledger, transcript, _ = run_session(echo_verifier(20), EchoProver(),
-                                           OracleHandles(()), seed=5)
+    _, ledger, transcript, _ = run_session(echo_verifier(20), EchoProver(), seed=5)
     assert ledger.comm_bits == sum(m.bits for m in transcript)
 
 
 def test_oracles_count_and_label():
     values = (5, 6, 7, 8)
-    oracles = OracleHandles(values, dist=Pmf.point_mass(2, 4))
 
     def verifier(session):
-        i, v = session.oracles.sample()
+        i, v = session.sample()
         assert (i, v) == (2, 7)
-        assert session.oracles.query(0) == 5
+        assert session.query(0) == 5
         return ACCEPT
 
-    verdict, ledger, _, _ = run_session(verifier, EchoProver(), oracles, 0)
+    verdict, ledger, _, _ = run_session(verifier, EchoProver(), 0, values, Pmf.point_mass(2, 4))
     assert verdict.accepted
     assert ledger.samples == 1 and ledger.queries == 1
+
+
+def test_sample_without_a_law_is_malformed():
+    def verifier(session):
+        session.sample()
+        return ACCEPT
+
+    verdict, ledger, _, notes = run_session(verifier, EchoProver(), 0, (5, 6))
+    assert verdict == Verdict(False, "malformed")
+    assert notes == ["malformed: no sample oracle bound (white-box session?)"]
+    assert ledger.samples == 0
 
 
 def test_section_width_validation():
@@ -136,7 +150,7 @@ MIXED_MESSAGE = (Section((1, 2), 3), Section((5, 0, 7), 4), Section((), 2), Sect
 
 
 def test_record_mixes_sections_and_raw_pairs():
-    session = Session(ObservingProver(), OracleHandles(()), 0)
+    session = Session(ObservingProver(), 0)
     msg = session._record(PROVER, "mixed", MIXED)
     assert msg == Message(PROVER, "mixed", MIXED_MESSAGE)
     assert [type(s) for s in msg.sections] == [Section] * 5
@@ -148,7 +162,7 @@ def test_record_mixes_sections_and_raw_pairs():
 
 def test_tell_records_a_mixed_message_and_delivers_its_values():
     prover = ObservingProver()
-    session = Session(prover, OracleHandles(()), 0)
+    session = Session(prover, 0)
     msg = session.tell("mixed", MIXED)
     assert msg == Message(VERIFIER, "mixed", MIXED_MESSAGE)
     assert prover.seen == [("mixed", [(1, 2), (5, 0, 7), (), (1,), (6, 6)])]
@@ -156,7 +170,7 @@ def test_tell_records_a_mixed_message_and_delivers_its_values():
 
 
 def test_record_names_a_bad_value_in_the_second_section_and_records_nothing():
-    session = Session(ObservingProver(), OracleHandles(()), 0)
+    session = Session(ObservingProver(), 0)
     with pytest.raises(ProtocolViolation, match=r"^value 8 does not fit in 3 bits$"):
         session._record(PROVER, "bad", [Section((1,), 2), ((0, 7, 3, 8, 9), 3), ((0,), 1)])
     assert session.transcript == []
@@ -192,7 +206,7 @@ def test_non_int_reply_is_malformed(tmp_path):
         session.ask("echo/reply", None, expect=[(2, 1)])
         return ACCEPT
 
-    result = run_session(verifier, FloatProver(), OracleHandles(()), seed=0)
+    result = run_session(verifier, FloatProver(), seed=0)
     assert result.verdict == Verdict(False, "malformed")
     assert result.notes == ["malformed: value 0.5 is not an int"]
     assert result.transcript == [] and result.ledger.comm_bits == 0
@@ -202,28 +216,25 @@ def test_non_int_reply_is_malformed(tmp_path):
 
 
 def test_oracle_read_charges_one_query_per_offset():
-    values = tuple(range(100, 120))
-    oracles = OracleHandles(values)
-    ledger = CostLedger()
-    oracles.bind(ledger, random.Random(0))
-    assert oracles.read(4, (0, 9, 3, 3, 15)) == [104, 113, 107, 107, 119]
+    session = Session(EchoProver(), 0, tuple(range(100, 120)))
+    ledger = session.ledger
+    assert session.read(4, (0, 9, 3, 3, 15)) == [104, 113, 107, 107, 119]
     assert ledger.queries == 5
-    assert oracles.read(19, ()) == []
+    assert session.read(19, ()) == []
     assert ledger.queries == 5
 
 
 def test_oracle_charge_adds_queries_only_and_matches_read():
-    oracles = OracleHandles(tuple(range(10)), dist=Pmf.uniform(10))
-    ledger = CostLedger()
-    oracles.bind(ledger, random.Random(0))
-    oracles.charge(7)
-    oracles.charge(0)
+    session = Session(EchoProver(), 0, tuple(range(10)), Pmf.uniform(10))
+    ledger = session.ledger
+    session.charge(7)
+    session.charge(0)
     assert (ledger.queries, ledger.samples) == (7, 0)
     for offsets in [(), (0,), (1, 1, 4), tuple(range(6))]:
         before = ledger.queries
-        oracles.read(2, offsets)
+        session.read(2, offsets)
         read_cost = ledger.queries - before
-        oracles.charge(len(offsets))
+        session.charge(len(offsets))
         assert ledger.queries - before == 2 * read_cost == 2 * len(offsets)
     assert ledger.samples == 0
 
@@ -261,7 +272,7 @@ def coin_protocol(p_reject: float):
             if session.rng.random() < p_reject:
                 return Verdict(False, "coin")
             return ACCEPT
-        return run_session(verifier, EchoProver(), OracleHandles(()), seed)
+        return run_session(verifier, EchoProver(), seed)
     return run_once
 
 
@@ -298,8 +309,7 @@ def test_amplify_majority():
 
 def test_transcript_dump_and_replay_prover(tmp_path):
     path = str(tmp_path / "run.jsonl")
-    verdict, ledger, transcript, _ = run_session(echo_verifier(12), EchoProver(),
-                                                 OracleHandles(()), seed=77)
+    verdict, ledger, transcript, _ = run_session(echo_verifier(12), EchoProver(), seed=77)
     dump_transcript(path, {"config": {"bits": 12}, "seed": 77}, transcript, verdict, ledger)
     header, messages, trailer = load_transcript(path)
     assert header["seed"] == 77
@@ -308,15 +318,14 @@ def test_transcript_dump_and_replay_prover(tmp_path):
 
     # replaying the recorded prover against the same verifier seed matches
     verdict2, ledger2, transcript2, _ = run_session(
-        echo_verifier(12), ReplayProver(messages), OracleHandles(()), seed=77)
+        echo_verifier(12), ReplayProver(messages), seed=77)
     assert verdict2 == verdict
     assert transcript2 == transcript
 
 
 def test_load_transcript_names_a_missing_header_or_trailer_line(tmp_path):
     path = tmp_path / "run.jsonl"
-    verdict, ledger, transcript, _ = run_session(echo_verifier(12), EchoProver(),
-                                                 OracleHandles(()), seed=77)
+    verdict, ledger, transcript, _ = run_session(echo_verifier(12), EchoProver(), seed=77)
     dump_transcript(str(path), {"seed": 77}, transcript, verdict, ledger)
     assert load_transcript(str(path))[1] == transcript
     lines = path.read_text().splitlines(keepends=True)
@@ -328,7 +337,7 @@ def test_load_transcript_names_a_missing_header_or_trailer_line(tmp_path):
 
 
 def test_prover_never_sees_oracles():
-    # structural isolation: the strategy object holds no oracle reference
+    # structural isolation: the strategy object holds no reference to the session
     prover = EchoProver()
-    run_session(echo_verifier(4), prover, OracleHandles((1, 2)), seed=0)
-    assert not any(isinstance(v, OracleHandles) for v in vars(prover).values())
+    run_session(echo_verifier(4), prover, 0, (1, 2), Pmf.uniform(2))
+    assert not any(isinstance(v, Session) for v in vars(prover).values())
