@@ -4,6 +4,11 @@ A tensor X in F^(k^m) has a unique extension P_X : F^m -> F of individual
 degree <= k-1 agreeing with X on the embedded grid [k]^m.  [k] is embedded
 into F as {0, ..., k-1} (zero-based, so Lagrange nodes are contiguous).
 
+Two evaluators: lde_eval dots one tensor with a memoised basis row, the form
+the PVAL enumeration also solves with; lde_eval_batch, which the protocol
+sessions use, packs a batch of tensors into one int and contracts it once per
+point, building no row.
+
 Field elements are plain ints in [0, p).  Evaluation points are tuples of
 ints.  Everything here is immutable after construction and safe to share.
 """
@@ -12,7 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from operator import mul
+from struct import Struct
 from typing import Iterable, Sequence
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -190,17 +197,16 @@ def basis_row(field: PrimeField, k: int, m: int, point: Sequence[int]) -> tuple[
     """Coefficient vector c with P_X(point) = sum_cell c[cell] * X[cell] mod p.
 
     The Kronecker product of the per-coordinate Lagrange basis vectors in cell
-    order: every LDE evaluation, and every enumeration-oracle test, is one dot.
+    order: lde_eval and every enumeration-oracle test is one dot with it.
     Built suffix first, row(pt) = L(pt[0]) (x) row(pt[1:]), and memoised on
-    (p, k, point): the row at a point also keeps the rows at its tails, which
-    are the points of the later fold rounds and of the leaf checks.
+    (p, k, point), so a point's row also keeps the rows at its tails.
     """
     if len(point) != m:
         raise ValueError(f"point has {len(point)} coordinates, tensor has {m}")
     return _kron_row(field.modulus, k, tuple(point))
 
 
-@lru_cache(maxsize=1024)  # about one session's rows at F17, k = 2, m = 5
+@lru_cache(maxsize=1024)  # rows at claim points, for lde_eval and the PVAL enumeration
 def _kron_row(p: int, k: int, point: tuple[int, ...]) -> tuple[int, ...]:
     if not point:
         return (1,)
@@ -213,18 +219,55 @@ def lde_eval(X: InputTensor, point: Sequence[int]) -> int:
     return sum(map(mul, basis_row(X.field, X.k, X.m, point), X.data)) % X.field.modulus
 
 
+# (bits, struct code) of the standard-size unsigned ints, narrowest first;
+# PrimeField caps p at 64 bits
+_WORDS = ((8, "B"), (16, "H"), (32, "I"), (64, "Q"))
+
+
+@lru_cache(maxsize=256)
+def _packing(p: int, k: int, m: int, D: int):
+    """How lde_eval_batch packs D tensors of F^(k^m): the Struct that writes their
+    interleaved cells as little-endian zero-padded slots, the bit offsets and the
+    mask of the D slots left after the last contraction, and per axis, first axis
+    first, the bits and the mask of one of its k blocks."""
+    item, code = next((b, c) for b, c in _WORDS if b >= (p - 1).bit_length())
+    width = -(-(k ** m * (p - 1) ** (m + 1)).bit_length() // item) * item
+    layout = Struct("<" + f"{code}{(width - item) // 8}x" * (k ** m * D))
+    blocks = tuple((b, (1 << b) - 1) for b in (width * D * k ** j
+                                               for j in range(m - 1, -1, -1)))
+    return layout, range(0, width * D, width), (1 << width) - 1, blocks
+
+
 def lde_eval_batch(field: PrimeField, k: int, m: int, tensors: Sequence[Sequence[int]],
                    points: Iterable[Sequence[int]]) -> list[list[int]]:
-    """out[d][j] = P_{tensors[d]}(points[j]) for flat tensors of F^(k^m).
+    """out[d][j] = P_{tensors[d]}(points[j]) for flat tensors of F^(k^m), cells in [0, p).
 
-    Streams the points: each point's basis row, from basis_row's bounded memo,
-    is dotted with every tensor; the batch itself keeps no row.
+    The D tensors ride in one int, one W-bit slot per (cell, tensor), cell-major
+    and tensor-minor, so the k blocks of the first axis are k contiguous bit
+    ranges.  A point contracts that axis m times, P = sum_i L_i(t) * block_i,
+    for every tensor at once.  No slot is reduced before the end; W holds
+    k^m (p-1)^(m+1), which bounds every slot, so no slot carries into the next.
+    k = 2 uses the closed form L = (1 - t, t).  No basis row is built.
     """
+    p, D = field.modulus, len(tensors)
     if any(len(data) != k ** m for data in tensors):
         raise ValueError(f"every tensor needs {k ** m} cells")
-    out: list[list[int]] = [[] for _ in tensors]
+    layout, slots, slot_mask, blocks = _packing(p, k, m, D)
+    start = int.from_bytes(layout.pack(*chain.from_iterable(zip(*tensors))), "little")
+    values = []
     for pt in points:
-        row = basis_row(field, k, m, pt)
-        for col, data in zip(out, tensors):
-            col.append(sum(map(mul, row, data)) % field.modulus)
-    return out
+        if len(pt) != m:
+            raise ValueError(f"point has {len(pt)} coordinates, tensor has {m}")
+        P = start
+        if k == 2:
+            for t, (b, mask) in zip(pt, blocks):
+                P = (P & mask) * ((1 - t) % p) + (P >> b) * (t % p)
+        else:
+            for t, (b, mask) in zip(pt, blocks):
+                Q = 0
+                for i, c in enumerate(lagrange_basis(p, k, t)):
+                    Q += ((P >> i * b) & mask) * c
+                P = Q
+        for s in slots:
+            values.append((P >> s & slot_mask) % p)
+    return [values[d::D] for d in range(D)]  # values are point-major, tensor-minor

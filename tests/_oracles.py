@@ -54,6 +54,21 @@ def vandermonde_lde_eval(data, k, m, point, p):
     return sum(c * _monomial(point, e, p) for c, e in zip(coeffs, exps)) % p
 
 
+def vandermonde_lde_evals(data, k, m, points, p):
+    """vandermonde_lde_eval at every point, from one solve.  The system matrix is
+    the m-th Kronecker power of the k x k Vandermonde matrix, so the solve is a
+    Vandermonde solve along each axis in turn, which keeps k^m = 1024 cheap."""
+    coeffs = list(data)
+    for stride in (k ** j for j in range(m)):
+        for base in range(len(coeffs)):
+            if base // stride % k == 0:
+                fiber = vandermonde_coeffs([coeffs[base + i * stride] for i in range(k)], p)
+                for i, c in enumerate(fiber):
+                    coeffs[base + i * stride] = c
+    exps = list(itertools.product(range(k), repeat=m))
+    return [sum(c * _monomial(pt, e, p) for c, e in zip(coeffs, exps)) % p for pt in points]
+
+
 def _monomial(point, exps, p):
     acc = 1
     for x, e in zip(point, exps):

@@ -122,34 +122,36 @@ def test_nc_prover_evaluates_each_round0_tail_once_and_no_claim_at_full_depth(mo
     assert all(tensors == [X.row(i) for i in range(k)] for tensors, _ in round0)
     evaluated = [tail for _, points in round0 for tail in points]
     assert sorted(evaluated) == sorted(tails)  # each distinct tail exactly once
-    assert m - 1 in rows  # the hook sits on the rows that lde_eval_batch builds
-    assert m not in rows  # no basis row over a whole claim point
+    assert all(m_ < m for m_, _, _ in batches)  # no claim point evaluated whole
+    assert rows == []  # the session evaluates every LDE without a basis row
 
 
-def test_later_rounds_and_the_leaf_phase_build_no_basis_row(monkeypatch):
-    # one honest df_ipp_nc session at F17, k = 2, m = 5, r = 2: the rows over the
-    # round-0 tails hold, as their tails, every row that round 1 and the leaf checks read
+@pytest.mark.parametrize("protocol", ["df_ipp_nc", "dispersed_ipp_nc"])
+def test_no_phase_of_an_nc_session_builds_a_basis_row(monkeypatch, protocol):
+    # one honest session at F17, k = 2, m = 5, r = 2: the claim columns, both fold
+    # rounds and the leaf checks each run, and none of them builds a row
     k, m = 2, 5
-    rows, misses = field_module._kron_row, {}
-    real_matrices, real_leaf = HonestFoldProver._matrices, protocols._leaf_phase
+    rows, built = field_module._kron_row, {}
+    real_columns, real_matrices = HonestFoldProver._columns, HonestFoldProver._matrices
+    real_leaf = protocols._leaf_phase
 
     def counted(key, fn, *args):
         before = rows.cache_info().misses
         out = fn(*args)
-        misses[key] = rows.cache_info().misses - before
+        built[key] = built.get(key, 0) + rows.cache_info().misses - before
         return out
 
+    monkeypatch.setattr(HonestFoldProver, "_columns", lambda self, *args: counted(
+        "columns", real_columns, self, *args))
     monkeypatch.setattr(HonestFoldProver, "_matrices", lambda self, s, *args: counted(
         ("matrices", s), real_matrices, self, s, *args))
     monkeypatch.setattr(protocols, "_leaf_phase", lambda *args: counted(
         "leaf", real_leaf, *args))
     rows.cache_clear()
-    X = InputTensor.random(F17, k, m, random.Random(3))
-    config = {"protocol": "df_ipp_nc", "trials": 1, "seed": 3, "field_modulus": 17,
-              "k": k, "m": m, "r": 2, "eps": "1/2", "x": list(X.data)}
+    config = {"protocol": protocol, "trials": 1, "seed": 3, "field_modulus": 17,
+              "k": k, "m": m, "r": 2, "eps": "1/2"}
     result, _meta = run_protocol(config, 7)
     assert result.verdict.accepted
-    assert set(misses) == {("matrices", 0), ("matrices", 1), "leaf"}
-    assert misses[("matrices", 1)] == misses["leaf"] == 0
-    assert rows.cache_info().currsize < rows.cache_info().maxsize  # nothing was evicted
-
+    assert set(built) == {"columns", ("matrices", 0), ("matrices", 1), "leaf"}
+    assert set(built.values()) == {0}
+    assert rows.cache_info().misses == 0  # nor does anything else in the session

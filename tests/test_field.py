@@ -7,7 +7,7 @@ from dfipp import field as field_module
 from dfipp.field import (InputTensor, PrimeField, basis_row, cell_coord, cell_coords,
                          lagrange_basis, lagrange_eval_univariate, lde_eval, lde_eval_batch)
 
-from _oracles import poly_eval, vandermonde_coeffs, vandermonde_lde_eval
+from _oracles import poly_eval, vandermonde_coeffs, vandermonde_lde_eval, vandermonde_lde_evals
 
 F7 = PrimeField(7)
 
@@ -125,6 +125,29 @@ def test_lde_batch_matches_lde_eval_per_tensor():
         lde_eval_batch(field, 3, 2, [datas[0][:-1]], points)
     with pytest.raises(ValueError):
         lde_eval_batch(field, 3, 2, datas, [(1, 2, 3)])
+
+
+@pytest.mark.parametrize("p,k,m", [(p, k, m) for p in (2, 5, 17, 97, (1 << 61) - 1,
+                                                        (1 << 64) - 59)
+                                    for k in (1, 2, 3, 4) if k <= p for m in range(6)])
+def test_lde_batch_matches_the_vandermonde_oracle(p, k, m):
+    # all-(p-1) tensors at all-(p-1) and all-2 points fill the packed slots nearest
+    # their bound, so a slot too narrow carries into its neighbour
+    field, rng = PrimeField(p), random.Random(p * 100 + k * 10 + m)
+    full = (p - 1,) * k ** m
+    datas = [full, full] + [InputTensor.random(field, k, m, rng).data for _ in range(3)]
+    points = [(p - 1,) * m, (2,) * m, tuple(rng.randrange(p, 3 * p) for _ in range(m)),
+              field.rand_point(m, rng), cell_coords(rng.randrange(k ** m), k, m)]
+    want = {data: vandermonde_lde_evals(data, k, m, points, p) for data in datas}
+    if k ** m <= 27:
+        assert want[datas[-1]] == [vandermonde_lde_eval(datas[-1], k, m, pt, p) for pt in points]
+    for D in (0, 1, 2, 5):
+        assert lde_eval_batch(field, k, m, datas[:D], points) == [want[d] for d in datas[:D]]
+        with pytest.raises(ValueError, match="coordinates"):
+            lde_eval_batch(field, k, m, datas[:D], points + [(0,) * (m + 1)])
+        if D:
+            with pytest.raises(ValueError, match="cells"):
+                lde_eval_batch(field, k, m, datas[:D - 1] + [full + (0,)], points)
 
 
 def _kronecker_reference(p, k, point):

@@ -41,3 +41,11 @@ def test_traced_name_resolves_to_a_callable(name):
     for part in path:
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def test_traced_run_reads_the_lagrange_basis_cache():
+    # `run.py --trace 1` reads dfipp.field.lagrange_basis.cache_info() directly for
+    # field.lagrange_basis.hit_ratio, outside the traced-name list above
+    assert "api.field.lagrange_basis" in RUN_PY.read_text()
+    info = importlib.import_module("dfipp.field").lagrange_basis.cache_info()
+    assert info.hits >= 0 and info.misses >= 0
