@@ -9,6 +9,7 @@ fires is appended to the session notes so run reports stay auditable.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -850,6 +851,11 @@ def check_appendix_claims(X: InputTensor, D: Pmf, Y: Sequence[Sequence[int]],
       step 1 passed and the instance is certifiably far;
     - support-hit and folded-farness events over the verifier's choice of
       z_{a*}, measured against their stated probability bounds.
+
+    Both events depend only on the drawn (support, z).  All `trials` vectors
+    are drawn first, in the per-trial order, and tallied; each distinct draw
+    is decided once and counted with its multiplicity, so the exhaustive
+    folded-instance oracle runs once per distinct draw, not once per trial.
     """
     import random as _random
 
@@ -885,17 +891,16 @@ def check_appendix_claims(X: InputTensor, D: Pmf, Y: Sequence[Sequence[int]],
     hit_threshold = mu * (2 ** a_star) / (2 * rho)
     far_threshold = mu * (2 ** a_star) / (4 * rho)
     rng = _random.Random(seed)
-    misses = 0
-    not_far = 0
+    draws = Counter(fold_vector(rng, k, weight, p) for _ in range(trials))
+    misses = not_far = 0
     rows = [X.row(i) for i in range(k)]
-    for _ in range(trials):
-        support, z = fold_vector(rng, k, weight, p)
+    for (support, z), count in draws.items():
         if not any(eps_i[i] >= hit_threshold for i in support):
-            misses += 1
+            misses += count
         fold_tensor = InputTensor(field, k, m - 1, fold_rows(z, rows, p))
         fold_inst = PvalInstance(field, k, m - 1, tuple(j2), fold_rows(z, Y, p))
         if hybrid_pval_distance(fold_tensor, fold_inst, marg, budget) < far_threshold:
-            not_far += 1
+            not_far += count
 
     miss_bound = math.exp(-kappa / (4 * log2k))
     far_bound = 1 / (p - 1) + math.exp(-kappa / (4 * log2k))

@@ -171,10 +171,17 @@ class Session:
 
     def _record(self, sender: str, tag: str, sections) -> Message:
         """Append one message; each (values, width) pair that is not a Section yet
-        is validated by becoming one."""
+        is validated by becoming one.  A prover's Section is validated the same
+        way and kept, since tuple.__new__ builds one past the constructor; the
+        verifier's own Sections are trusted."""
         checked, bits = [], 0
         for s in sections:
-            s = s if type(s) is Section else Section(*s)
+            if type(s) is not Section:
+                s = Section(*s)
+            elif sender == PROVER:
+                if len(s) != 2 or type(s[0]) is not tuple:
+                    raise ProtocolViolation(f"section {s!r} is not a (values tuple, width) pair")
+                Section(*s)
             checked.append(s)
             bits += len(s[0]) * s[1]
         msg = Message(sender, tag, tuple(checked))

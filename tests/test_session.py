@@ -215,6 +215,42 @@ def test_non_int_reply_is_malformed(tmp_path):
     assert load_transcript(path)[1] == []
 
 
+class ForgingProver(EchoProver):
+    """Replies with a Section built by tuple.__new__, past the constructor's checks."""
+
+    def __init__(self, forged):
+        super().__init__()
+        self.forged = forged
+
+    def reply(self, tag, payload):
+        return [tuple.__new__(Section, self.forged)]
+
+
+@pytest.mark.parametrize("forged,note", [
+    (((-1, "x"), 3), "value -1 does not fit in 3 bits"),
+    (((1, "x"), 3), "value 'x' is not an int"),
+    (((1, 8), 3), "value 8 does not fit in 3 bits"),
+    (([1, 0], 1), "section ([1, 0], 1) is not a (values tuple, width) pair"),
+    (((1, 0), 0), "width must be an int >= 1, not 0"),
+    (((1, 0), "1"), "width must be an int >= 1, not '1'"),
+    (((1, 0), 1, 2), "section ((1, 0), 1, 2) is not a (values tuple, width) pair"),
+])
+def test_a_forged_section_is_malformed_and_its_transcript_dumps(tmp_path, forged, note):
+    def verifier(session):
+        session.tell("echo/x", [Section((1, 0), 1)])
+        session.ask("echo/reply", None, expect=[(2, 1)])
+        return ACCEPT
+
+    result = run_session(verifier, ForgingProver(forged), seed=0)
+    assert result.verdict == Verdict(False, "malformed")
+    assert result.notes == [f"malformed: {note}"]
+    assert [m.sender for m in result.transcript] == [VERIFIER]
+    assert result.ledger == CostLedger(comm_bits=2, messages=1)
+    path = str(tmp_path / "t.jsonl")
+    dump_transcript(path, {}, result.transcript, result.verdict, result.ledger)
+    assert load_transcript(path)[1] == result.transcript
+
+
 def test_oracle_read_charges_one_query_per_offset():
     session = Session(EchoProver(), 0, tuple(range(100, 120)))
     ledger = session.ledger
