@@ -219,13 +219,18 @@ class SamplingCircuit:
         return self.eval_many((x,))[0]
 
     def eval_many(self, xs: Iterable[int]) -> list[int]:
-        """[self.eval(x) for x in xs], running each gate once over all of xs.
+        """[self.eval(x) for x in xs], read from the truth table once it is built,
+        else running each gate once over all of xs.
 
         Bitsliced: bit i of a register is one wire's value on xs[i], so AND
         and XOR are one big-int operation each, and NOT is XOR with the
         all-ones mask.  Only the low n_inputs bits of each x count.
         """
         xs = xs if isinstance(xs, (list, tuple, range)) else list(xs)
+        table = self.__dict__.get("table")
+        if table is not None:
+            mask = len(table) - 1
+            return [table[x & mask] for x in xs]
         if not xs:
             return []
         n_regs, steps, out_regs = self._schedule
@@ -234,6 +239,19 @@ class SamplingCircuit:
         for is_and, dst, a, b in steps:
             regs[dst] = regs[a] & regs[b] if is_and else regs[a] ^ regs[b]
         return _from_bit_planes([regs[r] for r in out_regs], len(xs))
+
+    @cached_property
+    def table(self) -> tuple[int, ...]:
+        """eval(x) for every input x in order, from one bitsliced pass over them all.
+
+        Built once per circuit and refused (BudgetExceeded) over
+        CIRCUIT_INPUT_BUDGET inputs, before any evaluation.  Not a field, so ==
+        and hash are unchanged.
+        """
+        if self.n_inputs > CIRCUIT_INPUT_BUDGET:
+            raise BudgetExceeded(f"circuit arity {self.n_inputs} exceeds exhaustive "
+                                 f"budget {CIRCUIT_INPUT_BUDGET}")
+        return tuple(self.eval_many(range(1 << self.n_inputs)))
 
     @cached_property
     def _schedule(self) -> tuple[int, tuple[tuple[bool, int, int, int], ...], tuple[int, ...]]:
@@ -315,14 +333,11 @@ class SamplingCircuit:
 
 
 def circuit_pmf(C: SamplingCircuit) -> Pmf:
-    """Exact output distribution by enumerating all 2^l inputs."""
-    if C.n_inputs > CIRCUIT_INPUT_BUDGET:
-        raise BudgetExceeded(
-            f"circuit arity {C.n_inputs} exceeds exhaustive budget {CIRCUIT_INPUT_BUDGET}")
+    """Exact output distribution, counted over C's truth table of all 2^l inputs."""
     counts = [0] * C.n
-    for y in C.eval_many(range(2 ** C.n_inputs)):
+    for y in C.table:
         counts[y] += 1
-    return Pmf.from_weights(counts, 2 ** C.n_inputs)
+    return Pmf.from_weights(counts, len(C.table))
 
 
 @dataclass(frozen=True)

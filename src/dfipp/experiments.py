@@ -35,8 +35,8 @@ from .protocols import (DEFAULT_HAM_C, DEFAULT_NC_R, BadSumHamProver, ClaimGener
                         hadamard_corrector, project_points, run_df_ipp_nc,
                         run_dispersed_ipp_nc, run_fin_ipp, run_ham_ipp, run_poly_fold,
                         run_rlcc_transform, run_symmetric_ipp)
-from .product import (DEFAULT_TAU, FIXTURE_PROFILES, HonestSlbProver, MarginalClaim,
-                      WhiteboxFoldProver, check_product_dpl, coordinate_preimages, exceeds_one,
+from .product import (DEFAULT_TAU, FIXTURE_PROFILES, ClaimSumError, HonestSlbProver,
+                      MarginalClaim, WhiteboxFoldProver, check_product_dpl, coordinate_preimages,
                       gen_product_fixture, run_set_lower_bound, run_whitebox_product_ipp,
                       slb_preimages)
 
@@ -402,11 +402,11 @@ def _run_set_lower_bound(config: dict, rng: random.Random):
     circuit = SamplingCircuit.identity(ell)
     n_sym = 1 << ell
     claims = _sized(config.get("claims", (Fraction(1, n_sym),) * n_sym), n_sym, "claims")
-    probs = tuple(map(_frac, claims))
-    if exceeds_one(probs):
-        raise ValueError("config key 'claims' must sum to at most 1")
-    claim = MarginalClaim(probs, _frac(config.get("tau", DEFAULT_TAU)),
-                          _frac(config.get("delta", "1/20")))
+    try:  # validate_config has checked tau, delta and the signs; only the sum is left
+        claim = MarginalClaim(tuple(map(_frac, claims)), _frac(config.get("tau", DEFAULT_TAU)),
+                              _frac(config.get("delta", "1/20")))
+    except ClaimSumError:
+        raise ValueError("config key 'claims' must sum to at most 1") from None
     tables = cache(partial(slb_preimages, circuit, lambda y: y))  # on the first make()
     return partial(run_set_lower_bound, circuit, claim, bucket_bits=_bucket_bits(config, ell)), \
         lambda: HonestSlbProver(tables()), {"n": n_sym}
@@ -531,8 +531,7 @@ def cmd_run(config: dict, out_prefix: Optional[str] = None) -> dict:
             writer.writeheader()
             writer.writerows(rows)
         with open(out_prefix + ".json", "w") as fh:
-            json.dump(record, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
     return record
 
 

@@ -15,7 +15,7 @@ from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .field import InputTensor, PrimeField, cell_coord
-from .tensors import DEFAULT_ENUM_BUDGET, BudgetExceeded, PvalInstance
+from .tensors import DEFAULT_ENUM_BUDGET, PvalInstance
 from .distributions import (CIRCUIT_INPUT_BUDGET, GranularitySet, Pmf, ProductDistribution,
                             SamplingCircuit, extend_rows, extension_row_map, granularise)
 from .session import (ACCEPT, ProtocolViolation, ProverStrategy, RunResult, Session, Verdict,
@@ -34,6 +34,10 @@ def _encode_fraction(f: Fraction) -> tuple[int, int]:
     return f.numerator, f.denominator
 
 
+class ClaimSumError(ValueError):
+    """A MarginalClaim whose probabilities sum to more than 1."""
+
+
 @dataclass(frozen=True)
 class MarginalClaim:
     """Claimed factor probabilities with the lower-bound slack and error budget."""
@@ -47,14 +51,10 @@ class MarginalClaim:
             raise ValueError("tau and delta must lie in (0, 1)")
         if any(p.numerator < 0 for p in self.probs):
             raise ValueError("negative claimed probability")
-        if exceeds_one(self.probs):
-            raise ValueError("claimed probabilities exceed 1")
-
-
-def exceeds_one(probs: Sequence[Fraction]) -> bool:
-    """Whether sum(probs) > 1, in integers over the lcm of the denominators."""
-    den = math.lcm(*(p.denominator for p in probs))
-    return sum(p.numerator * (den // p.denominator) for p in probs) > den
+        # sum(probs) > 1, in integers over the lcm of the denominators
+        den = math.lcm(*(p.denominator for p in self.probs))
+        if sum(p.numerator * (den // p.denominator) for p in self.probs) > den:
+            raise ClaimSumError("claimed probabilities exceed 1")
 
 
 # --- parallel Goldwasser-Sipser set lower bound --------------------------------
@@ -111,12 +111,12 @@ def slb_verify(session: Session, circuit: SamplingCircuit, claim: MarginalClaim,
     if len(msg.sections) != len(active):
         raise ProtocolViolation("one witness list per active symbol required")
     # every in-range witness of every section, evaluated in one pass; a union that
-    # covers all 2^ell inputs is the range, whose outputs are indexed by input
+    # covers all 2^ell inputs within budget is the truth table, indexed by input
     values = [sec.values for sec in msg.sections]
     union = set().union(*values)
-    full = len(union) == size and max(union) < size
-    inputs = range(size) if full else sorted(x for x in union if x < size)
-    outs = circuit.eval_many(inputs)
+    full = len(union) == size and max(union) < size and ell <= CIRCUIT_INPUT_BUDGET
+    inputs = [] if full else sorted(x for x in union if x < size)
+    outs = circuit.table if full else circuit.eval_many(inputs)
     symbols = {y: symbol_of(y) for y in set(outs)}  # once per distinct output
     symbol = list(map(symbols.__getitem__, outs))
     if not full:
@@ -161,21 +161,19 @@ class Preimages(NamedTuple):
 
 def _preimage_tables(circuit: SamplingCircuit,
                      symbol_maps: Sequence[Callable[[int], int]]) -> tuple[Preimages, ...]:
-    """One Preimages per symbol map, from one enumeration of all 2^ell inputs grouped
-    by output: each map is called once per distinct output.  Refused over
-    CIRCUIT_INPUT_BUDGET inputs."""
-    ell = circuit.n_inputs
-    if ell > CIRCUIT_INPUT_BUDGET:
-        raise BudgetExceeded("honest prover enumeration over budget")
+    """One Preimages per symbol map, from the circuit's truth table grouped by output:
+    each map is called once per distinct output.  Refused over CIRCUIT_INPUT_BUDGET
+    inputs."""
     by_output: dict[int, list[int]] = {}
-    for x, y in enumerate(circuit.eval_many(range(1 << ell))):
+    for x, y in enumerate(circuit.table):
         by_output.setdefault(y, []).append(x)
     tables = []
     for symbol_of in symbol_maps:
         table: dict[int, list[int]] = {}
         for y, xs in by_output.items():
             table.setdefault(symbol_of(y), []).extend(xs)
-        tables.append(Preimages(ell, {i: tuple(sorted(xs)) for i, xs in table.items()}))
+        tables.append(Preimages(circuit.n_inputs,
+                                {i: tuple(sorted(xs)) for i, xs in table.items()}))
     return tuple(tables)
 
 

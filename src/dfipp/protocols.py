@@ -15,7 +15,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Callable, Optional, Sequence
 
-from .field import (InputTensor, PrimeField, cell_coords, cell_index, lagrange_basis,
+from .field import (InputTensor, PrimeField, cell_coords, lagrange_basis,
                     lagrange_eval_univariate, lde_eval_batch, uniform_draws)
 from .tensors import (DEFAULT_ENUM_BUDGET, INF, PvalInstance, dist_to_pval_bruteforce,
                       metric_key, span)
@@ -231,8 +231,10 @@ def fold_vector(rng, n_rows: int, weight: int, p: int) -> tuple[tuple[int, ...],
 def _uniform_cells(rng, k: int, leaf_m: int, nq: int) -> list[int]:
     """nq uniform flat cells of [k]^leaf_m, each from leaf_m randrange(k) draws
     taken first coordinate first."""
-    coords = uniform_draws(rng, k, nq * leaf_m)
-    return [cell_index(coords[i * leaf_m:(i + 1) * leaf_m], k) for i in range(nq)]
+    coords, cells = uniform_draws(rng, k, nq * leaf_m), [0] * nq
+    for t in range(leaf_m):  # Horner over coordinate t of every cell at once
+        cells = [c * k + d for c, d in zip(cells, coords[t::leaf_m])]
+    return cells
 
 
 def _leaf_phase(session: Session, X: InputTensor, live: list[FoldState], r: int,
@@ -247,8 +249,10 @@ def _leaf_phase(session: Session, X: InputTensor, live: list[FoldState], r: int,
     first coordinate is the most significant, a cell i keeps its last m - r
     coordinates as i % k^(m-r).  Both batches are drawn before either is checked.
 
-    Cells are checked in draw order; the first mismatch rejects.  A tuple folds
-    each distinct cell once; a repeat passed before and is only charged again.
+    A tuple folds each distinct cell once, in first-draw order, and the first
+    mismatch rejects.  A repeat is charged the reads of its fold without folding,
+    so the ledger is that of checking every draw in order: on a reject, only the
+    repeats drawn before the bad cell's first draw are charged.
     """
     field, k, leaf_m = X.field, X.k, X.m - r
     leaf_n = k ** leaf_m
@@ -266,14 +270,13 @@ def _leaf_phase(session: Session, X: InputTensor, live: list[FoldState], r: int,
         nq = math.ceil(10 / eps_r)
         session.note(f"leaf weights={'.'.join(map(str, st.weights))} "
                      f"tau={st.tau} nq={nq} eps_r={eps_r}")
-        checked, reads = set(), len(st.terms(k, X.m)[0])
-        for cell in _uniform_cells(session.rng, k, leaf_m, nq) + [y % leaf_n for y in draw(nq)]:
-            if cell in checked:  # passed before: charge the same reads, fold nothing
-                session.charge(reads)
-            elif leaf[cell] != folded_eval(session, X, st, cell):
+        cells = _uniform_cells(session.rng, k, leaf_m, nq) + [y % leaf_n for y in draw(nq)]
+        distinct, reads = dict.fromkeys(cells), len(st.terms(k, X.m)[0])
+        for n_checked, cell in enumerate(distinct):
+            if leaf[cell] != folded_eval(session, X, st, cell):
+                session.charge(reads * (cells.index(cell) - n_checked))
                 return Verdict(False, "leaf-sample")
-            else:
-                checked.add(cell)
+        session.charge(reads * (len(cells) - len(distinct)))
     return ACCEPT
 
 
