@@ -50,6 +50,7 @@ print("== the full white-box protocol: zero sample-oracle calls ==")
 X = InputTensor.random(F17, 2, 4, rng)
 pts = tuple(F17.rand_point(4, rng) for _ in range(2))
 inst = PvalInstance(F17, 2, 4, pts, tuple(lde_eval(X, p) for p in pts))
+# the prover builds one preimage table per round it is asked: here r = 1, so one
 prover = WhiteboxFoldProver(X, D.factors, coordinate_preimages(circuit, X.k, X.m))
 res = run_whitebox_product_ipp(X, inst, Fraction(1, 2), circuit, 1, prover, seed=0)
 print(f"accepted={res.verdict.accepted}, queries={res.ledger.queries}, "

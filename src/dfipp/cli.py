@@ -90,7 +90,11 @@ def main(argv=None) -> int:
             if type(config) is dict:  # anything else is refused by cmd_run's set-up
                 config.update((key, v) for key, v in overrides.items() if v is not None)
             record = cmd_run(config, out_prefix=args.out)
-            print(json.dumps(record, sort_keys=True, indent=2, default=str))
+            if args.out:  # echo the .json report cmd_run wrote: one encode serves both
+                with open(args.out + ".json") as fh:
+                    sys.stdout.write(fh.read())
+            else:
+                print(json.dumps(record, sort_keys=True, indent=2, default=str))
             return EXIT_PASS
 
         if args.command == "check-lemma":

@@ -369,11 +369,11 @@ def _run_whitebox_product(config: dict, rng: random.Random):
                       rho=str(dispersion_rho(D, (X.k, X.m)).rho))
     if circuit.n_inputs > CIRCUIT_INPUT_BUDGET:  # refused before the first trial
         raise BudgetExceeded("honest prover enumeration over budget")
-    # one preimage table per dimension, built by the first make() (a replay makes no
-    # prover) and shared by every later one
-    tables = cache(partial(coordinate_preimages, circuit, config["k"], config["m"]))
+    # one preimage table per round a prover is asked, shared by every prover (a replay
+    # makes no prover, so builds none)
+    tables = coordinate_preimages(circuit, config["k"], config["m"])
     W = _WHITEBOX_PROVERS.build(config.get("prover", {}), X)
-    return run, lambda: WhiteboxFoldProver(W, D.factors, tables()), meta
+    return run, lambda: WhiteboxFoldProver(W, D.factors, tables), meta
 
 
 def _run_rlcc(config: dict, rng: random.Random):

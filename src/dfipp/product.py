@@ -11,7 +11,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .field import InputTensor, PrimeField, cell_coord
@@ -146,7 +146,7 @@ def slb_verify(session: Session, circuit: SamplingCircuit, claim: MarginalClaim,
 class Preimages(NamedTuple):
     """An honest prover's set-lower-bound answers over a circuit of ell inputs:
     symbol -> every input with that symbol, ascending.  It depends only on the
-    circuit and the symbol map, so a set-up builds it once for all its provers."""
+    circuit and the symbol map, so the provers of a set-up share one."""
 
     ell: int
     inputs: dict[int, tuple[int, ...]]
@@ -159,33 +159,21 @@ class Preimages(NamedTuple):
                  else self.inputs.get(i, ()), width) for i, b, rows, c in payload]
 
 
-def _preimage_tables(circuit: SamplingCircuit,
-                     symbol_maps: Sequence[Callable[[int], int]]) -> tuple[Preimages, ...]:
-    """One Preimages per symbol map, from the circuit's truth table grouped by output:
-    each map is called once per distinct output.  Refused over CIRCUIT_INPUT_BUDGET
-    inputs."""
-    by_output: dict[int, list[int]] = {}
-    for x, y in enumerate(circuit.table):
-        by_output.setdefault(y, []).append(x)
-    tables = []
-    for symbol_of in symbol_maps:
-        table: dict[int, list[int]] = {}
-        for y, xs in by_output.items():
-            table.setdefault(symbol_of(y), []).extend(xs)
-        tables.append(Preimages(circuit.n_inputs,
-                                {i: tuple(sorted(xs)) for i, xs in table.items()}))
-    return tuple(tables)
-
-
 def slb_preimages(circuit: SamplingCircuit, symbol_of: Callable[[int], int]) -> Preimages:
-    """The Preimages of one symbol map: an HonestSlbProver's answers."""
-    return _preimage_tables(circuit, [symbol_of])[0]
+    """The Preimages of one symbol map, an HonestSlbProver's answers: one walk of the
+    circuit's truth table, so each symbol's inputs come out ascending, with symbol_of
+    called once per distinct output.  Refused over CIRCUIT_INPUT_BUDGET inputs."""
+    inputs: dict[int, list[int]] = {}
+    add = {y: inputs.setdefault(symbol_of(y), []).append for y in dict.fromkeys(circuit.table)}
+    for x, y in enumerate(circuit.table):
+        add[y](x)
+    return Preimages(circuit.n_inputs, {i: tuple(xs) for i, xs in inputs.items()})
 
 
-def coordinate_preimages(circuit: SamplingCircuit, k: int, m: int) -> tuple[Preimages, ...]:
-    """Per dimension d of [k]^m, the Preimages of the symbol map output -> its
-    coordinate d: the white-box prover's answers in round d."""
-    return _preimage_tables(circuit, [partial(cell_coord, k=k, m=m, d=d) for d in range(m)])
+def coordinate_preimages(circuit: SamplingCircuit, k: int, m: int) -> Callable[[int], Preimages]:
+    """Round d -> the Preimages of the symbol map output -> its coordinate d of [k]^m:
+    the white-box prover's answers in round d, built on the first ask for d only."""
+    return cache(lambda d: slb_preimages(circuit, partial(cell_coord, k=k, m=m, d=d)))
 
 
 class HonestSlbProver(ProverStrategy):
@@ -292,17 +280,17 @@ class WhiteboxFoldProver(HonestFoldProver):
     Sends the true factor marginals (an honest learner never trips the set
     lower bound) and answers folding and leaf requests on its committed
     tensor through the row map each fold request carries.  Its witnesses in
-    round d come from preimages[d] (coordinate_preimages of the circuit), which
-    the provers of a set-up share.  Commit to a tensor other than X to get the
-    fixed-alternative adversary; override marginal() for distribution-lying
-    strategies.
+    round d come from preimages(d) (coordinate_preimages of the circuit), which
+    the provers of a set-up share, so a run of r rounds builds r tables.  Commit
+    to a tensor other than X to get the fixed-alternative adversary; override
+    marginal() for distribution-lying strategies.
     """
 
     def __init__(self, tensor: InputTensor, factors: Sequence[Pmf],
-                 preimages: Sequence[Preimages]):
+                 preimages: Callable[[int], Preimages]):
         super().__init__(tensor)
         self.factors = tuple(factors)
-        self.preimages = tuple(preimages)  # per dimension: see coordinate_preimages
+        self.preimages = preimages  # round -> its table: see coordinate_preimages
         self.round = -1
 
     def marginal(self, rnd: int) -> tuple[Fraction, ...]:
@@ -314,7 +302,7 @@ class WhiteboxFoldProver(HonestFoldProver):
             return [(tuple(v for p in self.marginal(payload) for v in _encode_fraction(p)),
                      _RATIONAL_BITS)]
         if tag == "slb/witness":
-            return self.preimages[self.round].witness_sections(payload)
+            return self.preimages(self.round).witness_sections(payload)
         return super().reply(tag, payload)
 
 

@@ -220,6 +220,24 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert out["accepted"] == 2
 
 
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_cli_run_prints_the_json_report_it_writes(via, tmp_path, capsys):
+    config = {"protocol": "whitebox_product", "trials": 2, "seed": 6, "field_modulus": 17,
+              "k": 2, "m": 4, "r": 1, "eps": "1/2", "profile": "dyadic-random"}
+    prefix = str(tmp_path / "o")
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    assert cli_main(["run", "--config", str(cfg)]) == 0
+    plain = capsys.readouterr().out
+    argv = ["--out", prefix] if via == "flag" else []
+    cfg.write_text(json.dumps(config if via == "flag" else {**config, "out": prefix}))
+    assert cli_main(["run", "--config", str(cfg), *argv]) == 0
+    printed = capsys.readouterr().out.encode()
+    assert printed == open(prefix + ".json", "rb").read()
+    if via == "flag":  # the same record, so the same bytes as a run without reports
+        assert printed == plain.encode()
+
+
 def test_cli_check_lemma_exit_code(capsys):
     assert cli_main(["check-lemma", "grainer-claim", "--trials", "50", "--seed", "1"]) == 0
     capsys.readouterr()
@@ -507,35 +525,46 @@ def test_whitebox_over_the_input_budget_is_refused_before_the_first_trial(tmp_pa
                             '"honest prover enumeration over budget"}\n')
 
 
-@pytest.mark.parametrize("config", [
-    {"protocol": "whitebox_product", "trials": 3, "seed": 6, "field_modulus": 17, "k": 2,
-     "m": 4, "r": 2, "eps": "1/2", "profile": "dyadic-random"},
-    {"protocol": "set_lower_bound", "trials": 3, "seed": 1, "ell": 6},
-], ids=["whitebox_product", "set_lower_bound"])
-def test_preimage_tables_are_built_once_per_run(config, monkeypatch):
-    # the tables depend only on the circuit, so the three trials' provers share one build
-    from dfipp import product
-    real, built = product._preimage_tables, []
-    monkeypatch.setattr(product, "_preimage_tables",
-                        lambda *args: built.append(args) or real(*args))
+def _count_preimage_builds(monkeypatch) -> list:
+    """Patch slb_preimages, the one table builder, to log each build's symbol map."""
+    from dfipp import experiments, product
+    real, built = product.slb_preimages, []
+    for module in (experiments, product):
+        monkeypatch.setattr(module, "slb_preimages",
+                            lambda circuit, symbol_of: built.append(symbol_of) or
+                            real(circuit, symbol_of))
+    return built
+
+
+_WHITEBOX_R2 = {"protocol": "whitebox_product", "trials": 3, "seed": 6, "field_modulus": 17,
+                "k": 2, "m": 4, "r": 2, "eps": "1/2", "profile": "dyadic-random"}
+_SLB = {"protocol": "set_lower_bound", "trials": 3, "seed": 1, "ell": 6}
+
+
+@pytest.mark.parametrize("config,rounds", [
+    (_WHITEBOX_R2, [0, 1]),
+    ({**_WHITEBOX_R2, "r": 1}, [0]),
+    (_SLB, None),
+], ids=["whitebox_product", "whitebox_product-r1", "set_lower_bound"])
+def test_preimage_tables_are_built_once_per_run(config, rounds, monkeypatch):
+    # the tables depend only on the circuit, so the three trials' provers share them:
+    # one per round a whitebox run asks (r of m = 4), one for a set lower bound
+    built = _count_preimage_builds(monkeypatch)
     record = cmd_run(dict(config))
     assert record["accepted"] == 3
-    assert len(built) == 1
+    if rounds is None:
+        assert len(built) == 1
+    else:
+        assert [symbol_of.keywords["d"] for symbol_of in built] == rounds
 
 
-@pytest.mark.parametrize("config", [
-    {"protocol": "whitebox_product", "trials": 1, "seed": 6, "field_modulus": 17, "k": 2,
-     "m": 4, "r": 2, "eps": "1/2", "profile": "dyadic-random"},
-    {"protocol": "set_lower_bound", "trials": 1, "seed": 1, "ell": 6},
-], ids=["whitebox_product", "set_lower_bound"])
+@pytest.mark.parametrize("config", [{**_WHITEBOX_R2, "trials": 1}, {**_SLB, "trials": 1}],
+                         ids=["whitebox_product", "set_lower_bound"])
 def test_replay_builds_no_preimage_table(config, tmp_path, monkeypatch):
     # the replay prover answers from the transcript, so no honest prover is made
-    from dfipp import product
     path = str(tmp_path / "t.jsonl")
     record_transcript(config, 42, path)
-    real, built = product._preimage_tables, []
-    monkeypatch.setattr(product, "_preimage_tables",
-                        lambda *args: built.append(args) or real(*args))
+    built = _count_preimage_builds(monkeypatch)
     assert cmd_replay(path)["match"]
     assert built == []
 

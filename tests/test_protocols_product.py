@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from _instances import member_instance
-from _oracles import bucket_bits_loop, slb_witness_reason
+from _oracles import bucket_bits_loop, circuit_eval, slb_witness_reason
 from dfipp.field import InputTensor, PrimeField, lde_eval
 from dfipp.tensors import INF, PvalInstance, dist_to_pval_bruteforce, pval_member
 from dfipp.distributions import (Pmf, SamplingCircuit, circuit_pmf, dispersion_rho,
@@ -291,22 +291,41 @@ def test_slb_maps_each_distinct_output_to_its_symbol_once(bucket_bits):
             assert len(verifier_map.calls) == 16
 
 
-def test_whitebox_tables_map_each_output_once_per_dimension(monkeypatch):
+def _table_case(case):
+    """(circuit, k, m) of a table case: an identity circuit read as [2]^ell, or a k = 2,
+    m = 4 product fixture of a profile (dyadic-random drawn from random.Random(seed))."""
+    kind, arg = case
+    if kind == "identity":
+        return SamplingCircuit.identity(arg), 2, arg
+    return gen_product_fixture(2, 4, kind, rng=random.Random(arg))[1], 2, 4
+
+
+@pytest.mark.parametrize("case", [
+    ("identity", 1), ("identity", 6), ("identity", 10),
+    *((profile, None) for profile in FIXTURE_PROFILES if profile != "dyadic-random"),
+    ("dyadic-random", 6), ("dyadic-random", 9), ("dyadic-random", 57),
+], ids=lambda case: "-".join(str(v) for v in case if v is not None))
+def test_whitebox_tables_map_each_output_once_per_dimension(case, monkeypatch):
     from dfipp import product
+    circuit, k, m = _table_case(case)
     calls = []
     real = product.cell_coord
     monkeypatch.setattr(product, "cell_coord", lambda y, k, m, d: calls.append((y, d)) or
                         real(y, k, m, d))
-    D, circuit = gen_product_fixture(2, 4, "dyadic-random", rng=random.Random(6))
-    tables = coordinate_preimages(circuit, 2, 4)
-    outputs = set(circuit.eval_many(range(1 << circuit.n_inputs)))
-    assert sorted(calls) == sorted((y, d) for y in outputs for d in range(4))
-    for d, table in enumerate(tables):  # every input, ascending, under its coordinate
-        assert sorted(x for xs in table.inputs.values() for x in xs) == \
-            list(range(1 << circuit.n_inputs))
-        for c, xs in table.inputs.items():
-            assert list(xs) == sorted(xs)
-            assert {real(circuit.eval(x), 2, 4, d) for x in xs} == {c}
+    tables = coordinate_preimages(circuit, k, m)
+    assert calls == []  # nothing is built before a round asks
+    size = 1 << circuit.n_inputs
+    outs = [circuit_eval(circuit, x) for x in range(size)]
+    for d in range(m):
+        table = tables(d)
+        assert tables(d) is table  # one build per round, however often it is asked
+        assert sorted(calls) == sorted((y, t) for y in set(outs) for t in range(d + 1))
+        for xs in table.inputs.values():  # ascending, and no symbol without an input
+            assert xs and list(xs) == sorted(xs)
+        want = {}  # every input under its coordinate d, by the gate-loop oracle
+        for x, y in enumerate(outs):
+            want.setdefault(real(y, k, m, d), []).append(x)
+        assert {c: list(xs) for c, xs in table.inputs.items()} == want
 
 
 def test_bucket_bits_matches_fraction_search():
