@@ -20,8 +20,8 @@ from .protocols import (ClaimGenerator, CorrectorHandle, FoldState, HonestFoldPr
                         run_fin_ipp, run_ham_ipp, run_poly_fold, run_rlcc_transform,
                         run_symmetric_ipp, weight_classes)
 from .product import (MarginalClaim, WhiteboxFoldProver, check_product_dpl,
-                      gen_product_fixture, run_learnable_ipp, run_set_lower_bound,
-                      run_whitebox_product_ipp, wb_fold_kappa)
+                      gen_product_fixture, run_set_lower_bound, run_whitebox_product_ipp,
+                      wb_fold_kappa)
 from .experiments import cmd_check_lemma, cmd_replay, cmd_run, gen_ham_lb_fixture
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -118,6 +118,12 @@ def _within(value: int, lo: int, hi: int, key: str) -> int:
     return value
 
 
+def _rounds(config: dict) -> int:
+    """config's folding rounds r (DEFAULT_NC_R unless set); a ValueError names the key
+    unless 1 <= r <= m - 1, so no trial reaches the verifier's own check of r."""
+    return _within(config.get("r", DEFAULT_NC_R), 1, config["m"], "r")
+
+
 def _cells(values: list, field: PrimeField, n: int, key: str) -> tuple:
     """values as a tuple; a ValueError names the config key unless they are n field elements."""
     if not all(0 <= v < field.modulus for v in values):
@@ -327,20 +333,22 @@ def _run_poly_fold(config: dict, rng: random.Random):
 
 
 def _run_fin_ipp(config: dict, rng: random.Random):
+    r = _rounds(config)
     X, inst = _tensor_and_instance(config, rng)
     eps = _frac(config["eps"])
     D = _distribution(config, X.n, shape=(inst.k, inst.m))
     rho = dispersion_rho(D, (X.k, X.m)).rho
     make = _FOLD_PROVERS.build(config.get("prover", {}), X, rng)
-    return partial(run_fin_ipp, X, inst, D, rho, eps, config["r"],
+    return partial(run_fin_ipp, X, inst, D, rho, eps, r,
                    dist_mode=config.get("dist_mode", "oracle"),
                    kappa_override=config.get("kappa_override")), make, \
-        _fold_meta(X, r=config["r"], eps=str(eps), rho=str(rho))
+        _fold_meta(X, r=r, eps=str(eps), rho=str(rho))
 
 
 def _nc(config: dict, rng: random.Random, runner):
     """The set-up of an NC df-IPP; runner(X, D, rho) is its runner with those bound,
     to be called as (eps, gen, prover, seed, r=, kappa_override=)."""
+    r = _rounds(config)
     X = _tensor(config, rng)
     eps = _frac(config["eps"])
     D = _distribution(config, X.n, shape=(X.k, X.m))
@@ -351,21 +359,21 @@ def _nc(config: dict, rng: random.Random, runner):
     fold = _FOLD_PROVERS.build(config.get("prover", {}), X, rng)
     # a prover_override (a replay) answers claims/values itself
     make = fold if values is None else lambda: ScriptedClaimsProver(fold(), values, X.field.bits)
-    r = config.get("r", DEFAULT_NC_R)
     return partial(runner(X, D, rho), eps, gen, r=r, kappa_override=config.get("kappa_override")), \
         make, _fold_meta(X, r=r, eps=str(eps), rho=str(rho))
 
 
 def _run_whitebox_product(config: dict, rng: random.Random):
+    r = _rounds(config)
     D, circuit = gen_product_fixture(config["k"], config["m"],
                                      config.get("profile", "uniform"), rng=rng)
     X, inst = _tensor_and_instance(config, rng)
     eps = _frac(config["eps"])
-    run = partial(run_whitebox_product_ipp, X, inst, eps, circuit, config["r"],
+    run = partial(run_whitebox_product_ipp, X, inst, eps, circuit, r,
                   tau=_frac(config.get("tau", DEFAULT_TAU)),
                   kappa_override=config.get("kappa_override"),
                   bucket_bits=_bucket_bits(config, circuit.n_inputs))
-    meta = _fold_meta(X, r=config["r"], eps=str(eps),
+    meta = _fold_meta(X, r=r, eps=str(eps),
                       rho=str(dispersion_rho(D, (X.k, X.m)).rho))
     if circuit.n_inputs > CIRCUIT_INPUT_BUDGET:  # refused before the first trial
         raise BudgetExceeded("honest prover enumeration over budget")

@@ -479,28 +479,21 @@ def run_fin_ipp(X: InputTensor, inst: PvalInstance, D, rho: Fraction, eps: Fract
                        prover, seed, X.data, D)
 
 
-def _run_fold_round(X: InputTensor, inst: PvalInstance, kappa: int, rowmap: tuple[int, ...],
-                    prover: ProverStrategy, seed: int):
-    """One folding round of the claim inst over rowmap, as a session of its own; returns
+def run_poly_fold(X: InputTensor, inst: PvalInstance, kappa: int,
+                  prover: ProverStrategy, seed: int):
+    """One plain folding round of the claim inst, as a session of its own; returns
     (RunResult, the children FoldStates (a, z_a, J_2, v_a = z_a . Y') or None)."""
     holder: dict = {}
 
     def verifier(session: Session) -> Verdict:
         children, verdict = _fold_phase(session, [FoldState.root(inst)], inst.k, inst.field,
-                                        kappa, rowmap)
+                                        kappa, tuple(range(inst.k)))
         if verdict is not None:
             return verdict
         holder["children"] = children
         return ACCEPT
 
-    result = run_session(verifier, prover, seed, X.data)
-    return result, holder.get("children")
-
-
-def run_poly_fold(X: InputTensor, inst: PvalInstance, kappa: int,
-                  prover: ProverStrategy, seed: int):
-    """Stand-alone folding round; returns (RunResult, fold outputs or None)."""
-    return _run_fold_round(X, inst, kappa, tuple(range(inst.k)), prover, seed)
+    return run_session(verifier, prover, seed, X.data), holder.get("children")
 
 
 # --- composed df-IPPs -----------------------------------------------------------

@@ -1,6 +1,7 @@
-"""PVAL test instances shared by the protocol and acceptance tests.
+"""PVAL test instances shared by the protocol and acceptance tests, and a
+runner for one folding round over any row map.
 
-Each helper draws from rng in a fixed order, so a test's seed pins its
+Each instance helper draws from rng in a fixed order, so a test's seed pins its
 instance.
 """
 
@@ -8,6 +9,8 @@ from fractions import Fraction
 
 from dfipp.distributions import Pmf
 from dfipp.field import InputTensor, lde_eval
+from dfipp.protocols import FoldState, _fold_phase
+from dfipp.session import ACCEPT, run_session
 from dfipp.tensors import INF, PvalInstance, dist_to_pval_bruteforce, enumerate_pval, \
     hybrid_dist
 
@@ -42,3 +45,18 @@ def closest_member(X, inst, D):
         if best_d is None or d < best_d:
             best, best_d = w, d
     return InputTensor(X.field, X.k, X.m, best)
+
+
+def run_fold_round(X, inst, kappa, rowmap, prover, seed):
+    """One folding round of the claim inst over rowmap, as a session of its own: the
+    extended fold's round with its row map set by the test.  Returns (RunResult, the
+    children FoldStates or None), as run_poly_fold does for the identity row map."""
+    holder = {}
+
+    def verifier(session):
+        children, verdict = _fold_phase(session, [FoldState.root(inst)], inst.k, inst.field,
+                                        kappa, rowmap)
+        holder["children"] = children
+        return ACCEPT if verdict is None else verdict
+
+    return run_session(verifier, prover, seed, X.data), holder.get("children")

@@ -7,7 +7,8 @@ A mutant is only ever applied to a copy, never to the working tree.
 
 pytest does not collect this module.  `tests/test_mutant_catalogue.py` keeps it
 fresh (each snippet still occurs exactly once and each patched file parses)
-and runs no mutant.  A mutant that its killers let pass is a missing test: add
+and runs no mutant; `tests/run_mutants.py` runs each one against its killers on
+a copy of the tree.  A mutant that its killers let pass is a missing test: add
 the test, never drop the mutant.
 """
 
@@ -54,4 +55,55 @@ MUTANTS = (
            ("tests/test_protocols_product.py::"
             "test_whitebox_tables_map_each_output_once_per_dimension",
             "tests/test_experiments.py::test_preimage_tables_are_built_once_per_run")),
+
+    # one per verifier check that can reject: its condition replaced by False, so the
+    # check never fires
+    Mutant("fold-consistency-never-fires", "src/dfipp/protocols.py",
+           "    if not all(_columns_consistent(p, bases, st.values, Y, cols)\n"
+           "               for st, Y in zip(live, matrices)):\n",
+           "    if False:\n",
+           ("tests/test_protocols_core.py::test_poly_fold_tamper_rejected",
+            "tests/test_experiments.py::test_setup_once_cases_accept_and_reject")),
+    Mutant("leaf-pval-never-fires", "src/dfipp/protocols.py",
+           "if got != list(st.values):", "if False:",
+           ("tests/test_protocols_core.py::test_fin_ipp_leaf_pval_verdicts_keep_tuple_order",)),
+    Mutant("leaf-sample-never-fires", "src/dfipp/protocols.py",
+           "if leaf[cell] != folded_eval(session, X, st, cell):", "if False:",
+           ("tests/test_folded_eval.py::"
+            "test_leaf_phase_fixed_alternative_rejects_at_its_first_check",
+            "tests/test_folded_eval.py::test_leaf_phase_keeps_one_fold_memo_per_tuple")),
+    Mutant("ham-sum-never-fires", "src/dfipp/protocols.py",
+           "if h0 + h1 != v:", "if False:",
+           ("tests/test_protocols_core.py::test_ham_bad_sum_rejected_at_root",
+            "tests/test_experiments.py::test_setup_once_cases_accept_and_reject")),
+    Mutant("ham-range-never-fires", "src/dfipp/protocols.py",
+           "if h0 > mid - lo + 1 or h1 > hi - mid:", "if False:",
+           ("tests/test_protocols_core.py::test_ham_range_check",
+            "tests/test_protocols_core.py::"
+            "test_ham_range_check_alone_refuses_an_overloaded_unsampled_cell")),
+    Mutant("ham-leaf-never-fires", "src/dfipp/protocols.py",
+           "if xi != v:", "if False:",
+           ("tests/test_protocols_core.py::test_ham_committed_adversary_caught",
+            "tests/test_experiments.py::test_config_prover_modes")),
+    Mutant("slb-hash-test-never-fires", "src/dfipp/product.py",
+           "(b and not all(_hash_zero(rows, c, x) for x in witnesses))", "False",
+           ("tests/test_protocols_product.py::"
+            "test_slb_hash_test_still_runs_on_well_formed_witnesses",
+            "tests/test_protocols_product.py::"
+            "test_slb_verdicts_match_a_witness_by_witness_oracle")),
+    Mutant("slb-lower-bound-never-fires", "src/dfipp/product.py",
+           "if (len(witnesses) * slack_d * masses[i][1]) << b < (slack_n * masses[i][0]) << ell:",
+           "if False:",
+           ("tests/test_protocols_product.py::test_slb_verdict_order_on_hostile_witnesses",
+            "tests/test_protocols_product.py::test_claim_sum_is_exact")),
+    Mutant("field-element-check-never-fires", "src/dfipp/protocols.py",
+           "if top >= field.modulus:", "if False:",
+           ("tests/test_experiments.py::test_field_aliases_in_replies_are_malformed",)),
+    Mutant("whitebox-marginal-sum-never-fires", "src/dfipp/product.py",
+           "if sum(probs) != 1:", "if False:",
+           ("tests/test_protocols_product.py::test_whitebox_rejects_non_pmf_marginal",)),
+    # a live object in an ask payload: the session's rng reaches the prover
+    Mutant("ask-payload-carries-rng", "src/dfipp/protocols.py",
+           'session.ask("ham/weight", None', 'session.ask("ham/weight", session.rng',
+           ("tests/test_experiments.py::test_every_ask_payload_is_plain_data",)),
 )

@@ -7,14 +7,14 @@ from fractions import Fraction
 
 import pytest
 
+from _learnable import ExtensionEchoProver, exact_learner, run_learnable_ipp
 from _oracles import (circuit_eval, factor_circuit_table, fraction_dispersion, fraction_dist,
                       fraction_granularise, fraction_sampler_table, fraction_tv_distance)
 from dfipp.distributions import (GranularitySet, Pmf, ProductDistribution, SamplingCircuit,
                                  _bit_planes, circuit_pmf, dispersion_rho, extend_rows,
                                  extension_row_map, granularise, marginal_first, tv_distance)
 from dfipp.experiments import _DISTRIBUTION, _check, _setup_rng
-from dfipp.product import (ExtensionEchoProver, _factor_table, exact_learner,
-                           gen_product_fixture, run_learnable_ipp)
+from dfipp.product import _factor_table, gen_product_fixture
 from dfipp.session import ACCEPT
 from dfipp.tensors import dist, hybrid_dist
 

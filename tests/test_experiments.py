@@ -448,6 +448,15 @@ def _drop(config, key):
     ({**FIN, "prover": {"mode": "row-tamper", "delta": 17}}, None, "'prover.delta'"),
     ({**FIN, "prover": {"mode": "row-tamper", "delta": 0}}, None, "'prover.delta'"),
     ({**FIN, "prover": {"mode": "row-tamper", "col": -1}}, None, "'prover.col'"),
+    # the round count lies in [1, m) at set-up, so no trial reaches the verifier's own check
+    ({**FIN, "r": 3}, None, "config key 'r' must lie in [1, 3), not 3"),
+    ({**FIN, "protocol": "df_ipp_nc", "r": 4}, None, "config key 'r' must lie in [1, 3), not 4"),
+    ({**FIN, "protocol": "dispersed_ipp_nc", "r": 3}, None,
+     "config key 'r' must lie in [1, 3), not 3"),
+    ({**FIN, "protocol": "whitebox_product", "r": 3}, None,
+     "config key 'r' must lie in [1, 3), not 3"),
+    ({**_drop(FIN, "r"), "protocol": "df_ipp_nc", "m": 1}, None,
+     "config key 'r' must lie in [1, 1), not 1"),
 ], ids=["fin_ipp-bogus-mode", "whitebox-row-tamper", "unknown-lemma", "fin_ipp-str-k",
         "fin_ipp-no-eps", "ham-no-eps", "fin_ipp-str-prover", "ham-eps-0", "ham-eps-1/0",
         "trials-true", "fin_ipp-bogus-dist_mode", "echo-prover", "rlcc-prover",
@@ -467,7 +476,9 @@ def _drop(config, key):
         "fin_ipp-alt-past-p", "fin_ipp-short-alt", "whitebox-short-alt", "rlcc-message-99",
         "rlcc-message-negative", "poly_fold-claim-point-past-p", "poly_fold-claim-value-past-p",
         "df_ipp_nc-claim-value-at-p", "row-tamper-row--1", "row-tamper-row-5",
-        "row-tamper-delta-17", "row-tamper-delta-0", "row-tamper-col--1"])
+        "row-tamper-delta-17", "row-tamper-delta-0", "row-tamper-col--1", "fin_ipp-r-at-m",
+        "df_ipp_nc-r-past-m", "dispersed_ipp_nc-r-at-m", "whitebox_product-r-at-m",
+        "df_ipp_nc-m-1-default-r"])
 def test_cli_bad_input_is_a_usage_error(config, argv, message, tmp_path, capsys):
     if config is not None:
         path = tmp_path / "c.json"
@@ -900,6 +911,45 @@ def test_setup_picks_the_prover_of_every_session(name, reps, monkeypatch):
     override = NullProver()
     run_protocol(config, 5, prover_override=override)
     assert made == [] and ran == [override] * reps
+
+
+def _plain(value) -> bool:
+    """Is value None, an int, or a tuple or list of plain values?"""
+    return value is None or type(value) is int or \
+        type(value) in (tuple, list) and all(map(_plain, value))
+
+
+class _PayloadLog(ProverStrategy):
+    """The inner prover, logging each (tag, payload) it is asked with."""
+
+    def __init__(self, inner, log):
+        self.inner, self.log = inner, log
+
+    def reply(self, tag, payload):
+        self.log.append((tag, payload))
+        return self.inner.reply(tag, payload)
+
+    def observe(self, tag, sections):
+        self.inner.observe(tag, sections)
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP))
+def test_every_ask_payload_is_plain_data(name, monkeypatch):
+    # a payload is neither recorded nor charged, so no live object such as the session's
+    # rng may ride in one to a prover
+    from dfipp import experiments
+    config = SWEEP[name]
+    required, optional, build = experiments._PROTOCOLS[config["protocol"]]
+    asked = []
+
+    def logged(cfg, rng):
+        run, make, meta = build(cfg, rng)
+        return run, (lambda: _PayloadLog(make(), asked)), meta
+
+    monkeypatch.setitem(experiments._PROTOCOLS, config["protocol"], (required, optional, logged))
+    cmd_run(dict(config))
+    assert asked or config["protocol"] == "rlcc"  # rlcc's NullProver is never asked
+    assert [(tag, payload) for tag, payload in asked if not _plain(payload)] == []
 
 
 # --- field elements in prover replies ----------------------------------------------

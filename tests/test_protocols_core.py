@@ -81,6 +81,16 @@ def test_ham_range_check():
     assert res.verdict.reject_reason in ("range", "sum")
 
 
+def test_ham_range_check_alone_refuses_an_overloaded_unsampled_cell():
+    # weight 5 over 1111, two of it on cell 0, which D never samples: every sum check
+    # holds and every sampled leaf is true, so only the range check can reject
+    x = (1, 1, 1, 1)
+    D = Pmf([0, Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)])
+    for seed in range(20):
+        res = run_ham_ipp(x, D, 5, Fraction(1, 4), HonestHamProver((2, 1, 1, 1)), seed)
+        assert res.verdict == Verdict(False, "range")
+
+
 def extract_committed_string(prover, n: int, w: int) -> list[int]:
     """Walk every binary-descent path and read off the implied leaf string.
 

@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from _instances import member_instance
+from _instances import member_instance, run_fold_round
+from _learnable import (ExtensionEchoProver, aborting_learner, exact_learner,
+                        explicit_set_uniform_ipp, extension_member, run_learnable_ipp)
 from _oracles import bucket_bits_loop, circuit_eval, slb_witness_reason
 from dfipp.field import InputTensor, PrimeField, lde_eval
 from dfipp.tensors import INF, PvalInstance, dist_to_pval_bruteforce, pval_member
@@ -14,13 +16,11 @@ from dfipp.distributions import (Pmf, SamplingCircuit, circuit_pmf, dispersion_r
                                  extend_rows, extension_row_map, granularise)
 from dfipp.experiments import _PROTOCOLS, run_protocol
 from dfipp.session import CostLedger, ProverStrategy, Session, Verdict, dump_transcript
-from dfipp.protocols import (HonestFoldProver, _run_fold_round, check_distance_preservation,
-                             fold_rows, folded_eval)
-from dfipp.product import (FIXTURE_PROFILES, ExtensionEchoProver, HonestSlbProver,
-                           MarginalClaim, WhiteboxFoldProver, aborting_learner,
-                           check_product_dpl, coordinate_preimages, exact_learner,
-                           explicit_set_uniform_ipp, extension_member, gen_product_fixture,
-                           run_learnable_ipp, run_set_lower_bound, run_whitebox_product_ipp,
+from dfipp.protocols import (HonestFoldProver, check_distance_preservation, fold_rows,
+                             folded_eval)
+from dfipp.product import (FIXTURE_PROFILES, HonestSlbProver, MarginalClaim,
+                           WhiteboxFoldProver, check_product_dpl, coordinate_preimages,
+                           gen_product_fixture, run_set_lower_bound, run_whitebox_product_ipp,
                            slb_preimages, wb_fold_kappa, _bucket_bits, _hash_zero)
 
 F5 = PrimeField(5)
@@ -528,7 +528,7 @@ def test_extended_fold_honest_outputs_are_members():
     prover = WhiteboxFoldProver(X, [Pmf.uniform(2), Pmf.uniform(2)],
                                 coordinate_preimages(SamplingCircuit.identity(2), 2, 2))
     rowmap = extension_row_map(B.counts)
-    result, outputs = _run_fold_round(X, inst, wb_fold_kappa(1, 2), rowmap, prover, seed=0)
+    result, outputs = run_fold_round(X, inst, wb_fold_kappa(1, 2), rowmap, prover, seed=0)
     assert result.verdict.accepted
     for st in outputs:
         z = st.zs[0]
@@ -553,7 +553,7 @@ def test_extended_fold_degenerate_B_reduces_to_plain_fold():
     _res_plain, plain = run_poly_fold(X, inst, kappa, HonestFoldProver(X), seed=9)
     prover = WhiteboxFoldProver(X, [Pmf.uniform(2), Pmf.uniform(2)],
                                 coordinate_preimages(SamplingCircuit.identity(2), 2, 2))
-    _res_ext, ext = _run_fold_round(X, inst, kappa, extension_row_map((1, 1, 0)), prover, seed=9)
+    _res_ext, ext = run_fold_round(X, inst, kappa, extension_row_map((1, 1, 0)), prover, seed=9)
     assert [(st.points, st.values, st.zs) for st in plain] == \
         [(st.points, st.values, st.zs) for st in ext]
 
@@ -569,7 +569,7 @@ def test_extended_fold_locality_bounded_and_zero_rows_free():
     prover = WhiteboxFoldProver(X, [pmf, Pmf.uniform(2)],
                                 coordinate_preimages(SamplingCircuit.identity(2), 2, 2))
     rowmap = extension_row_map(B.counts)
-    result, outputs = _run_fold_round(X, inst, wb_fold_kappa(1, 2), rowmap, prover, seed=5)
+    result, outputs = run_fold_round(X, inst, wb_fold_kappa(1, 2), rowmap, prover, seed=5)
     assert result.verdict.accepted
     for st in outputs:
         session = Session(ProverStrategy(), 0, X.data)
@@ -591,7 +591,7 @@ def test_fold_prover_folds_through_the_requested_row_map(white_box):
                                 coordinate_preimages(SamplingCircuit.identity(2), 2, 2)) \
         if white_box else HonestFoldProver(X)
     rowmap = extension_row_map(B.counts)
-    result, outputs = _run_fold_round(X, inst, wb_fold_kappa(1, 2), rowmap, prover, seed=5)
+    result, outputs = run_fold_round(X, inst, wb_fold_kappa(1, 2), rowmap, prover, seed=5)
     assert result.verdict.accepted
     rows = extend_rows([X.row(i) for i in range(2)], rowmap, (0, 0))
     assert prover.live == [fold_rows(st.zs[0], rows, 5) for st in outputs]

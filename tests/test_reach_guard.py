@@ -12,11 +12,6 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "dfipp"
 USERS = ("demos", "perfbench")
 
-# The learnable-distribution pipeline stays in src/ unreached until it is
-# registered as a protocol (ROADMAP item 5).
-UNREGISTERED = ("run_learnable_ipp", "explicit_set_uniform_ipp", "ExtensionEchoProver",
-                "exact_learner", "aborting_learner")
-
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -60,12 +55,7 @@ def _unreached(modules, users):
 def test_every_public_definition_is_reached_from_a_program_path():
     modules = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     users = [path.read_text() for d in USERS for path in sorted((ROOT / d).glob("*.py"))]
-    unreached = [name for _module, name in _unreached(modules, users)]
-    assert [name for name in unreached if name not in UNREGISTERED] == []
-    # an exemption names a definition that still exists
-    defined = {node.name for src in modules.values() for node in ast.parse(src).body
-               if isinstance(node, DEFINITIONS)}
-    assert set(UNREGISTERED) <= defined
+    assert _unreached(modules, users) == []
 
 
 PROBE = {
