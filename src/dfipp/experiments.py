@@ -780,7 +780,7 @@ def _dpl_product(rng: random.Random, budget: int):
     of claims the accepted-learner guarantee covers, at the white-box
     protocol's default tau.
     """
-    D, _circ = gen_product_fixture(2, 2, "dyadic-random", rng=rng)
+    D = ProductDistribution(FIXTURE_PROFILES["dyadic-random"](2, 2, rng))
     X, inst, Y = _claimed_instance(_F5, 2, 2, 3, rng)
     if Y is None:
         return None

@@ -12,14 +12,16 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
+from numbers import Rational
+from operator import ge
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .field import InputTensor, PrimeField, cell_coord
 from .tensors import DEFAULT_ENUM_BUDGET, PvalInstance
 from .distributions import (CIRCUIT_INPUT_BUDGET, GranularitySet, Pmf, ProductDistribution,
                             SamplingCircuit, extension_row_map, granularise)
-from .session import (ACCEPT, ProtocolViolation, ProverStrategy, RunResult, Session, Verdict,
-                      run_session)
+from .session import (ACCEPT, ProtocolViolation, ProverStrategy, RunResult, Section, Session,
+                      Verdict, run_session)
 from .protocols import (FoldState, HonestFoldProver, InequalityReport, _fold_phase, _leaf_phase,
                         _preservation_report, _round_kappa)
 
@@ -40,21 +42,26 @@ class ClaimSumError(ValueError):
 
 @dataclass(frozen=True)
 class MarginalClaim:
-    """Claimed factor probabilities with the lower-bound slack and error budget."""
+    """Claimed factor probabilities probs[i] = weights[i] / denom, slack tau, budget delta."""
 
     probs: tuple[Fraction, ...]
     tau: Fraction
     delta: Fraction
 
     def __post_init__(self):
+        for v in {type(v): v for v in (*self.probs, self.tau, self.delta)}.values():
+            if not isinstance(v, Rational):  # one check per type
+                raise ValueError(f"claim value {v!r} is not a rational number")
         if not (0 < self.tau < 1 and 0 < self.delta < 1):
             raise ValueError("tau and delta must lie in (0, 1)")
-        if any(p.numerator < 0 for p in self.probs):
+        denom = math.lcm(*(p.denominator for p in self.probs))
+        weights = tuple(p.numerator * (denom // p.denominator) for p in self.probs)
+        if any(w < 0 for w in weights):
             raise ValueError("negative claimed probability")
-        # sum(probs) > 1, in integers over the lcm of the denominators
-        den = math.lcm(*(p.denominator for p in self.probs))
-        if sum(p.numerator * (den // p.denominator) for p in self.probs) > den:
+        if sum(weights) > denom:
             raise ClaimSumError("claimed probabilities exceed 1")
+        object.__setattr__(self, "weights", weights)  # derived from probs: not fields
+        object.__setattr__(self, "denom", denom)
 
 
 # --- parallel Goldwasser-Sipser set lower bound --------------------------------
@@ -82,29 +89,35 @@ def slb_verify(session: Session, circuit: SamplingCircuit, claim: MarginalClaim,
     the verifier draws a random affine GF(2) hash, the prover returns every
     preimage of i hashed to zero, and the verifier re-evaluates each witness.
     Accepts iff every estimated preimage count clears (1 - tau/2) * p_i * 2^ell.
+    Thresholds come once per distinct mass; symbols with b = 0 share one hash section.
 
     Completeness >= 1-delta when the true masses dominate the claims;
     soundness <= delta when some claim overstates by 1/(1-tau).
     """
-    ell, tau = circuit.n_inputs, claim.tau
+    ell, tau, weights, denom = circuit.n_inputs, claim.tau, claim.weights, claim.denom
     size, width, getrandbits = 1 << ell, max(ell, 1), session.rng.getrandbits
-    masses = [(p.numerator, p.denominator) for p in claim.probs]
-    active = [i for i, (num, _) in enumerate(masses) if num > 0]
+    active = [i for i, w in enumerate(weights) if w]
     if not active:
         return ACCEPT
     delta_sym = claim.delta / len(active)
-    # 1 - tau/2 = slack_n / slack_d, so each lower bound is one integer comparison
+    # 1 - tau/2 = slack_n / slack_d, so |w| * 2^b >= (1 - tau/2) * (w_i / denom) * 2^ell
+    # iff |w| >= need = ceil((slack_n * w_i << ell) / (slack_d * denom << b))
     slack_n, slack_d = 2 * tau.denominator - tau.numerator, 2 * tau.denominator
-    bits = {} if bucket_bits is not None else {  # once per distinct claimed mass
-        m: _bucket_bits(Fraction(*m) * size, ell, tau, delta_sym) for m in set(masses)}
+    by_mass = {}  # claimed weight -> (b, need)
+    for w in {weights[i] for i in active}:
+        b = _bucket_bits(Fraction(w << ell, denom), ell, tau, delta_sym) \
+            if bucket_bits is None else bucket_bits
+        by_mass[w] = b, -(-(slack_n * w << ell) // (slack_d * denom << b))
 
-    hashes, hash_sections = [], []
+    hashes, hash_sections, needs = [], [], []
+    no_hash = Section((0,), width)
     for i in active:
-        b = bits.get(masses[i], bucket_bits)
-        rows = tuple(getrandbits(ell) for _ in range(b))
+        b, need = by_mass[weights[i]]
+        rows = tuple(getrandbits(ell) for _ in range(b)) if b else ()
         c = getrandbits(b) if b else 0
         hashes.append((i, b, rows, c))
-        hash_sections.append((rows + (c,), width))
+        hash_sections.append((rows + (c,), width) if b else no_hash)
+        needs.append(need)
     session.tell("slb/hash", hash_sections)
 
     msg = session.ask("slb/witness", list(hashes))
@@ -121,15 +134,18 @@ def slb_verify(session: Session, circuit: SamplingCircuit, claim: MarginalClaim,
     symbol = list(map(symbols.__getitem__, outs))
     if not full:
         symbol = dict(zip(inputs, symbol))
-    # one pass over all witnesses: if none repeats or lies out of range and each has its
-    # section's symbol, only the hash test is left per section; else each section is
-    # checked in full, in order, so the first bad section still decides the verdict
+    # one pass over all witnesses: if every width is right, no witness repeats or lies out
+    # of range and each has its section's symbol, only hashes and counts are left, and with
+    # no hash rows the counts settle it; else each section is checked in full, in order,
+    # so the first bad section still decides the verdict
     chain = itertools.chain.from_iterable
     flat = list(chain(values))
     clean = (len(flat) == len(union) and (full or max(flat, default=0) < size)
-             and list(map(symbol.__getitem__, flat))
+             and {s.width for s in msg.sections} == {width} and list(map(symbol.__getitem__, flat))
              == list(chain(map(itertools.repeat, active, map(len, values)))))
-    for (i, b, rows, c), sec in zip(hashes, msg.sections):
+    if clean and not any(b for b, _ in by_mass.values()) and all(map(ge, map(len, values), needs)):
+        return ACCEPT
+    for (i, b, rows, c), need, sec in zip(hashes, needs, msg.sections):
         witnesses = sec.values
         if sec.width != width or len(witnesses) > size:
             raise ProtocolViolation("witness section malformed")
@@ -137,8 +153,7 @@ def slb_verify(session: Session, circuit: SamplingCircuit, claim: MarginalClaim,
                 not clean and (len(set(witnesses)) < len(witnesses) or max(witnesses) >= size
                                or set(map(symbol.__getitem__, witnesses)) != {i}))):
             return Verdict(False, "witness")
-        # |w| * 2^b < (1 - tau/2) * p_i * 2^ell, times slack_d * denominator(p_i)
-        if (len(witnesses) * slack_d * masses[i][1]) << b < (slack_n * masses[i][0]) << ell:
+        if len(witnesses) < need:
             return Verdict(False, "lower-bound")
     return ACCEPT
 

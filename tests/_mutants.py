@@ -92,10 +92,21 @@ MUTANTS = (
             "tests/test_protocols_product.py::"
             "test_slb_verdicts_match_a_witness_by_witness_oracle")),
     Mutant("slb-lower-bound-never-fires", "src/dfipp/product.py",
-           "if (len(witnesses) * slack_d * masses[i][1]) << b < (slack_n * masses[i][0]) << ell:",
-           "if False:",
+           "if len(witnesses) < need:", "if False:",
            ("tests/test_protocols_product.py::test_slb_verdict_order_on_hostile_witnesses",
             "tests/test_protocols_product.py::test_claim_sum_is_exact")),
+    # the fewest passing witnesses floored, not ceiled: one witness short of the bound
+    # passes whenever the threshold is not a whole number
+    Mutant("slb-need-rounds-down", "src/dfipp/product.py",
+           "-(-(slack_n * w << ell) // (slack_d * denom << b))",
+           "(slack_n * w << ell) // (slack_d * denom << b)",
+           ("tests/test_protocols_product.py::test_slb_need_is_the_exact_boundary",
+            "tests/test_protocols_product.py::test_slb_lower_bound_matches_fraction_oracle")),
+    # the bulk accept of a clean session with no hash rows skips the witness counts
+    Mutant("slb-bulk-accept-ignores-counts", "src/dfipp/product.py",
+           "all(map(ge, map(len, values), needs))", "True",
+           ("tests/test_protocols_product.py::test_slb_need_is_the_exact_boundary",
+            "tests/test_protocols_product.py::test_slb_verdict_order_on_hostile_witnesses")),
     Mutant("field-element-check-never-fires", "src/dfipp/protocols.py",
            "if top >= field.modulus:", "if False:",
            ("tests/test_experiments.py::test_field_aliases_in_replies_are_malformed",)),

@@ -2,6 +2,8 @@ import hashlib
 import itertools
 import math
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -15,7 +17,8 @@ from dfipp.tensors import INF, PvalInstance, dist_to_pval_bruteforce, pval_membe
 from dfipp.distributions import (Pmf, SamplingCircuit, circuit_pmf, dispersion_rho,
                                  extend_rows, extension_row_map, granularise)
 from dfipp.experiments import _PROTOCOLS, run_protocol
-from dfipp.session import CostLedger, ProverStrategy, Session, Verdict, dump_transcript
+from dfipp.session import (CostLedger, ProverStrategy, Section, Session, Verdict,
+                           dump_transcript)
 from dfipp.protocols import (HonestFoldProver, check_distance_preservation, fold_rows,
                              folded_eval)
 from dfipp.product import (FIXTURE_PROFILES, HonestSlbProver, MarginalClaim,
@@ -130,13 +133,23 @@ def test_affine_hash_family_pairwise_independent():
 
 
 class ScriptedSlbProver(ProverStrategy):
-    """Answers slb/witness with fixed sections, whatever the hash."""
+    """Answers slb/witness with fixed sections, whatever the hash, and keeps the request."""
 
     def __init__(self, sections):
-        self.sections = sections
+        self.sections, self.payload = sections, None
 
     def reply(self, tag, payload):
+        self.payload = payload
         return self.sections
+
+
+def _identity8(edits):
+    """The honest sections of identity_claim(8) (one witness per symbol, no hash rows),
+    with section j replaced by edits[j]."""
+    sections = [((i,), 8) for i in range(256)]
+    for j, section in edits.items():
+        sections[j] = section
+    return sections
 
 
 @pytest.mark.parametrize("ell,sections,reason", [
@@ -165,11 +178,28 @@ class ScriptedSlbProver(ProverStrategy):
     # one section per claimed symbol, no fewer and no more, even if each is honest
     (2, [((0,), 2), ((1,), 2), ((2,), 2)], "malformed"),
     (2, [((0,), 2), ((1,), 2), ((2,), 2), ((3,), 2), ((), 2)], "malformed"),
+    # ell = 8, 256 symbols, no hash rows: a short section before a later mis-symboled,
+    # duplicated or too wide one fails its lower bound first, and the other way round
+    # the later fault is found first
+    (8, _identity8({3: ((), 8)}), "lower-bound"),
+    (8, _identity8({3: ((), 8), 200: ((201,), 8)}), "lower-bound"),
+    (8, _identity8({3: ((), 8), 200: ((200, 200), 8)}), "lower-bound"),
+    (8, _identity8({3: ((), 8), 200: ((200,), 9)}), "lower-bound"),
+    (8, _identity8({3: ((4,), 8), 200: ((), 8)}), "witness"),
+    (8, _identity8({3: ((3, 3), 8), 200: ((), 8)}), "witness"),
+    (8, _identity8({3: ((3,), 9), 200: ((), 8)}), "malformed"),
+    # clean witnesses, but one section holds the next symbol's witness as well
+    (8, _identity8({3: ((3, 4), 8)}), "witness"),
+    (8, _identity8({255: ((), 8)}), "lower-bound"),
 ])
 def test_slb_verdict_order_on_hostile_witnesses(ell, sections, reason):
-    circuit = SamplingCircuit.identity(ell)
-    res = run_set_lower_bound(circuit, identity_claim(ell), ScriptedSlbProver(sections), 0)
+    circuit, claim = SamplingCircuit.identity(ell), identity_claim(ell)
+    prover = ScriptedSlbProver(sections)
+    res = run_set_lower_bound(circuit, claim, prover, 0)
     assert res.verdict == Verdict(False, reason)
+    if len(sections) == len(prover.payload):  # else the section count is what is malformed
+        assert slb_witness_reason(circuit, lambda y: y, claim.probs, claim.tau, prover.payload,
+                                  sections) == reason
 
 
 @pytest.mark.parametrize("sections", [[((1,), 1), ((1,), 1)], [((1,), 1), ((0,), 1)],
@@ -425,6 +455,104 @@ def test_slb_lower_bound_exact_equality_accepts(p, tau, b):
     assert _lower_bound_verdict(ell, p, tau, b, int(edge)) == (Verdict(True), int(edge))
     assert _lower_bound_verdict(ell, p, tau, b, int(edge) - 1) == \
         (Verdict(False, "lower-bound"), int(edge) - 1)
+
+
+def _five_symbols(y):
+    """Five symbols over 2^8 inputs, of true masses 1/2, 1/4, 1/8, 1/16 and 1/16."""
+    return 0 if y < 128 else 1 if y < 192 else 2 if y < 224 else 3 if y < 240 else 4
+
+
+class TruncatingSlbProver(ProverStrategy):
+    """The honest witnesses of every request, with symbol `target`'s cut to `count`."""
+
+    def __init__(self, preimages, target, count):
+        self.preimages, self.target, self.count = preimages, target, count
+        self.payload, self.available, self.sent = None, None, None
+
+    def reply(self, tag, payload):
+        sections = self.preimages.witness_sections(payload)
+        self.payload = payload
+        self.available = [len(values) for values, _ in sections]
+        self.sent = [(values[:self.count] if i == self.target else values, width)
+                     for (i, _, _, _), (values, width) in zip(payload, sections)]
+        return self.sent
+
+
+def _fraction_lower_bound(payload, sent, probs, tau, ell):
+    """"lower-bound" at the first section with |w| * 2^b < (1 - tau/2) * p_i * 2^ell, else
+    None: the inequality in Fractions, section by section."""
+    for (i, b, _, _), (values, _) in zip(payload, sent):
+        if Fraction(len(values) * (1 << b)) < (1 - tau / 2) * probs[i] * (1 << ell):
+            return "lower-bound"
+    return None
+
+
+def test_slb_need_is_the_exact_boundary():
+    # four distinct claimed masses: 3/7 and 1/20 below the true masses 1/2 and 1/16, 1/4
+    # equal to it, 1/6 inflated over 1/8 (within the slack of tau = 1/2), and a zero claim
+    ell, tau = 8, Fraction(1, 2)
+    probs = (Fraction(3, 7), Fraction(1, 4), Fraction(1, 6), Fraction(0), Fraction(1, 20))
+    claim = MarginalClaim(probs, tau, Fraction(1, 20))
+    circuit = SamplingCircuit.identity(ell)
+    preimages = slb_preimages(circuit, _five_symbols)
+    hit = set()
+    for b, target in itertools.product(range(3), (0, 1, 2, 4)):
+        # the fewest witnesses with |w| * 2^b >= (1 - tau/2) * p_target * 2^ell
+        need = math.ceil((1 - tau / 2) * probs[target] * (1 << ell) / (1 << b))
+        for seed in range(60):
+            verdicts = []
+            for count in (need - 1, need):
+                prover = TruncatingSlbProver(preimages, target, count)
+                res = run_set_lower_bound(circuit, claim, prover, seed,
+                                          symbol_of=_five_symbols, bucket_bits=b)
+                want = _fraction_lower_bound(prover.payload, prover.sent, probs, tau, ell)
+                assert res.verdict == (Verdict(True) if want is None
+                                       else Verdict(False, want)), (b, target, seed, count)
+                verdicts.append(res.verdict)
+            # the boundary itself: enough honest witnesses for the target, and every
+            # other section passes with all of its own
+            others = [(p, s) for p, s in zip(prover.payload, prover.sent) if p[0] != target]
+            if prover.available[[p[0] for p in prover.payload].index(target)] >= need and \
+                    _fraction_lower_bound(*zip(*others), probs, tau, ell) is None:
+                assert verdicts == [Verdict(False, "lower-bound"), Verdict(True)]
+                hit.add((b, target))
+                break
+    assert hit == set(itertools.product(range(3), (0, 1, 2, 4)))
+
+
+def test_marginal_claim_weights_are_its_probs_exactly():
+    rng = random.Random(34)
+    for _ in range(300):
+        probs = [Fraction(rng.randrange(0, 50), rng.randrange(1, 1 << rng.randrange(1, 40)))
+                 for _ in range(rng.randrange(0, 9))]
+        probs = tuple(p / max(1, sum(probs)) for p in probs)
+        claim = MarginalClaim(probs, Fraction(1, 1000), Fraction(1, 20))
+        assert type(claim.denom) is int and claim.denom >= 1
+        assert all(type(w) is int for w in claim.weights)
+        assert tuple(Fraction(w, claim.denom) for w in claim.weights) == probs
+
+
+@pytest.mark.parametrize("bad", [0.5, Decimal("0.5"), "1/2", complex(0.5, 0)], ids=repr)
+@pytest.mark.parametrize("where", ["probs", "tau", "delta"])
+def test_marginal_claim_refuses_a_non_rational_value(where, bad):
+    # a float is refused by name, never read as its binary value
+    values = {"probs": (Fraction(1, 4), Fraction(1, 2)), "tau": Fraction(1, 1000),
+              "delta": Fraction(1, 20)}
+    values[where] = (Fraction(1, 4), bad) if where == "probs" else bad
+    with pytest.raises(ValueError, match=re.escape(f"claim value {bad!r} is not a rational")):
+        MarginalClaim(**values)
+
+
+@pytest.mark.parametrize("ell", [0, 1, 6])
+def test_slb_hash_sections_without_hash_rows_are_all_one_section(ell):
+    circuit = SamplingCircuit.identity(ell)
+    res = run_set_lower_bound(circuit, identity_claim(ell),
+                              HonestSlbProver(slb_preimages(circuit, lambda y: y)), 3)
+    assert res.verdict.accepted
+    (hash_msg,) = [msg for msg in res.transcript if msg.tag == "slb/hash"]
+    assert len(hash_msg.sections) == 1 << ell
+    for section in hash_msg.sections:
+        assert type(section) is Section and section == Section((0,), max(ell, 1))
 
 
 def _top_symbol(y):
