@@ -232,7 +232,8 @@ _NC_CLAIMS = Modes("mode", "honest", {
 _DISTRIBUTION = Modes("kind", None, {
     # masses read through _frac, as every rational key: 0.1 is 1/10, not its binary value
     "explicit": ({"masses": [_mass]}, {"shape": [POSITIVE]}, lambda s: Pmf(
-        list(map(_frac, s["masses"])), shape=tuple(s["shape"]) if "shape" in s else None)),
+        list(map(_frac, s["masses"])),
+        shape=_sized(s["shape"], 2, "distribution.shape") if "shape" in s else None)),
     "product": ({"factors": [[_mass]]}, {}, lambda s: ProductDistribution(
         [Pmf(list(map(_frac, f))) for f in s["factors"]])),
     # at most the inputs that circuit_pmf and HonestSlbProver enumerate
@@ -389,7 +390,9 @@ def _run_rlcc(config: dict, rng: random.Random):
     if bits > CIRCUIT_INPUT_BUDGET:  # before the 2^bits-bit codeword is built
         raise BudgetExceeded("Hadamard codeword over budget")
     n = 1 << bits
-    eps = _frac(config["eps"])
+    eps, corrector = _frac(config["eps"]), hadamard_corrector(bits)
+    if eps > corrector.radius:  # else every trial would raise on it
+        raise _error("eps", f"must not exceed the correcting radius {corrector.radius}, not {eps}")
     message = config.get("message", 5 % n)
     if not 0 <= message < n:
         raise ValueError(f"config key 'message' must be in [0, {n})")
@@ -400,7 +403,7 @@ def _run_rlcc(config: dict, rng: random.Random):
         x[i] ^= 1
     D = _distribution(config, n)
     return partial(run_rlcc_transform, tuple(x), D, blr_linearity_ipp(eps, bits),
-                   hadamard_corrector(bits), eps), NullProver, {"n": n, "eps": str(eps)}
+                   corrector, eps), NullProver, {"n": n, "eps": str(eps)}
 
 
 def _run_set_lower_bound(config: dict, rng: random.Random):

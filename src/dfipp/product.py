@@ -18,8 +18,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .field import InputTensor, PrimeField, cell_coord
 from .tensors import DEFAULT_ENUM_BUDGET, PvalInstance
-from .distributions import (CIRCUIT_INPUT_BUDGET, GranularitySet, Pmf, ProductDistribution,
-                            SamplingCircuit, extension_row_map, granularise)
+from .distributions import (GranularitySet, Pmf, ProductDistribution, SamplingCircuit,
+                            extension_row_map, granularise)
 from .session import (ACCEPT, ProtocolViolation, ProverStrategy, RunResult, Section, Session,
                       Verdict, run_session)
 from .protocols import (FoldState, HonestFoldProver, InequalityReport, _fold_phase, _leaf_phase,
@@ -123,35 +123,31 @@ def slb_verify(session: Session, circuit: SamplingCircuit, claim: MarginalClaim,
     msg = session.ask("slb/witness", list(hashes))
     if len(msg.sections) != len(active):
         raise ProtocolViolation("one witness list per active symbol required")
-    # every in-range witness of every section, evaluated in one pass; a union that
-    # covers all 2^ell inputs within budget is the truth table, indexed by input
+    # every witness evaluated in one pass, symbol_of once per distinct output; eval_many
+    # reads only a witness's low ell bits, but one out of range fails its section first
     values = [sec.values for sec in msg.sections]
-    union = set().union(*values)
-    full = len(union) == size and max(union) < size and ell <= CIRCUIT_INPUT_BUDGET
-    inputs = [] if full else sorted(x for x in union if x < size)
-    outs = circuit.table if full else circuit.eval_many(inputs)
-    symbols = {y: symbol_of(y) for y in set(outs)}  # once per distinct output
+    chain = itertools.chain.from_iterable
+    flat = list(chain(values))
+    outs = circuit.eval_many(flat)
+    symbols = {y: symbol_of(y) for y in set(outs)}
     symbol = list(map(symbols.__getitem__, outs))
-    if not full:
-        symbol = dict(zip(inputs, symbol))
     # one pass over all witnesses: if every width is right, no witness repeats or lies out
     # of range and each has its section's symbol, only hashes and counts are left, and with
     # no hash rows the counts settle it; else each section is checked in full, in order,
     # so the first bad section still decides the verdict
-    chain = itertools.chain.from_iterable
-    flat = list(chain(values))
-    clean = (len(flat) == len(union) and (full or max(flat, default=0) < size)
-             and {s.width for s in msg.sections} == {width} and list(map(symbol.__getitem__, flat))
-             == list(chain(map(itertools.repeat, active, map(len, values)))))
+    clean = (len(set(flat)) == len(flat) and max(flat, default=0) < size
+             and {s.width for s in msg.sections} == {width}
+             and symbol == list(chain(map(itertools.repeat, active, map(len, values)))))
     if clean and not any(b for b, _ in by_mass.values()) and all(map(ge, map(len, values), needs)):
         return ACCEPT
-    for (i, b, rows, c), need, sec in zip(hashes, needs, msg.sections):
+    ends = itertools.accumulate(map(len, values))  # section j is symbol[end_j - len_j:end_j]
+    for (i, b, rows, c), need, sec, end in zip(hashes, needs, msg.sections, ends):
         witnesses = sec.values
         if sec.width != width or len(witnesses) > size:
             raise ProtocolViolation("witness section malformed")
         if witnesses and ((b and not all(_hash_zero(rows, c, x) for x in witnesses)) or (
                 not clean and (len(set(witnesses)) < len(witnesses) or max(witnesses) >= size
-                               or set(map(symbol.__getitem__, witnesses)) != {i}))):
+                               or set(symbol[end - len(witnesses):end]) != {i}))):
             return Verdict(False, "witness")
         if len(witnesses) < need:
             return Verdict(False, "lower-bound")
@@ -257,8 +253,8 @@ def whitebox_verifier(session: Session, X: InputTensor, inst: PvalInstance,
                              bucket_bits=bucket_bits)
         if not verdict.accepted:
             return Verdict(False, "learner")
-        live, verdict = extended_fold_phase(session, live, k, field, kappa,
-                                            granularise(Pmf(probs)))
+        B = granularise(Pmf.from_weights(claim.weights, claim.denom))  # the claim's integers
+        live, verdict = extended_fold_phase(session, live, k, field, kappa, B)
         if verdict is not None:
             return verdict
 

@@ -91,6 +91,16 @@ MUTANTS = (
             "test_slb_hash_test_still_runs_on_well_formed_witnesses",
             "tests/test_protocols_product.py::"
             "test_slb_verdicts_match_a_witness_by_witness_oracle")),
+    Mutant("slb-witness-symbol-never-fires", "src/dfipp/product.py",
+           "set(symbol[end - len(witnesses):end]) != {i}", "False",
+           ("tests/test_protocols_product.py::test_slb_verdict_order_on_hostile_witnesses",
+            "tests/test_protocols_product.py::test_slb_bad_witness_rejected")),
+    # the one-pass clean check takes every witness to have its section's symbol
+    Mutant("slb-clean-skips-symbols", "src/dfipp/product.py",
+           "symbol == list(chain(map(itertools.repeat, active, map(len, values))))", "True",
+           ("tests/test_protocols_product.py::test_slb_verdict_order_on_hostile_witnesses",
+            "tests/test_protocols_product.py::"
+            "test_slb_verdicts_match_a_witness_by_witness_oracle")),
     Mutant("slb-lower-bound-never-fires", "src/dfipp/product.py",
            "if len(witnesses) < need:", "if False:",
            ("tests/test_protocols_product.py::test_slb_verdict_order_on_hostile_witnesses",

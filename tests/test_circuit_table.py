@@ -1,7 +1,8 @@
 """SamplingCircuit.table, the circuit's memoised truth table: it equals per-input
 evaluation, eval_many read from it equals the bitsliced pass, it leaves == and
 hash alone, and over the input budget it is refused before any evaluation, which
-no set-lower-bound session then reaches."""
+no set-lower-bound session then reaches; once built, a session reads it and runs
+no gate."""
 
 import random
 from fractions import Fraction
@@ -9,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from _oracles import circuit_eval
-from dfipp import distributions, product
+from dfipp import distributions
 from dfipp.distributions import CIRCUIT_INPUT_BUDGET, SamplingCircuit
 from dfipp.product import (FIXTURE_PROFILES, HonestSlbProver, MarginalClaim,
                            gen_product_fixture, run_set_lower_bound, slb_preimages)
@@ -97,18 +98,19 @@ def test_over_budget_table_is_refused_before_any_evaluation(monkeypatch):
     assert evaluated == [] and "table" not in C.__dict__
 
 
+def _uniform_claim(ell):
+    return MarginalClaim((Fraction(1, 1 << ell),) * (1 << ell), Fraction(1, 1000),
+                         Fraction(1, 20))
+
+
 def test_set_lower_bound_over_budget_never_builds_the_table(monkeypatch):
-    # a witness union that covers every input is read from the table only within
-    # the budget; past it the session evaluates the witnesses and ends in a verdict
+    # past the budget the session evaluates the witnesses through the gates and ends
+    # in the verdict, ledger and transcript of a session within it
     ell = 4
-    claim = MarginalClaim((Fraction(1, 1 << ell),) * (1 << ell), Fraction(1, 1000),
-                          Fraction(1, 20))
+    claim = _uniform_claim(ell)
     prover = HonestSlbProver(slb_preimages(SamplingCircuit.identity(ell), lambda y: y))
-    inside = SamplingCircuit.identity(ell)
-    within = run_set_lower_bound(inside, claim, prover, 7, bucket_bits=0)
-    assert "table" in inside.__dict__  # bucket_bits = 0: every preimage is a witness
-    for module in (distributions, product):
-        monkeypatch.setattr(module, "CIRCUIT_INPUT_BUDGET", ell - 1)
+    within = run_set_lower_bound(SamplingCircuit.identity(ell), claim, prover, 7, bucket_bits=0)
+    monkeypatch.setattr(distributions, "CIRCUIT_INPUT_BUDGET", ell - 1)
     C = SamplingCircuit.identity(ell)
     with pytest.raises(BudgetExceeded):
         C.table
@@ -117,3 +119,22 @@ def test_set_lower_bound_over_budget_never_builds_the_table(monkeypatch):
     assert over.verdict.accepted
     assert (over.verdict, over.ledger, over.transcript) == \
         (within.verdict, within.ledger, within.transcript)
+
+
+@pytest.mark.parametrize("bucket_bits", [0, None])
+def test_set_lower_bound_reads_a_built_table_without_a_bitsliced_pass(bucket_bits, monkeypatch):
+    # an honest prover's preimages build the circuit's table, so the verifier's one
+    # evaluation of the witnesses is read from it, with the verdict of a cold circuit
+    ell = 6
+    C = gen_product_fixture(2, ell, "uniform")[1]
+    claim = _uniform_claim(ell)
+    prover = HonestSlbProver(slb_preimages(C, lambda y: y))
+    assert "table" in C.__dict__
+    cold = run_set_lower_bound(_twin(C), claim, prover, 5, bucket_bits=bucket_bits)
+    planes = []
+    monkeypatch.setattr(distributions, "_bit_planes", lambda *a: planes.append(a))
+    warm = run_set_lower_bound(C, claim, prover, 5, bucket_bits=bucket_bits)
+    assert planes == []
+    assert warm.verdict.accepted
+    assert (warm.verdict, warm.ledger, warm.transcript) == \
+        (cold.verdict, cold.ledger, cold.transcript)

@@ -457,6 +457,16 @@ def _drop(config, key):
      "config key 'r' must lie in [1, 3), not 3"),
     ({**_drop(FIN, "r"), "protocol": "df_ipp_nc", "m": 1}, None,
      "config key 'r' must lie in [1, 1), not 1"),
+    # an explicit shape is (k, m), two entries, whatever masses it shapes
+    ({**FIN, "distribution": {"kind": "explicit", "masses": ["1/8"] * 8, "shape": []}}, None,
+     "config key 'distribution.shape' must have 2 entries, not 0"),
+    ({**FIN, "distribution": {"kind": "explicit", "masses": ["1/8"] * 8, "shape": [2, 2, 1]}},
+     None, "config key 'distribution.shape' must have 2 entries, not 3"),
+    ({**HAM, "distribution": {"kind": "explicit", "masses": ["1/8"] * 8, "shape": [8]}}, None,
+     "config key 'distribution.shape' must have 2 entries, not 1"),
+    # eps past the corrector's radius is refused at set-up, not raised by every trial
+    ({"protocol": "rlcc", "trials": 1, "seed": 1, "bits": 3, "eps": "1/4"}, None,
+     "config key 'eps' must not exceed the correcting radius 1/8, not 1/4"),
 ], ids=["fin_ipp-bogus-mode", "whitebox-row-tamper", "unknown-lemma", "fin_ipp-str-k",
         "fin_ipp-no-eps", "ham-no-eps", "fin_ipp-str-prover", "ham-eps-0", "ham-eps-1/0",
         "trials-true", "fin_ipp-bogus-dist_mode", "echo-prover", "rlcc-prover",
@@ -478,7 +488,8 @@ def _drop(config, key):
         "df_ipp_nc-claim-value-at-p", "row-tamper-row--1", "row-tamper-row-5",
         "row-tamper-delta-17", "row-tamper-delta-0", "row-tamper-col--1", "fin_ipp-r-at-m",
         "df_ipp_nc-r-past-m", "dispersed_ipp_nc-r-at-m", "whitebox_product-r-at-m",
-        "df_ipp_nc-m-1-default-r"])
+        "df_ipp_nc-m-1-default-r", "explicit-shape-empty", "explicit-shape-3",
+        "ham-explicit-shape-1", "rlcc-eps-past-radius"])
 def test_cli_bad_input_is_a_usage_error(config, argv, message, tmp_path, capsys):
     if config is not None:
         path = tmp_path / "c.json"

@@ -191,6 +191,12 @@ def _identity8(edits):
     # clean witnesses, but one section holds the next symbol's witness as well
     (8, _identity8({3: ((3, 4), 8)}), "witness"),
     (8, _identity8({255: ((), 8)}), "lower-bound"),
+    # distinct in-range witnesses of the right width, but sections 0 and 1 swapped
+    (2, [((1,), 2), ((0,), 2), ((2,), 2), ((3,), 2)], "witness"),
+    (8, _identity8({3: ((4,), 8), 4: ((3,), 8)}), "witness"),
+    # a section one bit too wide whose witness 5 lies past the 4 inputs, though its low
+    # bits name input 1, a preimage of symbol 1: the width decides, not the symbol
+    (2, [((0,), 2), ((5,), 3), ((2,), 2), ((3,), 2)], "malformed"),
 ])
 def test_slb_verdict_order_on_hostile_witnesses(ell, sections, reason):
     circuit, claim = SamplingCircuit.identity(ell), identity_claim(ell)
