@@ -3,10 +3,10 @@ sampling circuits, dispersion, marginals, granularisation, and the
 granular-extension row map.
 
 A Pmf holds integer weights over one common denominator, and every kernel
-here (dispersion, marginals, granularisation, TV distance, the sampler
-table) works on those integers; masses and results leave as exact
-Fractions.  Samplers use a 64-bit fixed-point cumulative table, derived
-exactly from the weights, so (seed -> draws) is reproducible.
+here (dispersion, marginals, granularisation, TV distance, sampling) works on
+those integers; masses and results leave as exact Fractions.  A Pmf samples
+exactly from its weights: cell i gets weights[i] of denom equally likely
+draws, so (seed -> draws) is reproducible and follows the stated law.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from typing import Iterable, Optional, Sequence
 from .field import cell_coords, cell_index, uniform_draws
 from .tensors import BudgetExceeded
 
-_TABLE_BITS = 64
 # the most circuit inputs an exhaustive scan over all 2^ell of them may take
 CIRCUIT_INPUT_BUDGET = 20
 # per bit b: byte v -> ASCII "1" if bit b of v is set, else "0"
@@ -132,17 +131,12 @@ class Pmf:
             counts[i] += 1
         return Pmf.from_weights(counts, grains, shape=shape)
 
-    def _table(self):
-        """Entry i is floor((w_0 + ... + w_i) * 2^64 / denom); the last is 2^64."""
-        if self._cum is None:
-            denom = self.denom
-            self._cum = [(c << _TABLE_BITS) // denom for c in accumulate(self.weights)]
-        return self._cum
-
     def sample(self, rng) -> int:
-        """Draw a flat index; deterministic given the rng state."""
-        u = rng.getrandbits(_TABLE_BITS)
-        return bisect_right(self._table(), u)
+        """Draw a flat index: the cell of u = rng.randrange(denom) over the integer
+        cumulative weights, so cell i holds exactly weights[i] of the denom values of u."""
+        if self._cum is None:
+            self._cum = list(accumulate(self.weights))
+        return bisect_right(self._cum, rng.randrange(self.denom))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Pmf) and other.denom == self.denom

@@ -19,7 +19,7 @@ from dataclasses import asdict, fields, replace
 from functools import cache, partial
 from typing import NamedTuple, Optional
 
-from .field import InputTensor, PrimeField, lagrange_basis, lde_eval, uniform_draws
+from .field import InputTensor, PrimeField, is_prime, lagrange_basis, lde_eval, uniform_draws
 from .tensors import (DEFAULT_ENUM_BUDGET, INF, BudgetExceeded, PvalInstance, coset, dist,
                       pval_min_distance, solve_affine)
 from .distributions import (CIRCUIT_INPUT_BUDGET, Pmf, ProductDistribution, SamplingCircuit,
@@ -102,6 +102,14 @@ def _mass(value) -> bool:
 
 def _probability(value) -> bool:
     return type(value) in (int, float) and 0 <= value <= 1  # NaN compares False
+
+
+def _prime(value) -> bool:  # a PrimeField modulus
+    return type(value) is int and value.bit_length() <= 64 and is_prime(value)
+
+
+def _power_of_two(value) -> bool:  # a k whose product fixture a circuit samples exactly
+    return type(value) is int and value in POSITIVE and not value & (value - 1)
 
 
 def _sized(values: list, n: int, key: str) -> tuple:
@@ -246,7 +254,7 @@ _DISTRIBUTION = Modes("kind", None, {
 def _tensor(config: dict, rng: random.Random) -> InputTensor:
     """The config's tensor x, else a random one from the setup rng."""
     field = PrimeField(config["field_modulus"])
-    k, m = config["k"], config["m"]
+    k, m = _within(config["k"], 1, field.modulus + 1, "k"), config["m"]  # k LDE nodes in F
     if "x" in config:
         return InputTensor(field, k, m, _cells(config["x"], field, k ** m, "x"))
     return InputTensor.random(field, k, m, rng)
@@ -426,7 +434,7 @@ def _run_set_lower_bound(config: dict, rng: random.Random):
 # protocol name -> (required key specs, optional key specs, builder); a builder sets a config
 # up from the setup rng and returns (run, make, report row fields): run(prover, seed) is the
 # runner, read from this module at set-up, with its arguments bound; make() builds a prover
-_TENSOR = {"field_modulus": int, "k": POSITIVE, "m": POSITIVE}
+_TENSOR = {"field_modulus": _prime, "k": POSITIVE, "m": POSITIVE}
 _CLAIMED = {"x": [int], "points": [[int]], "values": [int]}
 _HAM = {"x": _BITS, "distribution": _DISTRIBUTION, "c": POSITIVE, "prover": _HAM_PROVERS}
 _NC = {"r": POSITIVE, "kappa_override": POSITIVE, "x": [int], "distribution": _DISTRIBUTION,
@@ -447,7 +455,7 @@ _PROTOCOLS = {
         config, rng, lambda X, D, rho: partial(run_df_ipp_nc, X, D))),
     "dispersed_ipp_nc": ({**_TENSOR, "eps": _positive}, _NC, lambda config, rng: _nc(
         config, rng, lambda X, D, rho: partial(run_dispersed_ipp_nc, X, D, rho))),
-    "whitebox_product": ({**_TENSOR, "r": POSITIVE, "eps": _positive},
+    "whitebox_product": ({**_TENSOR, "k": _power_of_two, "r": POSITIVE, "eps": _positive},
                          {**_CLAIMED, "kappa_override": POSITIVE, "tau": _unit,
                           "profile": frozenset(FIXTURE_PROFILES),
                           "bucket_bits": int, "prover": _WHITEBOX_PROVERS},

@@ -289,10 +289,9 @@ def _ham_body(session: Session, n: int, w: int, eps: Fraction, c: int) -> Verdic
         i0, xi = session.sample()
         i = i0 + 1  # the binary split runs on 1-based inclusive intervals
         lo, hi, v = 1, n, w
-        path: tuple[int, ...] = ()
         while lo < hi:
             mid = (lo + hi) // 2
-            msg = session.ask("ham/split", (lo, hi, mid, path), expect=[(2, width)])
+            msg = session.ask("ham/split", (lo, hi, mid), expect=[(2, width)])
             h0, h1 = msg.values()
             if h0 + h1 != v:
                 return Verdict(False, "sum")
@@ -304,7 +303,6 @@ def _ham_body(session: Session, n: int, w: int, eps: Fraction, c: int) -> Verdic
                 hi, v = mid, h0
             else:
                 lo, v = mid + 1, h1
-            path += (bit,)
         if xi != v:
             return Verdict(False, "leaf")
     return ACCEPT
@@ -356,7 +354,7 @@ class HonestHamProver(ProverStrategy):
         if tag == "ham/weight":
             return [((self.weight(1, self.n),), self.width)]
         if tag == "ham/split":
-            lo, hi, mid, _path = payload
+            lo, hi, mid = payload
             return [((self.weight(lo, mid), self.weight(mid + 1, hi)), self.width)]
         raise ProtocolViolation(f"unexpected tag {tag}")
 
@@ -365,8 +363,8 @@ class BadSumHamProver(HonestHamProver):
     """Violates the sum check at the root split."""
 
     def reply(self, tag, payload):
-        if tag == "ham/split" and payload[3] == ():
-            lo, hi, mid, _ = payload
+        if tag == "ham/split" and payload[:2] == (1, self.n):
+            lo, hi, mid = payload
             return [((self.weight(lo, mid) + 1, self.weight(mid + 1, hi)), self.width)]
         return super().reply(tag, payload)
 

@@ -123,6 +123,17 @@ MUTANTS = (
     Mutant("whitebox-marginal-sum-never-fires", "src/dfipp/product.py",
            "if sum(probs) != 1:", "if False:",
            ("tests/test_protocols_product.py::test_whitebox_rejects_non_pmf_marginal",)),
+    # the sampler moves each cumulative boundary draw into the cell below it, and gives
+    # zero-weight leading cells a draw
+    Mutant("pmf-sample-bisect-left", "src/dfipp/distributions.py",
+           "from bisect import bisect_right", "from bisect import bisect_left as bisect_right",
+           ("tests/test_distributions.py::"
+            "test_sampler_maps_exactly_its_weight_of_the_draws_to_each_cell",)),
+    # the sampler draws u from [0, denom - 1), so the last cell loses one of its draws
+    Mutant("pmf-sample-short-range", "src/dfipp/distributions.py",
+           "rng.randrange(self.denom)", "rng.randrange(self.denom - 1)",
+           ("tests/test_distributions.py::"
+            "test_sampler_maps_exactly_its_weight_of_the_draws_to_each_cell",)),
     # a live object in an ask payload: the session's rng reaches the prover
     Mutant("ask-payload-carries-rng", "src/dfipp/protocols.py",
            'session.ask("ham/weight", None', 'session.ask("ham/weight", session.rng',

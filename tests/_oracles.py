@@ -246,17 +246,6 @@ def fraction_tv_distance(p_masses, q_masses):
     return sum((abs(a - b) for a, b in zip(p_masses, q_masses)), Fraction(0))
 
 
-def fraction_sampler_table(masses, bits=64):
-    """floor(acc * 2^bits) over the running Fraction sums acc, last entry clamped to 2^bits."""
-    table = []
-    acc = Fraction(0)
-    for v in masses:
-        acc += v
-        table.append(math.floor(acc * (1 << bits)))
-    table[-1] = 1 << bits
-    return table
-
-
 def factor_circuit_table(masses):
     """(d, table) of a dyadic factor's sampling circuit by Fraction bounds.
 

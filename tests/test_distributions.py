@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -9,11 +10,12 @@ import pytest
 
 from _learnable import ExtensionEchoProver, exact_learner, run_learnable_ipp
 from _oracles import (circuit_eval, factor_circuit_table, fraction_dispersion, fraction_dist,
-                      fraction_granularise, fraction_sampler_table, fraction_tv_distance)
+                      fraction_granularise, fraction_tv_distance)
 from dfipp.distributions import (GranularitySet, Pmf, ProductDistribution, SamplingCircuit,
                                  _bit_planes, circuit_pmf, dispersion_rho, extend_rows,
                                  extension_row_map, granularise, marginal_first, tv_distance)
 from dfipp.experiments import _DISTRIBUTION, _check, _setup_rng
+from dfipp.field import cell_index
 from dfipp.product import _factor_table, gen_product_fixture
 from dfipp.session import ACCEPT
 from dfipp.tensors import dist, hybrid_dist
@@ -479,15 +481,77 @@ def test_random_grains_match_the_reference_draw():
         assert rng.getstate() == ref.getstate()
 
 
-def test_sampler_table_matches_fraction_table_on_random_grains():
+class _Draws:
+    """An rng that hands out the given values in order, each once, to randrange(n)
+    or getrandbits(k) calls whose range holds the value; a further call fails."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def _next(self, bound: int) -> int:
+        assert self.values, "a draw beyond the values handed out"
+        u = self.values.pop(0)
+        assert 0 <= u < bound, f"{u} is outside the drawn range [0, {bound})"
+        return u
+
+    def randrange(self, n: int) -> int:
+        return self._next(n)
+
+    def getrandbits(self, k: int) -> int:
+        return self._next(1 << k)
+
+
+def _cells_of_every_draw(D: Pmf) -> list[int]:
+    """Per cell, how many of the denom values of one uniform draw D.sample maps to it."""
+    counts = [0] * D.n
+    for u in range(D.denom):
+        draws = _Draws([u])
+        counts[D.sample(draws)] += 1
+        assert draws.values == []
+    return counts
+
+
+def test_sampler_maps_exactly_its_weight_of_the_draws_to_each_cell():
     for _, _, _, D in _oracle_cases():
-        table = fraction_sampler_table(D.masses)
-        assert D._table() == table
-        assert table[-1] == 2 ** 64
+        assert _cells_of_every_draw(D) == list(D.weights)
+
+
+def test_sampler_draws_on_the_randrange_stream():
+    for _, _, _, D in _oracle_cases():
+        cum = list(itertools.accumulate(D.weights))
         seed = D.n * 7919 + D.denom
         rng, ref = random.Random(seed), random.Random(seed)
         assert [D.sample(rng) for _ in range(1000)] == \
-            [bisect_right(table, ref.getrandbits(64)) for _ in range(1000)]
+            [bisect_right(cum, ref.randrange(D.denom)) for _ in range(1000)]
+        assert rng.getstate() == ref.getstate()
+
+
+def test_sampler_reaches_a_cell_below_two_to_the_minus_64():
+    tiny = Fraction(1, 2 ** 80)
+    D = Pmf([Fraction(1, 3) - tiny, tiny, Fraction(2, 3)])
+    assert D.weights == (2 ** 80 - 3, 3, 2 ** 81) and D.denom == 3 * 2 ** 80
+    edge = D.weights[0]
+    us = [0, *range(edge - 2, edge + 5), D.denom - 1]
+    assert [D.sample(_Draws([u])) for u in us] == [0, 0, 0, 1, 1, 1, 2, 2, 2]
+
+
+def test_product_sampler_gives_each_cell_its_factor_weight_product():
+    rng = random.Random(8874)
+    for _ in range(20):
+        k, m = rng.randrange(2, 4), rng.randrange(2, 4)
+        factors = [Pmf.random_grains(k, rng.randrange(1, 7), rng) for _ in range(m)]
+        P = ProductDistribution(factors)
+        counts = [0] * P.n
+        for us in itertools.product(*(range(f.denom) for f in factors)):
+            draws = _Draws(us)
+            counts[P.sample(draws)] += 1
+            assert draws.values == []
+        expected = [0] * P.n
+        for coords in itertools.product(range(k), repeat=m):
+            expected[cell_index(coords, k)] = math.prod(
+                f.weights[c] for f, c in zip(factors, coords))
+        assert counts == expected
+        assert Pmf.from_weights(counts, sum(counts), shape=P.shape) == P.joint_pmf()
 
 
 @pytest.mark.parametrize("config_seed", [1, 2, 6, 9, 57])

@@ -467,6 +467,11 @@ def _drop(config, key):
     # eps past the corrector's radius is refused at set-up, not raised by every trial
     ({"protocol": "rlcc", "trials": 1, "seed": 1, "bits": 3, "eps": "1/4"}, None,
      "config key 'eps' must not exceed the correcting radius 1/8, not 1/4"),
+    # a field and k the LDE cannot use are refused by key, not by the library's error
+    ({**FIN, "field_modulus": 15}, None, "config key 'field_modulus' has a bad type or value"),
+    ({**FIN, "field_modulus": 2, "k": 3}, None, "config key 'k' must lie in [1, 3), not 3"),
+    ({**FIN, "protocol": "whitebox_product", "k": 3}, None,
+     "config key 'k' has a bad type or value: 3"),
 ], ids=["fin_ipp-bogus-mode", "whitebox-row-tamper", "unknown-lemma", "fin_ipp-str-k",
         "fin_ipp-no-eps", "ham-no-eps", "fin_ipp-str-prover", "ham-eps-0", "ham-eps-1/0",
         "trials-true", "fin_ipp-bogus-dist_mode", "echo-prover", "rlcc-prover",
@@ -489,7 +494,8 @@ def _drop(config, key):
         "row-tamper-delta-17", "row-tamper-delta-0", "row-tamper-col--1", "fin_ipp-r-at-m",
         "df_ipp_nc-r-past-m", "dispersed_ipp_nc-r-at-m", "whitebox_product-r-at-m",
         "df_ipp_nc-m-1-default-r", "explicit-shape-empty", "explicit-shape-3",
-        "ham-explicit-shape-1", "rlcc-eps-past-radius"])
+        "ham-explicit-shape-1", "rlcc-eps-past-radius", "fin_ipp-modulus-15",
+        "fin_ipp-k-past-p", "whitebox_product-k-3"])
 def test_cli_bad_input_is_a_usage_error(config, argv, message, tmp_path, capsys):
     if config is not None:
         path = tmp_path / "c.json"

@@ -75,9 +75,9 @@ REJECTING = {"fin_ipp/fixed-alternative", "whitebox_product/fixed-alternative"}
 # (CSV, JSON, transcript) sha256 digests
 GOLDEN = {
     "df_ipp_nc": (
-        "0a143aeb3f7861a45b975a3d49775ddcdb5e4ffaa34d10a66c6d98ec6d1865f3",
-        "6eccecb8a30c06aec626af564a8fe79b27d19a9d5298150c243fc6d062b189ad",
-        "66dabdfe325ce6f44cb854b5d49f448655bd107d9bb59d5a9a25cebe5d255424",
+        "c8dae77b3c79f80a83b7c77e26b08691db2552b88d8e84f9b12bfbd49bf0b2d3",
+        "55cc92685b68e7dafbbd493792124205dc7821120efbe4574e66d7c24d349c81",
+        "6637a67f6d88431db77f0ebac3ea8e316002a7a68778a2f37716832ab4959287",
     ),
     "dispersed_ipp_nc": (
         "8f6f40fd1d7d4d9605a9748c768e722b62be713a35c6d957ed37ce8fff7efe64",
@@ -107,7 +107,7 @@ GOLDEN = {
     "ham": (
         "b8b68028ebb97181cd38d0fef497c5402ddfefc95750efdfc821841317035c7c",
         "f81c75dbccaceee58876904e17e5d8be64f0a27dcfc8de0b27f5f5612b4536e7",
-        "5edf226cf678d13c475e19f741b01e225d3375ed3fe45d084682ceedf48738f5",
+        "f9feae768e55bb4933517ca997ae38f428ea8b2c702e07a970a744a2a8ee6970",
     ),
     "poly_fold": (
         "96343c95e4b6fced603ec2aa07b94bd0a6408c18e2eb7d4cd842da18e094166e",
@@ -127,7 +127,7 @@ GOLDEN = {
     "symmetric": (
         "7adb5831197db4f29bfc4e810c97b00c0edcb37a246c73a6756c493950852b89",
         "1a8d09fc9ac2eec90f310e0097810346ce3c5c3f13cbfb09c3acab82dc12049a",
-        "2b70304b7e0d4561e9e36b58678bf638353fa1202f87880eb832bebe834e3168",
+        "5b32ddce275c933fd732d81d26bbebe2d32f55e0a1af7637bb2f3209e1d21c83",
     ),
     "whitebox_product/dyadic-random/r2": (
         "9a7b642e7dbc72c058e80afbc560985baa794e4f667d029380de6af9db90b57a",

@@ -92,9 +92,9 @@ GOLDEN_DEMOS = {
     "lemma_checks.py":
         "3418077156b8f422566d11261c48504e2992ccd5cf995fe7d25c16aa4d3dc870",
     "nc_pipeline.py":
-        "9f3e5f25fe4f426d18cf41ea51839bd974b5740d24295c8696b6092d7764b99f",
+        "f4c59b09de7e112c688829755e9c67cef8000eb613c845c7d63a26ff36e55fda",
     "weight_protocol.py":
-        "36645b94b4b930b5449b4200a17da56ee34bbb95f0a85b77bfc4dacce059da8d",
+        "1b58f7798d2b8fd684f2f041c4e8c2f6b2487fe075dc8bd904224c08105d3641",
     "whitebox_product.py":
         "e3b48cb7abf3fd9b2c77e772a8816e81bb4f2d6dc1b3bf4e43837d08fb5ff925",
 }

@@ -68,7 +68,7 @@ def test_ham_range_check():
     class RangeViolatingProver(HonestHamProver):
         def reply(self, tag, payload):
             if tag == "ham/split":
-                lo, hi, mid, _ = payload
+                lo, hi, mid = payload
                 width = self.width
                 bogus = mid - lo + 2  # exceeds |I0|
                 return [((bogus, (self.weight(1, self.n) - bogus) % (1 << width)),
@@ -100,16 +100,13 @@ def extract_committed_string(prover, n: int, w: int) -> list[int]:
     out = []
     for i in range(1, n + 1):
         lo, hi, v = 1, n, w
-        path: tuple[int, ...] = ()
         while lo < hi:
             mid = (lo + hi) // 2
-            h0, h1 = prover.reply("ham/split", (lo, hi, mid, path))[0][0]
+            h0, h1 = prover.reply("ham/split", (lo, hi, mid))[0][0]
             if i <= mid:
                 hi, v = mid, h0
-                path += (0,)
             else:
                 lo, v = mid + 1, h1
-                path += (1,)
         out.append(v)
     return out
 
