@@ -88,24 +88,31 @@ class FoldState:
             t *= len(s)
         return t
 
-    def terms(self, k: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(offsets, coefficients) of one folded coordinate over a k^m base tensor.
+    def terms(self, k: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        """(offsets, coefficients, reads) of one folded coordinate over a k^m base tensor.
 
         A folded coordinate is sum(c * X[leaf + o]) over the paired entries,
         where leaf is the flat index of its leaf cell.  The table expands
-        level by level over rowmaps, last fold first, and keeps every support
-        index whose source is not the zero row, even when its sampled
-        coefficient is 0.  It is built once per (k, m) and cached.
+        level by level over rowmaps, last fold first, with one term per
+        distinct source row of a level's support: its coefficient is the sum
+        of z_i over the support indices that read that source, and it is kept
+        even when that sum is 0.  reads is the product over the levels of the
+        support indices whose source is not the zero row: what checking the
+        coordinate costs.  It is built once per (k, m) and cached.
         """
         cache = self.__dict__.setdefault("_terms", {})
         table = cache.get((k, m))
         if table is None:
-            terms = [(0, 1)]
+            terms, reads = [(0, 1)], 1
             for s in reversed(range(len(self.zs))):
                 z, rowmap, stride = self.zs[s], self.rowmaps[s], k ** (m - 1 - s)
-                steps = [(rowmap[i] * stride, z[i]) for i in self.supports[s] if rowmap[i] != k]
+                live = [rowmap[i] for i in self.supports[s] if rowmap[i] != k]
+                weights = source_weights(z, rowmap, k)  # z is 0 off its support
+                steps = [(src * stride, weights[src]) for src in dict.fromkeys(live)]
                 terms = [(off + d, c * zi) for off, c in terms for d, zi in steps]
-            table = cache[(k, m)] = (tuple(off for off, _ in terms), tuple(c for _, c in terms))
+                reads *= len(live)
+            table = cache[(k, m)] = (tuple(off for off, _ in terms),
+                                     tuple(c for _, c in terms), reads)
         return table
 
 
@@ -126,14 +133,16 @@ def project_points(points: Sequence[tuple[int, ...]]):
 def folded_eval(session: Session, base: InputTensor, st: FoldState, leaf: int) -> int:
     """Evaluate one coordinate of z_s . (... (z_1 . X)) through the query oracle.
 
-    leaf is the coordinate's flat cell index in the leaf [k]^(m-s).  One
-    charged read at leaf plus the offsets of the state's term table
-    (FoldState.terms): exactly tau queries for plain folds, none for support
-    entries backed by the zero row.  The leaf phase calls it once per distinct
-    cell of a live tuple and charges a repeated cell len(offsets) queries.
+    leaf is the coordinate's flat cell index in the leaf [k]^(m-s).  It reads
+    X at leaf plus each offset of the state's term table (FoldState.terms),
+    one per distinct source row, and charges the table's reads: every support
+    index, repeats of a source included, except those backed by the zero row.
+    That is exactly tau queries for plain folds.  The leaf phase calls it once
+    per distinct cell of a live tuple and charges a repeated cell reads queries.
     """
-    offsets, coeffs = st.terms(base.k, base.m)
+    offsets, coeffs, reads = st.terms(base.k, base.m)
     values = session.read(leaf, offsets)
+    session.charge(reads - len(offsets))
     return sum(map(mul, values, coeffs)) % base.field.modulus
 
 
@@ -144,6 +153,15 @@ def fold_rows(z: Sequence[int], rows: Sequence[Sequence[int]], p: int) -> tuple[
         if zi:
             acc = [a + zi * v for a, v in zip(acc, row)]
     return tuple(a % p for a in acc)
+
+
+def source_weights(z: Sequence[int], rowmap: Sequence[int], k: int) -> list[int]:
+    """c[src] = the sum of z[i] over the rows i that rowmap reads from source src < k,
+    so fold_rows(c, rows, p) is z . extend_rows(rows, rowmap, zero) without the copies."""
+    c = [0] * (k + 1)  # c[k] collects the zero row's coefficients
+    for zi, src in zip(z, rowmap):
+        c[src] += zi
+    return c[:k]
 
 
 def _columns_consistent(p: int, bases: Sequence[Sequence[int]], values,
@@ -202,7 +220,6 @@ def _fold_phase(session: Session, live: list[FoldState], k: int, field: PrimeFie
     children: list[FoldState] = []
     z_sections = []
     for st, Y in zip(live, matrices):
-        U = extend_rows(Y, rowmap, (0,) * t2)
         for a, weight in classes:
             support, z = fold_vector(session.rng, n_rows, weight, p)
             children.append(FoldState(
@@ -211,7 +228,7 @@ def _fold_phase(session: Session, live: list[FoldState], k: int, field: PrimeFie
                 rowmaps=st.rowmaps + (rowmap,),
                 weights=st.weights + (a,),
                 points=j2,
-                values=fold_rows(z, U, p),
+                values=fold_rows(source_weights(z, rowmap, k), Y, p),
             ))
             z_sections.append((z, fb))
     session.tell("fold/vectors", z_sections)
@@ -228,15 +245,6 @@ def fold_vector(rng, n_rows: int, weight: int, p: int) -> tuple[tuple[int, ...],
     return support, tuple(z)
 
 
-def _uniform_cells(rng, k: int, leaf_m: int, nq: int) -> list[int]:
-    """nq uniform flat cells of [k]^leaf_m, each from leaf_m randrange(k) draws
-    taken first coordinate first."""
-    coords, cells = uniform_draws(rng, k, nq * leaf_m), [0] * nq
-    for t in range(leaf_m):  # Horner over coordinate t of every cell at once
-        cells = [c * k + d for c, d in zip(cells, coords[t::leaf_m])]
-    return cells
-
-
 def _leaf_phase(session: Session, X: InputTensor, live: list[FoldState], r: int,
                 eps: Fraction, shrink: Fraction, draw: Callable[[int], list[int]]) -> Verdict:
     """Leaf PVAL checks, then uniform and distribution spot checks per live tuple.
@@ -250,9 +258,10 @@ def _leaf_phase(session: Session, X: InputTensor, live: list[FoldState], r: int,
     coordinates as i % k^(m-r).  Both batches are drawn before either is checked.
 
     A tuple folds each distinct cell once, in first-draw order, and the first
-    mismatch rejects.  A repeat is charged the reads of its fold without folding,
-    so the ledger is that of checking every draw in order: on a reject, only the
-    repeats drawn before the bad cell's first draw are charged.
+    mismatch rejects.  A repeat is charged the reads of its fold (the count in
+    FoldState.terms) without folding, so the ledger is that of checking every
+    draw in order: on a reject, only the repeats drawn before the bad cell's
+    first draw are charged.
     """
     field, k, leaf_m = X.field, X.k, X.m - r
     leaf_n = k ** leaf_m
@@ -270,8 +279,8 @@ def _leaf_phase(session: Session, X: InputTensor, live: list[FoldState], r: int,
         nq = math.ceil(10 / eps_r)
         session.note(f"leaf weights={'.'.join(map(str, st.weights))} "
                      f"tau={st.tau} nq={nq} eps_r={eps_r}")
-        cells = _uniform_cells(session.rng, k, leaf_m, nq) + [y % leaf_n for y in draw(nq)]
-        distinct, reads = dict.fromkeys(cells), len(st.terms(k, X.m)[0])
+        cells = uniform_draws(session.rng, leaf_n, nq) + [y % leaf_n for y in draw(nq)]
+        distinct, reads = dict.fromkeys(cells), st.terms(k, X.m)[2]
         for n_checked, cell in enumerate(distinct):
             if leaf[cell] != folded_eval(session, X, st, cell):
                 session.charge(reads * (cells.index(cell) - n_checked))
@@ -462,7 +471,7 @@ def _fin_core(session: Session, X: InputTensor, inst: PvalInstance, eps: Fractio
             return [session.sample()[0] for _ in range(nq)]
     else:
         def draw(nq):
-            return _uniform_cells(session.rng, k, m - r, nq)
+            return uniform_draws(session.rng, k ** (m - r), nq)
     return _leaf_phase(session, X, live, r, eps, 4 * rho, draw)
 
 
@@ -633,7 +642,9 @@ class HonestFoldProver(ProverStrategy):
     prover keeps only its committed tensor, its live folds and, from its claims
     to its first fold, its round-0 columns (X's k rows evaluated at a tail); a
     claim is P_X(pt) = sum_i L_i(pt[0]) * P_{X row i}(pt[1:]).  All live folded
-    tensors are materialized; at desk scale they are tiny.
+    tensors are materialized; at desk scale they are tiny.  An extended fold
+    is never materialized row by row: each of the k rows is folded once, with
+    the folding vector's entries summed per source row (source_weights).
     """
 
     def __init__(self, tensor: InputTensor):
@@ -642,12 +653,14 @@ class HonestFoldProver(ProverStrategy):
         self.k = tensor.k
         self.live: list = []
         self._cols: dict = {}  # tail -> (P_{X row 0}(tail), ..., P_{X row k-1}(tail))
+        self.rowmap: Sequence[int] = ()  # the row map of the last fold request
 
     def observe(self, tag: str, sections) -> None:
-        """On fold/vectors, fold the rows each live tensor was extended to."""
+        """On fold/vectors, fold each live tensor's k rows through the request's row map."""
         if tag == "fold/vectors":
             p, per_tuple = self.field.modulus, len(sections) // len(self.live)
-            self.live = [fold_rows(z, rows, p) for idx, rows in enumerate(self.live)
+            self.live = [fold_rows(source_weights(z, self.rowmap, self.k), rows, p)
+                         for idx, rows in enumerate(self.live)
                          for z in sections[idx * per_tuple:(idx + 1) * per_tuple]]
 
     def reply(self, tag: str, payload):
@@ -673,8 +686,8 @@ class HonestFoldProver(ProverStrategy):
 
     def _matrices(self, s: int, rowmap: Sequence[int], points):
         """One section per live tensor: its k rows in order, each evaluated at the
-        tail projection of every point.  Each live tensor is then kept as its rows
-        read through rowmap, for observe to fold."""
+        tail projection of every point.  Each live tensor is then kept as its k
+        rows, and rowmap beside them, for observe to fold."""
         if s == 0:
             self.live = [self.X.data]
         k, tail_m = self.k, self.X.m - s - 1
@@ -685,7 +698,7 @@ class HonestFoldProver(ProverStrategy):
             evals, self._cols = list(zip(*self._columns(j2))), {}
         else:
             evals = lde_eval_batch(self.field, k, tail_m, [row for rs in rows for row in rs], j2)
-        self.live = [extend_rows(rs, rowmap, (0,) * step) for rs in rows]
+        self.live, self.rowmap = rows, rowmap
         return [(tuple(v for row in evals[d * k:(d + 1) * k] for v in row), self.field.bits)
                 for d in range(len(rows))]
 

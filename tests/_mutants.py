@@ -128,12 +128,34 @@ MUTANTS = (
     Mutant("pmf-sample-bisect-left", "src/dfipp/distributions.py",
            "from bisect import bisect_right", "from bisect import bisect_left as bisect_right",
            ("tests/test_distributions.py::"
-            "test_sampler_maps_exactly_its_weight_of_the_draws_to_each_cell",)),
+            "test_sampler_maps_exactly_its_weight_of_the_draws_to_each_cell",
+            "tests/test_leaf_stream.py::"
+            "test_one_cell_liar_is_caught_where_the_stream_first_draws_its_cell")),
     # the sampler draws u from [0, denom - 1), so the last cell loses one of its draws
     Mutant("pmf-sample-short-range", "src/dfipp/distributions.py",
            "rng.randrange(self.denom)", "rng.randrange(self.denom - 1)",
            ("tests/test_distributions.py::"
-            "test_sampler_maps_exactly_its_weight_of_the_draws_to_each_cell",)),
+            "test_sampler_maps_exactly_its_weight_of_the_draws_to_each_cell",
+            "tests/test_leaf_stream.py::"
+            "test_one_cell_liar_is_caught_where_the_stream_first_draws_its_cell")),
+    # a uniform spot-check cell drawn from [0, k^(m-r) - 1): the last leaf cell is never
+    # checked by the uniform batch
+    Mutant("leaf-cells-short-range", "src/dfipp/protocols.py",
+           "uniform_draws(session.rng, leaf_n, nq)", "uniform_draws(session.rng, leaf_n - 1, nq)",
+           ("tests/test_leaf_cells.py::test_uniform_cells_match_the_coordinate_draw",
+            "tests/test_leaf_stream.py::"
+            "test_one_cell_liar_is_caught_where_the_stream_first_draws_its_cell")),
+    # a folded coordinate charges one query per distinct source row read, not one per
+    # support index
+    Mutant("folded-eval-drops-repeat-charge", "src/dfipp/protocols.py",
+           "    session.charge(reads - len(offsets))\n", "",
+           ("tests/test_folded_eval.py::test_folded_eval_reads_each_source_row_once",
+            "tests/test_folded_eval.py::test_folded_eval_matches_materialised_fold")),
+    # a source row's fold coefficient is its last copy's entry, not the sum over its copies
+    Mutant("source-weights-keep-last", "src/dfipp/protocols.py",
+           "c[src] += zi", "c[src] = zi",
+           ("tests/test_folded_eval.py::test_source_weights_fold_equals_the_extended_fold",
+            "tests/test_folded_eval.py::test_folded_eval_matches_materialised_fold")),
     # a live object in an ask payload: the session's rng reaches the prover
     Mutant("ask-payload-carries-rng", "src/dfipp/protocols.py",
            'session.ask("ham/weight", None', 'session.ask("ham/weight", session.rng',

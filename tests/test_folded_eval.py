@@ -10,11 +10,12 @@ import pytest
 from _instances import member_instance
 from _oracles import materialised_fold_value
 from dfipp import protocols
-from dfipp.distributions import extension_row_map, granularise
+from dfipp.distributions import extend_rows, extension_row_map, granularise
 from dfipp.field import InputTensor, PrimeField, cell_index
 from dfipp.product import (WhiteboxFoldProver, coordinate_preimages, gen_product_fixture,
                            run_whitebox_product_ipp)
-from dfipp.protocols import FoldState, _leaf_phase, folded_eval
+from dfipp.protocols import (FoldState, _leaf_phase, fold_rows, folded_eval,
+                             source_weights)
 from dfipp.session import ProverStrategy, Session
 
 F17 = PrimeField(17)
@@ -77,6 +78,49 @@ def test_folded_eval_matches_materialised_fold(field, k, m, r):
             got, queries = _charged(X, st, coords)
             assert got == materialised_fold_value(X.data, k, m, st.zs, st.rowmaps, coords, p)
             assert queries == live
+
+
+@pytest.mark.parametrize("k,m,r", [(2, 4, 1), (2, 4, 2), (3, 3, 1), (3, 3, 2)])
+def test_folded_eval_reads_each_source_row_once(k, m, r, monkeypatch):
+    # every extension row copies a source row or the zero row: a coordinate reads
+    # each distinct product of per-level sources once and charges every support index
+    rng = random.Random(7000 + 100 * k + 10 * m + r)
+    reads = []
+    real = Session.read
+    monkeypatch.setattr(Session, "read",
+                        lambda self, base, offsets: reads.append(len(offsets))
+                        or real(self, base, offsets))
+    repeated = False
+    for _trial in range(12):
+        X = InputTensor.random(F17, k, m, rng)
+        st = _random_state(rng, k, r, 17, set(range(r)))
+        live = distinct = 1
+        for support, rowmap in zip(st.supports, st.rowmaps):
+            sources = [rowmap[i] for i in support if rowmap[i] != k]
+            live *= len(sources)
+            distinct *= len(set(sources))
+        repeated |= distinct < live
+        for coords in itertools.product(range(k), repeat=m - r):
+            del reads[:]
+            assert _charged(X, st, coords)[1] == live
+            assert reads == [distinct]
+    assert repeated  # some support reads a source row twice
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_source_weights_fold_equals_the_extended_fold(k):
+    rng = random.Random(40 + k)
+    p = F17.modulus
+    for _trial in range(50):
+        counts = [rng.randrange(4) for _ in range(k)] + [rng.randrange(3)]
+        if sum(counts) == 0:
+            counts[0] = 1
+        rowmap = extension_row_map(counts)
+        width = 1 + rng.randrange(4)
+        Y = [tuple(rng.randrange(p) for _ in range(width)) for _ in range(k)]
+        z = [0 if rng.random() < 0.3 else rng.randrange(p) for _ in rowmap]
+        want = fold_rows(z, extend_rows(Y, rowmap, (0,) * width), p)
+        assert fold_rows(source_weights(z, rowmap, k), Y, p) == want
 
 
 def test_term_table_cache_keeps_equality_and_hash():

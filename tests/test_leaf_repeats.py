@@ -37,14 +37,8 @@ class _LeafProver(ProverStrategy):
 
 
 def _uniform_leaf_cells(rng, k, leaf_m, nq):
-    """The uniform batch drawn coordinate by coordinate, first coordinate first."""
-    cells = []
-    for _ in range(nq):
-        idx = 0
-        for _ in range(leaf_m):
-            idx = idx * k + rng.randrange(k)
-        cells.append(idx)
-    return cells
+    """The uniform batch: one flat draw in [k^leaf_m) per cell."""
+    return [rng.randrange(k ** leaf_m) for _ in range(nq)]
 
 
 def _per_draw(cells_per_tuple, leaves, truths, reads):
