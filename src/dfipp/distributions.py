@@ -406,12 +406,8 @@ class GranularitySet:
     def n(self) -> int:
         return len(self.counts) - 1
 
-    @property
-    def total(self) -> int:
-        return 8 * self.n
-
     def pmf(self) -> Pmf:
-        return Pmf.from_weights(self.counts, self.total)
+        return Pmf.from_weights(self.counts, 8 * self.n)
 
 
 def granularise(p: Pmf) -> GranularitySet:

@@ -376,6 +376,8 @@ def _run_whitebox_product(config: dict, rng: random.Random):
     r = _rounds(config)
     D, circuit = gen_product_fixture(config["k"], config["m"],
                                      config.get("profile", "uniform"), rng=rng)
+    if circuit.n_inputs > CIRCUIT_INPUT_BUDGET:  # before the k^m-cell tensor and joint law
+        raise BudgetExceeded("honest prover enumeration over budget")
     X, inst = _tensor_and_instance(config, rng)
     eps = _frac(config["eps"])
     run = partial(run_whitebox_product_ipp, X, inst, eps, circuit, r,
@@ -384,8 +386,6 @@ def _run_whitebox_product(config: dict, rng: random.Random):
                   bucket_bits=_bucket_bits(config, circuit.n_inputs))
     meta = _fold_meta(X, r=r, eps=str(eps),
                       rho=str(dispersion_rho(D, (X.k, X.m)).rho))
-    if circuit.n_inputs > CIRCUIT_INPUT_BUDGET:  # refused before the first trial
-        raise BudgetExceeded("honest prover enumeration over budget")
     # one preimage table per round a prover is asked, shared by every prover (a replay
     # makes no prover, so builds none)
     tables = coordinate_preimages(circuit, config["k"], config["m"])

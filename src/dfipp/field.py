@@ -15,7 +15,7 @@ ints.  Everything here is immutable after construction and safe to share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
 from operator import mul
@@ -66,28 +66,20 @@ def uniform_draws(rng, n: int, count: int) -> list[int]:
     return out
 
 
+@dataclass(frozen=True, slots=True)
 class PrimeField:
-    """The field F_p for a prime modulus p (up to 64 bits)."""
+    """The field F_p for a prime modulus p (up to 64 bits); bits is the canonical
+    fixed-width encoding of an element, for cost accounting."""
 
-    __slots__ = ("modulus", "bits")
+    modulus: int
+    bits: int = field(init=False, repr=False, compare=False)
 
-    def __init__(self, modulus: int):
-        if not is_prime(modulus):
-            raise ValueError(f"modulus {modulus} is not prime")
-        if modulus.bit_length() > 64:
+    def __post_init__(self):
+        if not is_prime(self.modulus):
+            raise ValueError(f"modulus {self.modulus} is not prime")
+        if self.modulus.bit_length() > 64:
             raise ValueError("modulus must fit in 64 bits")
-        self.modulus = modulus
-        # canonical fixed-width encoding for cost accounting
-        self.bits = max(1, (modulus - 1).bit_length())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PrimeField) and other.modulus == self.modulus
-
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.modulus))
-
-    def __repr__(self) -> str:
-        return f"PrimeField({self.modulus})"
+        object.__setattr__(self, "bits", max(1, (self.modulus - 1).bit_length()))
 
     def rand_point(self, m: int, rng) -> tuple[int, ...]:
         return tuple(uniform_draws(rng, self.modulus, m))
@@ -112,11 +104,6 @@ def cell_coords(idx: int, k: int, m: int) -> tuple[int, ...]:
     for t in range(m - 1, -1, -1):
         idx, out[t] = divmod(idx, k)
     return tuple(out)
-
-
-def cell_coord(idx: int, k: int, m: int, d: int) -> int:
-    """Coordinate d of flat cell index idx, i.e. cell_coords(idx, k, m)[d]."""
-    return idx // k ** (m - 1 - d) % k
 
 
 @lru_cache(maxsize=4096)

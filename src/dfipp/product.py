@@ -11,15 +11,15 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from numbers import Rational
 from operator import ge
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .field import InputTensor, PrimeField, cell_coord
+from .field import InputTensor, PrimeField, cell_coords
 from .tensors import DEFAULT_ENUM_BUDGET, PvalInstance
 from .distributions import (GranularitySet, Pmf, ProductDistribution, SamplingCircuit,
-                            extension_row_map, granularise)
+                            extension_row_map, granularise, marginal_first)
 from .session import (ACCEPT, ProtocolViolation, ProverStrategy, RunResult, Section, Session,
                       Verdict, run_session)
 from .protocols import (FoldState, HonestFoldProver, InequalityReport, _fold_phase, _leaf_phase,
@@ -184,7 +184,7 @@ def slb_preimages(circuit: SamplingCircuit, symbol_of: Callable[[int], int]) -> 
 def coordinate_preimages(circuit: SamplingCircuit, k: int, m: int) -> Callable[[int], Preimages]:
     """Round d -> the Preimages of the symbol map output -> its coordinate d of [k]^m:
     the white-box prover's answers in round d, built on the first ask for d only."""
-    return cache(lambda d: slb_preimages(circuit, partial(cell_coord, k=k, m=m, d=d)))
+    return cache(lambda d: slb_preimages(circuit, lambda y: cell_coords(y, k, m)[d]))
 
 
 class HonestSlbProver(ProverStrategy):
@@ -249,7 +249,7 @@ def whitebox_verifier(session: Session, X: InputTensor, inst: PvalInstance,
             return Verdict(False, "marginal")
         claim = MarginalClaim(probs, tau, delta)
         verdict = slb_verify(session, circuit, claim,
-                             symbol_of=lambda y, d=rnd: cell_coord(y, k, m, d),
+                             symbol_of=lambda y, d=rnd: cell_coords(y, k, m)[d],
                              bucket_bits=bucket_bits)
         if not verdict.accepted:
             return Verdict(False, "learner")
@@ -331,8 +331,7 @@ def check_product_dpl(X: InputTensor, tail_factors: Sequence[Pmf],
     the exact gamma.
     """
     Dhat = ProductDistribution(tail_factors).joint_pmf()
-    Dhat2 = ProductDistribution(tail_factors[1:]).joint_pmf()
-    return _preservation_report(X, Dhat, Dhat2, Y, inst, 2 * inst.k * (1 - tau),
+    return _preservation_report(X, Dhat, marginal_first(Dhat), Y, inst, 2 * inst.k * (1 - tau),
                                extension_row_map(B.counts), budget)
 
 

@@ -46,10 +46,6 @@ class Section(tuple):
     values = property(itemgetter(0))
     width = property(itemgetter(1))
 
-    @property
-    def bits(self) -> int:
-        return len(self[0]) * self[1]
-
     def to_hex(self) -> str:
         values, width = self
         acc = sum(v << (i * width) for i, v in enumerate(values))
@@ -87,10 +83,6 @@ class CostLedger:
     samples: int = 0
     comm_bits: int = 0
     messages: int = 0
-
-    @property
-    def rounds(self) -> int:
-        return (self.messages + 1) // 2
 
     def merge(self, other: "CostLedger") -> None:
         for f in fields(self):

@@ -50,10 +50,6 @@ class PvalInstance:
             if len(j) != self.m:
                 raise ValueError(f"point {j} is not in F^{self.m}")
 
-    @property
-    def t(self) -> int:
-        return len(self.points)
-
 
 def pval_member(X: InputTensor, inst: PvalInstance) -> bool:
     """True iff P_X(j) = v_j for every claimed point (vacuously true for empty J)."""

@@ -49,9 +49,15 @@ MUTANTS = (
            "                Section(*s)\n            checked.append(s)",
            "                pass\n            checked.append(s)",
            ("tests/test_session.py::test_a_forged_section_is_malformed_and_its_transcript_dumps",)),
+    # Miller-Rabin takes a strong witness of compositeness for a prime: a composite
+    # with no factor <= 37 becomes a field modulus
+    Mutant("is-prime-accepts-strong-witness", "src/dfipp/field.py",
+           "        else:\n            return False\n", "        else:\n            return True\n",
+           ("tests/test_refusals.py::test_bad_input_is_refused_by_name",)),
     # every white-box round answers from the preimages of coordinate 0
     Mutant("coordinate-preimages-ignore-round", "src/dfipp/product.py",
-           "partial(cell_coord, k=k, m=m, d=d)", "partial(cell_coord, k=k, m=m, d=0)",
+           "slb_preimages(circuit, lambda y: cell_coords(y, k, m)[d])",
+           "slb_preimages(circuit, lambda y: cell_coords(y, k, m)[0])",
            ("tests/test_protocols_product.py::"
             "test_whitebox_tables_map_each_output_once_per_dimension",
             "tests/test_experiments.py::test_preimage_tables_are_built_once_per_run")),

@@ -523,6 +523,26 @@ def test_set_lower_bound_over_the_input_budget_is_refused(ell, tmp_path, capsys)
                             '"honest prover enumeration over budget"}\n')
 
 
+@pytest.mark.parametrize("m", [21, 64])
+def test_whitebox_product_over_the_input_budget_is_refused(m, tmp_path, capsys, monkeypatch):
+    # refused before the k^m-cell tensor and joint law are built, so at once even at m = 64
+    from dfipp import experiments
+
+    def never(*args, **kwargs):
+        raise AssertionError("set-up work done before the budget check")
+
+    monkeypatch.setattr(experiments, "_tensor_and_instance", never)
+    monkeypatch.setattr(experiments, "dispersion_rho", never)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"protocol": "whitebox_product", "field_modulus": 17, "k": 2,
+                                "m": m, "r": 1, "eps": "1/2", "trials": 1, "seed": 0}))
+    assert cli_main(["run", "--config", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ('{"status": "refused", "reason": '
+                            '"honest prover enumeration over budget"}\n')
+
+
 @pytest.mark.parametrize("bits", [21, 64])
 def test_rlcc_over_the_input_budget_is_refused(bits, tmp_path, capsys):
     # refused before the 2^bits-bit codeword is built, so at once even at bits = 64
@@ -583,7 +603,10 @@ def test_preimage_tables_are_built_once_per_run(config, rounds, monkeypatch):
     if rounds is None:
         assert len(built) == 1
     else:
-        assert [symbol_of.keywords["d"] for symbol_of in built] == rounds
+        # a round-d map sends the cell with coordinate d = 1, all others 0, to 1
+        k, m = config["k"], config["m"]
+        assert [[d for d in range(m) if symbol_of(k ** (m - 1 - d)) == 1]
+                for symbol_of in built] == [[d] for d in rounds]
 
 
 @pytest.mark.parametrize("config", [{**_WHITEBOX_R2, "trials": 1}, {**_SLB, "trials": 1}],

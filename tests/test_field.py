@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from dfipp import field as field_module
-from dfipp.field import (InputTensor, PrimeField, basis_row, cell_coord, cell_coords,
+from dfipp.field import (InputTensor, PrimeField, basis_row, cell_coords,
                          lagrange_basis, lagrange_eval_univariate, lde_eval, lde_eval_batch)
 
 from _oracles import poly_eval, vandermonde_coeffs, vandermonde_lde_eval, vandermonde_lde_evals
@@ -224,6 +224,24 @@ def test_tensor_cells_outside_the_field_are_refused(cell):
 
 @pytest.mark.parametrize("k,m", [(2, 1), (2, 5), (3, 3), (4, 2), (5, 4)])
 def test_cell_coord_reads_one_coordinate(k, m):
+    # the white-box symbol maps read coordinate d as cell_coords(y, k, m)[d]: the
+    # place-value digit of k^(m-1-d) in y
     for d in range(m):
-        assert [cell_coord(y, k, m, d) for y in range(k ** m)] == \
-            [cell_coords(y, k, m)[d] for y in range(k ** m)]
+        assert [cell_coords(y, k, m)[d] for y in range(k ** m)] == \
+            [y // k ** (m - 1 - d) % k for y in range(k ** m)]
+
+
+def test_prime_field_is_a_value_of_its_modulus():
+    # equal moduli are one field: equal, and one key in a set or dict
+    a, b, c = PrimeField(17), PrimeField(17), PrimeField(97)
+    assert a == b and hash(a) == hash(b) and len({a, b, c}) == 2
+    assert a != c and a != 17
+    assert repr(c) == "PrimeField(modulus=97)"
+    # bits is derived from the modulus, never passed or set
+    assert (a.bits, c.bits, PrimeField(2).bits, PrimeField((1 << 61) - 1).bits) == (5, 7, 1, 61)
+    with pytest.raises(TypeError):
+        PrimeField(17, 5)
+    with pytest.raises(AttributeError):
+        a.bits = 4
+    with pytest.raises(AttributeError):
+        a.modulus = 97

@@ -183,7 +183,7 @@ def test_honest_claim_count_formula():
     X = InputTensor.random(F17, 2, 4, rng)  # n = 16
     gen = ClaimGenerator()
     inst, _, _ = run_claims(gen, X, Fraction(1, 2), 0)
-    assert inst.t == math.ceil(4 * Fraction(1, 2) * 16 * math.log2(16))
+    assert len(inst.points) == math.ceil(4 * Fraction(1, 2) * 16 * math.log2(16))
 
 
 def test_claim_points_uniform_chi_square():

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import re
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 
@@ -14,8 +15,9 @@ from _learnable import (ExtensionEchoProver, aborting_learner, exact_learner,
 from _oracles import bucket_bits_loop, circuit_eval, slb_witness_reason
 from dfipp.field import InputTensor, PrimeField, lde_eval
 from dfipp.tensors import INF, PvalInstance, dist_to_pval_bruteforce, pval_member
-from dfipp.distributions import (Pmf, SamplingCircuit, circuit_pmf, dispersion_rho,
-                                 extend_rows, extension_row_map, granularise)
+from dfipp.distributions import (Pmf, ProductDistribution, SamplingCircuit, circuit_pmf,
+                                 dispersion_rho, extend_rows, extension_row_map, granularise,
+                                 marginal_first)
 from dfipp.experiments import _PROTOCOLS, run_protocol
 from dfipp.session import (CostLedger, ProverStrategy, Section, Session, Verdict,
                            dump_transcript)
@@ -345,9 +347,9 @@ def test_whitebox_tables_map_each_output_once_per_dimension(case, monkeypatch):
     from dfipp import product
     circuit, k, m = _table_case(case)
     calls = []
-    real = product.cell_coord
-    monkeypatch.setattr(product, "cell_coord", lambda y, k, m, d: calls.append((y, d)) or
-                        real(y, k, m, d))
+    real = product.cell_coords
+    monkeypatch.setattr(product, "cell_coords", lambda y, k, m: calls.append(y) or
+                        real(y, k, m))
     tables = coordinate_preimages(circuit, k, m)
     assert calls == []  # nothing is built before a round asks
     size = 1 << circuit.n_inputs
@@ -355,12 +357,12 @@ def test_whitebox_tables_map_each_output_once_per_dimension(case, monkeypatch):
     for d in range(m):
         table = tables(d)
         assert tables(d) is table  # one build per round, however often it is asked
-        assert sorted(calls) == sorted((y, t) for y in set(outs) for t in range(d + 1))
+        assert Counter(calls) == {y: d + 1 for y in set(outs)}  # once per output and round
         for xs in table.inputs.values():  # ascending, and no symbol without an input
             assert xs and list(xs) == sorted(xs)
         want = {}  # every input under its coordinate d, by the gate-loop oracle
         for x, y in enumerate(outs):
-            want.setdefault(real(y, k, m, d), []).append(x)
+            want.setdefault(real(y, k, m)[d], []).append(x)
         assert {c: list(xs) for c, xs in table.inputs.items()} == want
 
 
@@ -864,6 +866,18 @@ def test_whitebox_learner_catches_distribution_lie():
 
 
 # --- product distance preservation -----------------------------------------------------
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("profile", FIXTURE_PROFILES)
+def test_first_marginal_of_a_product_is_the_tail_product(profile, k, m):
+    # check_product_dpl reads its row law as the first marginal of the joint law
+    for seed in range(3):
+        factors = FIXTURE_PROFILES[profile](k, m, random.Random(seed))
+        got = marginal_first(ProductDistribution(factors).joint_pmf())
+        assert got == ProductDistribution(factors[1:]).joint_pmf()
+        assert got.shape == (k, m - 1)
+
 
 def test_product_dpl_member_vacuous():
     rng = random.Random(9)
